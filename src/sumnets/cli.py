@@ -5,7 +5,7 @@ producing run writes a manifest next to its output so runs are
 reproducible from the recorded parameters alone.
 
 Exit codes: 0 success/verified, 1 verification failure / infeasible /
-scheme refusal, 2 usage error.
+scheme refusal, 2 usage error or an unreadable or malformed input.
 """
 
 from __future__ import annotations
@@ -57,7 +57,11 @@ def _read_manifest(net_path: Path) -> dict:
     path = Path(str(net_path) + ".manifest.json")
     if not path.exists():
         raise FileNotFoundError(f"no manifest next to {net_path} (expected {path.name})")
-    return json.loads(path.read_text(encoding="utf-8"))
+    meta = json.loads(path.read_text(encoding="utf-8"))
+    for key in ("family", "m", "q", "k"):
+        if not isinstance(meta, dict) or key not in meta:
+            raise ValueError(f"manifest lacks {key!r}; build the network with this tool")
+    return meta
 
 
 def _load_net(path: Path):
@@ -148,10 +152,6 @@ def _cmd_scheme(args) -> int:
     started = time.perf_counter()
     net_path = Path(args.net)
     meta = _read_manifest(net_path)
-    for key in ("family", "m", "q", "k"):
-        if key not in meta:
-            print(f"error: manifest lacks {key!r}; build the network with this tool", file=sys.stderr)
-            return 2
     net = _load_net(net_path)
     try:
         code = scheme_merged(meta["family"], meta["m"], meta["q"], args.p, meta["k"])
@@ -336,7 +336,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -328,28 +328,23 @@ def _slot_second(m: int, i: int, x: int) -> int:
     return 1 + (m - i) + x
 
 
-# --- the n1 scheme ----------------------------------------------------------------
+# --- the two family schemes --------------------------------------------------------
 
 
-def scheme_n1(m: int, q: int, p: int, enforce_characteristic: bool = True) -> FracLinCode:
-    """The (2, m+1) code on family n1; a solution exactly when p divides q.
+def _family_scheme(net: SumNetwork, field: PrimeField, m: int) -> FracLinCode:
+    """The (2, m+1) code both families share.
 
-    With enforce_characteristic=False the same matrices are produced over
-    any prime field, where the group terminals t_i then fail to decode
-    (useful for demonstrating the failure, not for use).
+    Source edges into u_ij put the source's two symbols in slots 1-2 and,
+    for a triple source, one symbol in its partner-group slot; direct
+    edges pad.  Every other edge forwards by identity.  Terminals t_<a>_<b>_<c>
+    subtract both partner slots; every other terminal projects each
+    in-edge onto slots 1-2, which the families override where they differ.
     """
-    field = PrimeField(p)
-    if enforce_characteristic and q % p != 0:
-        raise CharacteristicError(
-            f"the n1 scheme requires the characteristic to divide q ({p} does not divide {q})"
-        )
-    net = build_n1(m, q)
     r, l = 2, m + 1
     code = FracLinCode(net, r, l, field)
-    identity = Mat.identity(field, l)
     proj = _proj(field, r, l)
     pad = _pad(field, l, r)
-    minus_one = (p - 1) % p
+    minus_one = field.p - 1
 
     for ei, e in enumerate(net.edges):
         if net.role(e.tail) != SOURCE:
@@ -368,27 +363,40 @@ def scheme_n1(m: int, q: int, p: int, enforce_characteristic: bool = True) -> Fr
             else:  # pair (x1, i), x1 < i: second symbol carrier
                 a[_slot_second(m, i, x1), 1] = 1
         code.src_mats[ei] = Mat(field, a)
-    _identity_in_mats(net, code, identity)
+    _identity_in_mats(net, code, Mat.identity(field, l))
 
     for t in net.terminals:
         idx = _parse_indices(t)
+        n_in = len(net.in_edges(t))
         if len(idx) < 3:
-            # t_i sums Y'_ij over j (q+1 = 1 in the field when p | q);
-            # t_ij reads Y'_ij; both add the direct-edge blocks.
-            code.dec_mats[t] = (proj,) * len(net.in_edges(t))
+            code.dec_mats[t] = (proj,) * n_in
             continue
-        a, b, c = idx
+        a, b, _ = idx
         d1 = proj.a.copy()
         d1[0, _slot_first(a, b)] = minus_one
         d2 = proj.a.copy()
         d2[1, _slot_second(m, b, a)] = minus_one
-        mats = [Mat(field, d1), Mat(field, d2)]
-        mats += [proj] * (len(net.in_edges(t)) - 2)
-        code.dec_mats[t] = tuple(mats)
+        code.dec_mats[t] = (Mat(field, d1), Mat(field, d2)) + (proj,) * (n_in - 2)
     return code
 
 
-# --- the n2 scheme ----------------------------------------------------------------
+def scheme_n1(m: int, q: int, p: int, enforce_characteristic: bool = True) -> FracLinCode:
+    """The (2, m+1) code on family n1; a solution exactly when p divides q.
+
+    t_i sums Y'_ij over j (q+1 = 1 in the field when p | q) and t_ij
+    reads Y'_ij; both add the direct-edge blocks, so the shared decoders
+    serve every terminal.
+
+    With enforce_characteristic=False the same matrices are produced over
+    any prime field, where the group terminals t_i then fail to decode
+    (useful for demonstrating the failure, not for use).
+    """
+    field = PrimeField(p)
+    if enforce_characteristic and q % p != 0:
+        raise CharacteristicError(
+            f"the n1 scheme requires the characteristic to divide q ({p} does not divide {q})"
+        )
+    return _family_scheme(build_n1(m, q), field, m)
 
 
 def scheme_n2(m: int, q: int, p: int) -> FracLinCode:
@@ -399,60 +407,25 @@ def scheme_n2(m: int, q: int, p: int) -> FracLinCode:
             f"the n2 scheme requires the characteristic not to divide q ({p} divides {q})"
         )
     qinv = pow(q % p, -1, p)
-    net = build_n2(m, q)
-    r, l = 2, m + 1
-    code = FracLinCode(net, r, l, field)
-    identity = Mat.identity(field, l)
-    proj = _proj(field, r, l)
-    pad = _pad(field, l, r)
-
-    for ei, e in enumerate(net.edges):
-        if net.role(e.tail) != SOURCE:
-            continue
-        if net.role(e.head) == TERMINAL:
-            code.src_mats[ei] = pad
-            continue
-        i, j = _parse_indices(e.head)
-        a = np.zeros((l, r), dtype=np.int64)
-        a[0, 0] = a[1, 1] = 1
-        idx = _parse_indices(e.tail)
-        if len(idx) == 3:
-            x1, x2, _ = idx
-            if x1 == i:
-                a[_slot_first(i, x2), 0] = 1
-            else:
-                a[_slot_second(m, i, x1), 1] = 1
-        code.src_mats[ei] = Mat(field, a)
-    _identity_in_mats(net, code, identity)
-
+    code = _family_scheme(build_n2(m, q), field, m)
+    net = code.net
+    proj = _proj(field, code.r, code.l)
+    scaled = Mat(field, (proj.a * qinv) % p)
     for t in net.terminals:
         idx = _parse_indices(t)
         n_in = len(net.in_edges(t))
         if t.startswith("tp_"):
             a, b = idx
             # q^{-1} (sum_j Y'_aj + sum_j Y'_bj - sum_j W_abj) + directs
-            da = (proj.a * qinv) % p
+            da = scaled.a.copy()
             da[0, _slot_first(a, b)] = (-qinv) % p
-            db = (proj.a * qinv) % p
+            db = scaled.a.copy()
             db[1, _slot_second(m, b, a)] = (-qinv) % p
-            mats = [Mat(field, da)] * (q + 1) + [Mat(field, db)] * (q + 1)
-            mats += [proj] * (n_in - 2 * (q + 1))
-            code.dec_mats[t] = tuple(mats)
+            mats = (Mat(field, da),) * (q + 1) + (Mat(field, db),) * (q + 1)
+            code.dec_mats[t] = mats + (proj,) * (n_in - 2 * (q + 1))
         elif len(idx) == 1:
             # t_i: q^{-1} sum_j Y'_ij recovers the middle-reachable part.
-            scaled = Mat(field, (proj.a * qinv) % p)
-            mats = [scaled] * (q + 1) + [proj] * (n_in - (q + 1))
-            code.dec_mats[t] = tuple(mats)
-        elif len(idx) == 2:
-            code.dec_mats[t] = (proj,) * n_in
-        else:
-            a, b, c = idx
-            d1 = proj.a.copy()
-            d1[0, _slot_first(a, b)] = (p - 1) % p
-            d2 = proj.a.copy()
-            d2[1, _slot_second(m, b, a)] = (p - 1) % p
-            mats = [Mat(field, d1), Mat(field, d2)] + [proj] * (n_in - 2)
-            code.dec_mats[t] = tuple(mats)
+            code.dec_mats[t] = (scaled,) * (q + 1) + (proj,) * (n_in - (q + 1))
     return code
 
 
@@ -638,8 +611,17 @@ def code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
             raise CodeFormatError(f"missing field {key!r}")
     if doc["version"] != CODE_FORMAT_VERSION:
         raise CodeFormatError(f"unsupported version {doc['version']}")
+    for key in ("r", "l", "p"):
+        value = doc[key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise CodeFormatError(f"field {key!r} must be an integer, got {value!r}")
+        if key != "p" and value < 1:
+            raise CodeFormatError(f"field {key!r} must be positive, got {value}")
     r, l, p = doc["r"], doc["l"], doc["p"]
-    field = PrimeField(p)
+    try:
+        field = PrimeField(p)
+    except ValueError as exc:
+        raise CodeFormatError(f"field 'p': {exc}") from exc
     code = FracLinCode(net, r, l, field)
     edge_matrices = doc["edge_matrices"]
     for i, e in enumerate(net.edges):

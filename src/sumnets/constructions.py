@@ -19,30 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
+from typing import Callable
 
 from .galois import MAX_MODULUS, is_prime
 from .network import INTERMEDIATE, SOURCE, TERMINAL, Edge, Node, SumNetwork
 
 IN_SET = "in-set"
 NOT_IN_SET = "not-in-set"
-
-
-@dataclass(frozen=True)
-class N1Params:
-    m: int
-    q: int
-
-    def __post_init__(self):
-        _check_mq(self.m, self.q)
-
-
-@dataclass(frozen=True)
-class N2Params:
-    m: int
-    q: int
-
-    def __post_init__(self):
-        _check_mq(self.m, self.q)
 
 
 @dataclass(frozen=True)
@@ -158,142 +141,83 @@ class _Builder:
         self.in_order[head].append(len(self.edges) - 1)
 
 
-def build_n1(m: int, q: int) -> SumNetwork:
-    """Family n1: rate 2/(m+1) achievable iff the characteristic divides q."""
+def _terminals(m: int, q: int) -> list[tuple[str, list[tuple[int, int]]]]:
+    """The terminals both families share, each with the (i, j) middle edges it taps."""
+    groups = range(1, q + 2)
+    return (
+        [(t1(i), [(i, j) for j in groups]) for i in range(1, m + 1)]
+        + [(t2(i, j), [(i, j)]) for i in range(1, m + 1) for j in groups]
+        + [(t3(a, b, c), [(a, c), (b, c)]) for a, b, c in _triples(m, q)]
+    )
+
+
+def _build_family(
+    m: int,
+    q: int,
+    source_order: list[str],
+    s_ij: Callable[[int, int, int, int], list[str]],
+    terminals: list[tuple[str, list[tuple[int, int]]]],
+) -> SumNetwork:
+    """The skeleton both families share.
+
+    source_order: source labels; s_ij(m, q, i, j): sources wired into
+    u_ij, in that order (decoders rely on it); terminals: (label, taps)
+    pairs, taps being the (i, j) middle edges the terminal reads.  Each
+    terminal gets one direct edge from every source that none of its taps
+    can see.
+    """
     _check_mq(m, q)
     b = _Builder()
-    group_sources = [s1(i) for i in range(1, m + 1)]
-    pair_sources = [s2(i, j) for i in range(1, m + 1) for j in range(1, q + 2)]
-    triple_sources = [s3(a, b_, c) for a, b_, c in _triples(m, q)]
-    source_order = group_sources + pair_sources + triple_sources
+    middles = [(i, j) for i in range(1, m + 1) for j in range(1, q + 2)]
     for s in source_order:
         b.node(s, SOURCE)
-    for i in range(1, m + 1):
-        for j in range(1, q + 2):
-            b.node(u_lab(i, j), INTERMEDIATE)
-            b.node(v_lab(i, j), INTERMEDIATE)
-    terminals = (
-        [t1(i) for i in range(1, m + 1)]
-        + [t2(i, j) for i in range(1, m + 1) for j in range(1, q + 2)]
-        + [t3(a, b_, c) for a, b_, c in _triples(m, q)]
-    )
-    for t in terminals:
+    for i, j in middles:
+        b.node(u_lab(i, j), INTERMEDIATE)
+        b.node(v_lab(i, j), INTERMEDIATE)
+    for t, _ in terminals:
         b.node(t, TERMINAL)
 
-    # Source -> u edges, in the declared S_ij order (decoders rely on it).
-    for i in range(1, m + 1):
-        for j in range(1, q + 2):
-            for s in n1_s_ij(m, q, i, j):
-                b.edge(s, u_lab(i, j))
-    # Middle edges.
-    for i in range(1, m + 1):
-        for j in range(1, q + 2):
-            b.edge(u_lab(i, j), v_lab(i, j))
-    # v -> terminal edges, grouped per terminal.
-    for i in range(1, m + 1):
-        for j in range(1, q + 2):
-            b.edge(v_lab(i, j), t1(i))
-    for i in range(1, m + 1):
-        for j in range(1, q + 2):
-            b.edge(v_lab(i, j), t2(i, j))
-    for a, b_, c in _triples(m, q):
-        b.edge(v_lab(a, c), t3(a, b_, c))
-        b.edge(v_lab(b_, c), t3(a, b_, c))
-    # Direct edges: everything a terminal cannot reach through middles.
-    all_sources = source_order
-    for i in range(1, m + 1):
-        seen = set()
-        for j in range(1, q + 2):
-            seen.update(n1_s_ij(m, q, i, j))
-        for s in all_sources:
+    reach = {(i, j): s_ij(m, q, i, j) for i, j in middles}
+    for (i, j), sources in reach.items():
+        for s in sources:
+            b.edge(s, u_lab(i, j))
+    for i, j in middles:
+        b.edge(u_lab(i, j), v_lab(i, j))
+    for t, taps in terminals:
+        for i, j in taps:
+            b.edge(v_lab(i, j), t)
+    for t, taps in terminals:
+        seen = set().union(*(reach[ij] for ij in taps))
+        for s in source_order:
             if s not in seen:
-                b.edge(s, t1(i))
-    for i in range(1, m + 1):
-        for j in range(1, q + 2):
-            seen = set(n1_s_ij(m, q, i, j))
-            for s in all_sources:
-                if s not in seen:
-                    b.edge(s, t2(i, j))
-    for a, b_, c in _triples(m, q):
-        seen = set(n1_s_ij(m, q, a, c)) | set(n1_s_ij(m, q, b_, c))
-        for s in all_sources:
-            if s not in seen:
-                b.edge(s, t3(a, b_, c))
+                b.edge(s, t)
     return SumNetwork(b.nodes, b.edges, b.in_order, source_order)
+
+
+def _pair_and_triple_sources(m: int, q: int) -> list[str]:
+    return [s2(i, j) for i in range(1, m + 1) for j in range(1, q + 2)] + [
+        s3(a, b, c) for a, b, c in _triples(m, q)
+    ]
+
+
+def build_n1(m: int, q: int) -> SumNetwork:
+    """Family n1: rate 2/(m+1) achievable iff the characteristic divides q."""
+    sources = [s1(i) for i in range(1, m + 1)] + _pair_and_triple_sources(m, q)
+    return _build_family(m, q, sources, n1_s_ij, _terminals(m, q))
 
 
 def build_n2(m: int, q: int) -> SumNetwork:
-    """Family n2: rate 2/(m+1) achievable iff the characteristic does NOT divide q."""
-    _check_mq(m, q)
-    b = _Builder()
-    pair_sources = [s2(i, j) for i in range(1, m + 1) for j in range(1, q + 2)]
-    triple_sources = [s3(a, b_, c) for a, b_, c in _triples(m, q)]
-    source_order = pair_sources + triple_sources
-    for s in source_order:
-        b.node(s, SOURCE)
-    for i in range(1, m + 1):
-        for j in range(1, q + 2):
-            b.node(u_lab(i, j), INTERMEDIATE)
-            b.node(v_lab(i, j), INTERMEDIATE)
-    pairs = [(a, b_) for a in range(1, m) for b_ in range(a + 1, m + 1)]
-    terminals = (
-        [t1(i) for i in range(1, m + 1)]
-        + [t2(i, j) for i in range(1, m + 1) for j in range(1, q + 2)]
-        + [t3(a, b_, c) for a, b_, c in _triples(m, q)]
-        + [t4(a, b_) for a, b_ in pairs]
-    )
-    for t in terminals:
-        b.node(t, TERMINAL)
+    """Family n2: rate 2/(m+1) achievable iff the characteristic does NOT divide q.
 
-    for i in range(1, m + 1):
-        for j in range(1, q + 2):
-            for s in n2_s_ij(m, q, i, j):
-                b.edge(s, u_lab(i, j))
-    for i in range(1, m + 1):
-        for j in range(1, q + 2):
-            b.edge(u_lab(i, j), v_lab(i, j))
-    for i in range(1, m + 1):
-        for j in range(1, q + 2):
-            b.edge(v_lab(i, j), t1(i))
-    for i in range(1, m + 1):
-        for j in range(1, q + 2):
-            b.edge(v_lab(i, j), t2(i, j))
-    for a, b_, c in _triples(m, q):
-        b.edge(v_lab(a, c), t3(a, b_, c))
-        b.edge(v_lab(b_, c), t3(a, b_, c))
-    for a, b_ in pairs:
-        for j in range(1, q + 2):
-            b.edge(v_lab(a, j), t4(a, b_))
-        for j in range(1, q + 2):
-            b.edge(v_lab(b_, j), t4(a, b_))
-    all_sources = source_order
-    for i in range(1, m + 1):
-        seen = set()
-        for j in range(1, q + 2):
-            seen.update(n2_s_ij(m, q, i, j))
-        for s in all_sources:
-            if s not in seen:
-                b.edge(s, t1(i))
-    for i in range(1, m + 1):
-        for j in range(1, q + 2):
-            seen = set(n2_s_ij(m, q, i, j))
-            for s in all_sources:
-                if s not in seen:
-                    b.edge(s, t2(i, j))
-    for a, b_, c in _triples(m, q):
-        seen = set(n2_s_ij(m, q, a, c)) | set(n2_s_ij(m, q, b_, c))
-        for s in all_sources:
-            if s not in seen:
-                b.edge(s, t3(a, b_, c))
-    for a, b_ in pairs:
-        seen = set()
-        for j in range(1, q + 2):
-            seen.update(n2_s_ij(m, q, a, j))
-            seen.update(n2_s_ij(m, q, b_, j))
-        for s in all_sources:
-            if s not in seen:
-                b.edge(s, t4(a, b_))
-    return SumNetwork(b.nodes, b.edges, b.in_order, source_order)
+    Besides the shared terminals it has one tp_<a>_<b> per group pair,
+    tapping every middle edge of both groups.
+    """
+    extra = [
+        (t4(a, b), [(a, j) for j in range(1, q + 2)] + [(b, j) for j in range(1, q + 2)])
+        for a in range(1, m)
+        for b in range(a + 1, m + 1)
+    ]
+    return _build_family(m, q, _pair_and_triple_sources(m, q), n2_s_ij, _terminals(m, q) + extra)
 
 
 # --- counts (closed forms, used by tests and the CLI) -----------------------
@@ -336,6 +260,29 @@ def k_copy_merge(base: SumNetwork, k: int) -> SumNetwork:
     return net
 
 
+def _copy_namer(base: SumNetwork):
+    """The k-copy merge's naming rule, as name(base edge index, copy) ->
+    the (tail, head, par) key of that copy of the edge.
+
+    Intermediate ends get the _c<copy> suffix; a direct source->terminal
+    edge keeps both ends and shifts par by (copy-1) * stride, stride
+    being one more than the largest par in the base.
+    """
+    stride = max((e.par for e in base.edges), default=0) + 1
+    tail_in = [base.role(e.tail) == INTERMEDIATE for e in base.edges]
+    head_in = [base.role(e.head) == INTERMEDIATE for e in base.edges]
+
+    def name(base_idx: int, copy: int) -> tuple[str, str, int]:
+        e = base.edges[base_idx]
+        if not (tail_in[base_idx] or head_in[base_idx]):
+            return e.tail, e.head, e.par + (copy - 1) * stride
+        tail = copy_label(e.tail, copy) if tail_in[base_idx] else e.tail
+        head = copy_label(e.head, copy) if head_in[base_idx] else e.head
+        return tail, head, e.par
+
+    return name
+
+
 def merge_with_map(base: SumNetwork, k: int) -> tuple[SumNetwork, list[tuple[int, int]]]:
     """As k_copy_merge, also returning edge provenance (copy, base edge index)."""
     if k < 1:
@@ -349,54 +296,46 @@ def merge_with_map(base: SumNetwork, k: int) -> tuple[SumNetwork, list[tuple[int
         for n in base.nodes:
             if n.role == INTERMEDIATE:
                 b.node(copy_label(n.label, copy), n.role)
-    par_stride = max((e.par for e in base.edges), default=0) + 1
+    name = _copy_namer(base)
     edge_map: list[tuple[int, int]] = []
     for copy in range(1, k + 1):
         for node in base.nodes:
             for base_idx in base.in_order[node.label]:
-                e = base.edges[base_idx]
-                tail = e.tail if base.role(e.tail) != INTERMEDIATE else copy_label(e.tail, copy)
-                head = e.head if base.role(e.head) != INTERMEDIATE else copy_label(e.head, copy)
-                par = e.par if head != e.head or tail != e.tail else e.par + (copy - 1) * par_stride
-                b.edge(tail, head, par)
+                b.edge(*name(base_idx, copy))
                 edge_map.append((copy, base_idx))
     net = SumNetwork(b.nodes, b.edges, b.in_order, list(base.source_order))
     return net, edge_map
 
 
 def unmerge_map(merged: SumNetwork, base: SumNetwork, k: int) -> dict[int, list[int]]:
-    """Map each base edge index to its k images in the merged network."""
-    par_stride = max((e.par for e in base.edges), default=0) + 1
-    images: dict[int, list[int]] = {i: [] for i in range(len(base.edges))}
-    base_index = {(e.tail, e.head, e.par): i for i, e in enumerate(base.edges)}
-    for i, e in enumerate(merged.edges):
-        tail, head, par = e.tail, e.head, e.par
-        copy = 1
-        if base.has_node(tail) and base.has_node(head):
-            # direct source->terminal edge: copy encoded in the parallel index
-            copy = par // par_stride + 1
-            par = par % par_stride
-        else:
-            for label in (tail, head):
-                stem, _, suffix = label.rpartition("_c")
-                if suffix.isdigit() and not base.has_node(label):
-                    copy = int(suffix)
-            tail = _strip_copy(tail, base)
-            head = _strip_copy(head, base)
-        images[base_index[(tail, head, par)]].append(i)
-    for base_idx, img in images.items():
-        if len(img) != k:
-            raise ValueError(f"base edge {base.edges[base_idx].label} has {len(img)} images, expected {k}")
+    """Map each base edge index to its k images in the merged network, in
+    copy order.  Raises ValueError unless merged is a k-copy merge of base
+    (up to edge order)."""
+    if len(merged.edges) != k * len(base.edges):
+        raise ValueError(
+            f"merged network has {len(merged.edges)} edges, expected {k} x {len(base.edges)}"
+        )
+    index = {(e.tail, e.head, e.par): i for i, e in enumerate(merged.edges)}
+    if k == 1 and all(merged.has_node(x) for x in base.intermediates):
+        # One copy under the base's own labels, as scheme_merged(..., k=1) gives.
+        def name(base_idx: int, copy: int) -> tuple[str, str, int]:
+            e = base.edges[base_idx]
+            return e.tail, e.head, e.par
+
+    else:
+        name = _copy_namer(base)
+    images: dict[int, list[int]] = {}
+    for base_idx in range(len(base.edges)):
+        imgs = []
+        for copy in range(1, k + 1):
+            image = index.get(name(base_idx, copy))
+            if image is None:
+                raise ValueError(
+                    f"base edge {base.edges[base_idx].label} has no image in copy {copy}"
+                )
+            imgs.append(image)
+        images[base_idx] = imgs
     return images
-
-
-def _strip_copy(label: str, base: SumNetwork) -> str:
-    if base.has_node(label):
-        return label
-    stem, sep, suffix = label.rpartition("_c")
-    if sep and suffix.isdigit() and base.has_node(stem):
-        return stem
-    raise ValueError(f"cannot map merged node {label!r} back to the base network")
 
 
 # --- rate-targeted builder ----------------------------------------------------

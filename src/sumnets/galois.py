@@ -8,8 +8,6 @@ realizes the same behaviour as any GF(p^a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 #: Largest accepted modulus.  Keeps single products of canonical residues
 #: inside signed 64-bit arithmetic in the matrix kernels.
 MAX_MODULUS = 2**31
@@ -36,10 +34,11 @@ class FieldMismatchError(ValueError):
 
 
 class PrimeField:
-    """The prime field GF(p).
+    """The prime field GF(p), as a validated modulus.
 
-    Instances are immutable and compare equal by modulus; all element
-    operations are pure, so a field can be shared freely across threads.
+    Element arithmetic lives in the matrix kernels; an instance only
+    carries p.  Instances are immutable and compare equal by modulus, so
+    a field can be shared freely across threads.
     """
 
     __slots__ = ("p",)
@@ -66,98 +65,3 @@ class PrimeField:
     @property
     def characteristic(self) -> int:
         return self.p
-
-    def reduce(self, n: int) -> "Felt":
-        """Map an integer constant into the field as a canonical residue."""
-        return Felt(n % self.p, self)
-
-    def __call__(self, n: int) -> "Felt":
-        return self.reduce(n)
-
-    @property
-    def zero(self) -> "Felt":
-        return Felt(0, self)
-
-    @property
-    def one(self) -> "Felt":
-        return Felt(1 % self.p, self)
-
-    def add(self, a: "Felt", b: "Felt") -> "Felt":
-        self._own(a)
-        self._own(b)
-        return Felt((a.value + b.value) % self.p, self)
-
-    def mul(self, a: "Felt", b: "Felt") -> "Felt":
-        self._own(a)
-        self._own(b)
-        return Felt((a.value * b.value) % self.p, self)
-
-    def inv(self, a: "Felt") -> "Felt":
-        self._own(a)
-        if a.value == 0:
-            raise ZeroDivisionError("inverse of zero in " + repr(self))
-        return Felt(pow(a.value, -1, self.p), self)
-
-    def elements(self):
-        """Iterate over all field elements (intended for small p)."""
-        for v in range(self.p):
-            yield Felt(v, self)
-
-    def _own(self, a: "Felt") -> None:
-        if a.field.p != self.p:
-            raise FieldMismatchError(f"element of {a.field!r} used in {self!r}")
-
-
-@dataclass(frozen=True)
-class Felt:
-    """A field element: a canonical residue in [0, p)."""
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.p:
-            raise ValueError(f"non-canonical residue {self.value} mod {self.field.p}")
-
-    def _same(self, other: "Felt") -> None:
-        if not isinstance(other, Felt):
-            raise TypeError(f"expected Felt, got {type(other).__name__}")
-        if other.field.p != self.field.p:
-            raise FieldMismatchError(f"{self.field!r} vs {other.field!r}")
-
-    def __add__(self, other: "Felt") -> "Felt":
-        self._same(other)
-        return Felt((self.value + other.value) % self.field.p, self.field)
-
-    def __sub__(self, other: "Felt") -> "Felt":
-        self._same(other)
-        return Felt((self.value - other.value) % self.field.p, self.field)
-
-    def __mul__(self, other: "Felt") -> "Felt":
-        self._same(other)
-        return Felt((self.value * other.value) % self.field.p, self.field)
-
-    def __neg__(self) -> "Felt":
-        return Felt((-self.value) % self.field.p, self.field)
-
-    def inverse(self) -> "Felt":
-        return self.field.inv(self)
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.field.p})"
-
-
-def add(a: Felt, b: Felt) -> Felt:
-    return a.field.add(a, b)
-
-
-def mul(a: Felt, b: Felt) -> Felt:
-    return a.field.mul(a, b)
-
-
-def inv(a: Felt) -> Felt:
-    return a.field.inv(a)
-
-
-def reduce(field: PrimeField, n: int) -> Felt:
-    return field.reduce(n)

@@ -12,7 +12,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .galois import Felt, FieldMismatchError, PrimeField
+from .galois import FieldMismatchError, PrimeField
 from .kernels import matmul_mod, rref_mod
 
 
@@ -34,7 +34,7 @@ class Mat:
 
     @classmethod
     def from_rows(cls, field: PrimeField, rows: Iterable[Iterable]) -> "Mat":
-        data = [[e.value if isinstance(e, Felt) else int(e) for e in row] for row in rows]
+        data = [[int(e) for e in row] for row in rows]
         if not data:
             return cls(field, np.zeros((0, 0), dtype=np.int64))
         width = len(data[0])
@@ -61,9 +61,6 @@ class Mat:
     @property
     def shape(self) -> tuple[int, int]:
         return self.a.shape
-
-    def entry(self, i: int, j: int) -> Felt:
-        return Felt(int(self.a[i, j]), self.field)
 
     def to_rows(self) -> list[list[int]]:
         return self.a.tolist()

@@ -158,3 +158,26 @@ def test_build_outputs_are_deterministic(tmp_path):
     run("build", "--family", "n2", "--m", "2", "--q", "3", "--k", "2", "--out", str(a))
     run("build", "--family", "n2", "--m", "2", "--q", "3", "--k", "2", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["scheme", "bounds"])
+@pytest.mark.parametrize("key", ["family", "m", "q", "k"])
+def test_manifest_missing_key_is_usage_error(built_n1, tmp_path, capsys, command, key):
+    manifest = built_n1.parent / "n1.json.manifest.json"
+    doc = json.loads(manifest.read_text())
+    del doc[key]
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    extra = ["--p", "2", "--out", str(tmp_path / "c.json")] if command == "scheme" else []
+    assert run(command, "--net", str(built_n1), *extra) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert repr(key) in err
+
+
+def test_unreadable_code_path_is_usage_error(built_n1, tmp_path, capsys):
+    capsys.readouterr()
+    assert run("verify", "--net", str(built_n1), "--code", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert run("verify", "--net", str(built_n1), "--code", str(tmp_path / "absent.json")) == 2

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from sumnets.coding import (
     unroll_merged,
     verify,
 )
-from sumnets.constructions import build_bottleneck2, build_n1, build_n2
+from sumnets.constructions import build_bottleneck2, build_n1, build_n2, merge_with_map
 from sumnets.galois import PrimeField
 from sumnets.matrix import Mat
 from sumnets.network import INTERMEDIATE, SOURCE, TERMINAL, Edge, Node, SumNetwork
@@ -240,8 +241,39 @@ def test_code_json_rejects_malformed_input():
         code_from_json(net, data.replace(b'"r":2', b'"r":3'))
 
 
+@pytest.mark.parametrize("key", ["r", "l", "p"])
+@pytest.mark.parametrize("value", [-2, 0, "2"])
+def test_code_json_names_a_bad_dimension_or_modulus(key, value):
+    code = scheme_n1(1, 2, 2)
+    doc = json.loads(code_to_json(code))
+    doc[key] = value
+    with pytest.raises(CodeFormatError, match=f"'{key}'"):
+        code_from_json(code.net, json.dumps(doc).encode())
+
+
 def test_shape_check_names_offender():
     net = single_edge_net()
     code = FracLinCode(net, 1, 1, PrimeField(2))
     with pytest.raises(ValueError, match=r"\(s,t,0\)"):
         code.check_shapes()
+
+
+
+@pytest.mark.parametrize("suffixed", [False, True])
+def test_unroll_single_copy_onto_base(suffixed):
+    base = build_n1(2, 2)
+    code = scheme_merged("n1", 2, 2, 2, 1)  # the base code itself
+    if suffixed:  # the same code on the k=1 merge, whose intermediates carry _c1
+        net, edge_map = merge_with_map(base, 1)
+        code = FracLinCode(
+            net,
+            code.r,
+            code.l,
+            code.field,
+            {me: code.src_mats[be] for me, (_, be) in enumerate(edge_map) if be in code.src_mats},
+            {me: code.in_mats[be] for me, (_, be) in enumerate(edge_map) if be in code.in_mats},
+            code.dec_mats,
+        )
+    unrolled = unroll_merged(code, 1, base)
+    assert unrolled.net is base
+    assert code_to_json(unrolled) == code_to_json(scheme_n1(2, 2, 2))

@@ -1,8 +1,10 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from sumnets.coding import FracLinCode, code_to_json, scheme_merged, unroll_merged, verify
 from sumnets.constructions import (
     IN_SET,
     NOT_IN_SET,
@@ -19,7 +21,7 @@ from sumnets.constructions import (
     n2_s_ij,
     unmerge_map,
 )
-from sumnets.network import SOURCE, validate
+from sumnets.network import SOURCE, Edge, SumNetwork, validate
 
 GRID = list(itertools.product([1, 2, 3], [2, 3, 6]))
 
@@ -131,6 +133,55 @@ def test_merge_map_round_trip():
         copies = sorted(edge_map[me][0] for me in imgs)
         assert copies == [1, 2]
         assert all(edge_map[me][1] == be for me in imgs)
+
+
+def _permuted(net, seed):
+    """The same network with its edge list shuffled and in_order remapped;
+    returns it with old edge index -> new edge index."""
+    order = list(range(len(net.edges)))
+    random.Random(seed).shuffle(order)
+    new_of = {old: new for new, old in enumerate(order)}
+    in_order = {label: [new_of[i] for i in ins] for label, ins in net.in_order.items()}
+    edges = [net.edges[old] for old in order]
+    return SumNetwork(net.nodes, edges, in_order, list(net.source_order)), new_of
+
+
+def test_merge_map_survives_permuted_edge_list():
+    base = build_n1(2, 2)
+    merged_code = scheme_merged("n1", 2, 2, 2, 2)
+    merged = merged_code.net
+    shuffled, new_of = _permuted(merged, seed=3)
+    assert validate(shuffled) == []
+    want = unmerge_map(merged, base, 2)
+    got = unmerge_map(shuffled, base, 2)
+    assert got == {be: [new_of[me] for me in imgs] for be, imgs in want.items()}
+
+    shuffled_code = FracLinCode(
+        shuffled,
+        merged_code.r,
+        merged_code.l,
+        merged_code.field,
+        src_mats={new_of[i]: m for i, m in merged_code.src_mats.items()},
+        in_mats={new_of[i]: m for i, m in merged_code.in_mats.items()},
+        dec_mats=dict(merged_code.dec_mats),
+    )
+    unrolled = unroll_merged(shuffled_code, 2, base)
+    assert verify(base, unrolled).ok
+    assert code_to_json(unrolled) == code_to_json(unroll_merged(merged_code, 2, base))
+
+
+def test_merge_map_rejects_a_network_that_is_not_a_merge_of_the_base():
+    with pytest.raises(ValueError, match="expected"):
+        unmerge_map(k_copy_merge(build_n2(2, 2), 2), build_n1(2, 2), 2)
+    # Same edge count, but one image renamed away.
+    base = build_n1(1, 2)
+    merged = k_copy_merge(base, 2)
+    edges = list(merged.edges)
+    e = edges[0]
+    edges[0] = Edge(e.tail, e.head, e.par + 100)
+    broken = SumNetwork(merged.nodes, edges, merged.in_order, list(merged.source_order))
+    with pytest.raises(ValueError, match="no image"):
+        unmerge_map(broken, base, 2)
 
 
 def test_merge_rejects_bad_k():

@@ -1,69 +1,83 @@
+"""GF(p) itself: the validated modulus, and scalar arithmetic.
+
+The package has no element type; a scalar is a 1x1 Mat, so the field
+laws are checked on those, with inverses from solve_right.
+"""
+
+import numpy as np
 import pytest
 
-from sumnets.galois import MAX_MODULUS, Felt, FieldMismatchError, PrimeField, is_prime
+from sumnets.galois import MAX_MODULUS, FieldMismatchError, PrimeField, is_prime
+from sumnets.matrix import Mat, solve_right
+
+
+def el(f, v):
+    return Mat(f, np.array([[v]]))
+
+
+def inverse(a):
+    return solve_right(a, el(a.field, 1))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_field_axioms_exhaustive(p):
     f = PrimeField(p)
-    els = [Felt(v, f) for v in range(p)]
-    zero, one = Felt(0, f), Felt(1, f)
+    els = [el(f, v) for v in range(p)]
+    zero, one = el(f, 0), el(f, 1)
     for a in els:
         assert a + zero == a
-        assert a * one == a
-        assert a * zero == zero
-        assert a + (-a) == zero
+        assert a @ one == a
+        assert a @ zero == zero
+        assert a + a.scale(-1) == zero
         if a != zero:
-            assert a * a.inverse() == one
+            assert a @ inverse(a) == one
         for b in els:
             assert a + b == b + a
-            assert a * b == b * a
+            assert a @ b == b @ a
             for c in els:
                 assert (a + b) + c == a + (b + c)
-                assert (a * b) * c == a * (b * c)
-                assert a * (b + c) == a * b + a * c
+                assert (a @ b) @ c == a @ (b @ c)
+                assert a @ (b + c) == a @ b + a @ c
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_reduce_is_zero_exactly_when_p_divides(p):
     f = PrimeField(p)
     for n in range(-3 * p, 3 * p + 1):
-        assert (f.reduce(n).value == 0) == (n % p == 0)
+        assert el(f, n).is_zero() == (n % p == 0)
 
 
 def test_reduce_examples():
-    assert PrimeField(2).reduce(2).value == 0
-    assert PrimeField(3).reduce(2).value == 2
-    assert PrimeField(5).reduce(-1).value == 4
+    assert el(PrimeField(2), 2).flat() == [0]
+    assert el(PrimeField(3), 2).flat() == [2]
+    assert el(PrimeField(5), -1).flat() == [4]
 
 
 def test_arithmetic_examples():
     f5 = PrimeField(5)
-    assert (Felt(3, f5) + Felt(4, f5)).value == 2
-    assert (Felt(3, f5) * Felt(4, f5)).value == 2
-    assert Felt(3, f5).inverse().value == 2
+    assert (el(f5, 3) + el(f5, 4)).flat() == [2]
+    assert (el(f5, 3) @ el(f5, 4)).flat() == [2]
+    assert inverse(el(f5, 3)).flat() == [2]
     f2 = PrimeField(2)
-    assert (Felt(1, f2) + Felt(1, f2)).value == 0
+    assert (el(f2, 1) + el(f2, 1)).flat() == [0]
     f3 = PrimeField(3)
-    assert (Felt(2, f3) * Felt(2, f3)).value == 1
-    assert Felt(2, f3).inverse().value == 2
+    assert (el(f3, 2) @ el(f3, 2)).flat() == [1]
+    assert inverse(el(f3, 2)).flat() == [2]
     f7 = PrimeField(7)
-    assert f7.inv(f7.one) == f7.one
+    assert inverse(el(f7, 1)) == el(f7, 1)
 
 
 def test_inverse_of_zero_rejected():
-    f = PrimeField(5)
-    with pytest.raises(ZeroDivisionError):
-        Felt(0, f).inverse()
+    assert inverse(el(PrimeField(5), 0)) is None
 
 
 def test_mismatched_fields_rejected():
-    a = Felt(1, PrimeField(3))
-    b = Felt(1, PrimeField(5))
+    a = el(PrimeField(3), 1)
+    b = el(PrimeField(5), 1)
     with pytest.raises(FieldMismatchError):
         a + b
     with pytest.raises(FieldMismatchError):
-        a * b
+        a @ b
 
 
 @pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, 15, 100])
