@@ -2,7 +2,10 @@
 
 Fallback used when the compiled extension `sumnets._core` is unavailable.
 Both implementations expose the same two entry points and must agree
-bit-for-bit; a cross-check lives in the test suite.
+bit-for-bit.  `tests/test_kernels.py` checks this module against a
+Python-integer oracle and against the dense elimination it replaced, so
+it runs without the compiled module; `tests/test_backends.py` compares
+the two backends when both are importable.
 """
 
 from __future__ import annotations
@@ -37,6 +40,13 @@ def rref_mod(m: np.ndarray, p: int) -> tuple[int, list[int]]:
 
     Pivots are the first nonzero entry per column in deterministic
     column order.  Returns (rank, pivot column list).
+
+    Entries must be canonical, in [0, p).  At each pivot only the rows
+    with a nonzero in the pivot column change, and only from that column
+    on: the rows from the current rank down are zero left of it, and
+    every other row has a zero factor.  No intermediate overflows int64
+    up to p = 2^31 - 1: each product is at most (p-1)^2 < 2^62 and is
+    subtracted from an entry in [0, p).
     """
     rows, cols = m.shape
     pivots: list[int] = []
@@ -44,18 +54,29 @@ def rref_mod(m: np.ndarray, p: int) -> tuple[int, list[int]]:
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        nz = m[:, c].nonzero()[0]
+        k = int(nz.searchsorted(r))
+        if k == nz.size:
             continue
-        i = r + int(nz[0])
+        i = int(nz[k])
         if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = (m[r] * inv) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m -= np.outer(col, m[r])
-        m %= p
+            row = m[r, c:].copy()
+            m[r, c:] = m[i, c:]
+            m[i, c:] = row
+        pivot = m[r, c:]
+        inv = pow(int(pivot[0]), -1, p)
+        if inv != 1:
+            pivot *= inv
+            pivot %= p
+        # After the swap the nonzeros of column c are nz with i replaced
+        # by r; moving nz[0] into slot k leaves exactly the other rows.
+        nz[k] = nz[0]
+        hit = nz[1:]
+        if hit.size:
+            block = m[hit, c:]
+            block -= block[:, :1] * pivot
+            block %= p
+            m[hit, c:] = block
         pivots.append(c)
         r += 1
     return r, pivots

@@ -311,6 +311,8 @@ class BoundReport:
     rate: Fraction
     consistent: bool  # rank == required (must hold for any verified code)
     satisfied: bool  # rate <= implied
+    stacked_shape: tuple[int, int]  # the matrix whose rank was counted
+    stacked_nonzeros: int
     redundancy_ok: Optional[bool] = None  # n2-redundancy only
 
     @property
@@ -321,6 +323,8 @@ class BoundReport:
         lines = [
             f"mode: {self.mode}",
             f"rank of stacked recovery map: {self.rank} (required {self.required})",
+            f"stacked recovery map: {self.stacked_shape[0]}x{self.stacked_shape[1]},"
+            f" {self.stacked_nonzeros} nonzeros",
             f"implied bound: r/l <= {self.implied}",
             f"closed form: {self.closed_form}",
             f"code rate: {self.rate}",
@@ -342,6 +346,8 @@ class BoundReport:
             "rate": [self.rate.numerator, self.rate.denominator],
             "consistent": self.consistent,
             "satisfied": self.satisfied,
+            "stacked_shape": list(self.stacked_shape),
+            "stacked_nonzeros": self.stacked_nonzeros,
             "redundancy_ok": self.redundancy_ok,
             "pass": self.ok,
         }
@@ -402,7 +408,9 @@ def bound_check(net: SumNetwork, code: FracLinCode, mode: str, m: int, q: int) -
             f"mode {mode} does not apply: implied bound {implied} != closed form {closed}"
         )
 
-    got_rank, _ = rref_mod(stacked.copy(), code.field.p)
+    stacked_shape = stacked.shape
+    stacked_nonzeros = int(np.count_nonzero(stacked))
+    got_rank, _ = rref_mod(stacked, code.field.p)
     redundancy_ok = None
     if mode == "n2-redundancy":
         redundancy_ok = _group_sum_redundancy(net, tm, m, q, k)
@@ -417,6 +425,8 @@ def bound_check(net: SumNetwork, code: FracLinCode, mode: str, m: int, q: int) -
         rate=rate,
         consistent=got_rank == required,
         satisfied=rate <= implied,
+        stacked_shape=stacked_shape,
+        stacked_nonzeros=stacked_nonzeros,
         redundancy_ok=redundancy_ok,
     )
 

@@ -265,6 +265,7 @@ def deserialize(data: bytes) -> SumNetwork:
         if role not in ROLES:
             raise NetworkFormatError(f"nodes[{i}].role: unknown role {role!r}")
         nodes.append(Node(label, role))
+    labels = {n.label for n in nodes}
     edges = []
     for i, item in enumerate(_expect(doc, "edges", list)):
         if not isinstance(item, dict):
@@ -272,12 +273,18 @@ def deserialize(data: bytes) -> SumNetwork:
         tail, head, par = item.get("tail"), item.get("head"), item.get("par")
         if not isinstance(tail, str) or not isinstance(head, str):
             raise NetworkFormatError(f"edges[{i}].tail/head must be strings")
+        if tail not in labels:
+            raise NetworkFormatError(f"edges[{i}].tail: unknown node {tail!r}")
+        if head not in labels:
+            raise NetworkFormatError(f"edges[{i}].head: unknown node {head!r}")
         if not isinstance(par, int):
             raise NetworkFormatError(f"edges[{i}].par must be an integer")
         edges.append(Edge(tail, head, par))
     in_order_raw = _expect(doc, "in_order", dict)
     in_order: dict[str, list[int]] = {}
     for label, order in in_order_raw.items():
+        if label not in labels:
+            raise NetworkFormatError(f"in_order[{label!r}]: unknown node")
         if not isinstance(order, list) or not all(
             isinstance(i, int) and 0 <= i < len(edges) for i in order
         ):

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sumnets.analysis import (
@@ -15,7 +16,7 @@ from sumnets.analysis import (
     search,
     wrong_char_bound,
 )
-from sumnets.coding import UnverifiedCodeError, routing_code, scheme_n1, scheme_n2, verify
+from sumnets.coding import UnverifiedCodeError, routing_code, scheme_n1, scheme_n2, transfer, verify
 from sumnets.constructions import build_bottleneck2, build_n1, build_n2
 from sumnets.galois import PrimeField
 from sumnets.matrix import Mat
@@ -152,6 +153,23 @@ def test_group_recovery_certificate():
     assert report.implied == Fraction(2, 3)
     assert report.ok
     assert "PASS" in report.to_text()
+
+
+def test_bound_report_names_the_stacked_matrix():
+    # n1(1,2) over GF(2): a rate-1 code with r = l = 2 on 4 sources and
+    # 3 middle edges; the m*r selector rows are one I_r block each.
+    code = scheme_n1(1, 2, 2)
+    assert (code.r, code.l) == (2, 2)
+    report = bound_check(code.net, code, "n1-with-groups", 1, 2)
+    tm = transfer(code.net, code)
+    middle_nonzeros = sum(int(np.count_nonzero(tm.edge_matrix(me).a)) for me in code.net.middle_edges())
+    assert report.stacked_shape == (1 * 2 + 3 * 2, 2 * 4)
+    assert report.stacked_nonzeros == 1 * 2 + middle_nonzeros
+    assert f"stacked recovery map: 8x8, {report.stacked_nonzeros} nonzeros\n" in report.to_text()
+    doc = report.to_json()
+    assert doc["stacked_shape"] == [8, 8]
+    assert doc["stacked_nonzeros"] == report.stacked_nonzeros
+    assert doc["rank"] == 8 and doc["pass"] is True
 
 
 def test_middle_only_certificate_on_routing_code():

@@ -181,3 +181,17 @@ def test_unreadable_code_path_is_usage_error(built_n1, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert run("verify", "--net", str(built_n1), "--code", str(tmp_path / "absent.json")) == 2
+
+
+@pytest.mark.parametrize("old, new", [(b'"tail":"s_1"', b'"tail":"nowhere"'), (b'"in_order":{', b'"in_order":{"ghost":[],')])
+def test_verify_dangling_reference_is_usage_error(built_n1, tmp_path, capsys, old, new):
+    code = tmp_path / "code.json"
+    assert run("scheme", "--net", str(built_n1), "--p", "2", "--out", str(code)) == 0
+    data = built_n1.read_bytes()
+    assert old in data
+    built_n1.write_bytes(data.replace(old, new, 1))
+    capsys.readouterr()
+    assert run("verify", "--net", str(built_n1), "--code", str(code)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err

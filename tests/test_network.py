@@ -120,6 +120,22 @@ def test_deserialize_rejects_bad_edge_index_in_order():
         deserialize(data)
 
 
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        (b'{"head":"u","par":0,"tail":"s"}', b'{"head":"u","par":0,"tail":"x"}', "edges[0].tail"),
+        (b'{"head":"t","par":0,"tail":"u"}', b'{"head":"y","par":0,"tail":"u"}', "edges[1].head"),
+        (b'"u":[0]', b'"u":[0],"ghost":[]', "in_order['ghost']"),
+    ],
+)
+def test_deserialize_rejects_dangling_references(old, new, field):
+    data = serialize(tiny_path())
+    assert old in data
+    with pytest.raises(NetworkFormatError) as err:
+        deserialize(data.replace(old, new))
+    assert str(err.value).startswith(field)
+
+
 def test_dot_export():
     dot = to_dot(build_n1(2, 2))
     assert dot.startswith("digraph")
