@@ -26,14 +26,16 @@ from .coding import (
     LayerShape,
     UnsupportedNetworkError,
     UnverifiedCodeError,
+    _identity_in_mats,
     layer_shape,
     transfer,
+    verify_transfer,
 )
-from .constructions import n2_s_ij, s1
+from .constructions import capacity, n2_s_ij, s1
 from .galois import PrimeField
 from .kernels import rref_mod
 from .matrix import Mat, solve_right
-from .network import SOURCE, SumNetwork
+from .network import SumNetwork
 
 MODES = ("n1-with-groups", "n1-middle-only", "n2-middle-only", "n2-redundancy")
 
@@ -188,16 +190,13 @@ def feasible_decoders(
     # Assemble the full code: composites realized on the source edges,
     # identity forwarding elsewhere.
     code = FracLinCode(net, r, l, field)
-    identity = Mat.identity(field, l)
     for me in shape.middle:
         u = net.edges[me].tail
         comp = composites.mats[me].a
         for j, ei in enumerate(net.in_edges(u)):
             code.src_mats[ei] = Mat(field, comp[:, j * r : (j + 1) * r])
     code.src_mats.update(direct_src)
-    for i, e in enumerate(net.edges):
-        if net.role(e.tail) != SOURCE:
-            code.in_mats[i] = (identity,) * len(net.in_edges(e.tail))
+    _identity_in_mats(net, code, Mat.identity(field, l))
     code.dec_mats = dec_mats
     return DecodeResult(code, None)
 
@@ -246,45 +245,30 @@ def search(
     field = PrimeField(p)
     shape = layer_shape(net)
     total_cells = sum(size for _, size in _composite_layout(shape, r, l))
-    found: list[FracLinCode] = []
-    tried = 0
     if isinstance(strategy, Exhaustive):
         space = p**total_cells
         if space > strategy.budget:
             raise BudgetExceededError(
                 f"exhaustive space {p}^{total_cells} exceeds budget {strategy.budget}"
             )
-        for assignment in itertools.product(range(p), repeat=total_cells):
-            tried += 1
-            cells = np.array(assignment, dtype=np.int64)
-            comps = _composites_from_cells(field, shape, r, l, cells)
-            result = feasible_decoders(net, comps, r, l, shape)
-            if result.feasible:
-                found.append(result.code)
+        stream = itertools.product(range(p), repeat=total_cells)
     elif isinstance(strategy, Random):
         rng = np.random.default_rng(strategy.seed)
-        for _ in range(strategy.n):
-            tried += 1
-            cells = rng.integers(0, p, size=total_cells, dtype=np.int64)
-            comps = _composites_from_cells(field, shape, r, l, cells)
-            result = feasible_decoders(net, comps, r, l, shape)
-            if result.feasible:
-                found.append(result.code)
+        stream = (rng.integers(0, p, size=total_cells, dtype=np.int64) for _ in range(strategy.n))
     else:
         raise TypeError(f"unknown search strategy {strategy!r}")
+    found: list[FracLinCode] = []
+    tried = 0
+    for cells in stream:
+        tried += 1
+        comps = _composites_from_cells(field, shape, r, l, np.asarray(cells, dtype=np.int64))
+        result = feasible_decoders(net, comps, r, l, shape)
+        if result.feasible:
+            found.append(result.code)
     return SearchResult(found, tried)
 
 
-# --- capacity formulas ------------------------------------------------------------
-
-
-def capacity(family: str, m: int, q: int, k: int = 1) -> Fraction:
-    """Linear coding capacity 2k/(m+1) of the k-copy merge of either family."""
-    if family not in ("n1", "n2"):
-        raise ValueError(f"unknown family {family!r}")
-    if m < 1 or q < 2 or k < 1:
-        raise ValueError(f"invalid parameters m={m}, q={q}, k={k}")
-    return Fraction(2 * k, m + 1)
+# --- wrong-characteristic bound ----------------------------------------------------
 
 
 def wrong_char_bound(m: int, q: int) -> Fraction:
@@ -371,8 +355,6 @@ def bound_check(net: SumNetwork, code: FracLinCode, mode: str, m: int, q: int) -
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     tm = transfer(net, code)
-    from .coding import verify_transfer
-
     if not verify_transfer(tm).ok:
         raise UnverifiedCodeError("bound_check requires a verifying code")
 

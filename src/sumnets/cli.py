@@ -23,7 +23,6 @@ from .analysis import (
     Exhaustive,
     Random,
     bound_check,
-    capacity,
     search,
     wrong_char_bound,
 )
@@ -39,11 +38,10 @@ from .constructions import (
     NOT_IN_SET,
     RateTarget,
     build_for_rate,
-    build_n1,
-    build_n2,
-    k_copy_merge,
+    build_merged,
+    capacity,
 )
-from .galois import is_prime
+from .galois import PrimeField
 from .network import NetworkFormatError, deserialize, serialize, to_dot, validate
 
 
@@ -61,6 +59,8 @@ def _read_manifest(net_path: Path) -> dict:
     for key in ("family", "m", "q", "k"):
         if not isinstance(meta, dict) or key not in meta:
             raise ValueError(f"manifest lacks {key!r}; build the network with this tool")
+        if key != "family" and (not isinstance(meta[key], int) or isinstance(meta[key], bool)):
+            raise ValueError(f"manifest field {key!r} must be an integer, got {meta[key]!r}")
     return meta
 
 
@@ -107,18 +107,7 @@ def _cmd_build(args) -> int:
         if not (args.family and args.m and args.q):
             print("error: need --family/--m/--q or --rate", file=sys.stderr)
             return 2
-        k = args.k or 1
-        base = build_n1(args.m, args.q) if args.family == "n1" else build_n2(args.m, args.q)
-        net = k_copy_merge(base, k) if k > 1 else base
-        cap = capacity(args.family, args.m, args.q, k)
-        meta = {
-            "family": args.family,
-            "m": args.m,
-            "q": args.q,
-            "k": k,
-            "capacity_num": cap.numerator,
-            "capacity_den": cap.denominator,
-        }
+        net, meta = build_merged(args.family, args.m, args.q, args.k)
     out = Path(args.out)
     out.write_bytes(serialize(net))
     artifacts = [str(out)]
@@ -286,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--family", choices=("n1", "n2"))
     b.add_argument("--m", type=int)
     b.add_argument("--q", type=int)
-    b.add_argument("--k", type=int, default=None, help="copies to merge (default 1)")
+    b.add_argument("--k", type=int, default=1, help="copies to merge (default 1)")
     b.add_argument("--rate", type=_parse_rate, metavar="K/N")
     b.add_argument("--primes", type=_parse_primes, metavar="P1,P2,...")
     b.add_argument("--mode", choices=(IN_SET, NOT_IN_SET))
@@ -331,10 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "p", None) is not None and not is_prime(args.p):
-        print(f"error: p={args.p} is not prime", file=sys.stderr)
-        return 2
     try:
+        if getattr(args, "p", None) is not None:
+            PrimeField(args.p)  # refuses a bad modulus before any work
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

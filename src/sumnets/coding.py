@@ -136,6 +136,24 @@ class TransferMap:
         return self._dense(self.terminal_blocks[label], self.r)
 
 
+def _compose(
+    mats: tuple[Mat, ...],
+    in_edges: tuple[int, ...],
+    edge_blocks: list[dict[int, np.ndarray]],
+    p: int,
+) -> dict[int, np.ndarray]:
+    """Blocks of sum_i mats[i] @ (message on in_edges[i]), by source position."""
+    acc: dict[int, np.ndarray] = {}
+    for m, in_ei in zip(mats, in_edges):
+        if not m.a.any():
+            continue
+        for pos, blk in edge_blocks[in_ei].items():
+            prod = matmul_mod(m.a, blk, p)
+            prev = acc.get(pos)
+            acc[pos] = prod if prev is None else (prev + prod) % p
+    return acc
+
+
 def transfer(net: SumNetwork, code: FracLinCode) -> TransferMap:
     """Compose all local maps in topological order."""
     code.check_shapes()
@@ -145,26 +163,10 @@ def transfer(net: SumNetwork, code: FracLinCode) -> TransferMap:
         e = net.edges[ei]
         if net.role(e.tail) == SOURCE:
             tm.edge_blocks[ei] = {tm.src_pos[e.tail]: code.src_mats[ei].a}
-            continue
-        acc: dict[int, np.ndarray] = {}
-        for m, in_ei in zip(code.in_mats[ei], net.in_edges(e.tail)):
-            if not m.a.any():
-                continue
-            for pos, blk in tm.edge_blocks[in_ei].items():
-                prod = matmul_mod(m.a, blk, p)
-                prev = acc.get(pos)
-                acc[pos] = prod if prev is None else (prev + prod) % p
-        tm.edge_blocks[ei] = acc
+        else:
+            tm.edge_blocks[ei] = _compose(code.in_mats[ei], net.in_edges(e.tail), tm.edge_blocks, p)
     for t in net.terminals:
-        acc = {}
-        for m, in_ei in zip(code.dec_mats[t], net.in_edges(t)):
-            if not m.a.any():
-                continue
-            for pos, blk in tm.edge_blocks[in_ei].items():
-                prod = matmul_mod(m.a, blk, p)
-                prev = acc.get(pos)
-                acc[pos] = prod if prev is None else (prev + prod) % p
-        tm.terminal_blocks[t] = acc
+        tm.terminal_blocks[t] = _compose(code.dec_mats[t], net.in_edges(t), tm.edge_blocks, p)
     return tm
 
 
@@ -299,13 +301,6 @@ def _proj(field: PrimeField, r: int, l: int) -> Mat:
     return Mat(field, a)
 
 
-def _pad(field: PrimeField, l: int, r: int) -> Mat:
-    """l x r map placing a source block in the leading slots."""
-    a = np.zeros((l, r), dtype=np.int64)
-    a[:r, :] = np.eye(r, dtype=np.int64)
-    return Mat(field, a)
-
-
 def _identity_in_mats(net: SumNetwork, code: FracLinCode, identity: Mat) -> None:
     """Identity forwarding on every edge not leaving a source."""
     for i, e in enumerate(net.edges):
@@ -343,7 +338,7 @@ def _family_scheme(net: SumNetwork, field: PrimeField, m: int) -> FracLinCode:
     r, l = 2, m + 1
     code = FracLinCode(net, r, l, field)
     proj = _proj(field, r, l)
-    pad = _pad(field, l, r)
+    pad = _proj(field, r, l).transpose()
     minus_one = field.p - 1
 
     for ei, e in enumerate(net.edges):
@@ -380,19 +375,15 @@ def _family_scheme(net: SumNetwork, field: PrimeField, m: int) -> FracLinCode:
     return code
 
 
-def scheme_n1(m: int, q: int, p: int, enforce_characteristic: bool = True) -> FracLinCode:
+def scheme_n1(m: int, q: int, p: int) -> FracLinCode:
     """The (2, m+1) code on family n1; a solution exactly when p divides q.
 
     t_i sums Y'_ij over j (q+1 = 1 in the field when p | q) and t_ij
     reads Y'_ij; both add the direct-edge blocks, so the shared decoders
     serve every terminal.
-
-    With enforce_characteristic=False the same matrices are produced over
-    any prime field, where the group terminals t_i then fail to decode
-    (useful for demonstrating the failure, not for use).
     """
     field = PrimeField(p)
-    if enforce_characteristic and q % p != 0:
+    if q % p != 0:
         raise CharacteristicError(
             f"the n1 scheme requires the characteristic to divide q ({p} does not divide {q})"
         )
@@ -527,7 +518,7 @@ def routing_code(net: SumNetwork, p: int) -> FracLinCode:
     r = 1
     code = FracLinCode(net, r, l, field)
     identity = Mat.identity(field, l)
-    pad = _pad(field, l, r)
+    pad = _proj(field, r, l).transpose()
     u_slot: dict[tuple[str, str], int] = {}
     for me in shape.middle:
         u = net.edges[me].tail
@@ -592,11 +583,19 @@ def code_to_json(code: FracLinCode) -> bytes:
 
 
 def _as_mat(field: PrimeField, flat, rows: int, cols: int, what: str) -> Mat:
-    if not isinstance(flat, list) or len(flat) != rows * cols:
+    """A flat JSON list of rows*cols integers as a matrix.  numpy infers
+    int64 (bool if all are booleans) exactly when every entry is an
+    integer or boolean in the int64 range; anything else infers another
+    kind, or raises."""
+    try:
+        a = np.array(flat)
+    except (ValueError, OverflowError) as exc:
+        raise CodeFormatError(f"{what}: entries must be integers") from exc
+    if a.shape != (rows * cols,):
         raise CodeFormatError(f"{what}: expected {rows * cols} entries")
-    if not all(isinstance(x, int) for x in flat):
+    if a.dtype.kind not in "ib":
         raise CodeFormatError(f"{what}: entries must be integers")
-    return Mat(field, np.array(flat, dtype=np.int64).reshape(rows, cols))
+    return Mat(field, a.reshape(rows, cols))
 
 
 def code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
@@ -622,6 +621,9 @@ def code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
         field = PrimeField(p)
     except ValueError as exc:
         raise CodeFormatError(f"field 'p': {exc}") from exc
+    for key in ("edge_matrices", "terminal_matrices"):
+        if not isinstance(doc[key], dict):
+            raise CodeFormatError(f"field {key!r} must be an object")
     code = FracLinCode(net, r, l, field)
     edge_matrices = doc["edge_matrices"]
     for i, e in enumerate(net.edges):
@@ -647,5 +649,4 @@ def code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
         code.dec_mats[t] = tuple(
             _as_mat(field, flat, r, l, f"terminal {t}[{j}]") for j, flat in enumerate(entry)
         )
-    code.check_shapes()
     return code

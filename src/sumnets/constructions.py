@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, prod
 from typing import Callable
 
-from .galois import MAX_MODULUS, is_prime
+from .galois import MAX_MODULUS, PrimeField
 from .network import INTERMEDIATE, SOURCE, TERMINAL, Edge, Node, SumNetwork
 
 IN_SET = "in-set"
@@ -43,8 +43,7 @@ class RateTarget:
         if len(set(self.primes)) != len(self.primes):
             raise ValueError("primes must be distinct")
         for p in self.primes:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            PrimeField(p)
         if self.mode not in (IN_SET, NOT_IN_SET):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -338,7 +337,34 @@ def unmerge_map(merged: SumNetwork, base: SumNetwork, k: int) -> dict[int, list[
     return images
 
 
-# --- rate-targeted builder ----------------------------------------------------
+# --- family builders with their manifests ---------------------------------------
+
+
+def capacity(family: str, m: int, q: int, k: int = 1) -> Fraction:
+    """Linear coding capacity 2k/(m+1) of the k-copy merge of either family."""
+    if family not in ("n1", "n2"):
+        raise ValueError(f"unknown family {family!r}")
+    _check_mq(m, q)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return Fraction(2 * k, m + 1)
+
+
+def build_merged(family: str, m: int, q: int, k: int = 1) -> tuple[SumNetwork, dict]:
+    """The k-copy merge of n1(m, q) or n2(m, q) (the base itself when
+    k = 1), with a manifest of its parameters and capacity."""
+    cap = capacity(family, m, q, k)
+    base = build_n1(m, q) if family == "n1" else build_n2(m, q)
+    net = k_copy_merge(base, k) if k > 1 else base
+    manifest = {
+        "family": family,
+        "m": m,
+        "q": q,
+        "k": k,
+        "capacity_num": cap.numerator,
+        "capacity_den": cap.denominator,
+    }
+    return net, manifest
 
 
 def build_for_rate(target: RateTarget) -> tuple[SumNetwork, dict]:
@@ -348,21 +374,9 @@ def build_for_rate(target: RateTarget) -> tuple[SumNetwork, dict]:
     q = prod(target.primes)
     if q >= MAX_MODULUS:
         raise ValueError(f"q={q} exceeds the field modulus ceiling {MAX_MODULUS}")
-    m = 2 * target.n - 1
     family = "n1" if target.mode == IN_SET else "n2"
-    base = build_n1(m, q) if family == "n1" else build_n2(m, q)
-    net = k_copy_merge(base, target.k) if target.k > 1 else base
-    cap = Fraction(2 * target.k, m + 1)
-    manifest = {
-        "family": family,
-        "m": m,
-        "q": q,
-        "k": target.k,
-        "capacity_num": cap.numerator,
-        "capacity_den": cap.denominator,
-        "primes": sorted(target.primes),
-        "mode": target.mode,
-    }
+    net, manifest = build_merged(family, 2 * target.n - 1, q, target.k)
+    manifest.update(primes=sorted(target.primes), mode=target.mode)
     return net, manifest
 
 

@@ -44,10 +44,11 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        # The ceiling comes first: trial division takes minutes on a prime near 2^61.
+        if isinstance(p, int) and p > MAX_MODULUS:
+            raise ValueError(f"modulus p={p} exceeds the supported ceiling {MAX_MODULUS}")
         if not isinstance(p, int) or not is_prime(p):
-            raise ValueError(f"modulus must be prime, got {p!r}")
-        if p > MAX_MODULUS:
-            raise ValueError(f"modulus {p} exceeds the supported ceiling {MAX_MODULUS}")
+            raise ValueError(f"modulus p must be prime, got {p!r}")
         object.__setattr__(self, "p", p)
 
     def __setattr__(self, name, value):

@@ -24,6 +24,7 @@ from sumnets.analysis import (
 )
 from sumnets.coding import (
     CharacteristicError,
+    _family_scheme,
     routing_code,
     scheme_merged,
     scheme_n1,
@@ -41,6 +42,7 @@ from sumnets.constructions import (
     n1_counts,
     n2_counts,
 )
+from sumnets.galois import PrimeField
 from sumnets.network import deserialize, serialize
 
 GRID = list(itertools.product([1, 2, 3], [2, 3, 6]))
@@ -79,7 +81,7 @@ def test_characteristic_grid_family_one():
         else:
             with pytest.raises(CharacteristicError):
                 scheme_n1(m, q, p)
-            bad = scheme_n1(m, q, p, enforce_characteristic=False)
+            bad = _family_scheme(build_n1(m, q), PrimeField(p), m)  # the refused matrices
             ok &= not verify(bad.net, bad).ok
     check(
         "family one: rate-2/(m+1) scheme exists and verifies iff p divides q (27 cells)",

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -8,6 +9,14 @@ from sumnets.network import deserialize
 
 def run(*argv):
     return main(list(argv))
+
+
+def _one_line_error(capsys, *names):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    for name in names:
+        assert name in err
 
 
 @pytest.fixture()
@@ -175,6 +184,19 @@ def test_manifest_missing_key_is_usage_error(built_n1, tmp_path, capsys, command
     assert repr(key) in err
 
 
+@pytest.mark.parametrize("command", ["scheme", "bounds"])
+@pytest.mark.parametrize("key", ["m", "q", "k"])
+def test_manifest_non_integer_is_usage_error(built_n1, tmp_path, capsys, command, key):
+    manifest = built_n1.parent / "n1.json.manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc[key] = "2"
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    extra = ["--p", "2", "--out", str(tmp_path / "c.json")] if command == "scheme" else []
+    assert run(command, "--net", str(built_n1), *extra) == 2
+    _one_line_error(capsys, repr(key))
+
+
 def test_unreadable_code_path_is_usage_error(built_n1, tmp_path, capsys):
     capsys.readouterr()
     assert run("verify", "--net", str(built_n1), "--code", str(tmp_path)) == 2
@@ -195,3 +217,65 @@ def test_verify_dangling_reference_is_usage_error(built_n1, tmp_path, capsys, ol
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+ENTRY = ("edge_matrices", "(s_1,u_1_1,0)", 0)
+
+
+@pytest.mark.parametrize(
+    "path, value, name",
+    [
+        (ENTRY, 2**70, "(s_1,u_1_1,0)"),
+        (ENTRY, 2**63, "(s_1,u_1_1,0)"),
+        (("edge_matrices",), 5, "'edge_matrices'"),
+        (("edge_matrices",), None, "'edge_matrices'"),
+        (("terminal_matrices",), 5, "'terminal_matrices'"),
+        (("p",), 2**61 - 1, "'p'"),
+    ],
+    ids=["entry-2^70", "entry-2^63", "edge_matrices-5", "edge_matrices-null",
+         "terminal_matrices-5", "p-2^61-1"],
+)
+def test_verify_malformed_code_field_is_usage_error(tmp_path, capsys, path, value, name):
+    net, code = tmp_path / "n1.json", tmp_path / "code.json"
+    assert run("build", "--family", "n1", "--m", "1", "--q", "2", "--out", str(net)) == 0
+    assert run("scheme", "--net", str(net), "--p", "2", "--out", str(code)) == 0
+    doc = json.loads(code.read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    code.write_text(json.dumps(doc))
+    capsys.readouterr()
+    started = time.perf_counter()
+    assert run("verify", "--net", str(net), "--code", str(code)) == 2
+    assert time.perf_counter() - started < 1
+    _one_line_error(capsys, name)
+
+
+HUGE_PRIME = str(2**61 - 1)
+
+
+def test_search_huge_modulus_is_usage_error_at_once(built_n1, capsys):
+    capsys.readouterr()
+    started = time.perf_counter()
+    argv = ["search", "--net", str(built_n1), "--r", "2", "--l", "3", "--p", HUGE_PRIME]
+    assert run(*argv, "--random", "1", "--seed", "0") == 2
+    assert time.perf_counter() - started < 1
+    _one_line_error(capsys, "p=" + HUGE_PRIME)
+
+
+def test_build_rate_huge_prime_is_usage_error_at_once(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    started = time.perf_counter()
+    argv = ["build", "--rate", "1/1", "--primes", HUGE_PRIME, "--mode", "in-set", "--out", str(out)]
+    assert run(*argv) == 2
+    assert time.perf_counter() - started < 1
+    _one_line_error(capsys, "p=" + HUGE_PRIME)
+    assert not out.exists()
+
+
+def test_build_k_zero_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run("build", "--family", "n1", "--m", "1", "--q", "2", "--k", "0", "--out", str(out)) == 2
+    _one_line_error(capsys, "k must be >= 1")
+    assert not out.exists()

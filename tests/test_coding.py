@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from sumnets.coding import (
     FracLinCode,
     UnsupportedNetworkError,
     UnverifiedCodeError,
+    _family_scheme,
     code_from_json,
     code_to_json,
     layer_shape,
@@ -109,7 +111,8 @@ def test_family_one_scheme_rate_equals_capacity():
 
 
 def test_family_one_matrices_fail_over_wrong_characteristic():
-    code = scheme_n1(2, 2, 3, enforce_characteristic=False)
+    # scheme_n1's matrices over GF(3), which scheme_n1 itself refuses to build
+    code = _family_scheme(build_n1(2, 2), PrimeField(3), 2)
     report = verify(code.net, code)
     assert not report.ok
     # only the group terminals t_i rely on q+1 = 1 in the field
@@ -249,6 +252,38 @@ def test_code_json_names_a_bad_dimension_or_modulus(key, value):
     doc[key] = value
     with pytest.raises(CodeFormatError, match=f"'{key}'"):
         code_from_json(code.net, json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize(
+    "section, value",
+    [("edge_matrices", 5), ("edge_matrices", None), ("edge_matrices", "x"),
+     ("edge_matrices", []), ("terminal_matrices", 5), ("terminal_matrices", [1])],
+)
+def test_code_json_names_a_section_of_the_wrong_type(section, value):
+    code = scheme_n1(1, 2, 2)
+    doc = json.loads(code_to_json(code))
+    doc[section] = value
+    with pytest.raises(CodeFormatError, match=f"'{section}'"):
+        code_from_json(code.net, json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("value", [2**70, 2**63, -(2**63) - 1, 1.5, "1", None, [1]])
+def test_code_json_names_the_matrix_of_a_bad_entry(value):
+    code = scheme_n1(1, 2, 2)
+    doc = json.loads(code_to_json(code))
+    doc["edge_matrices"]["(s_1,u_1_1,0)"][0] = value
+    with pytest.raises(CodeFormatError, match=r"edge \(s_1,u_1_1,0\): entries must be integers"):
+        code_from_json(code.net, json.dumps(doc).encode())
+
+
+def test_code_json_refuses_a_huge_modulus_at_once():
+    code = scheme_n1(1, 2, 2)
+    doc = json.loads(code_to_json(code))
+    doc["p"] = 2**61 - 1  # prime: trial division would take minutes
+    started = time.perf_counter()
+    with pytest.raises(CodeFormatError, match="'p'.*ceiling"):
+        code_from_json(code.net, json.dumps(doc).encode())
+    assert time.perf_counter() - started < 1
 
 
 def test_shape_check_names_offender():

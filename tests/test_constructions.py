@@ -11,6 +11,7 @@ from sumnets.constructions import (
     RateTarget,
     build_bottleneck2,
     build_for_rate,
+    build_merged,
     build_n1,
     build_n2,
     k_copy_merge,
@@ -21,7 +22,7 @@ from sumnets.constructions import (
     n2_s_ij,
     unmerge_map,
 )
-from sumnets.network import SOURCE, Edge, SumNetwork, validate
+from sumnets.network import SOURCE, Edge, SumNetwork, serialize, validate
 
 GRID = list(itertools.product([1, 2, 3], [2, 3, 6]))
 
@@ -232,3 +233,15 @@ def test_bottleneck2_shape():
     assert len(net.edges) == 5
     assert len(net.middle_edges()) == 1
     assert validate(net) == []
+
+
+def test_build_merged_rejects_k_below_one():
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        build_merged("n1", 1, 2, 0)
+
+
+def test_build_for_rate_is_build_merged_plus_the_rate_keys():
+    net, meta = build_for_rate(RateTarget(2, 3, (5,), NOT_IN_SET))
+    net2, meta2 = build_merged("n2", 5, 5, 2)
+    assert serialize(net) == serialize(net2)
+    assert meta == {**meta2, "primes": [5], "mode": NOT_IN_SET}

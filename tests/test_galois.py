@@ -91,6 +91,8 @@ def test_modulus_ceiling():
     assert MAX_MODULUS + 11 == 2147483659
     with pytest.raises(ValueError):
         PrimeField(2147483659)
+    with pytest.raises(ValueError, match="ceiling"):
+        PrimeField(2**61 - 1)  # prime: checked against the ceiling before trial division
 
 
 def test_is_prime():
