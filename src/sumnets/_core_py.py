@@ -3,7 +3,7 @@
 Fallback used when the compiled extension `sumnets._core` is unavailable.
 Both implementations expose the same two entry points and must agree
 bit-for-bit.  `tests/test_kernels.py` checks this module against a
-Python-integer oracle and against the dense elimination it replaced, so
+Python-integer oracle and against the two eliminations it replaced, so
 it runs without the compiled module; `tests/test_backends.py` compares
 the two backends when both are importable.
 """
@@ -13,6 +13,17 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "python"
+
+# Fixed cost of one numpy call, in element operations.  `rref_mod`
+# defers reduction once skipping one block's reduction (hits * width
+# elements) outweighs reducing a column and a pivot row as residues
+# (rows + cols elements) plus this cost.  One int64 `%` call costs ~1.4 us
+# fixed and 4-10 ns per element; 1024 was chosen by timing (numpy 2.4.6,
+# 2-vCPU x86-64): at 256 the 864x864 GF(2) bound matrix (0.3% nonzero)
+# defers and runs 1.4x slower, at 4096 a dense 60x60 GF(5) matrix no
+# longer defers and loses its 0.75x, and at 1024 the 168x96 GF(3) search
+# solve runs at 0.54x of per-pivot reduction.
+_CALL_COST = 1024
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -35,6 +46,12 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
+def _may_defer(rows: int, cols: int, p: int) -> bool:
+    """Whether `rref_mod` may leave entries unreduced until it returns:
+    at most min(rows, cols) changes of up to (p-1)^2 each stay in int64."""
+    return min(rows, cols) * (p - 1) ** 2 + p <= 2**63 - 1
+
+
 def rref_mod(m: np.ndarray, p: int) -> tuple[int, list[int]]:
     """Reduced row echelon form in place, over GF(p).
 
@@ -47,14 +64,32 @@ def rref_mod(m: np.ndarray, p: int) -> tuple[int, list[int]]:
     every other row has a zero factor.  No intermediate overflows int64
     up to p = 2^31 - 1: each product is at most (p-1)^2 < 2^62 and is
     subtracted from an entry in [0, p).
+
+    Reduction mod p is deferred, as in FFLAS-FFPACK.  Once an update
+    block is large enough that reducing it costs more than working on
+    residues from then on (`_CALL_COST`), no block is reduced after its
+    pivot, and the whole matrix is reduced once before returning.  While
+    reduction is deferred the pivot column is scanned as residues, so the
+    pivots and the rows updated are those of the reduced matrix; the
+    factors are residues, and the pivot row is reduced before it is
+    scaled.  Each entry then changes at most once per pivot, by at most
+    (p-1)^2, so deferring is allowed only when
+    min(rows, cols) * (p-1)^2 + p <= 2^63 - 1 (`_may_defer`); at
+    p = 2^31 - 1 the smaller dimension must be at most 2.  Every entry
+    stays congruent mod p to the one the per-pivot reduction holds, and
+    the final reduction makes it canonical, so the output is the same
+    unique RREF, byte for byte.
     """
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
+    may_defer = _may_defer(rows, cols, p)
+    dirty = False
     for c in range(cols):
         if r == rows:
             break
-        nz = m[:, c].nonzero()[0]
+        col = m[:, c] % p if dirty else m[:, c]
+        nz = col.nonzero()[0]
         k = int(nz.searchsorted(r))
         if k == nz.size:
             continue
@@ -64,6 +99,8 @@ def rref_mod(m: np.ndarray, p: int) -> tuple[int, list[int]]:
             m[r, c:] = m[i, c:]
             m[i, c:] = row
         pivot = m[r, c:]
+        if dirty:
+            pivot %= p
         inv = pow(int(pivot[0]), -1, p)
         if inv != 1:
             pivot *= inv
@@ -74,9 +111,16 @@ def rref_mod(m: np.ndarray, p: int) -> tuple[int, list[int]]:
         hit = nz[1:]
         if hit.size:
             block = m[hit, c:]
-            block -= block[:, :1] * pivot
-            block %= p
+            if not dirty and may_defer and hit.size * (cols - c) > rows + cols + _CALL_COST:
+                dirty = True
+            if dirty:
+                block -= col[hit, None] * pivot
+            else:
+                block -= block[:, :1] * pivot
+                block %= p
             m[hit, c:] = block
         pivots.append(c)
         r += 1
+    if dirty:
+        m %= p
     return r, pivots

@@ -242,6 +242,14 @@ def search(
     """Enumerate or sample composite encodings and keep those with
     feasible decoders.  Deterministic: exhaustive order is lexicographic,
     random sampling is fixed by the seed."""
+    for name, value in (("r", r), ("l", l)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if isinstance(strategy, Random):
+        if strategy.n < 1:
+            raise ValueError(f"n must be >= 1, got {strategy.n}")
+        if strategy.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {strategy.seed}")
     field = PrimeField(p)
     shape = layer_shape(net)
     total_cells = sum(size for _, size in _composite_layout(shape, r, l))

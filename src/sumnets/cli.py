@@ -94,7 +94,7 @@ def _parse_primes(text: str) -> tuple[int, ...]:
 def _cmd_build(args) -> int:
     started = time.perf_counter()
     if args.rate is not None:
-        if args.family or args.m or args.q:
+        if args.family is not None or args.m is not None or args.q is not None:
             print("error: --rate excludes --family/--m/--q", file=sys.stderr)
             return 2
         if args.primes is None or args.mode is None:
@@ -104,7 +104,7 @@ def _cmd_build(args) -> int:
         target = RateTarget(k=k, n=n, primes=args.primes, mode=args.mode)
         net, meta = build_for_rate(target)
     else:
-        if not (args.family and args.m and args.q):
+        if args.family is None or args.m is None or args.q is None:
             print("error: need --family/--m/--q or --rate", file=sys.stderr)
             return 2
         net, meta = build_merged(args.family, args.m, args.q, args.k)

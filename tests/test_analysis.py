@@ -113,6 +113,23 @@ def test_random_search_is_deterministic_and_finds_nothing_at_wrong_characteristi
     assert len(r1.found) == len(r2.found) == 0
 
 
+@pytest.mark.parametrize(
+    "r, l, strategy, name",
+    [
+        (0, 3, Random(n=5, seed=1), "r"),
+        (-1, 3, Random(n=5, seed=1), "r"),
+        (2, 0, Random(n=5, seed=1), "l"),
+        (2, -2, Exhaustive(), "l"),
+        (2, 3, Random(n=0, seed=1), "n"),
+        (2, 3, Random(n=-3, seed=1), "n"),
+        (2, 3, Random(n=5, seed=-1), "seed"),
+    ],
+)
+def test_search_rejects_out_of_range_numbers(r, l, strategy, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= "):
+        search(build_n1(1, 2), r, l, 3, strategy)
+
+
 def test_random_search_can_find_bottleneck_solutions():
     net = build_bottleneck2()
     result = search(net, 1, 1, 2, Random(n=50, seed=0))

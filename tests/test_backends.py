@@ -1,5 +1,7 @@
 """The compiled kernels and the numpy fallback must agree exactly."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,9 @@ def test_matmul_agrees(p):
 @pytest.mark.parametrize("p", [2, 3, 5, 97])
 def test_rref_agrees(p):
     rng = np.random.default_rng(p)
-    for _ in range(100):
-        rows, cols = rng.integers(1, 9, size=2)
+    small = (rng.integers(1, 9, size=2) for _ in range(100))
+    # Then a search candidate's solve size, large enough to defer reduction.
+    for rows, cols in itertools.chain(small, [(168, 102)]):
         m = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
         m1, m2 = m.copy(), m.copy()
         r1 = _core.rref_mod(m1, p)

@@ -279,3 +279,44 @@ def test_build_k_zero_is_usage_error(tmp_path, capsys):
     assert run("build", "--family", "n1", "--m", "1", "--q", "2", "--k", "0", "--out", str(out)) == 2
     _one_line_error(capsys, "k must be >= 1")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--r", "0", "--l", "3", "--random", "5", "--seed", "1"], "r must be >= 1"),
+        (["--r", "-1", "--l", "3", "--random", "5", "--seed", "1"], "r must be >= 1"),
+        (["--r", "2", "--l", "-2", "--random", "5", "--seed", "1"], "l must be >= 1"),
+        (["--r", "0", "--l", "3", "--exhaustive"], "r must be >= 1"),
+        (["--r", "2", "--l", "3", "--random", "-3", "--seed", "1"], "n must be >= 1"),
+        (["--r", "2", "--l", "3", "--random", "0", "--seed", "1"], "n must be >= 1"),
+        (["--r", "2", "--l", "3", "--random", "5", "--seed", "-1"], "seed must be >= 0"),
+    ],
+)
+def test_search_out_of_range_number_is_usage_error(built_n1, capsys, flags, name):
+    capsys.readouterr()
+    assert run("search", "--net", str(built_n1), "--p", "3", *flags) == 2
+    _one_line_error(capsys, name)
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--m", "0", "--q", "2"], "m must be >= 1"),
+        (["--m", "-1", "--q", "2"], "m must be >= 1"),
+        (["--m", "1", "--q", "0"], "q must be >= 2"),
+    ],
+)
+def test_build_out_of_range_family_parameter_is_usage_error(tmp_path, capsys, flags, name):
+    out = tmp_path / "x.json"
+    assert run("build", "--family", "n1", *flags, "--out", str(out)) == 2
+    _one_line_error(capsys, name)
+    assert not out.exists()
+
+
+def test_build_rate_excludes_zero_family_parameter(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    argv = ["build", "--rate", "1/2", "--primes", "2", "--mode", "in-set", "--m", "0"]
+    assert run(*argv, "--out", str(out)) == 2
+    _one_line_error(capsys, "--rate excludes")
+    assert not out.exists()

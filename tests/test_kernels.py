@@ -1,10 +1,12 @@
-"""The numpy GF(p) elimination against two references.
+"""The numpy GF(p) elimination against three references.
 
 `_core_py.rref_mod` eliminates only the rows with a nonzero in the pivot
-column, from that column on.  It is checked against a Python-integer
-oracle and against the dense elimination it replaced, kept verbatim
-below.  The reduced row echelon form is unique, so all three must give
-the same matrix, rank and pivots.  No compiled module is needed.
+column, from that column on, and on large blocks defers the reduction
+mod p to one pass at the end.  It is checked against a Python-integer
+oracle and against the two kernels it replaced, kept verbatim below: the
+sparse elimination that reduced every block, and the dense elimination
+before it.  The reduced row echelon form is unique, so all four must
+give the same matrix, rank and pivots.  No compiled module is needed.
 """
 
 import numpy as np
@@ -41,6 +43,42 @@ def dense_rref_mod(m: np.ndarray, p: int) -> tuple[int, list[int]]:
     return r, pivots
 
 
+def sparse_rref_mod(m: np.ndarray, p: int) -> tuple[int, list[int]]:
+    """The previous numpy kernel: sparse updates, each block reduced."""
+    rows, cols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = m[:, c].nonzero()[0]
+        k = int(nz.searchsorted(r))
+        if k == nz.size:
+            continue
+        i = int(nz[k])
+        if i != r:
+            row = m[r, c:].copy()
+            m[r, c:] = m[i, c:]
+            m[i, c:] = row
+        pivot = m[r, c:]
+        inv = pow(int(pivot[0]), -1, p)
+        if inv != 1:
+            pivot *= inv
+            pivot %= p
+        # After the swap the nonzeros of column c are nz with i replaced
+        # by r; moving nz[0] into slot k leaves exactly the other rows.
+        nz[k] = nz[0]
+        hit = nz[1:]
+        if hit.size:
+            block = m[hit, c:]
+            block -= block[:, :1] * pivot
+            block %= p
+            m[hit, c:] = block
+        pivots.append(c)
+        r += 1
+    return r, pivots
+
+
 def oracle_rref(m: np.ndarray, p: int) -> tuple[list[list[int]], int, list[int]]:
     """Reduced row echelon form with Python integers, first-nonzero pivots."""
     rows = [[int(x) % p for x in row] for row in m.tolist()]
@@ -65,11 +103,14 @@ def oracle_rref(m: np.ndarray, p: int) -> tuple[list[list[int]], int, list[int]]
 
 def assert_all_agree(m: np.ndarray, p: int) -> None:
     want_rows, want_rank, want_pivots = oracle_rref(m, p)
-    new, old = m.copy(), m.copy()
+    new = m.copy()
     assert _core_py.rref_mod(new, p) == (want_rank, want_pivots)
     assert new.tolist() == want_rows
-    assert dense_rref_mod(old, p) == (want_rank, want_pivots)
-    assert np.array_equal(new, old)
+    assert ((new >= 0) & (new < p)).all()
+    for reference in (sparse_rref_mod, dense_rref_mod):
+        old = m.copy()
+        assert reference(old, p) == (want_rank, want_pivots)
+        assert np.array_equal(new, old)
 
 
 def random_matrix(rng, shape, p: int, density: float) -> np.ndarray:
@@ -119,3 +160,57 @@ def test_all_max_entries_at_modulus_ceiling():
     rng = np.random.default_rng(31)
     m = rng.integers(P_MAX - 3, P_MAX, size=(10, 10), dtype=np.int64)
     assert_all_agree(m, P_MAX)
+
+
+# --- deferred reduction ---------------------------------------------------------
+
+P30 = 1073741789  # the largest prime below 2^30
+
+
+@pytest.fixture()
+def always_defer(monkeypatch):
+    """Defer on every block that may be deferred, however small."""
+    monkeypatch.setattr(_core_py, "_CALL_COST", -(2**62))
+
+
+@pytest.mark.parametrize(
+    "shape, p, density",
+    [
+        ((168, 102), 3, 0.25),
+        ((168, 102), 3, 0.66),
+        ((168, 102), 3, 1.0),
+        ((80, 120), 97, 0.66),
+        ((120, 80), 5, 0.66),
+    ],
+)
+def test_dense_solve_shapes_match_oracle(shape, p, density):
+    # Large enough that the blocks pass the deferral threshold.
+    rng = np.random.default_rng([shape[0], p, int(density * 100)])
+    assert_all_agree(random_matrix(rng, shape, p, density), p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_random_shapes_match_oracle_with_every_block_deferred(p, always_defer):
+    rng = np.random.default_rng([p % 1000, 7])
+    for _ in range(60):
+        rows, cols = (int(x) for x in rng.integers(1, 13, size=2))
+        density = float(rng.choice([0.05, 0.3, 1.0]))
+        assert_all_agree(random_matrix(rng, (rows, cols), p, density), p)
+
+
+@pytest.mark.parametrize(
+    "rows, p, allowed",
+    [(8, P30, True), (9, P30, False), (2, P_MAX, True), (3, P_MAX, False)],
+)
+def test_deferral_stops_at_the_int64_edge(rows, p, allowed, always_defer):
+    # Each entry changes at most min(rows, cols) times, by up to (p-1)^2.
+    assert _core_py._may_defer(rows, 2000, p) is allowed
+    assert _core_py._may_defer(2000, rows, p) is allowed
+    rng = np.random.default_rng([rows, p % 1000])
+    wide = [
+        np.full((rows, 2000), p - 1, dtype=np.int64),
+        rng.integers(0, p, size=(rows, 2000), dtype=np.int64),
+        rng.integers(p - 3, p, size=(rows, 2000), dtype=np.int64),
+    ]
+    for m in wide:
+        assert_all_agree(m, p)
