@@ -1,18 +1,15 @@
-"""Pure-Python (numpy) kernels for GF(p) dense linear algebra.
+"""The numpy kernels for GF(p) dense linear algebra.
 
-Fallback used when the compiled extension `sumnets._core` is unavailable.
-Both implementations expose the same two entry points and must agree
-bit-for-bit.  `tests/test_kernels.py` checks this module against a
-Python-integer oracle and against the two eliminations it replaced, so
-it runs without the compiled module; `tests/test_backends.py` compares
-the two backends when both are importable.
+The package's only implementation of its two exact entry points: the
+product `matmul_mod` and the elimination `rref_mod`, on which the rank
+certificates, the decoder solves and the transfer products rest.
+`tests/test_kernels.py` checks both against Python-integer oracles, and
+`rref_mod` also against the two eliminations it replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-BACKEND = "python"
 
 # Fixed cost of one numpy call, in element operations.  `rref_mod`
 # defers reduction once skipping one block's reduction (hits * width
@@ -24,6 +21,11 @@ BACKEND = "python"
 # longer defers and loses its 0.75x, and at 1024 the 168x96 GF(3) search
 # solve runs at 0.54x of per-pivot reduction.
 _CALL_COST = 1024
+
+
+def backend_name() -> str:
+    """Name of the kernel implementation, reported with benchmark runs."""
+    return "python"
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

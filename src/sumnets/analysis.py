@@ -21,6 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ._core_py import rref_mod
 from .coding import (
     FracLinCode,
     LayerShape,
@@ -33,7 +34,6 @@ from .coding import (
 )
 from .constructions import capacity, n2_s_ij, s1
 from .galois import PrimeField
-from .kernels import rref_mod
 from .matrix import Mat, solve_right
 from .network import SumNetwork
 

@@ -55,9 +55,14 @@ def _read_manifest(net_path: Path) -> dict:
     path = Path(str(net_path) + ".manifest.json")
     if not path.exists():
         raise FileNotFoundError(f"no manifest next to {net_path} (expected {path.name})")
-    meta = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"manifest {path} is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"manifest {path} must be a JSON object")
     for key in ("family", "m", "q", "k"):
-        if not isinstance(meta, dict) or key not in meta:
+        if key not in meta:
             raise ValueError(f"manifest lacks {key!r}; build the network with this tool")
         if key != "family" and (not isinstance(meta[key], int) or isinstance(meta[key], bool)):
             raise ValueError(f"manifest field {key!r} must be an integer, got {meta[key]!r}")

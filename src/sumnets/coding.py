@@ -25,9 +25,9 @@ from typing import Optional
 
 import numpy as np
 
+from ._core_py import matmul_mod
 from .constructions import build_n1, build_n2, merge_with_map, unmerge_map
 from .galois import PrimeField
-from .kernels import matmul_mod
 from .matrix import Mat
 from .network import SOURCE, TERMINAL, SumNetwork, topo_order
 

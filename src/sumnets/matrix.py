@@ -12,8 +12,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from ._core_py import matmul_mod, rref_mod
 from .galois import FieldMismatchError, PrimeField
-from .kernels import matmul_mod, rref_mod
 
 
 class Mat:

@@ -197,6 +197,26 @@ def test_manifest_non_integer_is_usage_error(built_n1, tmp_path, capsys, command
     _one_line_error(capsys, repr(key))
 
 
+@pytest.mark.parametrize("command", ["scheme", "bounds"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"{", "is not valid JSON"),
+        (b"\xff", "is not valid JSON"),
+        (b"[1]", "must be a JSON object"),
+    ],
+)
+def test_malformed_manifest_names_itself(tmp_path, capsys, command, content, message):
+    net = tmp_path / "n.json"
+    assert run("build", "--family", "n1", "--m", "1", "--q", "2", "--out", str(net)) == 0
+    manifest = tmp_path / "n.json.manifest.json"
+    manifest.write_bytes(content)
+    capsys.readouterr()
+    extra = ["--p", "2", "--out", str(tmp_path / "c.json")] if command == "scheme" else []
+    assert run(command, "--net", str(net), *extra) == 2
+    _one_line_error(capsys, f"manifest {manifest} {message}")
+
+
 def test_unreadable_code_path_is_usage_error(built_n1, tmp_path, capsys):
     capsys.readouterr()
     assert run("verify", "--net", str(built_n1), "--code", str(tmp_path)) == 2

@@ -1,21 +1,71 @@
-"""The numpy GF(p) elimination against three references.
+"""The numpy GF(p) kernels against Python-integer references.
 
-`_core_py.rref_mod` eliminates only the rows with a nonzero in the pivot
-column, from that column on, and on large blocks defers the reduction
-mod p to one pass at the end.  It is checked against a Python-integer
-oracle and against the two kernels it replaced, kept verbatim below: the
-sparse elimination that reduced every block, and the dense elimination
-before it.  The reduced row echelon form is unique, so all four must
-give the same matrix, rank and pivots.  No compiled module is needed.
+`_core_py.matmul_mod` sums products in chunks short enough that no
+partial sum overflows int64, and is checked against the product of
+Python integers.  `_core_py.rref_mod` eliminates only the rows with a
+nonzero in the pivot column, from that column on, and on large blocks
+defers the reduction mod p to one pass at the end.  It is checked
+against a Python-integer oracle and against the two kernels it replaced,
+kept verbatim below: the sparse elimination that reduced every block,
+and the dense elimination before it.  The reduced row echelon form is
+unique, so all four must give the same matrix, rank and pivots.
 """
 
 import numpy as np
 import pytest
 
+import sumnets
 from sumnets import _core_py
 
 PRIMES = [2, 3, 5, 97, 2**31 - 1]
 P_MAX = 2**31 - 1
+
+
+def test_backend_name_is_python():
+    assert sumnets.backend_name() == "python"
+
+
+# --- matmul_mod -----------------------------------------------------------------
+
+
+def assert_matmul_matches_oracle(a: np.ndarray, b: np.ndarray, p: int) -> None:
+    want = (a.astype(object) @ b.astype(object)) % p
+    got = _core_py.matmul_mod(a, b, p)
+    assert got.dtype == np.int64
+    assert got.shape == want.shape
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_matmul_random_shapes_match_oracle(p):
+    # At p = 2^31 - 1 at most two products fit in an int64 sum, so every
+    # inner dimension from 3 on runs the chunked loop.
+    rng = np.random.default_rng([p % 1000, 11])
+    for _ in range(60):
+        rows, inner, cols = (int(x) for x in rng.integers(1, 13, size=3))
+        a = rng.integers(0, p, size=(rows, inner), dtype=np.int64)
+        b = rng.integers(0, p, size=(inner, cols), dtype=np.int64)
+        assert_matmul_matches_oracle(a, b, p)
+        assert_matmul_matches_oracle(np.full_like(a, p - 1), np.full_like(b, p - 1), p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_matmul_empty_inner_dimension_is_zero(p):
+    for rows, cols in [(1, 1), (3, 5), (12, 1)]:
+        a = np.zeros((rows, 0), dtype=np.int64)
+        b = np.zeros((0, cols), dtype=np.int64)
+        assert_matmul_matches_oracle(a, b, p)
+
+
+def test_matmul_large_modulus_no_overflow():
+    p = P_MAX  # largest prime below the modulus ceiling
+    a = np.full((4, 64), p - 1, dtype=np.int64)
+    b = np.full((64, 4), p - 1, dtype=np.int64)
+    expected = (64 * 1) % p  # (p-1)^2 = 1 mod p, summed over the inner dim
+    assert (_core_py.matmul_mod(a, b, p) == expected).all()
+
+
+# --- rref_mod -------------------------------------------------------------------
 
 
 def dense_rref_mod(m: np.ndarray, p: int) -> tuple[int, list[int]]:
