@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._core_py import rref_mod
+from ._core_py import matmul_mod, rref_mod
 from .coding import (
     FracLinCode,
     LayerShape,
@@ -32,7 +32,7 @@ from .coding import (
     transfer,
     verify_transfer,
 )
-from .constructions import capacity, n2_s_ij, s1
+from .constructions import capacity, n2_s_ij, parse_label, s1
 from .galois import PrimeField
 from .matrix import Mat, solve_right
 from .network import SumNetwork
@@ -173,7 +173,7 @@ def feasible_decoders(
                 if s in order:
                     j = order.index(s)
                     comp = composites.mats[me].a
-                    contrib = (contrib + dm @ comp[:, j * r : (j + 1) * r]) % p
+                    contrib = (contrib + matmul_mod(dm, comp[:, j * r : (j + 1) * r], p)) % p
             residual = (eye - contrib) % p
             chunks = _direct_chunks(r, l, len(positions), s, t)
             for pos, rows in zip(positions, chunks):
@@ -199,6 +199,22 @@ def feasible_decoders(
     _identity_in_mats(net, code, Mat.identity(field, l))
     code.dec_mats = dec_mats
     return DecodeResult(code, None)
+
+
+def routing_code(net: SumNetwork, p: int) -> FracLinCode:
+    """Characteristic-independent baseline (r=1, l = widest middle edge):
+    every middle edge forwards its sources verbatim, source j in slot j,
+    and feasible_decoders picks the decoders."""
+    shape = layer_shape(net)
+    if not shape.middle:
+        raise UnsupportedNetworkError("network has no middle edges")
+    field = PrimeField(p)
+    l = max(len(shape.src_order[me]) for me in shape.middle)
+    mats = {me: Mat(field, np.eye(l, len(shape.src_order[me]))) for me in shape.middle}
+    result = feasible_decoders(net, CompositeEncoding(1, l, field, mats), 1, l, shape)
+    if result.code is None:
+        raise UnsupportedNetworkError(f"terminal {result.failed_terminal} cannot decode the sum")
+    return result.code
 
 
 # --- search --------------------------------------------------------------------
@@ -429,6 +445,8 @@ def _selector_rows(net: SumNetwork, r: int, groups: list[list[str]]) -> np.ndarr
     eye = np.eye(r, dtype=np.int64)
     for g, labels in enumerate(groups):
         for s in labels:
+            if s not in pos:
+                raise ValueError(f"network has no source {s!r}")
             out[g * r : (g + 1) * r, pos[s] * r : (pos[s] + 1) * r] += eye
     return out
 
@@ -438,12 +456,8 @@ def _group_sum_redundancy(net, tm, m: int, q: int, k: int) -> bool:
     edges with index j <= q: appending those selector rows leaves the
     rank unchanged."""
 
-    def group_index(me: int) -> tuple[int, int]:
-        u = net.edges[me].tail
-        parts = [int(x) for x in u.split("_")[1:] if x.isdigit()]
-        return parts[0], parts[1]
-
-    first_q = [me for me in net.middle_edges() if group_index(me)[1] <= q]
+    # Middle edge u_<i>_<j> -> v_<i>_<j> is kept when j <= q.
+    first_q = [me for me in net.middle_edges() if parse_label(net.edges[me].tail)[1][1] <= q]
     base = np.vstack([tm.edge_matrix(me).a for me in first_q])
     groups = [n2_s_ij(m, q, i, q + 1) for i in range(1, m + 1)]
     selectors = _selector_rows(net, tm.r, groups) % tm.field.p

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ._core_py import matmul_mod
-from .constructions import build_n1, build_n2, merge_with_map, unmerge_map
+from .constructions import build_n1, build_n2, merge_with_map, parse_label, unmerge_map
 from .galois import PrimeField
 from .matrix import Mat
 from .network import SOURCE, TERMINAL, SumNetwork, topo_order
@@ -131,9 +131,6 @@ class TransferMap:
 
     def edge_matrix(self, edge_index: int) -> Mat:
         return self._dense(self.edge_blocks[edge_index], self.l)
-
-    def terminal_matrix(self, label: str) -> Mat:
-        return self._dense(self.terminal_blocks[label], self.r)
 
 
 def _compose(
@@ -308,11 +305,6 @@ def _identity_in_mats(net: SumNetwork, code: FracLinCode, identity: Mat) -> None
             code.in_mats[i] = (identity,) * len(net.in_edges(e.tail))
 
 
-def _parse_indices(label: str) -> list[int]:
-    parts = label.split("_")
-    return [int(x) for x in parts[1:] if x.isdigit()]
-
-
 def _slot_first(i: int, x: int) -> int:
     """0-indexed slot of the first-symbol carrier for pair (i,x), x > i, on e_ij."""
     return 1 + (x - i)
@@ -347,10 +339,10 @@ def _family_scheme(net: SumNetwork, field: PrimeField, m: int) -> FracLinCode:
         if net.role(e.head) == TERMINAL:
             code.src_mats[ei] = pad
             continue
-        i, j = _parse_indices(e.head)
+        _, (i, j) = parse_label(e.head)
         a = np.zeros((l, r), dtype=np.int64)
         a[0, 0] = a[1, 1] = 1
-        idx = _parse_indices(e.tail)
+        _, idx = parse_label(e.tail)
         if len(idx) == 3:
             x1, x2, _ = idx
             if x1 == i:  # pair (i, x2), x2 > i: first symbol carrier
@@ -361,7 +353,7 @@ def _family_scheme(net: SumNetwork, field: PrimeField, m: int) -> FracLinCode:
     _identity_in_mats(net, code, Mat.identity(field, l))
 
     for t in net.terminals:
-        idx = _parse_indices(t)
+        _, idx = parse_label(t)
         n_in = len(net.in_edges(t))
         if len(idx) < 3:
             code.dec_mats[t] = (proj,) * n_in
@@ -403,9 +395,9 @@ def scheme_n2(m: int, q: int, p: int) -> FracLinCode:
     proj = _proj(field, code.r, code.l)
     scaled = Mat(field, (proj.a * qinv) % p)
     for t in net.terminals:
-        idx = _parse_indices(t)
+        kind, idx = parse_label(t)
         n_in = len(net.in_edges(t))
-        if t.startswith("tp_"):
+        if kind == "tp":
             a, b = idx
             # q^{-1} (sum_j Y'_aj + sum_j Y'_bj - sum_j W_abj) + directs
             da = scaled.a.copy()
@@ -499,62 +491,6 @@ def unroll_merged(merged_code: FracLinCode, k: int, base: Optional[SumNetwork] =
         for pos in range(n_in):
             parts = [merged_code.dec_mats[t][(c * n_in) + pos].a for c in range(k)]
             mats.append(Mat(field, np.hstack(parts)))
-        code.dec_mats[t] = tuple(mats)
-    return code
-
-
-# --- routing baseline -------------------------------------------------------------------
-
-
-def routing_code(net: SumNetwork, p: int) -> FracLinCode:
-    """Characteristic-independent baseline: every middle edge forwards the
-    sources that reach it verbatim (r=1, l = widest middle edge); each
-    terminal selects every needed source exactly once."""
-    shape = layer_shape(net)
-    field = PrimeField(p)
-    if not shape.middle:
-        raise UnsupportedNetworkError("network has no middle edges")
-    l = max(len(shape.src_order[me]) for me in shape.middle)
-    r = 1
-    code = FracLinCode(net, r, l, field)
-    identity = Mat.identity(field, l)
-    pad = _proj(field, r, l).transpose()
-    u_slot: dict[tuple[str, str], int] = {}
-    for me in shape.middle:
-        u = net.edges[me].tail
-        for slot, s in enumerate(shape.src_order[me]):
-            u_slot[(u, s)] = slot
-    for ei, e in enumerate(net.edges):
-        if net.role(e.tail) != SOURCE:
-            continue
-        if net.role(e.head) == TERMINAL:
-            code.src_mats[ei] = pad
-        else:
-            a = np.zeros((l, r), dtype=np.int64)
-            a[u_slot[(e.head, e.tail)], 0] = 1
-            code.src_mats[ei] = Mat(field, a)
-    _identity_in_mats(net, code, identity)
-
-    pick_first = _proj(field, r, l)
-    for t in net.terminals:
-        n_in = len(net.in_edges(t))
-        mats: list[Mat] = [Mat.zeros(field, r, l)] * n_in
-        covered: set[str] = set()
-        for pos, me in shape.term_taps[t]:
-            d = np.zeros((r, l), dtype=np.int64)
-            for slot, s in enumerate(shape.src_order[me]):
-                if s not in covered:
-                    covered.add(s)
-                    d[0, slot] = 1
-            mats[pos] = Mat(field, d)
-        for s, positions in shape.term_directs[t].items():
-            if s in covered:
-                continue
-            covered.add(s)
-            mats[positions[0]] = pick_first
-        missing = set(net.source_order) - covered
-        if missing:
-            raise UnsupportedNetworkError(f"terminal {t} cannot reach sources {sorted(missing)}")
         code.dec_mats[t] = tuple(mats)
     return code
 

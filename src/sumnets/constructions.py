@@ -16,6 +16,7 @@ Label scheme (fixed so files are byte-reproducible):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
@@ -92,6 +93,23 @@ def t3(a: int, b: int, c: int) -> str:
 
 def t4(a: int, b: int) -> str:
     return f"tp_{a}_{b}"
+
+
+_LABEL = re.compile(r"(tp|[stuv])((?:_[1-9][0-9]*)+)(_c[1-9][0-9]*)?")
+_ARITY = {"s": (1, 2, 3), "t": (1, 2, 3), "u": (2,), "v": (2,), "tp": (2,)}
+
+
+def parse_label(label: str) -> tuple[str, tuple[int, ...]]:
+    """The kind (s, u, v, t or tp) and indices of a label printed above;
+    the _c<copy> suffix the merge adds to u and v labels is dropped.
+    Raises ValueError naming any label outside the scheme."""
+    match = _LABEL.fullmatch(label)
+    if match:
+        kind, digits, copy = match.groups()
+        indices = tuple(int(x) for x in digits[1:].split("_"))
+        if len(indices) in _ARITY[kind] and (copy is None or kind in ("u", "v")):
+            return kind, indices
+    raise ValueError(f"node label {label!r} is outside the label scheme")
 
 
 def _triples(m: int, q: int):

@@ -57,11 +57,9 @@ class SumNetwork:
         edges: Iterable[Edge],
         in_order: Optional[dict[str, list[int]]] = None,
         source_order: Optional[list[str]] = None,
-        field_hint: Optional[int] = None,
     ):
         self.nodes: tuple[Node, ...] = tuple(nodes)
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self.field_hint = field_hint
         self._node_by_label = {n.label: n for n in self.nodes}
 
         natural: dict[str, list[int]] = {n.label: [] for n in self.nodes}
@@ -81,9 +79,6 @@ class SumNetwork:
         self.source_order: tuple[str, ...] = tuple(source_order)
 
     # --- basic queries -------------------------------------------------
-
-    def node(self, label: str) -> Node:
-        return self._node_by_label[label]
 
     def has_node(self, label: str) -> bool:
         return label in self._node_by_label
@@ -112,9 +107,6 @@ class SumNetwork:
     def out_edges(self, label: str) -> list[int]:
         return self._out_edges[label]
 
-    def edge_label(self, index: int) -> str:
-        return self.edges[index].label
-
     def edge_index_by_label(self) -> dict[str, int]:
         return {e.label: i for i, e in enumerate(self.edges)}
 
@@ -133,7 +125,6 @@ class SumNetwork:
             and other.edges == self.edges
             and other.in_order == self.in_order
             and other.source_order == self.source_order
-            and other.field_hint == self.field_hint
         )
 
     def __repr__(self):
@@ -230,8 +221,6 @@ def serialize(net: SumNetwork) -> bytes:
         "in_order": {label: list(order) for label, order in net.in_order.items()},
         "source_order": list(net.source_order),
     }
-    if net.field_hint is not None:
-        doc["field_hint"] = net.field_hint
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
@@ -293,10 +282,7 @@ def deserialize(data: bytes) -> SumNetwork:
     source_order = _expect(doc, "source_order", list)
     if not all(isinstance(s, str) for s in source_order):
         raise NetworkFormatError("source_order must list node labels")
-    field_hint = doc.get("field_hint")
-    if field_hint is not None and not isinstance(field_hint, int):
-        raise NetworkFormatError("field_hint must be an integer")
-    return SumNetwork(nodes, edges, in_order, list(source_order), field_hint)
+    return SumNetwork(nodes, edges, in_order, list(source_order))
 
 
 # --- DOT export ------------------------------------------------------------

@@ -19,13 +19,13 @@ from sumnets.analysis import (
     bound_check,
     capacity,
     composites_from_code,
+    routing_code,
     search,
     wrong_char_bound,
 )
 from sumnets.coding import (
     CharacteristicError,
     _family_scheme,
-    routing_code,
     scheme_merged,
     scheme_n1,
     scheme_n2,

@@ -13,13 +13,15 @@ from sumnets.analysis import (
     capacity,
     composites_from_code,
     feasible_decoders,
+    routing_code,
     search,
     wrong_char_bound,
 )
-from sumnets.coding import UnverifiedCodeError, routing_code, scheme_n1, scheme_n2, transfer, verify
+from sumnets.coding import UnverifiedCodeError, scheme_n1, scheme_n2, transfer, verify
 from sumnets.constructions import build_bottleneck2, build_n1, build_n2
 from sumnets.galois import PrimeField
 from sumnets.matrix import Mat
+from sumnets.network import INTERMEDIATE, SOURCE, TERMINAL, Edge, Node, SumNetwork
 
 
 def bottleneck_composite(p, a, b):
@@ -136,6 +138,24 @@ def test_random_search_can_find_bottleneck_solutions():
     assert result.found
     for code in result.found:
         assert verify(net, code).ok
+
+
+def test_direct_edge_residual_does_not_overflow_at_the_modulus_ceiling():
+    # Four sources share one middle edge; t_1 also has s_1 directly, so its
+    # decoder for that edge must cancel a product of two entries near 2^31.
+    sources = ["s_1", "s_2", "s_3", "s_4"]
+    net = SumNetwork(
+        [Node(s, SOURCE) for s in sources]
+        + [Node("u", INTERMEDIATE), Node("v", INTERMEDIATE)]
+        + [Node("t_1", TERMINAL), Node("t_2", TERMINAL)],
+        [Edge(s, "u") for s in sources]
+        + [Edge("u", "v"), Edge("v", "t_1"), Edge("v", "t_2"), Edge("s_1", "t_1")],
+    )
+    for p in (5, 2**31 - 1):
+        result = search(net, 2, 8, p, Random(n=20, seed=3))
+        assert result.found
+        for code in result.found:
+            assert verify(net, code).ok
 
 
 # --- capacity formulas --------------------------------------------------------

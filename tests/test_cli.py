@@ -340,3 +340,16 @@ def test_build_rate_excludes_zero_family_parameter(tmp_path, capsys):
     assert run(*argv, "--out", str(out)) == 2
     _one_line_error(capsys, "--rate excludes")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, name", [("u_1_1", "uA", "'uA'"), ("s_1_1", "sA", "'s_1_1'")])
+def test_bounds_on_relabelled_network_is_usage_error(tmp_path, capsys, old, new, name):
+    net, code = tmp_path / "n2.json", tmp_path / "code.json"
+    assert run("build", "--family", "n2", "--m", "1", "--q", "2", "--out", str(net)) == 0
+    assert run("scheme", "--net", str(net), "--p", "3", "--out", str(code)) == 0
+    for path in (net, code):
+        path.write_text(path.read_text().replace(old, new))
+    assert run("verify", "--net", str(net), "--code", str(code)) == 0
+    capsys.readouterr()
+    assert run("bounds", "--net", str(net), "--code", str(code), "--mode", "n2-redundancy") == 2
+    _one_line_error(capsys, name)

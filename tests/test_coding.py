@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sumnets.analysis import routing_code
 from sumnets.coding import (
     CharacteristicError,
     CodeFormatError,
@@ -16,7 +17,6 @@ from sumnets.coding import (
     code_from_json,
     code_to_json,
     layer_shape,
-    routing_code,
     scheme_merged,
     scheme_n1,
     scheme_n2,

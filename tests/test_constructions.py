@@ -14,15 +14,26 @@ from sumnets.constructions import (
     build_merged,
     build_n1,
     build_n2,
+    copy_label,
     k_copy_merge,
     merge_with_map,
     n1_counts,
     n1_s_ij,
     n2_counts,
     n2_s_ij,
+    parse_label,
+    s1,
+    s2,
+    s3,
+    t1,
+    t2,
+    t3,
+    t4,
+    u_lab,
     unmerge_map,
+    v_lab,
 )
-from sumnets.network import SOURCE, Edge, SumNetwork, serialize, validate
+from sumnets.network import INTERMEDIATE, SOURCE, Edge, SumNetwork, serialize, validate
 
 GRID = list(itertools.product([1, 2, 3], [2, 3, 6]))
 
@@ -245,3 +256,40 @@ def test_build_for_rate_is_build_merged_plus_the_rate_keys():
     net2, meta2 = build_merged("n2", 5, 5, 2)
     assert serialize(net) == serialize(net2)
     assert meta == {**meta2, "primes": [5], "mode": NOT_IN_SET}
+
+
+PRINTERS = {
+    ("s", 1): s1,
+    ("s", 2): s2,
+    ("s", 3): s3,
+    ("u", 2): u_lab,
+    ("v", 2): v_lab,
+    ("t", 1): t1,
+    ("t", 2): t2,
+    ("t", 3): t3,
+    ("tp", 2): t4,
+}
+
+
+@pytest.mark.parametrize(
+    "family,m,q,k", itertools.product(("n1", "n2"), (1, 2, 3), (2, 10), (1, 2, 3))
+)
+def test_every_printed_label_parses_back_to_its_indices(family, m, q, k):
+    net, _ = build_merged(family, m, q, k)
+    for node in net.nodes:
+        kind, idx = parse_label(node.label)
+        printed = PRINTERS[kind, len(idx)](*idx)
+        if node.role == INTERMEDIATE and k > 1:
+            assert node.label in [copy_label(printed, c) for c in range(1, k + 1)]
+        else:
+            assert node.label == printed
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["uA", "u_1", "u_1_2_3", "x_1", "s_0", "s_01", "s_1_c2", "u_1_1_c0", "tp_1",
+     "t_1_2_3_4", "", "u_1_1_c2_c3", "s_1 "],
+)
+def test_parse_label_names_a_label_outside_the_scheme(label):
+    with pytest.raises(ValueError, match=f"node label {label!r} is outside the label scheme"):
+        parse_label(label)
