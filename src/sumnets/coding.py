@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ._core_py import matmul_mod
 from .constructions import build_n1, build_n2, merge_with_map, parse_label, unmerge_map
 from .galois import PrimeField
-from .matrix import Mat
+from .matrix import Mat, rank
 from .network import SOURCE, TERMINAL, SumNetwork, topo_order
 
 CODE_FORMAT_VERSION = 1
@@ -105,9 +105,10 @@ class FracLinCode:
 class TransferMap:
     """Edge and terminal maps from the global source vector.
 
-    Stored block-sparse: per edge a dict {source position -> l x r array}
-    (most edges see only a handful of sources).  Dense views are
-    materialized on demand.
+    Edges are stored block-sparse: per edge a dict {source position ->
+    l x r array} (most edges see only a handful of sources).  Terminals
+    are one (n_terminals, n_sources, r, r) array, `terminal_maps`, in
+    `net.terminals` order.  Dense views are materialized on demand.
     """
 
     def __init__(self, net: SumNetwork, code: FracLinCode):
@@ -117,11 +118,18 @@ class TransferMap:
         self.field = code.field
         self.src_pos = {s: i for i, s in enumerate(net.source_order)}
         self.edge_blocks: list[dict[int, np.ndarray]] = [dict() for _ in net.edges]
-        self.terminal_blocks: dict[str, dict[int, np.ndarray]] = {}
+        self.terminal_maps = np.zeros(
+            (len(net.terminals), self.n_sources, self.r, self.r), dtype=np.int64
+        )
 
     @property
     def n_sources(self) -> int:
         return len(self.src_pos)
+
+    @property
+    def terminal_blocks(self) -> dict[str, dict[int, np.ndarray]]:
+        """Per terminal, {source position -> r x r block}, as views of `terminal_maps`."""
+        return {t: dict(enumerate(self.terminal_maps[i])) for i, t in enumerate(self.net.terminals)}
 
     def _dense(self, blocks: dict[int, np.ndarray], height: int) -> Mat:
         out = np.zeros((height, self.r * self.n_sources), dtype=np.int64)
@@ -134,8 +142,8 @@ class TransferMap:
 
 
 def _compose(
-    mats: tuple[Mat, ...],
-    in_edges: tuple[int, ...],
+    mats: Sequence[Mat],
+    in_edges: Sequence[int],
     edge_blocks: list[dict[int, np.ndarray]],
     p: int,
 ) -> dict[int, np.ndarray]:
@@ -152,7 +160,15 @@ def _compose(
 
 
 def transfer(net: SumNetwork, code: FracLinCode) -> TransferMap:
-    """Compose all local maps in topological order."""
+    """Compose all local maps in topological order.
+
+    A terminal in-edge straight from a source adds dec @ src to the
+    terminal's block for that source.  Those products are computed once
+    per distinct (decoder, source matrix) pair and scattered with one
+    `np.add.at`; every other edge goes through `_compose`.  Each entry of
+    `terminal_maps` sums fewer than 2^32 terms below 2^31 before its one
+    reduction, so int64 cannot overflow.
+    """
     code.check_shapes()
     p = code.field.p
     tm = TransferMap(net, code)
@@ -162,8 +178,32 @@ def transfer(net: SumNetwork, code: FracLinCode) -> TransferMap:
             tm.edge_blocks[ei] = {tm.src_pos[e.tail]: code.src_mats[ei].a}
         else:
             tm.edge_blocks[ei] = _compose(code.in_mats[ei], net.in_edges(e.tail), tm.edge_blocks, p)
-    for t in net.terminals:
-        tm.terminal_blocks[t] = _compose(code.dec_mats[t], net.in_edges(t), tm.edge_blocks, p)
+    pair_index: dict[tuple[bytes, bytes], int] = {}
+    products: list[np.ndarray] = []
+    terms, positions, pairs = [], [], []
+    for ti, t in enumerate(net.terminals):
+        relayed: list[Mat] = []
+        relay_edges: list[int] = []
+        for dec, ei in zip(code.dec_mats[t], net.in_edges(t)):
+            tail = net.edges[ei].tail
+            if net.role(tail) != SOURCE:
+                relayed.append(dec)
+                relay_edges.append(ei)
+                continue
+            src = code.src_mats[ei].a
+            key = (dec.a.tobytes(), src.tobytes())
+            k = pair_index.get(key)
+            if k is None:
+                k = pair_index[key] = len(products)
+                products.append(matmul_mod(dec.a, src, p))
+            terms.append(ti)
+            positions.append(tm.src_pos[tail])
+            pairs.append(k)
+        for pos, blk in _compose(relayed, relay_edges, tm.edge_blocks, p).items():
+            tm.terminal_maps[ti, pos] += blk
+    if products:
+        np.add.at(tm.terminal_maps, (terms, positions), np.stack(products)[pairs])
+    tm.terminal_maps %= p
     return tm
 
 
@@ -175,12 +215,14 @@ class VerifyReport:
     ok: bool
     residuals: dict[str, Mat]  # failing terminals only
     first_failed: Optional[str]
+    residual_ranks: dict[str, int] = dc_field(default_factory=dict)  # failing terminals only
 
     def to_text(self) -> str:
         if self.ok:
             return "PASS: every terminal recovers the sum of all sources\n"
         lines = [f"FAIL: {len(self.residuals)} terminal(s) do not recover the sum"]
         lines.append(f"first failing terminal: {self.first_failed}")
+        lines.append(f"residual rank of {self.first_failed}: {self.residual_ranks[self.first_failed]}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
@@ -188,6 +230,7 @@ class VerifyReport:
             "pass": self.ok,
             "first_failed": self.first_failed,
             "failing_terminals": sorted(self.residuals),
+            "residual_ranks": self.residual_ranks,
         }
 
 
@@ -197,25 +240,20 @@ def verify(net: SumNetwork, code: FracLinCode) -> VerifyReport:
 
 
 def verify_transfer(tm: TransferMap) -> VerifyReport:
-    p = tm.field.p
-    eye = np.eye(tm.r, dtype=np.int64) % p
+    """Compare every terminal map with [I_r | ... | I_r] at once; the
+    residual (map minus target) and its rank are built only for the
+    terminals that fail."""
+    diff = (tm.terminal_maps - np.eye(tm.r, dtype=np.int64)) % tm.field.p
+    terminals = tm.net.terminals
     residuals: dict[str, Mat] = {}
-    first = None
-    for t in tm.net.terminals:
-        blocks = tm.terminal_blocks[t]
-        bad = False
-        res: dict[int, np.ndarray] = {}
-        for pos in range(tm.n_sources):
-            blk = blocks.get(pos)
-            diff = (-eye) % p if blk is None else (blk - eye) % p
-            if diff.any():
-                bad = True
-            res[pos] = diff
-        if bad:
-            residuals[t] = tm._dense(res, tm.r)
-            if first is None:
-                first = t
-    return VerifyReport(not residuals, residuals, first)
+    ranks: dict[str, int] = {}
+    for i in np.flatnonzero(diff.any(axis=(1, 2, 3))):
+        # Block (pos) of the residual occupies columns pos*r .. pos*r + r - 1.
+        res = Mat(tm.field, diff[i].transpose(1, 0, 2).reshape(tm.r, -1))
+        residuals[terminals[i]] = res
+        ranks[terminals[i]] = rank(res)
+    first = next(iter(residuals), None)
+    return VerifyReport(not residuals, residuals, first, ranks)
 
 
 # --- three-layer shape ---------------------------------------------------------
@@ -433,23 +471,28 @@ def scheme_merged(family: str, m: int, q: int, p: int, k: int) -> FracLinCode:
     field = base_code.field
     r, l = 2 * k, m + 1
     code = FracLinCode(merged, r, l, field)
+    widened: dict[tuple[int, int, int], Mat] = {}
+
+    def widen(base_mat: Mat, copy: int, axis: int) -> Mat:
+        """base_mat zero-padded to r along `axis`, onto components 2*copy-1
+        and 2*copy; built once per (base Mat object, copy, axis)."""
+        key = (id(base_mat), copy, axis)
+        out = widened.get(key)
+        if out is None:
+            pad = [(0, 0), (0, 0)]
+            pad[axis] = (2 * copy - 2, r - 2 * copy)
+            out = widened[key] = Mat(field, np.pad(base_mat.a, pad))
+        return out
+
     for me, (copy, be) in enumerate(edge_map):
         e = merged.edges[me]
         if merged.role(e.tail) == SOURCE:
-            a = np.zeros((l, r), dtype=np.int64)
-            a[:, 2 * copy - 2 : 2 * copy] = base_code.src_mats[be].a
-            code.src_mats[me] = Mat(field, a)
+            code.src_mats[me] = widen(base_code.src_mats[be], copy, 1)
         else:
             code.in_mats[me] = base_code.in_mats[be]
     for t in merged.terminals:
-        n_base = len(base.in_edges(t))
-        mats = []
-        for copy in range(1, k + 1):
-            for pos in range(n_base):
-                d = np.zeros((r, l), dtype=np.int64)
-                d[2 * copy - 2 : 2 * copy, :] = base_code.dec_mats[t][pos].a
-                mats.append(Mat(field, d))
-        code.dec_mats[t] = tuple(mats)
+        base_dec = base_code.dec_mats[t]
+        code.dec_mats[t] = tuple(widen(d, copy, 0) for copy in range(1, k + 1) for d in base_dec)
     return code
 
 
@@ -471,28 +514,41 @@ def unroll_merged(merged_code: FracLinCode, k: int, base: Optional[SumNetwork] =
     field = merged_code.field
     r, l = merged_code.r, merged_code.l
     code = FracLinCode(base, r, l * k, field)
+    built: dict[tuple, Mat] = {}
+
+    def combine(make, parts: list[Mat]) -> Mat:
+        """make(arrays of parts) as a Mat, built once per (make, part objects)."""
+        key = (make, *map(id, parts))
+        out = built.get(key)
+        if out is None:
+            out = built[key] = Mat(field, make([m.a for m in parts]))
+        return out
+
     for be, e in enumerate(base.edges):
         imgs = images[be]
         if base.role(e.tail) == SOURCE:
-            a = np.vstack([merged_code.src_mats[me].a for me in imgs])
-            code.src_mats[be] = Mat(field, a)
+            code.src_mats[be] = combine(np.vstack, [merged_code.src_mats[me] for me in imgs])
         else:
             n_in = len(base.in_edges(e.tail))
-            per_pos = []
-            for pos in range(n_in):
-                blk = np.zeros((l * k, l * k), dtype=np.int64)
-                for c, me in enumerate(imgs):
-                    blk[c * l : (c + 1) * l, c * l : (c + 1) * l] = merged_code.in_mats[me][pos].a
-                per_pos.append(Mat(field, blk))
-            code.in_mats[be] = tuple(per_pos)
+            code.in_mats[be] = tuple(
+                combine(_block_diag, [merged_code.in_mats[me][pos] for me in imgs])
+                for pos in range(n_in)
+            )
     for t in base.terminals:
         n_in = len(base.in_edges(t))
-        mats = []
-        for pos in range(n_in):
-            parts = [merged_code.dec_mats[t][(c * n_in) + pos].a for c in range(k)]
-            mats.append(Mat(field, np.hstack(parts)))
-        code.dec_mats[t] = tuple(mats)
+        dec = merged_code.dec_mats[t]
+        code.dec_mats[t] = tuple(
+            combine(np.hstack, [dec[c * n_in + pos] for c in range(k)]) for pos in range(n_in)
+        )
     return code
+
+
+def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
+    n = blocks[0].shape[0]
+    out = np.zeros((n * len(blocks), n * len(blocks)), dtype=np.int64)
+    for c, blk in enumerate(blocks):
+        out[c * n : (c + 1) * n, c * n : (c + 1) * n] = blk
+    return out
 
 
 # --- code files ------------------------------------------------------------------------
@@ -500,13 +556,21 @@ def unroll_merged(merged_code: FracLinCode, k: int, base: Optional[SumNetwork] =
 
 def code_to_json(code: FracLinCode) -> bytes:
     net = code.net
+    lists: dict[int, list[int]] = {}  # id(Mat) -> entries; each Mat object is converted once
+
+    def flat(m: Mat) -> list[int]:
+        out = lists.get(id(m))
+        if out is None:
+            out = lists[id(m)] = m.flat()
+        return out
+
     edge_matrices: dict[str, object] = {}
     for i, e in enumerate(net.edges):
         if net.role(e.tail) == SOURCE:
-            edge_matrices[e.label] = code.src_mats[i].flat()
+            edge_matrices[e.label] = flat(code.src_mats[i])
         else:
-            edge_matrices[e.label] = [m.flat() for m in code.in_mats[i]]
-    terminal_matrices = {t: [m.flat() for m in code.dec_mats[t]] for t in net.terminals}
+            edge_matrices[e.label] = [flat(m) for m in code.in_mats[i]]
+    terminal_matrices = {t: [flat(m) for m in code.dec_mats[t]] for t in net.terminals}
     doc = {
         "version": CODE_FORMAT_VERSION,
         "r": code.r,
@@ -532,6 +596,34 @@ def _as_mat(field: PrimeField, flat, rows: int, cols: int, what: str) -> Mat:
     if a.dtype.kind not in "ib":
         raise CodeFormatError(f"{what}: entries must be integers")
     return Mat(field, a.reshape(rows, cols))
+
+
+class _MatTable:
+    """One read-only Mat per distinct entry list of a code file.
+
+    Equal tuples of JSON values are equal matrices, with one exception:
+    a float equal to an integer (1.0 == 1, with the same hash).  A list
+    that matches a stored one holds only integers, booleans and such
+    floats, and its sum is a float exactly when it holds a float, so
+    that sum rejects it as `_as_mat` would.
+    """
+
+    def __init__(self, field: PrimeField):
+        self.field = field
+        self.mats: dict[tuple, Mat] = {}
+
+    def get(self, flat, rows: int, cols: int, what: str) -> Mat:
+        try:
+            key = (rows, cols, tuple(flat))
+            mat = self.mats.get(key)
+        except TypeError:  # not a list, or a list holding lists or objects
+            return _as_mat(self.field, flat, rows, cols, what)
+        if mat is None:
+            mat = self.mats[key] = _as_mat(self.field, flat, rows, cols, what)
+            mat.a.flags.writeable = False
+        elif isinstance(sum(flat), float):
+            raise CodeFormatError(f"{what}: entries must be integers")
+        return mat
 
 
 def code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
@@ -561,19 +653,21 @@ def code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
         if not isinstance(doc[key], dict):
             raise CodeFormatError(f"field {key!r} must be an object")
     code = FracLinCode(net, r, l, field)
+    table = _MatTable(field)
     edge_matrices = doc["edge_matrices"]
     for i, e in enumerate(net.edges):
-        if e.label not in edge_matrices:
-            raise CodeFormatError(f"edge_matrices missing edge {e.label}")
-        entry = edge_matrices[e.label]
+        label = e.label
+        if label not in edge_matrices:
+            raise CodeFormatError(f"edge_matrices missing edge {label}")
+        entry = edge_matrices[label]
         if net.role(e.tail) == SOURCE:
-            code.src_mats[i] = _as_mat(field, entry, l, r, f"edge {e.label}")
+            code.src_mats[i] = table.get(entry, l, r, f"edge {label}")
         else:
             ins = net.in_edges(e.tail)
             if not isinstance(entry, list) or len(entry) != len(ins):
-                raise CodeFormatError(f"edge {e.label}: expected {len(ins)} matrices")
+                raise CodeFormatError(f"edge {label}: expected {len(ins)} matrices")
             code.in_mats[i] = tuple(
-                _as_mat(field, flat, l, l, f"edge {e.label}[{j}]") for j, flat in enumerate(entry)
+                table.get(flat, l, l, f"edge {label}[{j}]") for j, flat in enumerate(entry)
             )
     for t in net.terminals:
         if t not in doc["terminal_matrices"]:
@@ -583,6 +677,6 @@ def code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
         if not isinstance(entry, list) or len(entry) != len(ins):
             raise CodeFormatError(f"terminal {t}: expected {len(ins)} matrices")
         code.dec_mats[t] = tuple(
-            _as_mat(field, flat, r, l, f"terminal {t}[{j}]") for j, flat in enumerate(entry)
+            table.get(flat, r, l, f"terminal {t}[{j}]") for j, flat in enumerate(entry)
         )
     return code

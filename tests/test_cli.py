@@ -97,6 +97,25 @@ def test_verify_tampered_code_exits_one(built_n1, tmp_path, capsys):
     assert out["first_failed"]
 
 
+@pytest.mark.parametrize("json_out", [True, False])
+def test_verify_reports_residual_rank_of_a_corrupted_decoder(built_n1, tmp_path, capsys, json_out):
+    code = tmp_path / "code.json"
+    run("scheme", "--net", str(built_n1), "--p", "2", "--out", str(code))
+    doc = json.loads(code.read_text())
+    doc["terminal_matrices"]["t_1"][0][0] ^= 1  # one entry of one decoder, over GF(2)
+    code.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["verify", "--net", str(built_n1), "--code", str(code)] + (["--json"] if json_out else [])
+    assert run(*argv) == 1
+    out = capsys.readouterr().out
+    if json_out:
+        report = json.loads(out)
+        assert report["failing_terminals"] == ["t_1"]
+        assert report["residual_ranks"] == {"t_1": 1}
+    else:
+        assert out.endswith("first failing terminal: t_1\nresidual rank of t_1: 1\n")
+
+
 def test_search_exhaustive_on_bottleneck(tmp_path, capsys):
     from sumnets.constructions import build_bottleneck2
     from sumnets.network import serialize

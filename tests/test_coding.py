@@ -276,6 +276,72 @@ def test_code_json_names_the_matrix_of_a_bad_entry(value):
         code_from_json(code.net, json.dumps(doc).encode())
 
 
+@pytest.mark.parametrize("value", [1.0, 0.0, -0.0])
+def test_code_json_rejects_a_float_in_a_later_duplicate_matrix(value):
+    # 1.0 == 1 and hash(1.0) == hash(1): sharing matrices by equal entry
+    # lists must not let a float through once the integer list is known.
+    code = scheme_n1(1, 2, 2)
+    doc = json.loads(code_to_json(code))
+    t = code.net.terminals[-1]
+    j = len(doc["terminal_matrices"][t]) - 1
+    flat = doc["terminal_matrices"][t][j]
+    assert flat in doc["terminal_matrices"][code.net.terminals[0]]  # seen before
+    flat[flat.index(int(value))] = value
+    with pytest.raises(CodeFormatError, match=rf"^terminal {t}\[{j}\]: entries must be integers"):
+        code_from_json(code.net, json.dumps(doc).encode())
+
+
+def test_code_json_accepts_a_boolean_in_a_later_duplicate_matrix():
+    code = scheme_n1(1, 2, 2)
+    doc = json.loads(code_to_json(code))
+    flat = doc["terminal_matrices"][code.net.terminals[-1]][-1]
+    flat[flat.index(1)] = True
+    loaded = code_from_json(code.net, json.dumps(doc).encode())
+    assert loaded.dec_mats == code.dec_mats
+
+
+def test_code_json_shares_one_read_only_matrix_per_distinct_entry_list():
+    code = scheme_merged("n1", 2, 2, 2, 2)  # r = 4, l = 3: sources and decoders both hold 12 entries
+    assert (code.r, code.l) == (4, 3)
+    doc = json.loads(code_to_json(code))
+    first_source = code.net.edges[min(code.src_mats)].label
+    first_terminal = code.net.terminals[0]
+    doc["edge_matrices"][first_source] = doc["terminal_matrices"][first_terminal][0]
+    data = json.dumps(doc).encode()
+    loaded = code_from_json(code.net, data)
+    loaded.check_shapes()
+    assert loaded.src_mats[min(code.src_mats)].shape == (3, 4)
+    assert loaded.dec_mats[first_terminal][0].shape == (4, 3)
+    mats = (
+        list(loaded.src_mats.values())
+        + [m for ms in loaded.in_mats.values() for m in ms]
+        + [m for ms in loaded.dec_mats.values() for m in ms]
+    )
+    assert len({id(m) for m in mats}) == len({(m.shape, m.a.tobytes()) for m in mats}) < len(mats)
+    assert not any(m.a.flags.writeable for m in mats)
+    with pytest.raises(ValueError, match="read-only"):
+        mats[0].a[0, 0] = 1
+    assert code_to_json(loaded) == (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def test_verify_reports_the_residual_rank_of_each_failing_terminal():
+    code = scheme_n1(2, 2, 2)
+    net = code.net
+    passing = verify(net, code)
+    assert passing.residual_ranks == {} and passing.to_json()["residual_ranks"] == {}
+    t1, t2 = net.terminals[:2]
+    # One changed row of one decoder: the residual is that row alone, rank 1.
+    bad = code.dec_mats[t1][0].a.copy()
+    bad[0, 0] ^= 1
+    code.dec_mats[t1] = (Mat(code.field, bad),) + code.dec_mats[t1][1:]
+    # No decoder at all: the terminal outputs 0, the residual is -[I | ... | I], rank r.
+    code.dec_mats[t2] = tuple(Mat.zeros(code.field, code.r, code.l) for _ in code.dec_mats[t2])
+    report = verify(net, code)
+    assert report.residual_ranks == {t1: 1, t2: code.r}
+    assert report.to_json()["residual_ranks"] == {t1: 1, t2: code.r}
+    assert f"first failing terminal: {t1}\nresidual rank of {t1}: 1\n" in report.to_text()
+
+
 def test_code_json_refuses_a_huge_modulus_at_once():
     code = scheme_n1(1, 2, 2)
     doc = json.loads(code_to_json(code))
