@@ -25,7 +25,7 @@ from sumnets.coding import (
 from sumnets.constructions import build_bottleneck2, build_n1, build_n2, k_copy_merge
 from sumnets.galois import PrimeField
 from sumnets.matrix import Mat
-from sumnets.network import SOURCE, TERMINAL, SumNetwork, topo_order
+from sumnets.network import SOURCE, TERMINAL, Edge, Node, SumNetwork, topo_order
 
 PRIMES = [2, 3, 5, 2**31 - 1]
 BASES = {"bottleneck2": build_bottleneck2, "n1(2,2)": lambda: build_n1(2, 2),
@@ -219,8 +219,6 @@ def test_transfer_and_verify_match_the_per_slot_reference(case):
 def test_terminal_maps_do_not_overflow_at_the_modulus_ceiling():
     # 300 parallel direct edges, every product p-1 = 2^31-2 per entry: the
     # unreduced sum is ~6.4e11 per entry, far inside int64.
-    from sumnets.network import Edge, Node
-
     p = 2**31 - 1
     net = SumNetwork([Node("s", SOURCE), Node("t", TERMINAL)],
                      [Edge("s", "t", par) for par in range(300)])
