@@ -20,6 +20,7 @@ second-symbol slot for (x,i), x < i, is 2+(m-i)+x.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
@@ -554,32 +555,54 @@ def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
 # --- code files ------------------------------------------------------------------------
 
 
-def code_to_json(code: FracLinCode) -> bytes:
-    net = code.net
-    lists: dict[int, list[int]] = {}  # id(Mat) -> entries; each Mat object is converted once
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
-    def flat(m: Mat) -> list[int]:
-        out = lists.get(id(m))
+
+def _json_object(items: dict[str, str]) -> str:
+    """A JSON object from already-encoded values, keys sorted as `sort_keys` does."""
+    encode = _ENCODER.encode
+    return "{" + ",".join(f"{encode(k)}:{v}" for k, v in sorted(items.items())) + "}"
+
+
+def code_to_json(code: FracLinCode) -> bytes:
+    """The v1 code file: `json.dumps(doc, sort_keys=True, separators=(",", ":"))`
+    plus a newline, byte for byte, with each Mat object and each in-edge or
+    decoder tuple encoded once."""
+    net = code.net
+    encode = _ENCODER.encode
+    mat_texts: dict[int, str] = {}  # id(Mat) -> its entry list as JSON
+    tuple_texts: dict[int, str] = {}  # id(tuple of Mats) -> its list of entry lists
+
+    def mat_text(m: Mat) -> str:
+        out = mat_texts.get(id(m))
         if out is None:
-            out = lists[id(m)] = m.flat()
+            out = mat_texts[id(m)] = encode(m.flat())
         return out
 
-    edge_matrices: dict[str, object] = {}
+    def tuple_text(mats: Sequence[Mat]) -> str:
+        out = tuple_texts.get(id(mats))
+        if out is None:
+            out = tuple_texts[id(mats)] = "[" + ",".join(map(mat_text, mats)) + "]"
+        return out
+
+    edge_matrices: dict[str, str] = {}
     for i, e in enumerate(net.edges):
         if net.role(e.tail) == SOURCE:
-            edge_matrices[e.label] = flat(code.src_mats[i])
+            edge_matrices[e.label] = mat_text(code.src_mats[i])
         else:
-            edge_matrices[e.label] = [flat(m) for m in code.in_mats[i]]
-    terminal_matrices = {t: [flat(m) for m in code.dec_mats[t]] for t in net.terminals}
-    doc = {
-        "version": CODE_FORMAT_VERSION,
-        "r": code.r,
-        "l": code.l,
-        "p": code.field.p,
-        "edge_matrices": edge_matrices,
-        "terminal_matrices": terminal_matrices,
-    }
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+            edge_matrices[e.label] = tuple_text(code.in_mats[i])
+    terminal_matrices = {t: tuple_text(code.dec_mats[t]) for t in net.terminals}
+    doc = _json_object(
+        {
+            "version": encode(CODE_FORMAT_VERSION),
+            "r": encode(code.r),
+            "l": encode(code.l),
+            "p": encode(code.field.p),
+            "edge_matrices": _json_object(edge_matrices),
+            "terminal_matrices": _json_object(terminal_matrices),
+        }
+    )
+    return (doc + "\n").encode("utf-8")
 
 
 def _as_mat(field: PrimeField, flat, rows: int, cols: int, what: str) -> Mat:
@@ -598,21 +621,84 @@ def _as_mat(field: PrimeField, flat, rows: int, cols: int, what: str) -> Mat:
     return Mat(field, a.reshape(rows, cols))
 
 
+# A JSON string, kept as it is (to the end of the text if unterminated,
+# so that no later quote is taken for an opening one), or an array literal
+# of integers only, however spaced.
+_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|(\[[ \t\n\r0-9,-]*\])', re.DOTALL)
+
+
+def _parse_code_file(text: str) -> tuple[object, list[list[int]]]:
+    """json.loads(text) with every all-integer array replaced by a
+    reference [k], and the value of the k-th distinct array text; each
+    distinct text is decoded once.  A skeleton list that holds exactly one
+    int is a reference, because every all-integer array was replaced.
+    Either part fails to decode only when the text does, so the text's own
+    error is raised."""
+    refs: dict[str, str] = {}
+
+    def ref(m: re.Match) -> str:
+        array = m.group(1)
+        if array is None:
+            return m.group(0)
+        out = refs.get(array)
+        if out is None:
+            out = refs[array] = f"[{len(refs)}]"
+        return out
+
+    try:
+        skeleton = json.loads(_TOKEN.sub(ref, text))
+        return skeleton, [json.loads(array) for array in refs]
+    except json.JSONDecodeError:
+        json.loads(text)
+        raise
+
+
+def _is_ref(x) -> bool:
+    return type(x) is list and len(x) == 1 and type(x[0]) is int
+
+
+def _resolve(x, arrays: list[list[int]]):
+    """A skeleton value with every reference replaced by its array: the
+    value json.loads gives for the original text."""
+    if _is_ref(x):
+        return arrays[x[0]]
+    if type(x) is list:
+        return [_resolve(y, arrays) for y in x]
+    if type(x) is dict:
+        return {k: _resolve(v, arrays) for k, v in x.items()}
+    return x
+
+
 class _MatTable:
     """One read-only Mat per distinct entry list of a code file.
 
-    Equal tuples of JSON values are equal matrices, with one exception:
-    a float equal to an integer (1.0 == 1, with the same hash).  A list
-    that matches a stored one holds only integers, booleans and such
-    floats, and its sum is a float exactly when it holds a float, so
-    that sum rejects it as `_as_mat` would.
+    A reference is looked up once per (array, rows, cols).  Equal tuples
+    of JSON values are equal matrices, with one exception: a float equal
+    to an integer (1.0 == 1, with the same hash).  A list that matches a
+    stored one holds only integers, booleans and such floats, and its sum
+    is a float exactly when it holds a float, so that sum rejects it as
+    `_as_mat` would.
     """
 
-    def __init__(self, field: PrimeField):
+    def __init__(self, field: PrimeField, arrays: list[list[int]]):
         self.field = field
+        self.arrays = arrays
+        self.refs: dict[tuple[int, int, int], Mat] = {}
         self.mats: dict[tuple, Mat] = {}
 
-    def get(self, flat, rows: int, cols: int, what: str) -> Mat:
+    def get(self, flat, rows: int, cols: int, what: str, j: Optional[int] = None) -> Mat:
+        """The matrix for skeleton value `flat`; `what`, or `what[j]`, names it in errors."""
+        if _is_ref(flat):
+            key = (flat[0], rows, cols)
+            mat = self.refs.get(key)
+            if mat is None:
+                mat = self.refs[key] = self._get(self.arrays[flat[0]], rows, cols, what, j)
+            return mat
+        return self._get(_resolve(flat, self.arrays), rows, cols, what, j)
+
+    def _get(self, flat, rows: int, cols: int, what: str, j: Optional[int]) -> Mat:
+        if j is not None:
+            what = f"{what}[{j}]"
         try:
             key = (rows, cols, tuple(flat))
             mat = self.mats.get(key)
@@ -627,8 +713,9 @@ class _MatTable:
 
 
 def code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
+    """Load a v1 code file; equal entry lists share one read-only Mat."""
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc, arrays = _parse_code_file(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CodeFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -636,15 +723,15 @@ def code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
     for key in ("version", "r", "l", "p", "edge_matrices", "terminal_matrices"):
         if key not in doc:
             raise CodeFormatError(f"missing field {key!r}")
-    if doc["version"] != CODE_FORMAT_VERSION:
-        raise CodeFormatError(f"unsupported version {doc['version']}")
-    for key in ("r", "l", "p"):
-        value = doc[key]
+    version = _resolve(doc["version"], arrays)
+    if type(version) is not int or version != CODE_FORMAT_VERSION:
+        raise CodeFormatError(f"unsupported version {version}")
+    r, l, p = (_resolve(doc[key], arrays) for key in ("r", "l", "p"))
+    for key, value in (("r", r), ("l", l), ("p", p)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise CodeFormatError(f"field {key!r} must be an integer, got {value!r}")
         if key != "p" and value < 1:
             raise CodeFormatError(f"field {key!r} must be positive, got {value}")
-    r, l, p = doc["r"], doc["l"], doc["p"]
     try:
         field = PrimeField(p)
     except ValueError as exc:
@@ -653,7 +740,7 @@ def code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
         if not isinstance(doc[key], dict):
             raise CodeFormatError(f"field {key!r} must be an object")
     code = FracLinCode(net, r, l, field)
-    table = _MatTable(field)
+    table = _MatTable(field, arrays)
     edge_matrices = doc["edge_matrices"]
     for i, e in enumerate(net.edges):
         label = e.label
@@ -664,19 +751,22 @@ def code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
             code.src_mats[i] = table.get(entry, l, r, f"edge {label}")
         else:
             ins = net.in_edges(e.tail)
+            if _is_ref(entry):
+                entry = arrays[entry[0]]
             if not isinstance(entry, list) or len(entry) != len(ins):
                 raise CodeFormatError(f"edge {label}: expected {len(ins)} matrices")
-            code.in_mats[i] = tuple(
-                table.get(flat, l, l, f"edge {label}[{j}]") for j, flat in enumerate(entry)
-            )
+            what = f"edge {label}"
+            code.in_mats[i] = tuple(table.get(flat, l, l, what, j) for j, flat in enumerate(entry))
+    terminal_matrices = doc["terminal_matrices"]
     for t in net.terminals:
-        if t not in doc["terminal_matrices"]:
+        if t not in terminal_matrices:
             raise CodeFormatError(f"terminal_matrices missing terminal {t}")
-        entry = doc["terminal_matrices"][t]
+        entry = terminal_matrices[t]
         ins = net.in_edges(t)
+        if _is_ref(entry):
+            entry = arrays[entry[0]]
         if not isinstance(entry, list) or len(entry) != len(ins):
             raise CodeFormatError(f"terminal {t}: expected {len(ins)} matrices")
-        code.dec_mats[t] = tuple(
-            table.get(flat, r, l, f"terminal {t}[{j}]") for j, flat in enumerate(entry)
-        )
+        what = f"terminal {t}"
+        code.dec_mats[t] = tuple(table.get(flat, r, l, what, j) for j, flat in enumerate(entry))
     return code

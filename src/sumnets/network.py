@@ -228,7 +228,7 @@ def _expect(doc: dict, key: str, kind) -> object:
     if key not in doc:
         raise NetworkFormatError(f"missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise NetworkFormatError(f"field {key!r} has wrong type")
     return value
 
@@ -266,7 +266,7 @@ def deserialize(data: bytes) -> SumNetwork:
             raise NetworkFormatError(f"edges[{i}].tail: unknown node {tail!r}")
         if head not in labels:
             raise NetworkFormatError(f"edges[{i}].head: unknown node {head!r}")
-        if not isinstance(par, int):
+        if type(par) is not int:
             raise NetworkFormatError(f"edges[{i}].par must be an integer")
         edges.append(Edge(tail, head, par))
     in_order_raw = _expect(doc, "in_order", dict)
@@ -275,7 +275,7 @@ def deserialize(data: bytes) -> SumNetwork:
         if label not in labels:
             raise NetworkFormatError(f"in_order[{label!r}]: unknown node")
         if not isinstance(order, list) or not all(
-            isinstance(i, int) and 0 <= i < len(edges) for i in order
+            type(i) is int and 0 <= i < len(edges) for i in order
         ):
             raise NetworkFormatError(f"in_order[{label!r}] must list edge indices")
         in_order[label] = order

@@ -372,3 +372,33 @@ def test_bounds_on_relabelled_network_is_usage_error(tmp_path, capsys, old, new,
     capsys.readouterr()
     assert run("bounds", "--net", str(net), "--code", str(code), "--mode", "n2-redundancy") == 2
     _one_line_error(capsys, name)
+
+
+def _in_order_index_as_true(doc):
+    order = next(order for order in doc["in_order"].values() if 1 in order)
+    order[order.index(1)] = True
+
+
+@pytest.mark.parametrize(
+    "file, mutate, name",
+    [
+        ("net", lambda d: d.update(version=True), "'version'"),
+        ("net", lambda d: d["edges"][0].update(par=True), "edges[0].par"),
+        ("net", lambda d: d["edges"][0].update(par=False), "edges[0].par"),
+        ("net", _in_order_index_as_true, "in_order["),
+        ("code", lambda d: d.update(version=True), "version"),
+        ("code", lambda d: d.update(version=1.0), "version"),
+    ],
+    ids=["net-version-true", "net-par-true", "net-par-false", "net-in_order-true",
+         "code-version-true", "code-version-1.0"],
+)
+def test_verify_boolean_or_float_for_an_integer_is_usage_error(tmp_path, capsys, file, mutate, name):
+    paths = {"net": tmp_path / "n1.json", "code": tmp_path / "code.json"}
+    assert run("build", "--family", "n1", "--m", "1", "--q", "2", "--out", str(paths["net"])) == 0
+    assert run("scheme", "--net", str(paths["net"]), "--p", "2", "--out", str(paths["code"])) == 0
+    doc = json.loads(paths[file].read_text())
+    mutate(doc)
+    paths[file].write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", "--net", str(paths["net"]), "--code", str(paths["code"])) == 2
+    _one_line_error(capsys, name)

@@ -1,0 +1,413 @@
+"""The v1 code file codec against the plain json.dumps / json.loads codec
+it replaced.
+
+`reference_to_json`, `reference_from_json` and `_ReferenceMatTable` below
+are the previous bodies of `coding.code_to_json`, `coding.code_from_json`
+and `coding._MatTable`, kept verbatim.  The codec in `coding` encodes and
+parses each distinct entry list once; it must write the same bytes, and
+load the same entries (sharing matrices the same way) or refuse with the
+same exception type and message.  The one intended difference: a
+`version` of `true` or `1.0`, which the reference accepts, is refused.
+"""
+
+import json
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given
+
+from sumnets.analysis import routing_code
+from sumnets.coding import (
+    CODE_FORMAT_VERSION,
+    CodeFormatError,
+    FracLinCode,
+    _as_mat,
+    code_from_json,
+    code_to_json,
+    scheme_merged,
+    verify,
+)
+from sumnets.constructions import build_bottleneck2, k_copy_merge
+from sumnets.galois import PrimeField
+from sumnets.matrix import Mat
+from sumnets.network import SOURCE, Edge, Node, SumNetwork
+
+from test_fuzz import CODE, CODE_DOC, FUZZ, NET, _mutants
+from test_golden import BUILDERS, CODES, MERGED_ROUTING, ROUTING_CODES, SCHEMES
+
+# --- the reference codec ------------------------------------------------------------
+
+
+def reference_to_json(code: FracLinCode) -> bytes:
+    net = code.net
+    lists: dict[int, list[int]] = {}  # id(Mat) -> entries; each Mat object is converted once
+
+    def flat(m: Mat) -> list[int]:
+        out = lists.get(id(m))
+        if out is None:
+            out = lists[id(m)] = m.flat()
+        return out
+
+    edge_matrices: dict[str, object] = {}
+    for i, e in enumerate(net.edges):
+        if net.role(e.tail) == SOURCE:
+            edge_matrices[e.label] = flat(code.src_mats[i])
+        else:
+            edge_matrices[e.label] = [flat(m) for m in code.in_mats[i]]
+    terminal_matrices = {t: [flat(m) for m in code.dec_mats[t]] for t in net.terminals}
+    doc = {
+        "version": CODE_FORMAT_VERSION,
+        "r": code.r,
+        "l": code.l,
+        "p": code.field.p,
+        "edge_matrices": edge_matrices,
+        "terminal_matrices": terminal_matrices,
+    }
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+class _ReferenceMatTable:
+    """One read-only Mat per distinct entry list of a code file.
+
+    Equal tuples of JSON values are equal matrices, with one exception:
+    a float equal to an integer (1.0 == 1, with the same hash).  A list
+    that matches a stored one holds only integers, booleans and such
+    floats, and its sum is a float exactly when it holds a float, so
+    that sum rejects it as `_as_mat` would.
+    """
+
+    def __init__(self, field: PrimeField):
+        self.field = field
+        self.mats: dict[tuple, Mat] = {}
+
+    def get(self, flat, rows: int, cols: int, what: str) -> Mat:
+        try:
+            key = (rows, cols, tuple(flat))
+            mat = self.mats.get(key)
+        except TypeError:  # not a list, or a list holding lists or objects
+            return _as_mat(self.field, flat, rows, cols, what)
+        if mat is None:
+            mat = self.mats[key] = _as_mat(self.field, flat, rows, cols, what)
+            mat.a.flags.writeable = False
+        elif isinstance(sum(flat), float):
+            raise CodeFormatError(f"{what}: entries must be integers")
+        return mat
+
+
+def reference_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CodeFormatError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CodeFormatError("top level must be an object")
+    for key in ("version", "r", "l", "p", "edge_matrices", "terminal_matrices"):
+        if key not in doc:
+            raise CodeFormatError(f"missing field {key!r}")
+    if doc["version"] != CODE_FORMAT_VERSION:
+        raise CodeFormatError(f"unsupported version {doc['version']}")
+    for key in ("r", "l", "p"):
+        value = doc[key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise CodeFormatError(f"field {key!r} must be an integer, got {value!r}")
+        if key != "p" and value < 1:
+            raise CodeFormatError(f"field {key!r} must be positive, got {value}")
+    r, l, p = doc["r"], doc["l"], doc["p"]
+    try:
+        field = PrimeField(p)
+    except ValueError as exc:
+        raise CodeFormatError(f"field 'p': {exc}") from exc
+    for key in ("edge_matrices", "terminal_matrices"):
+        if not isinstance(doc[key], dict):
+            raise CodeFormatError(f"field {key!r} must be an object")
+    code = FracLinCode(net, r, l, field)
+    table = _ReferenceMatTable(field)
+    edge_matrices = doc["edge_matrices"]
+    for i, e in enumerate(net.edges):
+        label = e.label
+        if label not in edge_matrices:
+            raise CodeFormatError(f"edge_matrices missing edge {label}")
+        entry = edge_matrices[label]
+        if net.role(e.tail) == SOURCE:
+            code.src_mats[i] = table.get(entry, l, r, f"edge {label}")
+        else:
+            ins = net.in_edges(e.tail)
+            if not isinstance(entry, list) or len(entry) != len(ins):
+                raise CodeFormatError(f"edge {label}: expected {len(ins)} matrices")
+            code.in_mats[i] = tuple(
+                table.get(flat, l, l, f"edge {label}[{j}]") for j, flat in enumerate(entry)
+            )
+    for t in net.terminals:
+        if t not in doc["terminal_matrices"]:
+            raise CodeFormatError(f"terminal_matrices missing terminal {t}")
+        entry = doc["terminal_matrices"][t]
+        ins = net.in_edges(t)
+        if not isinstance(entry, list) or len(entry) != len(ins):
+            raise CodeFormatError(f"terminal {t}: expected {len(ins)} matrices")
+        code.dec_mats[t] = tuple(
+            table.get(flat, r, l, f"terminal {t}[{j}]") for j, flat in enumerate(entry)
+        )
+    return code
+
+
+# --- comparing the two ----------------------------------------------------------------
+
+
+def _slots(code: FracLinCode) -> list[Mat]:
+    return (
+        [code.src_mats[i] for i in sorted(code.src_mats)]
+        + [m for i in sorted(code.in_mats) for m in code.in_mats[i]]
+        + [m for t in sorted(code.dec_mats) for m in code.dec_mats[t]]
+    )
+
+
+def _outcome(reader, net: SumNetwork, data: bytes):
+    """What reading gives: the exception, or the entries, the sharing of
+    Mat objects between slots and their write flags."""
+    try:
+        code = reader(net, data)
+    except Exception as exc:  # compared by type and message
+        return ("refused", type(exc), str(exc))
+    slots = _slots(code)
+    first: dict[int, int] = {}
+    sharing = [first.setdefault(id(m), k) for k, m in enumerate(slots)]
+    entries = [(m.shape, m.a.dtype.str, m.a.tobytes()) for m in slots]
+    writeable = [m.a.flags.writeable for m in slots]
+    return ("loaded", code.r, code.l, code.field.p, entries, sharing, writeable)
+
+
+def _version_is_loose(data: bytes) -> bool:
+    doc = json.loads(data)
+    return isinstance(doc, dict) and type(doc["version"]) is not int
+
+
+def assert_reads_as_reference(net: SumNetwork, data: bytes):
+    want = _outcome(reference_from_json, net, data)
+    got = _outcome(code_from_json, net, data)
+    if want[0] == "loaded" and _version_is_loose(data):
+        assert got[:2] == ("refused", CodeFormatError)
+        assert got[2].startswith("unsupported version ")
+    else:
+        assert got == want
+    return got
+
+
+def _check_code(code: FracLinCode) -> bytes:
+    data = code_to_json(code)
+    assert data == reference_to_json(code)
+    loaded = assert_reads_as_reference(code.net, data)
+    assert loaded[0] == "loaded"
+    spaced = json.dumps(json.loads(data), indent=1).encode()
+    assert _outcome(code_from_json, code.net, spaced) == loaded
+    return data
+
+
+# --- pinned codes ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", sorted(CODES))
+def test_scheme_files_match_the_reference(key):
+    family, m, q, p = key
+    _check_code(SCHEMES[family](m, q, p))
+
+
+def test_merged_scheme_file_matches_the_reference():
+    _check_code(scheme_merged("n1", 2, 2, 2, 2))
+
+
+@pytest.mark.parametrize("key", sorted(ROUTING_CODES))
+def test_routing_files_match_the_reference(key):
+    net = build_bottleneck2() if key[0] == "bottleneck2" else BUILDERS[key[0]](key[1], key[2])
+    _check_code(routing_code(net, key[-1]))
+
+
+@pytest.mark.parametrize("key", sorted(MERGED_ROUTING))
+def test_merged_routing_files_match_the_reference(key):
+    family, m, q, k, p = key
+    _check_code(routing_code(k_copy_merge(BUILDERS[family](m, q), k), p))
+
+
+# --- fuzzed documents -----------------------------------------------------------------------
+
+
+@FUZZ
+@given(_mutants(CODE_DOC))
+def test_fuzzed_code_documents_read_as_the_reference_reads_them(data):
+    assert_reads_as_reference(NET, data)
+    compact = json.dumps(json.loads(data), separators=(",", ":")).encode()
+    assert_reads_as_reference(NET, compact)
+
+
+# --- hand-written documents -------------------------------------------------------------------
+
+SOURCE_EDGE = "(s_1,u_1_1,0)"
+RAW = "@raw@"
+
+
+def _raw(path, text: str, doc=CODE_DOC) -> bytes:
+    """The compact file of doc with the value at path written as the raw text."""
+    out = json.loads(json.dumps(doc))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = RAW
+    compact = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    assert compact.count(f'"{RAW}"') == 1
+    return compact.replace(f'"{RAW}"', text).encode()
+
+
+def _in_edge():
+    return next(e.label for e in NET.edges if NET.role(e.tail) != SOURCE)
+
+
+ENTRY_TEXTS = [
+    "[ 5 ]", "[]", "[ ]", "[true]", "[1.0]", "[01]", "[1,,2]", "[-]", "[-0,0,0,1]",
+    "[1,0,0,1,]", "[1 0 0 1]", "[1e0,0,0,1]", "[ 1 ,\n0,\t0 ,\r1 ]", "[[1,0,0,1]]",
+    "[9223372036854775807,0,0,1]", "[9223372036854775808,0,0,1]",
+    "[-9223372036854775808,0,0,1]", "[-9223372036854775809,0,0,1]",
+    "[1,0,0,100000000000000000000]", '"[1,0,0,1]"', "null", "{}", "5",
+]
+
+
+@pytest.mark.parametrize("text", ENTRY_TEXTS)
+@pytest.mark.parametrize("where", ["source", "in-edge slot", "in-edge list", "decoder slot"])
+def test_hand_written_entries_read_as_the_reference_reads_them(text, where):
+    t = NET.terminals[-1]
+    path = {
+        "source": ("edge_matrices", SOURCE_EDGE),
+        "in-edge slot": ("edge_matrices", _in_edge(), 0),
+        "in-edge list": ("edge_matrices", _in_edge()),
+        "decoder slot": ("terminal_matrices", t, 1),
+    }[where]
+    assert_reads_as_reference(NET, _raw(path, text))
+
+
+def test_a_spaced_copy_of_a_matrix_shares_the_compact_one():
+    doc = CODE_DOC
+    flat = doc["edge_matrices"][SOURCE_EDGE]
+    other = next(
+        e.label
+        for e in NET.edges
+        if NET.role(e.tail) == SOURCE and e.label != SOURCE_EDGE
+        and doc["edge_matrices"][e.label] == flat
+    )
+    spaced = "[ " + " ,\n ".join(map(str, flat)) + " ]"
+    data = _raw(("edge_matrices", other), spaced)
+    assert_reads_as_reference(NET, data)
+    code = code_from_json(NET, data)
+    by_label = {e.label: i for i, e in enumerate(NET.edges)}
+    a, b = code.src_mats[by_label[SOURCE_EDGE]], code.src_mats[by_label[other]]
+    assert a is b and not a.a.flags.writeable
+
+
+@pytest.mark.parametrize("key", ["version", "r", "l", "p"])
+@pytest.mark.parametrize("text", ["[5]", "[ 2 ]", "[true]", "[]", "[1,2]", '"[2]"', "2.0"])
+def test_an_echoed_field_shows_its_own_value(key, text):
+    data = _raw((key,), text)
+    got = assert_reads_as_reference(NET, data)
+    assert got[0] == "refused"
+    shown = json.loads(text)
+    if key == "version":
+        assert got[2] == f"unsupported version {shown}"
+    else:
+        assert got[2].endswith(f"got {shown!r}")
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_a_version_that_is_not_an_integer_is_refused(value):
+    data = _raw(("version",), json.dumps(value))
+    assert _outcome(reference_from_json, NET, data)[0] == "loaded"
+    with pytest.raises(CodeFormatError, match=f"^unsupported version {value}$"):
+        code_from_json(NET, data)
+
+
+COMPACT = code_to_json(CODE)
+LAST_KEY = b'"version":1}'
+KEY = f'"{SOURCE_EDGE}":'.encode()
+
+FILES = {
+    "indent-1": json.dumps(CODE_DOC, indent=1).encode(),
+    "indent-tab": json.dumps(CODE_DOC, indent="\t").encode(),
+    "unsorted": json.dumps(dict(reversed(list(CODE_DOC.items())))).encode(),
+    "duplicate r": COMPACT.replace(b'{"edge_matrices"', b'{"r":7,"edge_matrices"'),
+    "duplicate r, bad last": COMPACT.replace(LAST_KEY, b'"version":1,"r":[5]}'),
+    "duplicate entry": COMPACT.replace(KEY, KEY + b"[1,2]," + KEY, 1),
+    "duplicate section, bad last": COMPACT.replace(
+        LAST_KEY, b'"version":1,"edge_matrices":{"x":[1]}}'
+    ),
+    "string with brackets": COMPACT.replace(LAST_KEY, b'"version":1,"note":"[1,2] [ 3 ] [] x"}'),
+    "string with escapes": COMPACT.replace(
+        LAST_KEY, b'"version":1,"note":"\\"[1,2]\\" \\\\ \\u00fc [4]"}'
+    ),
+    "non-ASCII string": COMPACT.replace(LAST_KEY, '"version":1,"nöte":"ü [1,2] ✓"}'.encode()),
+    "key with brackets": COMPACT.replace(b'{"edge_matrices":{', b'{"edge_matrices":{"[1,2]":[3],'),
+    "invalid UTF-8": COMPACT.replace(LAST_KEY, b'"version":1,"note":"\xff"}'),
+    "invalid UTF-8 outside strings": b"{\xff}",
+    "BOM": "﻿".encode() + COMPACT,
+    "truncated half": COMPACT[: len(COMPACT) // 2],
+    "truncated end": COMPACT[:-3],
+    "truncated in a list": COMPACT[: COMPACT.index(b"[") + 3],
+    "empty": b"",
+    "whitespace": b" \n",
+    "unterminated string": COMPACT.replace(LAST_KEY, b'"version":1,"note":"[1,2] \\" [3]}'),
+    "unterminated at the end": COMPACT.rstrip().replace(
+        LAST_KEY, b'"version":1,"note":"[1,2] \\" [3]}'
+    ),
+    "bad escape": COMPACT.replace(LAST_KEY, b'"version":1,"note":"\\x[1,2]"}'),
+    "escaped newline": COMPACT.replace(LAST_KEY, b'"version":1,"note":"\\\n[1,2]"}'),
+    "control character": COMPACT.replace(LAST_KEY, b'"version":1,"note":"\t[1,2]"}'),
+    "trailing data": COMPACT + b"[1,2]",
+    "two documents": COMPACT + COMPACT,
+    "top-level list": b"[1,2]",
+    "top-level empty list": b"[]",
+    "top-level reference-like": b"[0]",
+    "top-level number": b"5",
+    "top-level string": b'"[1,2]"',
+    "NaN entry": COMPACT.replace(b"[1,0,0,1]", b"[NaN,0,0,1]", 1),
+    "missing comma": COMPACT.replace(b"[1,0,0,1]", b"[1,0,0,1][1]", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILES))
+def test_hand_written_files_read_as_the_reference_reads_them(name):
+    assert_reads_as_reference(NET, FILES[name])
+
+
+def test_an_unterminated_string_of_escaped_quotes_is_refused_at_once():
+    # Each escaped quote could open a string if the scan lost its place;
+    # rescanning from every one would take quadratic time.
+    data = b'{"note":"' + b'\\"[1]' * 200_000
+    started = time.perf_counter()
+    with pytest.raises(CodeFormatError, match="^not valid JSON: Unterminated string"):
+        code_from_json(NET, data)
+    assert time.perf_counter() - started < 2
+
+
+def test_the_hand_written_files_change_what_they_claim_to():
+    for name, data in FILES.items():
+        assert data != COMPACT, name
+
+
+def test_labels_with_brackets_quotes_and_non_ascii_round_trip():
+    field = PrimeField(3)
+    nodes = [
+        Node("s[1,2]", "source"),
+        Node('s"2\\', "source"),
+        Node("v [3] ü", "intermediate"),
+        Node('t"[1,2]"✓', "terminal"),
+    ]
+    names = [n.label for n in nodes]
+    edges = [Edge(names[0], names[2]), Edge(names[1], names[2]), Edge(names[2], names[3])]
+    net = SumNetwork(nodes, edges)
+    one = Mat(field, np.ones((1, 1), dtype=np.int64))
+    code = FracLinCode(net, 1, 1, field)
+    code.src_mats = {0: one, 1: one}
+    code.in_mats = {2: (one, one)}
+    code.dec_mats = {names[3]: (one,)}
+    assert verify(net, code).ok
+    data = _check_code(code)
+    assert b"[1,2]" in data and b"\\u00fc" in data
+    loaded = code_from_json(net, data)
+    assert verify(net, loaded).ok
+    assert loaded.src_mats[0] is loaded.src_mats[1] is loaded.in_mats[2][0]

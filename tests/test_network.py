@@ -150,3 +150,21 @@ def test_dot_of_empty_network():
     dot = to_dot(SumNetwork([], []))
     assert dot.startswith("digraph")
     assert dot.rstrip().endswith("}")
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        (b'"version":1', b'"version":true', "field 'version'"),
+        (b'{"head":"u","par":0,"tail":"s"}', b'{"head":"u","par":false,"tail":"s"}', "edges[0].par"),
+        (b'{"head":"t","par":0,"tail":"u"}', b'{"head":"t","par":true,"tail":"u"}', "edges[1].par"),
+        (b'"u":[0]', b'"u":[false]', "in_order['u']"),
+        (b'"t":[1]', b'"t":[true]', "in_order['t']"),
+    ],
+)
+def test_deserialize_refuses_a_boolean_where_an_integer_belongs(old, new, field):
+    data = serialize(tiny_path())
+    assert old in data
+    with pytest.raises(NetworkFormatError) as err:
+        deserialize(data.replace(old, new))
+    assert str(err.value).startswith(field)
