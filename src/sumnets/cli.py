@@ -59,6 +59,10 @@ def _read_manifest(net_path: Path) -> dict:
         meta = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"manifest {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(
+            f"manifest {path} is not valid JSON: it nests deeper than the recursion limit"
+        ) from None
     if not isinstance(meta, dict):
         raise ValueError(f"manifest {path} must be a JSON object")
     for key in ("family", "m", "q", "k"):

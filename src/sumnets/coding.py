@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -106,10 +107,13 @@ class FracLinCode:
 class TransferMap:
     """Edge and terminal maps from the global source vector.
 
-    Edges are stored block-sparse: per edge a dict {source position ->
-    l x r array} (most edges see only a handful of sources).  Terminals
-    are one (n_terminals, n_sources, r, r) array, `terminal_maps`, in
-    `net.terminals` order.  Dense views are materialized on demand.
+    Terminals are one (n_terminals, n_sources, r, r) array,
+    `terminal_maps`, in `net.terminals` order.  An edge leaving a source
+    carries its source matrix, read from the code.  Every other edge
+    carries, in `messages`, (source positions, one l x (n*r) array) whose
+    j-th l x r block is the map from source positions[j].  `edge_blocks`
+    ({source position -> l x r block} per edge) is built on first access;
+    dense views are materialized on demand.
     """
 
     def __init__(self, net: SumNetwork, code: FracLinCode):
@@ -118,92 +122,175 @@ class TransferMap:
         self.l = code.l
         self.field = code.field
         self.src_pos = {s: i for i, s in enumerate(net.source_order)}
-        self.edge_blocks: list[dict[int, np.ndarray]] = [dict() for _ in net.edges]
+        self._src_mats = code.src_mats
+        self.messages: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.terminal_maps = np.zeros(
             (len(net.terminals), self.n_sources, self.r, self.r), dtype=np.int64
         )
+        self._edge_blocks: Optional[list[dict[int, np.ndarray]]] = None
 
     @property
     def n_sources(self) -> int:
         return len(self.src_pos)
+
+    def message(self, edge_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """(source positions, l x (n*r) array) carried by the edge."""
+        pos = self.net.layout().src_pos[edge_index]
+        if pos >= 0:
+            return np.array([pos]), self._src_mats[edge_index].a
+        return self.messages[edge_index]
+
+    @property
+    def edge_blocks(self) -> list[dict[int, np.ndarray]]:
+        """Per edge, {source position -> l x r block}."""
+        if self._edge_blocks is None:
+            r = self.r
+            self._edge_blocks = [
+                {q: msg[:, j * r : (j + 1) * r] for j, q in enumerate(pos.tolist())}
+                for pos, msg in map(self.message, range(len(self.net.edges)))
+            ]
+        return self._edge_blocks
 
     @property
     def terminal_blocks(self) -> dict[str, dict[int, np.ndarray]]:
         """Per terminal, {source position -> r x r block}, as views of `terminal_maps`."""
         return {t: dict(enumerate(self.terminal_maps[i])) for i, t in enumerate(self.net.terminals)}
 
-    def _dense(self, blocks: dict[int, np.ndarray], height: int) -> Mat:
-        out = np.zeros((height, self.r * self.n_sources), dtype=np.int64)
-        for pos, blk in blocks.items():
-            out[:, pos * self.r : (pos + 1) * self.r] = blk
-        return Mat(self.field, out)
-
     def edge_matrix(self, edge_index: int) -> Mat:
-        return self._dense(self.edge_blocks[edge_index], self.l)
+        pos, msg = self.message(edge_index)
+        out = np.zeros((self.l, self.n_sources, self.r), dtype=np.int64)
+        out[:, pos] = msg.reshape(self.l, -1, self.r)
+        return Mat(self.field, out.reshape(self.l, -1))
 
 
-def _compose(
-    mats: Sequence[Mat],
-    in_edges: Sequence[int],
-    edge_blocks: list[dict[int, np.ndarray]],
-    p: int,
-) -> dict[int, np.ndarray]:
-    """Blocks of sum_i mats[i] @ (message on in_edges[i]), by source position."""
-    acc: dict[int, np.ndarray] = {}
-    for m, in_ei in zip(mats, in_edges):
-        if not m.a.any():
-            continue
-        for pos, blk in edge_blocks[in_ei].items():
-            prod = matmul_mod(m.a, blk, p)
-            prev = acc.get(pos)
-            acc[pos] = prod if prev is None else (prev + prod) % p
-    return acc
+def _ids(objects: list) -> np.ndarray:
+    return np.fromiter(map(id, objects), dtype=np.uint64, count=len(objects))
+
+
+def _shapes_ok(objects: list, ids: np.ndarray, shape: tuple[int, int]) -> bool:
+    """Every object is present and of `shape`; each distinct object is looked at once."""
+    if (ids == id(None)).any():
+        return False
+    _, first = np.unique(ids, return_index=True)
+    return all(objects[i].shape == shape for i in first.tolist())
+
+
+def _flat_slots(tuples: list, degrees) -> Optional[list]:
+    """The tuples' items in order, or None if a tuple is missing or of the wrong length."""
+    if any(t is None for t in tuples) or not np.array_equal(list(map(len, tuples)), degrees):
+        return None
+    return list(chain.from_iterable(tuples))
+
+
+def _checked_slots(net: SumNetwork, code: FracLinCode):
+    """(ids of the source matrices per source edge, decoders per terminal
+    slot, their ids), with every shape checked.  On a missing or misshaped
+    entry, `check_shapes` raises, naming the first bad entry."""
+    lay = net.layout()
+    r, l = code.r, code.l
+    srcs = list(map(code.src_mats.get, lay.source_edges.tolist()))
+    relayed = lay.relayed_edges.tolist()
+    ins = _flat_slots(
+        [code.in_mats.get(ei) for ei in relayed],
+        [len(net.in_edges(net.edges[ei].tail)) for ei in relayed],
+    )
+    decs = _flat_slots([code.dec_mats.get(t) for t in net.terminals], np.diff(lay.term_ptr))
+    src_ids = _ids(srcs)
+    dec_ids = _ids(decs or [])
+    if not (
+        ins is not None
+        and decs is not None
+        and _shapes_ok(srcs, src_ids, (l, r))
+        and _shapes_ok(ins, _ids(ins), (l, l))
+        and _shapes_ok(decs, dec_ids, (r, l))
+    ):
+        code.check_shapes()  # it checks the same conditions entry by entry, so it raises
+    return src_ids, decs, dec_ids
+
+
+def _scatter_sum(parts: list[tuple[np.ndarray, np.ndarray]], rows: int, r: int, p: int):
+    """The sum of messages (source positions, rows x (n*r) array), reduced mod p."""
+    if not parts:
+        return np.zeros(0, dtype=np.intp), np.zeros((rows, 0), dtype=np.int64)
+    if len(parts) == 1:
+        return parts[0]
+    # Asking for the inverse also keeps np.unique from importing numpy.ma.
+    pos, where = np.unique(np.concatenate([q for q, _ in parts]), return_inverse=True)
+    acc = np.zeros((rows, pos.size, r), dtype=np.int64)
+    start = 0
+    for q, a in parts:
+        acc[:, where[start : start + q.size]] += a.reshape(rows, -1, r)
+        start += q.size
+    acc %= p
+    return pos, acc.reshape(rows, -1)
 
 
 def transfer(net: SumNetwork, code: FracLinCode) -> TransferMap:
     """Compose all local maps in topological order.
 
-    A terminal in-edge straight from a source adds dec @ src to the
-    terminal's block for that source.  Those products are computed once
-    per distinct (decoder, source matrix) pair and scattered with one
-    `np.add.at`; every other edge goes through `_compose`.  Each entry of
+    Every edge not leaving a source gets one product per nonzero in-edge
+    matrix, taken with the whole stacked message of that in-edge; so does
+    every terminal in-edge from such an edge.  A terminal in-edge straight
+    from a source adds dec @ src to the terminal's block for that source;
+    those products are computed once per distinct (decoder, source
+    matrix) pair and scattered with one `np.add.at` each.  Each entry of
     `terminal_maps` sums fewer than 2^32 terms below 2^31 before its one
     reduction, so int64 cannot overflow.
     """
-    code.check_shapes()
-    p = code.field.p
+    src_ids, decs, dec_ids = _checked_slots(net, code)
+    lay = net.layout()
+    r, l, p = code.r, code.l, code.field.p
     tm = TransferMap(net, code)
-    for ei in topo_order(net):
-        e = net.edges[ei]
-        if net.role(e.tail) == SOURCE:
-            tm.edge_blocks[ei] = {tm.src_pos[e.tail]: code.src_mats[ei].a}
-        else:
-            tm.edge_blocks[ei] = _compose(code.in_mats[ei], net.in_edges(e.tail), tm.edge_blocks, p)
-    pair_index: dict[tuple[bytes, bytes], int] = {}
-    products: list[np.ndarray] = []
-    terms, positions, pairs = [], [], []
-    for ti, t in enumerate(net.terminals):
-        relayed: list[Mat] = []
-        relay_edges: list[int] = []
-        for dec, ei in zip(code.dec_mats[t], net.in_edges(t)):
-            tail = net.edges[ei].tail
-            if net.role(tail) != SOURCE:
-                relayed.append(dec)
-                relay_edges.append(ei)
-                continue
-            src = code.src_mats[ei].a
-            key = (dec.a.tobytes(), src.tobytes())
-            k = pair_index.get(key)
-            if k is None:
-                k = pair_index[key] = len(products)
-                products.append(matmul_mod(dec.a, src, p))
-            terms.append(ti)
-            positions.append(tm.src_pos[tail])
-            pairs.append(k)
-        for pos, blk in _compose(relayed, relay_edges, tm.edge_blocks, p).items():
-            tm.terminal_maps[ti, pos] += blk
-    if products:
-        np.add.at(tm.terminal_maps, (terms, positions), np.stack(products)[pairs])
+
+    order = np.array(topo_order(net), dtype=np.intp)
+    for ei in order[lay.src_pos[order] < 0].tolist():
+        parts = []
+        for m, in_ei in zip(code.in_mats[ei], net.in_edges(net.edges[ei].tail)):
+            if m.a.any():
+                pos, msg = tm.message(in_ei)
+                if pos.size:
+                    parts.append((pos, matmul_mod(m.a, msg, p)))
+        tm.messages[ei] = _scatter_sum(parts, l, r, p)
+
+    slots = lay.relayed_slots
+    tap_edges, tap_terms = lay.term_edges[slots].tolist(), lay.slot_term[slots].tolist()
+    for s, ei, ti in zip(slots.tolist(), tap_edges, tap_terms):
+        dec = decs[s].a
+        if dec.any():
+            pos, msg = tm.message(ei)
+            if pos.size:
+                prod = matmul_mod(dec, msg, p).reshape(r, -1, r)
+                tm.terminal_maps[ti, pos] += prod.transpose(1, 0, 2)
+
+    direct = lay.direct_slots
+    if direct.size:
+        edges = lay.term_edges[direct]
+        src_id_of = np.zeros(len(net.edges), dtype=np.uint64)
+        src_id_of[lay.source_edges] = src_ids
+        _, dec_key = np.unique(dec_ids[direct], return_inverse=True)
+        src_keys, src_key = np.unique(src_id_of[edges], return_inverse=True)
+        _, first, pair = np.unique(
+            dec_key * len(src_keys) + src_key, return_index=True, return_inverse=True
+        )
+        # Distinct object pairs, then distinct by bytes: one product each.
+        index: dict[tuple[bytes, bytes], int] = {}
+        products: list[np.ndarray] = []
+        which = np.empty(len(first), dtype=np.intp)
+        for k, (s, ei) in enumerate(zip(direct[first].tolist(), edges[first].tolist())):
+            dec, src = decs[s].a, code.src_mats[ei].a
+            key = (dec.tobytes(), src.tobytes())
+            if key not in index:
+                index[key] = len(products)
+                products.append(matmul_mod(dec, src, p))
+            which[k] = index[key]
+        # Scatter product by product, so no per-slot copy of the blocks is made.
+        slot_product = which[pair]
+        by_product = np.argsort(slot_product, kind="stable")
+        bounds = np.searchsorted(slot_product[by_product], np.arange(len(products) + 1))
+        terms, positions = lay.slot_term[direct], lay.src_pos[edges]
+        for j, prod in enumerate(products):
+            sel = by_product[bounds[j] : bounds[j + 1]]
+            np.add.at(tm.terminal_maps, (terms[sel], positions[sel]), prod)
     tm.terminal_maps %= p
     return tm
 
@@ -714,6 +801,15 @@ class _MatTable:
 
 def code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
     """Load a v1 code file; equal entry lists share one read-only Mat."""
+    try:
+        return _code_from_json(net, data)
+    except RecursionError:  # from parsing, or from resolving what was parsed
+        raise CodeFormatError(
+            "not valid JSON: the code file nests deeper than the recursion limit"
+        ) from None
+
+
+def _code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
     try:
         doc, arrays = _parse_code_file(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -13,7 +13,10 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional
+
+import numpy as np
 
 SOURCE = "source"
 INTERMEDIATE = "intermediate"
@@ -49,7 +52,12 @@ class Edge:
 
 
 class SumNetwork:
-    """Immutable DAG with roles, parallel edges and fixed in-edge order."""
+    """Immutable DAG with roles, parallel edges and fixed in-edge order.
+
+    The topological order and the `EdgeLayout` are computed on first use
+    and kept, which is sound only because nothing changes a network after
+    construction; neither enters `__eq__`.
+    """
 
     def __init__(
         self,
@@ -77,6 +85,8 @@ class SumNetwork:
         if source_order is None:
             source_order = [n.label for n in self.nodes if n.role == SOURCE]
         self.source_order: tuple[str, ...] = tuple(source_order)
+        self._topo: Optional[np.ndarray] = None
+        self._layout: Optional[EdgeLayout] = None
 
     # --- basic queries -------------------------------------------------
 
@@ -118,6 +128,12 @@ class SumNetwork:
             if self.role(e.tail) == INTERMEDIATE and self.role(e.head) == INTERMEDIATE
         ]
 
+    def layout(self) -> "EdgeLayout":
+        """The edge structure as int arrays, built on the first call."""
+        if self._layout is None:
+            self._layout = EdgeLayout(self)
+        return self._layout
+
     def __eq__(self, other):
         return (
             isinstance(other, SumNetwork)
@@ -129,6 +145,40 @@ class SumNetwork:
 
     def __repr__(self):
         return f"SumNetwork({len(self.nodes)} nodes, {len(self.edges)} edges)"
+
+
+class EdgeLayout:
+    """A network's edge structure as int arrays.
+
+    src_pos[e]: the position in `source_order` of edge e's tail, or -1
+    when the tail is not a source.  source_edges and relayed_edges: the
+    edges with and without a source tail, ascending.
+
+    The terminals' in-edges in CSR form: terminal i, in `terminals`
+    order, owns slots term_ptr[i] .. term_ptr[i+1]-1, slot s holding
+    in-edge term_edges[s] of terminal slot_term[s], in the terminal's
+    in-edge order.  direct_slots and relayed_slots: the slots whose edge
+    leaves a source, and the others.
+    """
+
+    def __init__(self, net: SumNetwork):
+        pos = {s: i for i, s in enumerate(net.source_order)}
+        role = net.role
+        self.src_pos = np.array(
+            [pos[e.tail] if role(e.tail) == SOURCE else -1 for e in net.edges], dtype=np.intp
+        )
+        self.source_edges = np.flatnonzero(self.src_pos >= 0)
+        self.relayed_edges = np.flatnonzero(self.src_pos < 0)
+        ins = [net.in_edges(t) for t in net.terminals]
+        degrees = np.fromiter(map(len, ins), dtype=np.intp, count=len(ins))
+        self.term_ptr = np.concatenate([[0], np.cumsum(degrees)])
+        self.term_edges = np.fromiter(
+            chain.from_iterable(ins), dtype=np.intp, count=self.term_ptr[-1]
+        )
+        self.slot_term = np.repeat(np.arange(len(ins)), degrees)
+        direct = self.src_pos[self.term_edges] >= 0
+        self.direct_slots = np.flatnonzero(direct)
+        self.relayed_slots = np.flatnonzero(~direct)
 
 
 # --- validation ---------------------------------------------------------
@@ -185,7 +235,15 @@ def topo_order(net: SumNetwork) -> list[int]:
     """Deterministic edge order: every edge after all in-edges of its tail.
 
     Ties are broken by edge index, so the order is stable across runs.
+    It is computed once per network; each call returns a fresh list.  A
+    cyclic network raises `CycleError` on every call.
     """
+    if net._topo is None:
+        net._topo = np.array(_topo_order(net), dtype=np.intp)
+    return net._topo.tolist()
+
+
+def _topo_order(net: SumNetwork) -> list[int]:
     pending = {n.label: len(net.in_order.get(n.label, ())) for n in net.nodes}
     ready: list[int] = []
     emitted = [False] * len(net.edges)
@@ -238,6 +296,10 @@ def deserialize(data: bytes) -> SumNetwork:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise NetworkFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise NetworkFormatError(
+            "not valid JSON: the network file nests deeper than the recursion limit"
+        ) from None
     if not isinstance(doc, dict):
         raise NetworkFormatError("top level must be an object")
     version = _expect(doc, "version", int)

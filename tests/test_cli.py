@@ -223,6 +223,7 @@ def test_manifest_non_integer_is_usage_error(built_n1, tmp_path, capsys, command
         (b"{", "is not valid JSON"),
         (b"\xff", "is not valid JSON"),
         (b"[1]", "must be a JSON object"),
+        pytest.param(b"[" * 100_000, "is not valid JSON", id="nested-past-the-recursion-limit"),
     ],
 )
 def test_malformed_manifest_names_itself(tmp_path, capsys, command, content, message):
@@ -256,6 +257,17 @@ def test_verify_dangling_reference_is_usage_error(built_n1, tmp_path, capsys, ol
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("file, name", [("code", "code file"), ("net", "network file")])
+def test_verify_json_nested_past_the_recursion_limit_is_usage_error(tmp_path, capsys, file, name):
+    paths = {"net": tmp_path / "n1.json", "code": tmp_path / "code.json"}
+    assert run("build", "--family", "n1", "--m", "1", "--q", "2", "--out", str(paths["net"])) == 0
+    assert run("scheme", "--net", str(paths["net"]), "--p", "2", "--out", str(paths["code"])) == 0
+    paths[file].write_bytes(b"[" * 100_000)
+    capsys.readouterr()
+    assert run("verify", "--net", str(paths["net"]), "--code", str(paths["code"])) == 2
+    _one_line_error(capsys, name)
 
 
 ENTRY = ("edge_matrices", "(s_1,u_1_1,0)", 0)

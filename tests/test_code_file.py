@@ -384,6 +384,22 @@ def test_an_unterminated_string_of_escaped_quotes_is_refused_at_once():
     assert time.perf_counter() - started < 2
 
 
+def _nested(depth: int) -> bytes:
+    return _raw(("version",), "[" * depth + "1" + "]" * depth)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"[" * 100_000, _nested(100_000), _nested(900)],
+    ids=["unterminated", "balanced", "parsed-but-deeper-than-resolving-allows"],
+)
+def test_json_nested_past_the_recursion_limit_is_refused(data):
+    # At depth 900 json.loads can succeed under the default recursion
+    # limit; resolving the parsed value then runs out of stack.
+    with pytest.raises(CodeFormatError, match="^not valid JSON: the code file nests deeper"):
+        code_from_json(NET, data)
+
+
 def test_the_hand_written_files_change_what_they_claim_to():
     for name, data in FILES.items():
         assert data != COMPACT, name

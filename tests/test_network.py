@@ -114,6 +114,15 @@ def test_deserialize_rejects_missing_field():
         deserialize(b"{}")
 
 
+@pytest.mark.parametrize(
+    "data", [b"[" * 100_000, b"[" * 100_000 + b"]" * 100_000], ids=["unterminated", "balanced"]
+)
+def test_deserialize_refuses_json_nested_past_the_recursion_limit(data):
+    message = "^not valid JSON: the network file nests deeper"
+    with pytest.raises(NetworkFormatError, match=message):
+        deserialize(data)
+
+
 def test_deserialize_rejects_bad_edge_index_in_order():
     data = serialize(tiny_path()).replace(b'"u":[0]', b'"u":[9]')
     with pytest.raises(NetworkFormatError, match="in_order"):

@@ -25,7 +25,17 @@ from sumnets.coding import (
 from sumnets.constructions import build_bottleneck2, build_n1, build_n2, k_copy_merge
 from sumnets.galois import PrimeField
 from sumnets.matrix import Mat
-from sumnets.network import SOURCE, TERMINAL, Edge, Node, SumNetwork, topo_order
+from sumnets.network import (
+    INTERMEDIATE,
+    SOURCE,
+    TERMINAL,
+    CycleError,
+    Edge,
+    Node,
+    SumNetwork,
+    topo_order,
+    validate,
+)
 
 PRIMES = [2, 3, 5, 2**31 - 1]
 BASES = {"bottleneck2": build_bottleneck2, "n1(2,2)": lambda: build_n1(2, 2),
@@ -231,6 +241,160 @@ def test_terminal_maps_do_not_overflow_at_the_modulus_ceiling():
     assert tm.terminal_maps[0, 0, 0, 0] == (300 * (p - 1)) % p
     ref = reference_transfer(net, code)[1]["t"][0]
     assert np.array_equal(tm.terminal_maps[0, 0], ref)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_edge_matrix_is_the_dense_form_of_the_reference_blocks(case):
+    name, k, p = case
+    _, passing, failing = all_codes(name, k, p, seed=k * 1000 + p % 1000 + 1)
+    for code in passing + failing:
+        net = code.net
+        ref_edges, _ = reference_transfer(net, code)
+        tm = transfer(net, code)
+        r = code.r
+        for ei, blocks in enumerate(ref_edges):
+            dense = np.zeros((code.l, r * len(net.source_order)), dtype=np.int64)
+            for pos, blk in blocks.items():
+                dense[:, pos * r : (pos + 1) * r] = blk
+            got = tm.edge_matrix(ei)
+            assert got.shape == dense.shape and np.array_equal(got.a, dense), ei
+
+
+def diamond():
+    """Two sources reach c along two relays each, and t taps c, the relays
+    and s1: edge c -> t sums each source over two paths, so a position
+    takes several products before the reduction."""
+    nodes = [Node("s1", SOURCE), Node("s2", SOURCE), Node("a", INTERMEDIATE),
+             Node("b", INTERMEDIATE), Node("c", INTERMEDIATE), Node("t", TERMINAL)]
+    edges = [Edge("s1", "a"), Edge("s2", "a"), Edge("s1", "b"), Edge("s2", "b"), Edge("s2", "b", 1),
+             Edge("a", "c"), Edge("b", "c"), Edge("b", "c", 1), Edge("c", "t"), Edge("a", "t"),
+             Edge("s1", "t")]
+    return SumNetwork(nodes, edges)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_sums_over_several_paths_match_the_reference(p):
+    net = diamond()
+    rng = np.random.default_rng(p % 1000)
+    for code in (random_code(net, 2, 3, p, rng), random_code(net, 2, 2, p, rng, density=0.5)):
+        ref_edges, ref_terminals = reference_transfer(net, code)
+        tm = transfer(net, code)
+        for ei, ref in enumerate(ref_edges):
+            got = tm.edge_blocks[ei]
+            assert set(got) == set(ref), ei
+            assert all(np.array_equal(got[pos], ref[pos]) for pos in ref), ei
+        for pos, blk in ref_terminals["t"].items():
+            assert np.array_equal(tm.terminal_maps[0, pos], blk)
+
+
+# --- malformed codes -----------------------------------------------------------------------
+
+
+def _first_relayed_edge(net):
+    return next(i for i, e in enumerate(net.edges) if net.role(e.tail) != SOURCE)
+
+
+def _drop_source(code):
+    del code.src_mats[min(code.src_mats)]
+
+
+def _misshape_source(code):
+    ei = max(code.src_mats)
+    code.src_mats[ei] = Mat(code.field, np.zeros((code.l + 1, code.r), dtype=np.int64))
+
+
+def _misshape_in_edge(code):
+    ei = _first_relayed_edge(code.net)
+    bad = Mat(code.field, np.zeros((code.l, code.l + 1), dtype=np.int64))
+    code.in_mats[ei] = code.in_mats[ei][:-1] + (bad,)
+
+
+def _misshape_decoder(code):
+    t = code.net.terminals[-1]
+    bad = Mat(code.field, np.zeros((code.r + 1, code.l), dtype=np.int64))
+    code.dec_mats[t] = (bad,) + code.dec_mats[t][1:]
+
+
+def _shorten_in_edges(code):
+    ei = _first_relayed_edge(code.net)
+    code.in_mats[ei] = code.in_mats[ei][:-1]
+
+
+def _shorten_decoders(code):
+    t = code.net.terminals[0]
+    code.dec_mats[t] = code.dec_mats[t][:-1]
+
+
+def _drop_in_edges(code):
+    del code.in_mats[_first_relayed_edge(code.net)]
+
+
+def _drop_decoders(code):
+    del code.dec_mats[code.net.terminals[-1]]
+
+
+def _one_object_as_source_and_decoder(code):
+    """Every source matrix is one l x r object, which also sits in one
+    decoder slot, where r x l is required (r != l)."""
+    shared = Mat(code.field, np.ones((code.l, code.r), dtype=np.int64))
+    for ei in code.src_mats:
+        code.src_mats[ei] = shared
+    t = code.net.terminals[-1]
+    code.dec_mats[t] = code.dec_mats[t][:-1] + (shared,)
+
+
+MALFORMED = [
+    _drop_source,
+    _misshape_source,
+    _misshape_in_edge,
+    _misshape_decoder,
+    _shorten_in_edges,
+    _shorten_decoders,
+    _drop_in_edges,
+    _drop_decoders,
+    _one_object_as_source_and_decoder,
+]
+
+
+@pytest.mark.parametrize("spoil", MALFORMED, ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("palette", [0, 2], ids=["distinct", "shared"])
+def test_a_malformed_code_is_refused_as_check_shapes_refuses_it(spoil, palette):
+    net = build_n1(2, 2)
+    code = random_code(net, 2, 3, 5, np.random.default_rng(3), palette=palette)
+    transfer(net, code)
+    spoil(code)
+    with pytest.raises(Exception) as want:
+        code.check_shapes()
+    with pytest.raises(Exception) as got:
+        transfer(net, code)
+    assert got.type is want.type
+    assert str(got.value) == str(want.value)
+
+
+# --- topological order ------------------------------------------------------------------------
+
+
+def test_topo_order_returns_an_independent_list():
+    net = build_n1(2, 2)
+    first = topo_order(net)
+    want = list(first)
+    first.reverse()
+    first.append(-1)
+    assert topo_order(net) == want
+
+
+def test_a_cyclic_network_raises_on_every_call():
+    net = SumNetwork(
+        [Node("s", SOURCE), Node("a", INTERMEDIATE), Node("b", INTERMEDIATE), Node("t", TERMINAL)],
+        [Edge("s", "a"), Edge("a", "b"), Edge("b", "a"), Edge("b", "t")],
+    )
+    for _ in range(3):
+        with pytest.raises(CycleError):
+            topo_order(net)
+    assert "cycle detected" in validate(net)
+    with pytest.raises(CycleError):
+        transfer(net, random_code(net, 1, 1, 2, np.random.default_rng(0)))
+    assert "cycle detected" in validate(net)
 
 
 # --- metamorphic checks ------------------------------------------------------------------
