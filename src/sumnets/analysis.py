@@ -70,14 +70,12 @@ def composites_from_code(net: SumNetwork, code: FracLinCode) -> CompositeEncodin
     """Extract the composite encodings realized by an arbitrary code."""
     shape = layer_shape(net)
     tm = transfer(net, code)
+    src_pos = {s: i for i, s in enumerate(net.source_order)}
     mats: dict[int, Mat] = {}
     for me in shape.middle:
-        blocks = tm.edge_blocks[me]
-        cols = []
-        for s in shape.src_order[me]:
-            blk = blocks.get(tm.src_pos[s])
-            cols.append(blk if blk is not None else np.zeros((code.l, code.r), dtype=np.int64))
-        mats[me] = Mat(code.field, np.hstack(cols))
+        blocks = tm.edge_matrix(me).a.reshape(code.l, -1, code.r)
+        cols = [src_pos[s] for s in shape.src_order[me]]
+        mats[me] = Mat(code.field, blocks[:, cols].reshape(code.l, -1))
     return CompositeEncoding(code.r, code.l, code.field, mats)
 
 

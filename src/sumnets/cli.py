@@ -156,7 +156,7 @@ def _cmd_scheme(args) -> int:
     except CharacteristicError as exc:
         print(f"refused: {exc}")
         return 1
-    if serialize(code.net) != serialize(net):
+    if code.net != net:
         print("error: network file does not match its manifest parameters", file=sys.stderr)
         return 2
     out = Path(args.out)

@@ -111,9 +111,8 @@ class TransferMap:
     `terminal_maps`, in `net.terminals` order.  An edge leaving a source
     carries its source matrix, read from the code.  Every other edge
     carries, in `messages`, (source positions, one l x (n*r) array) whose
-    j-th l x r block is the map from source positions[j].  `edge_blocks`
-    ({source position -> l x r block} per edge) is built on first access;
-    dense views are materialized on demand.
+    j-th l x r block is the map from source positions[j].  `edge_matrix`
+    gives an edge's dense form on demand.
     """
 
     def __init__(self, net: SumNetwork, code: FracLinCode):
@@ -121,17 +120,15 @@ class TransferMap:
         self.r = code.r
         self.l = code.l
         self.field = code.field
-        self.src_pos = {s: i for i, s in enumerate(net.source_order)}
         self._src_mats = code.src_mats
         self.messages: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.terminal_maps = np.zeros(
             (len(net.terminals), self.n_sources, self.r, self.r), dtype=np.int64
         )
-        self._edge_blocks: Optional[list[dict[int, np.ndarray]]] = None
 
     @property
     def n_sources(self) -> int:
-        return len(self.src_pos)
+        return len(self.net.source_order)
 
     def message(self, edge_index: int) -> tuple[np.ndarray, np.ndarray]:
         """(source positions, l x (n*r) array) carried by the edge."""
@@ -139,22 +136,6 @@ class TransferMap:
         if pos >= 0:
             return np.array([pos]), self._src_mats[edge_index].a
         return self.messages[edge_index]
-
-    @property
-    def edge_blocks(self) -> list[dict[int, np.ndarray]]:
-        """Per edge, {source position -> l x r block}."""
-        if self._edge_blocks is None:
-            r = self.r
-            self._edge_blocks = [
-                {q: msg[:, j * r : (j + 1) * r] for j, q in enumerate(pos.tolist())}
-                for pos, msg in map(self.message, range(len(self.net.edges)))
-            ]
-        return self._edge_blocks
-
-    @property
-    def terminal_blocks(self) -> dict[str, dict[int, np.ndarray]]:
-        """Per terminal, {source position -> r x r block}, as views of `terminal_maps`."""
-        return {t: dict(enumerate(self.terminal_maps[i])) for i, t in enumerate(self.net.terminals)}
 
     def edge_matrix(self, edge_index: int) -> Mat:
         pos, msg = self.message(edge_index)
@@ -572,15 +553,18 @@ def scheme_merged(family: str, m: int, q: int, p: int, k: int) -> FracLinCode:
             out = widened[key] = Mat(field, np.pad(base_mat.a, pad))
         return out
 
+    # Each merged in-edge slot holds the base matrix of its base image.
     for me, (copy, be) in enumerate(edge_map):
         e = merged.edges[me]
         if merged.role(e.tail) == SOURCE:
             code.src_mats[me] = widen(base_code.src_mats[be], copy, 1)
         else:
-            code.in_mats[me] = base_code.in_mats[be]
+            ins = dict(zip(base.in_edges(base.edges[be].tail), base_code.in_mats[be]))
+            code.in_mats[me] = tuple(ins[edge_map[i][1]] for i in merged.in_edges(e.tail))
     for t in merged.terminals:
-        base_dec = base_code.dec_mats[t]
-        code.dec_mats[t] = tuple(widen(d, copy, 0) for copy in range(1, k + 1) for d in base_dec)
+        dec = dict(zip(base.in_edges(t), base_code.dec_mats[t]))
+        slots = map(edge_map.__getitem__, merged.in_edges(t))
+        code.dec_mats[t] = tuple(widen(dec[be], copy, 0) for copy, be in slots)
     return code
 
 
@@ -590,7 +574,7 @@ def scheme_merged(family: str, m: int, q: int, p: int, k: int) -> FracLinCode:
 def unroll_merged(merged_code: FracLinCode, k: int, base: Optional[SumNetwork] = None) -> FracLinCode:
     """Turn a verifying (r,l) code on a k-copy merge into an (r, l*k) code
     on the base network: each base edge carries the stacked messages of
-    its k images."""
+    its k images.  The merge may list its edges and in-edges in any order."""
     if not verify(merged_code.net, merged_code).ok:
         raise UnverifiedCodeError("input code does not verify on the merged network")
     if k == 1 and base is None:
@@ -612,21 +596,24 @@ def unroll_merged(merged_code: FracLinCode, k: int, base: Optional[SumNetwork] =
             out = built[key] = Mat(field, make([m.a for m in parts]))
         return out
 
+    def by_in_edge(node: str, mats: tuple[Mat, ...]) -> dict[int, Mat]:
+        return dict(zip(merged.in_edges(node), mats))
+
+    # In copy c, base in-edge b is read through its copy-c image.
     for be, e in enumerate(base.edges):
         imgs = images[be]
         if base.role(e.tail) == SOURCE:
             code.src_mats[be] = combine(np.vstack, [merged_code.src_mats[me] for me in imgs])
         else:
-            n_in = len(base.in_edges(e.tail))
+            ins = [by_in_edge(merged.edges[me].tail, merged_code.in_mats[me]) for me in imgs]
             code.in_mats[be] = tuple(
-                combine(_block_diag, [merged_code.in_mats[me][pos] for me in imgs])
-                for pos in range(n_in)
+                combine(_block_diag, [mats[i] for mats, i in zip(ins, images[b])])
+                for b in base.in_edges(e.tail)
             )
     for t in base.terminals:
-        n_in = len(base.in_edges(t))
-        dec = merged_code.dec_mats[t]
+        dec = by_in_edge(t, merged_code.dec_mats[t])
         code.dec_mats[t] = tuple(
-            combine(np.hstack, [dec[c * n_in + pos] for c in range(k)]) for pos in range(n_in)
+            combine(np.hstack, [dec[i] for i in images[b]]) for b in base.in_edges(t)
         )
     return code
 

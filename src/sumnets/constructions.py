@@ -237,7 +237,7 @@ def build_n2(m: int, q: int) -> SumNetwork:
     return _build_family(m, q, _pair_and_triple_sources(m, q), n2_s_ij, _terminals(m, q) + extra)
 
 
-# --- counts (closed forms, used by tests and the CLI) -----------------------
+# --- counts (closed forms, checked against the builders by the tests) -------
 
 
 def n1_counts(m: int, q: int) -> dict[str, int]:
@@ -270,8 +270,7 @@ def copy_label(label: str, copy: int) -> str:
 def k_copy_merge(base: SumNetwork, k: int) -> SumNetwork:
     """k disjoint copies with same-labeled sources/terminals identified.
 
-    Intermediates and edges are duplicated per copy (suffix _c<t>);
-    terminal in-edge order is copy-major then base order.
+    Intermediates and edges are duplicated per copy (suffix _c<t>).
     """
     net, _ = merge_with_map(base, k)
     return net
@@ -301,7 +300,13 @@ def _copy_namer(base: SumNetwork):
 
 
 def merge_with_map(base: SumNetwork, k: int) -> tuple[SumNetwork, list[tuple[int, int]]]:
-    """As k_copy_merge, also returning edge provenance (copy, base edge index)."""
+    """As k_copy_merge, also returning edge provenance (copy, base edge index).
+
+    Edges are listed copy by copy, each copy in base order, so a terminal's
+    in-edge order is copy-major then base order and a copied node keeps
+    the base order.  Only this function knows that layout; codes on a
+    merge place each matrix by the in-edge it reads, through the provenance.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     b = _Builder()

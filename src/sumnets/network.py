@@ -135,6 +135,7 @@ class SumNetwork:
         return self._layout
 
     def __eq__(self, other):
+        """Equal exactly when both hold the same fields of the network file."""
         return (
             isinstance(other, SumNetwork)
             and other.nodes == self.nodes

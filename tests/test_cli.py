@@ -237,6 +237,24 @@ def test_malformed_manifest_names_itself(tmp_path, capsys, command, content, mes
     _one_line_error(capsys, f"manifest {manifest} {message}")
 
 
+@pytest.mark.parametrize("spoil", ["manifest-q", "reversed-in-order"])
+def test_scheme_refuses_a_network_its_manifest_does_not_build(built_n1, tmp_path, capsys, spoil):
+    if spoil == "manifest-q":
+        manifest = built_n1.parent / "n1.json.manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["q"] = 4  # n1(2, 4) has a scheme over GF(2), on another network
+        manifest.write_text(json.dumps(doc))
+    else:
+        doc = json.loads(built_n1.read_text())
+        doc["in_order"]["t_1"].reverse()
+        built_n1.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = tmp_path / "c.json"
+    assert run("scheme", "--net", str(built_n1), "--p", "2", "--out", str(code)) == 2
+    _one_line_error(capsys, "does not match its manifest")
+    assert not code.exists()
+
+
 def test_unreadable_code_path_is_usage_error(built_n1, tmp_path, capsys):
     capsys.readouterr()
     assert run("verify", "--net", str(built_n1), "--code", str(tmp_path)) == 2

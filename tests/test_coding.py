@@ -140,9 +140,8 @@ def test_verification_is_input_independent():
     # changes the transfer but a verifying code stays characterized by it
     code = scheme_n2(2, 2, 3)
     tm = transfer(code.net, code)
-    for t in code.net.terminals:
-        for blk in tm.terminal_blocks[t].values():
-            assert (blk == np.eye(2, dtype=np.int64)).all()
+    assert tm.terminal_maps.shape == (len(code.net.terminals), len(code.net.source_order), 2, 2)
+    assert (tm.terminal_maps == np.eye(2, dtype=np.int64)).all()
 
 
 @pytest.mark.parametrize("k", [1, 2])

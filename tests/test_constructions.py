@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sumnets.coding import FracLinCode, code_to_json, scheme_merged, unroll_merged, verify
@@ -33,7 +34,8 @@ from sumnets.constructions import (
     unmerge_map,
     v_lab,
 )
-from sumnets.network import INTERMEDIATE, SOURCE, Edge, SumNetwork, serialize, validate
+from sumnets.matrix import Mat
+from sumnets.network import INTERMEDIATE, SOURCE, TERMINAL, Edge, SumNetwork, serialize, validate
 
 GRID = list(itertools.product([1, 2, 3], [2, 3, 6]))
 
@@ -180,6 +182,54 @@ def test_merge_map_survives_permuted_edge_list():
     unrolled = unroll_merged(shuffled_code, 2, base)
     assert verify(base, unrolled).ok
     assert code_to_json(unrolled) == code_to_json(unroll_merged(merged_code, 2, base))
+
+
+def _reversed_in_order(code, node):
+    """`code` on the same network with `node`'s in-edge order reversed, and
+    the matrices that read those in-edges reversed to match."""
+    net = code.net
+    in_order = dict(net.in_order)
+    in_order[node] = net.in_order[node][::-1]
+    moved = SumNetwork(net.nodes, net.edges, in_order, list(net.source_order))
+    out = FracLinCode(moved, code.r, code.l, code.field, dict(code.src_mats),
+                      dict(code.in_mats), dict(code.dec_mats))
+    if net.role(node) == TERMINAL:
+        out.dec_mats[node] = code.dec_mats[node][::-1]
+    for ei in net.out_edges(node):
+        out.in_mats[ei] = code.in_mats[ei][::-1]
+    return out
+
+
+def test_unroll_places_decoders_by_in_edge_position():
+    base = build_n1(2, 2)
+    code = scheme_merged("n1", 2, 2, 2, 2)
+    assert code.net == merge_with_map(base, 2)[0]
+    moved = _reversed_in_order(code, "t_1")
+    assert moved.net.in_edges("t_1") != code.net.in_edges("t_1")
+    assert verify(moved.net, moved).ok
+    assert verify(base, unroll_merged(moved, 2, base)).ok
+
+
+def test_unroll_places_in_edge_matrices_by_in_edge_position():
+    base = build_n1(2, 2)
+    code = scheme_merged("n1", 2, 2, 2, 2)
+    assert code.net == merge_with_map(base, 2)[0]
+    node = copy_label(u_lab(1, 1), 1)
+    (me,) = code.net.out_edges(node)
+    # D_j = I + E_{j,j+1}: invertible, its own inverse over GF(2), and
+    # distinct per slot, so a matrix read from the wrong slot shows.
+    ds = []
+    for j, ei in enumerate(code.net.in_edges(node)):
+        a = np.eye(code.l, dtype=np.int64)
+        a[j, (j + 1) % code.l] = 1
+        d = Mat(code.field, a)
+        assert (d @ d).a.tolist() == np.eye(code.l, dtype=np.int64).tolist()
+        ds.append(d)
+        code.src_mats[ei] = d @ code.src_mats[ei]
+    code.in_mats[me] = tuple(ds)
+    moved = _reversed_in_order(code, node)
+    assert verify(moved.net, moved).ok
+    assert verify(base, unroll_merged(moved, 2, base)).ok
 
 
 def test_merge_map_rejects_a_network_that_is_not_a_merge_of_the_base():

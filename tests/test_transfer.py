@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from sumnets._core_py import matmul_mod
-from sumnets.analysis import routing_code
+from sumnets.analysis import composites_from_code, routing_code
 from sumnets.coding import (
     FracLinCode,
     code_from_json,
     code_to_json,
+    layer_shape,
     scheme_merged,
     transfer,
     unroll_merged,
@@ -101,6 +102,16 @@ def reference_verify(net, code, terminal_blocks):
             if first is None:
                 first = t
     return not residuals, first, residuals
+
+
+def message_blocks(tm, ei):
+    """{source position -> l x r block} of the edge's message; the
+    positions are listed once each."""
+    pos, msg = tm.message(ei)
+    r = tm.r
+    blocks = {q: msg[:, j * r : (j + 1) * r] for j, q in enumerate(pos.tolist())}
+    assert len(blocks) == pos.size
+    return blocks
 
 
 # --- codes ----------------------------------------------------------------------------
@@ -201,7 +212,7 @@ def test_transfer_and_verify_match_the_per_slot_reference(case):
         ref_edges, ref_terminals = reference_transfer(net, code)
         tm = transfer(net, code)
         for ei, ref in enumerate(ref_edges):
-            got = tm.edge_blocks[ei]
+            got = message_blocks(tm, ei)
             assert set(got) == set(ref)
             assert all(np.array_equal(got[pos], ref[pos]) for pos in ref)
         n_sources = len(net.source_order)
@@ -210,7 +221,16 @@ def test_transfer_and_verify_match_the_per_slot_reference(case):
             for pos, blk in ref_terminals[t].items():
                 dense[pos] = blk
             assert np.array_equal(tm.terminal_maps[i], dense), t
-            assert all(np.array_equal(blk, dense[pos]) for pos, blk in tm.terminal_blocks[t].items())
+        # Composite encodings: the reference blocks of each middle edge in
+        # S_e order, zero where the edge carries nothing from a source.
+        shape = layer_shape(net)
+        src_pos = {s: i for i, s in enumerate(net.source_order)}
+        zero = np.zeros((code.l, code.r), dtype=np.int64)
+        comps = composites_from_code(net, code)
+        assert set(comps.mats) == set(shape.middle)
+        for me in shape.middle:
+            want = np.hstack([ref_edges[me].get(src_pos[s], zero) for s in shape.src_order[me]])
+            assert np.array_equal(comps.mats[me].a, want), me
         ok, first, residuals = reference_verify(net, code, ref_terminals)
         report = verify_transfer(tm)
         assert (report.ok, report.first_failed) == (ok, first)
@@ -280,7 +300,7 @@ def test_sums_over_several_paths_match_the_reference(p):
         ref_edges, ref_terminals = reference_transfer(net, code)
         tm = transfer(net, code)
         for ei, ref in enumerate(ref_edges):
-            got = tm.edge_blocks[ei]
+            got = message_blocks(tm, ei)
             assert set(got) == set(ref), ei
             assert all(np.array_equal(got[pos], ref[pos]) for pos in ref), ei
         for pos, blk in ref_terminals["t"].items():
