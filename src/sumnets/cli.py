@@ -30,7 +30,7 @@ from .coding import (
     CharacteristicError,
     code_from_json,
     code_to_json,
-    scheme_merged,
+    scheme,
     verify,
 )
 from .constructions import (
@@ -40,6 +40,8 @@ from .constructions import (
     build_for_rate,
     build_merged,
     capacity,
+    n1_counts,
+    n2_counts,
 )
 from .galois import PrimeField
 from .network import NetworkFormatError, deserialize, serialize, to_dot, validate
@@ -151,14 +153,20 @@ def _cmd_scheme(args) -> int:
     net_path = Path(args.net)
     meta = _read_manifest(net_path)
     net = _load_net(net_path)
+    family, m, q, k = meta["family"], meta["m"], meta["q"], meta["k"]
+    capacity(family, m, q, k)  # refuses an unknown family or a bad m, q or k
+    # The counts need no build, so a manifest far from the file is refused at once.
+    c = (n1_counts if family == "n1" else n2_counts)(m, q)
+    want = [c["sources"], c["terminals"], k * c["intermediates"], k * c["middle_edges"]]
+    have = [len(net.sources), len(net.terminals), len(net.intermediates), len(net.middle_edges())]
+    if have != want or net != build_merged(family, m, q, k)[0]:
+        print("error: network file does not match its manifest parameters", file=sys.stderr)
+        return 2
     try:
-        code = scheme_merged(meta["family"], meta["m"], meta["q"], args.p, meta["k"])
+        code = scheme(net, family, m, q, args.p)
     except CharacteristicError as exc:
         print(f"refused: {exc}")
         return 1
-    if code.net != net:
-        print("error: network file does not match its manifest parameters", file=sys.stderr)
-        return 2
     out = Path(args.out)
     out.write_bytes(code_to_json(code))
     _write_manifest(

@@ -22,13 +22,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._core_py import matmul_mod
-from .constructions import build_n1, build_n2, merge_with_map, parse_label, unmerge_map
+from .constructions import build_merged, build_n1, build_n2, edge_copies, parse_label, unmerge_map
 from .galois import PrimeField
 from .matrix import Mat, rank
 from .network import SOURCE, TERMINAL, SumNetwork, topo_order
@@ -398,13 +399,6 @@ def layer_shape(net: SumNetwork) -> LayerShape:
 # --- shared building blocks -----------------------------------------------------
 
 
-def _proj(field: PrimeField, r: int, l: int) -> Mat:
-    """r x l map picking the leading r slots."""
-    a = np.zeros((r, l), dtype=np.int64)
-    a[:, :r] = np.eye(r, dtype=np.int64)
-    return Mat(field, a)
-
-
 def _identity_in_mats(net: SumNetwork, code: FracLinCode, identity: Mat) -> None:
     """Identity forwarding on every edge not leaving a source."""
     for i, e in enumerate(net.edges):
@@ -422,150 +416,138 @@ def _slot_second(m: int, i: int, x: int) -> int:
     return 1 + (m - i) + x
 
 
-# --- the two family schemes --------------------------------------------------------
+# --- the family schemes ----------------------------------------------------------------
 
 
-def _family_scheme(net: SumNetwork, field: PrimeField, m: int) -> FracLinCode:
-    """The (2, m+1) code both families share.
-
-    Source edges into u_ij put the source's two symbols in slots 1-2 and,
-    for a triple source, one symbol in its partner-group slot; direct
-    edges pad.  Every other edge forwards by identity.  Terminals t_<a>_<b>_<c>
-    subtract both partner slots; every other terminal projects each
-    in-edge onto slots 1-2, which the families override where they differ.
+def _family_scheme(
+    net: SumNetwork, field: PrimeField, m: int, qinv: Optional[int] = None
+) -> FracLinCode:
+    """The code `scheme` describes, for n1, or for n2 given qinv = q^{-1}
+    in the field; k is the largest copy.  The characteristic is not checked.
     """
-    r, l = 2, m + 1
+    p = field.p
+    copies = edge_copies(net)
+    r, l = 2 * max(copies, default=1), m + 1
     code = FracLinCode(net, r, l, field)
-    proj = _proj(field, r, l)
-    pad = _proj(field, r, l).transpose()
-    minus_one = field.p - 1
+    role = {n.label: n.role for n in net.nodes}
+    labels = {n.label: parse_label(n.label) for n in net.nodes}
+    if any(kind == "u" and idx[0] > m for kind, idx in labels.values()):
+        raise ValueError(f"the network has a group beyond m = {m}")
+    proj = Mat(field, np.eye(2, l, dtype=np.int64))
+    pad = proj.transpose()
+    scaled = proj if qinv is None else Mat(field, proj.a * qinv % p)
+    widened: dict[tuple[int, int, int], Mat] = {}
 
-    for ei, e in enumerate(net.edges):
-        if net.role(e.tail) != SOURCE:
-            continue
-        if net.role(e.head) == TERMINAL:
-            code.src_mats[ei] = pad
-            continue
-        _, (i, j) = parse_label(e.head)
-        a = np.zeros((l, r), dtype=np.int64)
-        a[0, 0] = a[1, 1] = 1
-        _, idx = parse_label(e.tail)
+    def widen(mat: Mat, copy: int, axis: int) -> Mat:
+        """mat zero-padded to r along `axis`, onto components 2*copy-1 and
+        2*copy; built once per (base Mat, copy, axis)."""
+        key = (id(mat), copy, axis)
+        out = widened.get(key)
+        if out is None:
+            width = [(0, 0), (0, 0)]
+            width[axis] = (2 * copy - 2, r - 2 * copy)
+            out = widened[key] = Mat(field, np.pad(mat.a, width))
+        return out
+
+    @cache
+    def source(idx: tuple[int, ...], i: int) -> Mat:
+        """The base matrix of an edge from source s_<idx> into u_<i>_<j>."""
+        a = np.eye(l, 2, dtype=np.int64)
         if len(idx) == 3:
             x1, x2, _ = idx
             if x1 == i:  # pair (i, x2), x2 > i: first symbol carrier
                 a[_slot_first(i, x2), 0] = 1
             else:  # pair (x1, i), x1 < i: second symbol carrier
                 a[_slot_second(m, i, x1), 1] = 1
-        code.src_mats[ei] = Mat(field, a)
-    _identity_in_mats(net, code, Mat.identity(field, l))
+        return Mat(field, a)
 
+    @cache
+    def partner(a: int, b: int, scale: int, row: int) -> Mat:
+        """scale * proj, less scale times the partner slot of pair (a, b)
+        in the first (row 0) or second (row 1) symbol's row."""
+        d = proj.a * scale % p
+        d[row, _slot_first(a, b) if row == 0 else _slot_second(m, b, a)] = -scale % p
+        return Mat(field, d)
+
+    def taps(kind: str, idx: tuple[int, ...]) -> tuple[int, Mat, Mat]:
+        """(g, decoder of a tap from group g, decoder of every other tap)."""
+        if kind == "t" and len(idx) == 3:
+            return idx[0], partner(idx[0], idx[1], 1, 0), partner(idx[0], idx[1], 1, 1)
+        if kind == "tp" and qinv is not None:
+            # q^{-1} (sum_j Y'_aj + sum_j Y'_bj - sum_j W_abj) + directs
+            return idx[0], partner(idx[0], idx[1], qinv, 0), partner(idx[0], idx[1], qinv, 1)
+        if kind == "t" and len(idx) == 1:
+            # t_i: q^{-1} sum_j Y'_ij (n2), or sum_j Y'_ij with q+1 = 1 (n1), + directs
+            return 0, scaled, scaled
+        return 0, proj, proj
+
+    for ei, e in enumerate(net.edges):
+        if role[e.tail] == SOURCE:
+            direct = role[e.head] == TERMINAL
+            mat = pad if direct else source(labels[e.tail][1], labels[e.head][1][0])
+            code.src_mats[ei] = widen(mat, copies[ei], 1)
+    _identity_in_mats(net, code, Mat.identity(field, l))
     for t in net.terminals:
-        _, idx = parse_label(t)
-        n_in = len(net.in_edges(t))
-        if len(idx) < 3:
-            code.dec_mats[t] = (proj,) * n_in
-            continue
-        a, b, _ = idx
-        d1 = proj.a.copy()
-        d1[0, _slot_first(a, b)] = minus_one
-        d2 = proj.a.copy()
-        d2[1, _slot_second(m, b, a)] = minus_one
-        code.dec_mats[t] = (Mat(field, d1), Mat(field, d2)) + (proj,) * (n_in - 2)
+        g, own, other = taps(*labels[t])
+        decs = []
+        for ei in net.in_edges(t):
+            tail = net.edges[ei].tail
+            mat = proj if role[tail] == SOURCE else own if labels[tail][1][0] == g else other
+            decs.append(widen(mat, copies[ei], 0))
+        code.dec_mats[t] = tuple(decs)
     return code
 
 
-def scheme_n1(m: int, q: int, p: int) -> FracLinCode:
-    """The (2, m+1) code on family n1; a solution exactly when p divides q.
-
-    t_i sums Y'_ij over j (q+1 = 1 in the field when p | q) and t_ij
-    reads Y'_ij; both add the direct-edge blocks, so the shared decoders
-    serve every terminal.
-    """
+def _checked_field(family: str, q: int, p: int) -> PrimeField:
+    """GF(p), if the family's scheme exists over it; raises otherwise."""
     field = PrimeField(p)
-    if q % p != 0:
+    if family not in ("n1", "n2"):
+        raise ValueError(f"unknown family {family!r}")
+    if (q % p == 0) != (family == "n1"):
+        need, have = ("", "does not divide") if family == "n1" else ("not ", "divides")
         raise CharacteristicError(
-            f"the n1 scheme requires the characteristic to divide q ({p} does not divide {q})"
+            f"the {family} scheme requires the characteristic {need}to divide q ({p} {have} {q})"
         )
-    return _family_scheme(build_n1(m, q), field, m)
+    return field
+
+
+def scheme(net: SumNetwork, family: str, m: int, q: int, p: int) -> FracLinCode:
+    """The (2k, m+1) code on `net`, which is family(m, q) or its k-copy
+    merge, in any edge and in-edge order.  Copy c carries source
+    components 2c-1 and 2c through the family's (2, m+1) code, so each
+    slot's matrix follows from the labels and the copy of the edge it reads.
+
+    Source edges into u_ij put the source's two symbols in slots 1-2 and,
+    for a triple source, one symbol in its partner-group slot; direct
+    edges pad.  Every other edge forwards by identity.  A tap from
+    v_<g>_<j> into t_<a>_<b>_<c> subtracts a's partner slot when g = a and
+    b's otherwise.  Every other decoder projects onto slots 1-2, except in
+    n2, where the taps into t_<i> and tp_<a>_<b> are scaled by q^{-1} and
+    tp's subtract as t_<a>_<b>_<c>'s do.  Raises CharacteristicError
+    unless the characteristic divides q (n1: t_i sums Y'_ij over j, and
+    q+1 = 1) or does not (n2).
+    """
+    field = _checked_field(family, q, p)
+    qinv = pow(q % p, -1, p) if family == "n2" else None
+    return _family_scheme(net, field, m, qinv)
+
+
+def scheme_n1(m: int, q: int, p: int) -> FracLinCode:
+    """The (2, m+1) code on family n1; a solution exactly when p divides q."""
+    _checked_field("n1", q, p)
+    return scheme(build_n1(m, q), "n1", m, q, p)
 
 
 def scheme_n2(m: int, q: int, p: int) -> FracLinCode:
     """The (2, m+1) code on family n2; a solution exactly when p does not divide q."""
-    field = PrimeField(p)
-    if q % p == 0:
-        raise CharacteristicError(
-            f"the n2 scheme requires the characteristic not to divide q ({p} divides {q})"
-        )
-    qinv = pow(q % p, -1, p)
-    code = _family_scheme(build_n2(m, q), field, m)
-    net = code.net
-    proj = _proj(field, code.r, code.l)
-    scaled = Mat(field, (proj.a * qinv) % p)
-    for t in net.terminals:
-        kind, idx = parse_label(t)
-        n_in = len(net.in_edges(t))
-        if kind == "tp":
-            a, b = idx
-            # q^{-1} (sum_j Y'_aj + sum_j Y'_bj - sum_j W_abj) + directs
-            da = scaled.a.copy()
-            da[0, _slot_first(a, b)] = (-qinv) % p
-            db = scaled.a.copy()
-            db[1, _slot_second(m, b, a)] = (-qinv) % p
-            mats = (Mat(field, da),) * (q + 1) + (Mat(field, db),) * (q + 1)
-            code.dec_mats[t] = mats + (proj,) * (n_in - 2 * (q + 1))
-        elif len(idx) == 1:
-            # t_i: q^{-1} sum_j Y'_ij recovers the middle-reachable part.
-            code.dec_mats[t] = (scaled,) * (q + 1) + (proj,) * (n_in - (q + 1))
-    return code
-
-
-# --- k-copy merged scheme ------------------------------------------------------------
+    _checked_field("n2", q, p)
+    return scheme(build_n2(m, q), "n2", m, q, p)
 
 
 def scheme_merged(family: str, m: int, q: int, p: int, k: int) -> FracLinCode:
-    """The (2k, m+1) code on the k-copy merge: copy c carries source
-    components 2c-1 and 2c through the base scheme."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if family == "n1":
-        base_code = scheme_n1(m, q, p)
-    elif family == "n2":
-        base_code = scheme_n2(m, q, p)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    if k == 1:
-        return base_code
-    base = base_code.net
-    merged, edge_map = merge_with_map(base, k)
-    field = base_code.field
-    r, l = 2 * k, m + 1
-    code = FracLinCode(merged, r, l, field)
-    widened: dict[tuple[int, int, int], Mat] = {}
-
-    def widen(base_mat: Mat, copy: int, axis: int) -> Mat:
-        """base_mat zero-padded to r along `axis`, onto components 2*copy-1
-        and 2*copy; built once per (base Mat object, copy, axis)."""
-        key = (id(base_mat), copy, axis)
-        out = widened.get(key)
-        if out is None:
-            pad = [(0, 0), (0, 0)]
-            pad[axis] = (2 * copy - 2, r - 2 * copy)
-            out = widened[key] = Mat(field, np.pad(base_mat.a, pad))
-        return out
-
-    # Each merged in-edge slot holds the base matrix of its base image.
-    for me, (copy, be) in enumerate(edge_map):
-        e = merged.edges[me]
-        if merged.role(e.tail) == SOURCE:
-            code.src_mats[me] = widen(base_code.src_mats[be], copy, 1)
-        else:
-            ins = dict(zip(base.in_edges(base.edges[be].tail), base_code.in_mats[be]))
-            code.in_mats[me] = tuple(ins[edge_map[i][1]] for i in merged.in_edges(e.tail))
-    for t in merged.terminals:
-        dec = dict(zip(base.in_edges(t), base_code.dec_mats[t]))
-        slots = map(edge_map.__getitem__, merged.in_edges(t))
-        code.dec_mats[t] = tuple(widen(dec[be], copy, 0) for copy, be in slots)
-    return code
+    """The (2k, m+1) code on the k-copy merge (the base itself when k = 1)."""
+    _checked_field(family, q, p)
+    return scheme(build_merged(family, m, q, k)[0], family, m, q, p)
 
 
 # --- code unrolling (merged -> base at k times the block length) ----------------------
@@ -632,16 +614,25 @@ def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def _json_object(items: dict[str, str]) -> str:
-    """A JSON object from already-encoded values, keys sorted as `sort_keys` does."""
-    encode = _ENCODER.encode
-    return "{" + ",".join(f"{encode(k)}:{v}" for k, v in sorted(items.items())) + "}"
+def _object_parts(items: dict) -> list[str]:
+    """A JSON object as fragments; its values are already-encoded strings
+    or such objects, its keys sorted as `sort_keys` does."""
+    parts = []
+    for k, v in sorted(items.items()):
+        parts += [",", _ENCODER.encode(k), ":", *(_object_parts(v) if isinstance(v, dict) else [v])]
+    return ["{", *parts[1:], "}"]
 
 
 def code_to_json(code: FracLinCode) -> bytes:
     """The v1 code file: `json.dumps(doc, sort_keys=True, separators=(",", ":"))`
-    plus a newline, byte for byte, with each Mat object and each in-edge or
-    decoder tuple encoded once."""
+    plus a newline, byte for byte."""
+    return _code_text(code).encode("utf-8")
+
+
+def _code_text(code: FracLinCode) -> str:
+    """The code file's text, joined once from one list of fragments, with
+    each Mat object and each in-edge or decoder tuple encoded once; the
+    fragments are freed on return, before the text is encoded."""
     net = code.net
     encode = _ENCODER.encode
     mat_texts: dict[int, str] = {}  # id(Mat) -> its entry list as JSON
@@ -665,18 +656,15 @@ def code_to_json(code: FracLinCode) -> bytes:
             edge_matrices[e.label] = mat_text(code.src_mats[i])
         else:
             edge_matrices[e.label] = tuple_text(code.in_mats[i])
-    terminal_matrices = {t: tuple_text(code.dec_mats[t]) for t in net.terminals}
-    doc = _json_object(
-        {
-            "version": encode(CODE_FORMAT_VERSION),
-            "r": encode(code.r),
-            "l": encode(code.l),
-            "p": encode(code.field.p),
-            "edge_matrices": _json_object(edge_matrices),
-            "terminal_matrices": _json_object(terminal_matrices),
-        }
-    )
-    return (doc + "\n").encode("utf-8")
+    doc = {
+        "version": encode(CODE_FORMAT_VERSION),
+        "r": encode(code.r),
+        "l": encode(code.l),
+        "p": encode(code.field.p),
+        "edge_matrices": edge_matrices,
+        "terminal_matrices": {t: tuple_text(code.dec_mats[t]) for t in net.terminals},
+    }
+    return "".join(_object_parts(doc) + ["\n"])
 
 
 def _as_mat(field: PrimeField, flat, rows: int, cols: int, what: str) -> Mat:

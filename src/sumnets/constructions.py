@@ -103,12 +103,18 @@ def parse_label(label: str) -> tuple[str, tuple[int, ...]]:
     """The kind (s, u, v, t or tp) and indices of a label printed above;
     the _c<copy> suffix the merge adds to u and v labels is dropped.
     Raises ValueError naming any label outside the scheme."""
+    kind, indices, _ = _parse_label(label)
+    return kind, indices
+
+
+def _parse_label(label: str) -> tuple[str, tuple[int, ...], int]:
+    """As parse_label, plus the copy: the _c<copy> suffix, 1 without one."""
     match = _LABEL.fullmatch(label)
     if match:
         kind, digits, copy = match.groups()
         indices = tuple(int(x) for x in digits[1:].split("_"))
         if len(indices) in _ARITY[kind] and (copy is None or kind in ("u", "v")):
-            return kind, indices
+            return kind, indices, int(copy[2:]) if copy else 1
     raise ValueError(f"node label {label!r} is outside the label scheme")
 
 
@@ -270,10 +276,24 @@ def copy_label(label: str, copy: int) -> str:
 def k_copy_merge(base: SumNetwork, k: int) -> SumNetwork:
     """k disjoint copies with same-labeled sources/terminals identified.
 
-    Intermediates and edges are duplicated per copy (suffix _c<t>).
+    Intermediates and edges are duplicated per copy (suffix _c<t>), named
+    by `_copy_namer`.
     """
-    net, _ = merge_with_map(base, k)
-    return net
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    b = _Builder()
+    for n in base.nodes:
+        if n.role != INTERMEDIATE:
+            b.node(n.label, n.role)
+    name = _copy_namer(base)
+    for copy in range(1, k + 1):
+        for n in base.nodes:
+            if n.role == INTERMEDIATE:
+                b.node(copy_label(n.label, copy), n.role)
+        for n in base.nodes:
+            for base_idx in base.in_order[n.label]:
+                b.edge(*name(base_idx, copy))
+    return SumNetwork(b.nodes, b.edges, b.in_order, list(base.source_order))
 
 
 def _copy_namer(base: SumNetwork):
@@ -299,34 +319,13 @@ def _copy_namer(base: SumNetwork):
     return name
 
 
-def merge_with_map(base: SumNetwork, k: int) -> tuple[SumNetwork, list[tuple[int, int]]]:
-    """As k_copy_merge, also returning edge provenance (copy, base edge index).
-
-    Edges are listed copy by copy, each copy in base order, so a terminal's
-    in-edge order is copy-major then base order and a copied node keeps
-    the base order.  Only this function knows that layout; codes on a
-    merge place each matrix by the in-edge it reads, through the provenance.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    b = _Builder()
-    for n in base.nodes:
-        if n.role == INTERMEDIATE:
-            continue
-        b.node(n.label, n.role)
-    for copy in range(1, k + 1):
-        for n in base.nodes:
-            if n.role == INTERMEDIATE:
-                b.node(copy_label(n.label, copy), n.role)
-    name = _copy_namer(base)
-    edge_map: list[tuple[int, int]] = []
-    for copy in range(1, k + 1):
-        for node in base.nodes:
-            for base_idx in base.in_order[node.label]:
-                b.edge(*name(base_idx, copy))
-                edge_map.append((copy, base_idx))
-    net = SumNetwork(b.nodes, b.edges, b.in_order, list(base.source_order))
-    return net, edge_map
+def edge_copies(net: SumNetwork) -> list[int]:
+    """The copy each edge of a family network or its k-copy merge lies
+    in, as `_copy_namer` names it: the _c<copy> suffix of an intermediate
+    end (copy 1 without one), or par + 1 for a direct source->terminal
+    edge, family bases having par 0 and so stride 1."""
+    copy = {n.label: _parse_label(n.label)[2] for n in net.nodes if n.role == INTERMEDIATE}
+    return [copy.get(e.tail) or copy.get(e.head) or e.par + 1 for e in net.edges]
 
 
 def unmerge_map(merged: SumNetwork, base: SumNetwork, k: int) -> dict[int, list[int]]:
@@ -339,7 +338,7 @@ def unmerge_map(merged: SumNetwork, base: SumNetwork, k: int) -> dict[int, list[
         )
     index = {(e.tail, e.head, e.par): i for i, e in enumerate(merged.edges)}
     if k == 1 and all(merged.has_node(x) for x in base.intermediates):
-        # One copy under the base's own labels, as scheme_merged(..., k=1) gives.
+        # One copy under the base's own labels, as build_merged(..., k=1) gives.
         def name(base_idx: int, copy: int) -> tuple[str, str, int]:
             e = base.edges[base_idx]
             return e.tail, e.head, e.par

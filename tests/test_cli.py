@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from sumnets import constructions
 from sumnets.cli import main
 from sumnets.network import deserialize
 
@@ -237,12 +238,24 @@ def test_malformed_manifest_names_itself(tmp_path, capsys, command, content, mes
     _one_line_error(capsys, f"manifest {manifest} {message}")
 
 
-@pytest.mark.parametrize("spoil", ["manifest-q", "reversed-in-order"])
-def test_scheme_refuses_a_network_its_manifest_does_not_build(built_n1, tmp_path, capsys, spoil):
-    if spoil == "manifest-q":
+@pytest.mark.parametrize("spoil", ["manifest-q", "manifest-q3", "manifest-huge-k", "reversed-in-order"])
+def test_scheme_refuses_a_network_its_manifest_does_not_build(
+    built_n1, tmp_path, capsys, monkeypatch, spoil
+):
+    if spoil.startswith("manifest"):
         manifest = built_n1.parent / "n1.json.manifest.json"
         doc = json.loads(manifest.read_text())
-        doc["q"] = 4  # n1(2, 4) has a scheme over GF(2), on another network
+        if spoil == "manifest-q":
+            doc["q"] = 4  # n1(2, 4) has a scheme over GF(2), on another network
+        elif spoil == "manifest-q3":
+            doc["q"] = 3  # n1(2, 3) has none over GF(2): refused, were it the file's network
+        else:
+            doc["k"] = 10**6  # refused on the counts, with no build
+
+            def no_build(*args):
+                raise AssertionError("a network was built for a manifest the counts refuse")
+
+            monkeypatch.setattr(constructions, "_build_family", no_build)
         manifest.write_text(json.dumps(doc))
     else:
         doc = json.loads(built_n1.read_text())

@@ -17,6 +17,7 @@ from sumnets.coding import (
     code_from_json,
     code_to_json,
     layer_shape,
+    scheme,
     scheme_merged,
     scheme_n1,
     scheme_n2,
@@ -24,7 +25,8 @@ from sumnets.coding import (
     unroll_merged,
     verify,
 )
-from sumnets.constructions import build_bottleneck2, build_n1, build_n2, merge_with_map
+from sumnets import constructions
+from sumnets.constructions import build_bottleneck2, build_n1, build_n2, k_copy_merge
 from sumnets.galois import PrimeField
 from sumnets.matrix import Mat
 from sumnets.network import INTERMEDIATE, SOURCE, TERMINAL, Edge, Node, SumNetwork
@@ -202,8 +204,6 @@ def test_routing_baseline_passes_over_every_field(p, build, expected_l):
 
 
 def test_routing_on_merged_network():
-    from sumnets.constructions import k_copy_merge
-
     net = k_copy_merge(build_n1(2, 2), 2)
     code = routing_code(net, 5)
     assert verify(net, code).ok
@@ -364,16 +364,35 @@ def test_unroll_single_copy_onto_base(suffixed):
     base = build_n1(2, 2)
     code = scheme_merged("n1", 2, 2, 2, 1)  # the base code itself
     if suffixed:  # the same code on the k=1 merge, whose intermediates carry _c1
-        net, edge_map = merge_with_map(base, 1)
-        code = FracLinCode(
-            net,
-            code.r,
-            code.l,
-            code.field,
-            {me: code.src_mats[be] for me, (_, be) in enumerate(edge_map) if be in code.src_mats},
-            {me: code.in_mats[be] for me, (_, be) in enumerate(edge_map) if be in code.in_mats},
-            code.dec_mats,
-        )
+        code = scheme(k_copy_merge(base, 1), "n1", 2, 2, 2)
+        assert code.net != base
     unrolled = unroll_merged(code, 1, base)
     assert unrolled.net is base
     assert code_to_json(unrolled) == code_to_json(scheme_n1(2, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: scheme_n1(2, 3, 2),
+        lambda: scheme_n2(2, 4, 2),
+        lambda: scheme_merged("n1", 2, 3, 2, 4),
+        lambda: scheme_merged("n2", 13, 3, 3, 4),
+    ],
+    ids=["n1", "n2", "merged-n1", "merged-n2-4of7"],
+)
+def test_schemes_refuse_the_characteristic_before_any_build(monkeypatch, make):
+    def no_build(*args):
+        raise AssertionError("a network was built for a refused scheme")
+
+    monkeypatch.setattr(constructions, "_build_family", no_build)
+    with pytest.raises(CharacteristicError):
+        make()
+
+
+def test_scheme_names_a_network_with_more_groups_than_m():
+    with pytest.raises(ValueError, match="group beyond m = 2"):
+        scheme(build_n1(3, 2), "n1", 2, 2, 2)
+    # A larger m leaves a slot of each middle edge unused: a (2, m+1) code that still verifies.
+    code = scheme(build_n1(2, 2), "n1", 3, 2, 2)
+    assert (code.r, code.l) == (2, 4) and verify(code.net, code).ok

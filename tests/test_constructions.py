@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sumnets.coding import FracLinCode, code_to_json, scheme_merged, unroll_merged, verify
+from sumnets.coding import FracLinCode, code_to_json, scheme, scheme_merged, unroll_merged, verify
 from sumnets.constructions import (
     IN_SET,
     NOT_IN_SET,
@@ -16,8 +16,8 @@ from sumnets.constructions import (
     build_n1,
     build_n2,
     copy_label,
+    edge_copies,
     k_copy_merge,
-    merge_with_map,
     n1_counts,
     n1_s_ij,
     n2_counts,
@@ -139,14 +139,25 @@ def test_merge_three_copies():
 
 def test_merge_map_round_trip():
     base = build_n2(2, 2)
-    merged, edge_map = merge_with_map(base, 2)
-    assert len(edge_map) == 2 * len(base.edges)
-    images = unmerge_map(merged, base, 2)
-    for be, imgs in images.items():
-        assert len(imgs) == 2
-        copies = sorted(edge_map[me][0] for me in imgs)
-        assert copies == [1, 2]
-        assert all(edge_map[me][1] == be for me in imgs)
+    assert edge_copies(base) == [1] * len(base.edges)
+    for k in (1, 2, 3):
+        merged = k_copy_merge(base, k)
+        images = unmerge_map(merged, base, k)
+        assert sorted(me for imgs in images.values() for me in imgs) == list(range(len(merged.edges)))
+        copies = edge_copies(merged)
+        for be, imgs in images.items():
+            b = base.edges[be]
+            inter = [base.role(b.tail) == INTERMEDIATE, base.role(b.head) == INTERMEDIATE]
+            for c, me in enumerate(imgs, start=1):
+                # The copy-c image carries _c<c> on its intermediate ends;
+                # a direct edge keeps its ends and takes par c-1.
+                if any(inter):
+                    tail, head = (f"{x}_c{c}" if i else x for x, i in zip((b.tail, b.head), inter))
+                    want = Edge(tail, head, b.par)
+                else:
+                    want = Edge(b.tail, b.head, c - 1)
+                assert merged.edges[me] == want
+                assert copies[me] == c
 
 
 def _permuted(net, seed):
@@ -184,6 +195,40 @@ def test_merge_map_survives_permuted_edge_list():
     assert code_to_json(unrolled) == code_to_json(unroll_merged(merged_code, 2, base))
 
 
+def _shuffled(net, seed):
+    """`_permuted(net, seed)` with every node's in-edge order shuffled too;
+    returns it with old edge index -> new edge index."""
+    moved, new_of = _permuted(net, seed)
+    rng = random.Random(seed + 1)
+    in_order = {label: rng.sample(ins, len(ins)) for label, ins in moved.in_order.items()}
+    return SumNetwork(moved.nodes, moved.edges, in_order, list(moved.source_order)), new_of
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("family,m,q,p", [("n1", 2, 2, 2), ("n2", 2, 2, 3), ("n2", 3, 2, 5)])
+def test_scheme_on_a_shuffled_network_is_the_merged_code_moved(family, m, q, p, k):
+    want = scheme_merged(family, m, q, p, k)
+    net = want.net
+    shuffled, new_of = _shuffled(net, seed=10 * k + m)
+    assert validate(shuffled) == []
+    assert any(shuffled.in_edges(t) != tuple(map(new_of.get, net.in_edges(t))) for t in net.terminals)
+    got = scheme(shuffled, family, m, q, p)
+    assert verify(shuffled, got).ok
+    assert (got.r, got.l) == (want.r, want.l) == (2 * k, m + 1)
+
+    def placed(code, node, mats):
+        """node's matrices by the shuffled index of the in-edge each reads."""
+        ins = code.net.in_edges(node)
+        return dict(zip([new_of[i] for i in ins] if code is want else ins, mats))
+
+    assert {new_of[i]: m for i, m in want.src_mats.items()} == got.src_mats
+    for i, mats in want.in_mats.items():
+        tail = net.edges[i].tail
+        assert placed(want, tail, mats) == placed(got, tail, got.in_mats[new_of[i]])
+    for t, mats in want.dec_mats.items():
+        assert placed(want, t, mats) == placed(got, t, got.dec_mats[t])
+
+
 def _reversed_in_order(code, node):
     """`code` on the same network with `node`'s in-edge order reversed, and
     the matrices that read those in-edges reversed to match."""
@@ -203,7 +248,7 @@ def _reversed_in_order(code, node):
 def test_unroll_places_decoders_by_in_edge_position():
     base = build_n1(2, 2)
     code = scheme_merged("n1", 2, 2, 2, 2)
-    assert code.net == merge_with_map(base, 2)[0]
+    assert code.net == k_copy_merge(base, 2)
     moved = _reversed_in_order(code, "t_1")
     assert moved.net.in_edges("t_1") != code.net.in_edges("t_1")
     assert verify(moved.net, moved).ok
@@ -213,7 +258,7 @@ def test_unroll_places_decoders_by_in_edge_position():
 def test_unroll_places_in_edge_matrices_by_in_edge_position():
     base = build_n1(2, 2)
     code = scheme_merged("n1", 2, 2, 2, 2)
-    assert code.net == merge_with_map(base, 2)[0]
+    assert code.net == k_copy_merge(base, 2)
     node = copy_label(u_lab(1, 1), 1)
     (me,) = code.net.out_edges(node)
     # D_j = I + E_{j,j+1}: invertible, its own inverse over GF(2), and
