@@ -376,10 +376,6 @@ def bound_check(net: SumNetwork, code: FracLinCode, mode: str, m: int, q: int) -
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    tm = transfer(net, code)
-    if not verify_transfer(tm).ok:
-        raise UnverifiedCodeError("bound_check requires a verifying code")
-
     r, l = code.r, code.l
     n_src = len(net.source_order)
     required = r * n_src
@@ -389,22 +385,22 @@ def bound_check(net: SumNetwork, code: FracLinCode, mode: str, m: int, q: int) -
         raise ValueError(f"middle edge count {n_mid} does not match m={m}, q={q}")
     k = n_mid // (m * (q + 1))
 
-    middle_rows = np.vstack([tm.edge_matrix(me).a for me in middles])
+    # The mode is checked on the network alone, before any transfer.
+    selectors = np.zeros((0, required), dtype=np.int64)
     if mode == "n1-with-groups":
         selectors = _selector_rows(net, r, [ [s1(i)] for i in range(1, m + 1) ])
-        stacked = np.vstack([selectors, middle_rows])
         implied = Fraction(n_mid, n_src - m)
         closed = capacity("n1", m, q, k)
     elif mode == "n1-middle-only":
-        stacked = middle_rows
         implied = Fraction(n_mid, n_src)
         closed = k * wrong_char_bound(m, q)
     elif mode == "n2-middle-only":
-        stacked = middle_rows
         implied = Fraction(n_mid, n_src)
         closed = capacity("n2", m, q, k)
     else:  # n2-redundancy
-        stacked = middle_rows
+        # Middle edge u_<i>_<j> -> v_<i>_<j> is kept when j <= q.
+        first_q = [me for me in middles if parse_label(net.edges[me].tail)[1][1] <= q]
+        group_sums = _selector_rows(net, r, [n2_s_ij(m, q, i, q + 1) for i in range(1, m + 1)])
         implied = Fraction(n_mid, n_src + m)
         closed = k * wrong_char_bound(m, q)
     if implied != closed:
@@ -412,12 +408,16 @@ def bound_check(net: SumNetwork, code: FracLinCode, mode: str, m: int, q: int) -
             f"mode {mode} does not apply: implied bound {implied} != closed form {closed}"
         )
 
+    tm = transfer(net, code)
+    if not verify_transfer(tm).ok:
+        raise UnverifiedCodeError("bound_check requires a verifying code")
+    stacked = np.vstack([selectors] + [tm.edge_matrix(me).a for me in middles])
     stacked_shape = stacked.shape
     stacked_nonzeros = int(np.count_nonzero(stacked))
     got_rank, _ = rref_mod(stacked, code.field.p)
     redundancy_ok = None
     if mode == "n2-redundancy":
-        redundancy_ok = _group_sum_redundancy(net, tm, m, q, k)
+        redundancy_ok = _group_sum_redundancy(tm, first_q, group_sums)
 
     rate = Fraction(r, l)
     return BoundReport(
@@ -449,17 +449,12 @@ def _selector_rows(net: SumNetwork, r: int, groups: list[list[str]]) -> np.ndarr
     return out
 
 
-def _group_sum_redundancy(net, tm, m: int, q: int, k: int) -> bool:
-    """The per-group sums over S_{i,q+1} add no rank beyond the middle
-    edges with index j <= q: appending those selector rows leaves the
-    rank unchanged."""
-
-    # Middle edge u_<i>_<j> -> v_<i>_<j> is kept when j <= q.
-    first_q = [me for me in net.middle_edges() if parse_label(net.edges[me].tail)[1][1] <= q]
-    base = np.vstack([tm.edge_matrix(me).a for me in first_q])
-    groups = [n2_s_ij(m, q, i, q + 1) for i in range(1, m + 1)]
-    selectors = _selector_rows(net, tm.r, groups) % tm.field.p
+def _group_sum_redundancy(tm, first_q: list[int], group_sums: np.ndarray) -> bool:
+    """The per-group sums over S_{i,q+1} (the rows group_sums) add no
+    rank beyond the middle edges first_q, those with index j <= q:
+    appending those selector rows leaves the rank unchanged."""
     p = tm.field.p
+    base = np.vstack([tm.edge_matrix(me).a for me in first_q])
     rank_base, _ = rref_mod(base.copy(), p)
-    rank_aug, _ = rref_mod(np.vstack([base, selectors]), p)
+    rank_aug, _ = rref_mod(np.vstack([base, group_sums % p]), p)
     return rank_aug == rank_base

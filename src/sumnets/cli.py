@@ -28,6 +28,7 @@ from .analysis import (
 )
 from .coding import (
     CharacteristicError,
+    UnverifiedCodeError,
     code_from_json,
     code_to_json,
     scheme,
@@ -268,7 +269,11 @@ def _cmd_bounds(args) -> int:
     net = _load_net(net_path)
     code = code_from_json(net, Path(args.code).read_bytes())
     mode = args.mode or ("n1-with-groups" if family == "n1" else "n2-middle-only")
-    report = bound_check(net, code, mode, m, q)
+    try:
+        report = bound_check(net, code, mode, m, q)
+    except UnverifiedCodeError as exc:
+        print(f"refused: {exc}")
+        return 1
     print("\n".join(lines))
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True))

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._core_py import matmul_mod
-from .constructions import build_merged, build_n1, build_n2, edge_copies, parse_label, unmerge_map
+from .constructions import build_merged, build_n1, build_n2, edge_origins, parse_label
 from .galois import PrimeField
 from .matrix import Mat, rank
 from .network import SOURCE, TERMINAL, SumNetwork, topo_order
@@ -426,7 +426,7 @@ def _family_scheme(
     in the field; k is the largest copy.  The characteristic is not checked.
     """
     p = field.p
-    copies = edge_copies(net)
+    copies = [copy for _, copy in edge_origins(net)]
     r, l = 2 * max(copies, default=1), m + 1
     code = FracLinCode(net, r, l, field)
     role = {n.label: n.role for n in net.nodes}
@@ -556,7 +556,11 @@ def scheme_merged(family: str, m: int, q: int, p: int, k: int) -> FracLinCode:
 def unroll_merged(merged_code: FracLinCode, k: int, base: Optional[SumNetwork] = None) -> FracLinCode:
     """Turn a verifying (r,l) code on a k-copy merge into an (r, l*k) code
     on the base network: each base edge carries the stacked messages of
-    its k images.  The merge may list its edges and in-edges in any order."""
+    its k images.  The merge may list its edges and in-edges in any order:
+    each merged edge's base edge and copy are read from its labels
+    (`edge_origins`).  Raises ValueError unless every base edge has
+    exactly one image in each copy 1..k; a merge of a base with parallel
+    direct edges reads as copies beyond k, so it is refused."""
     if not verify(merged_code.net, merged_code).ok:
         raise UnverifiedCodeError("input code does not verify on the merged network")
     if k == 1 and base is None:
@@ -564,7 +568,22 @@ def unroll_merged(merged_code: FracLinCode, k: int, base: Optional[SumNetwork] =
     if base is None:
         raise ValueError("base network required to unroll a k>1 merge")
     merged = merged_code.net
-    images = unmerge_map(merged, base, k)
+    if len(merged.edges) != k * len(base.edges):
+        raise ValueError(
+            f"merged network has {len(merged.edges)} edges, expected {k} x {len(base.edges)}"
+        )
+    # images[base edge][copy - 1]: the merged edge that is that copy of it.
+    base_index = {(e.tail, e.head, e.par): i for i, e in enumerate(base.edges)}
+    images: list[list[Optional[int]]] = [[None] * k for _ in base.edges]
+    for me, (key, copy) in enumerate(edge_origins(merged)):
+        be = base_index.get(key)
+        if be is None:
+            raise ValueError(f"merged edge {merged.edges[me].label} copies no edge of the base")
+        if copy > k:
+            raise ValueError(f"merged edge {merged.edges[me].label} lies in copy {copy} > k = {k}")
+        if images[be][copy - 1] is not None:
+            raise ValueError(f"base edge {base.edges[be].label} has a second image in copy {copy}")
+        images[be][copy - 1] = me
     field = merged_code.field
     r, l = merged_code.r, merged_code.l
     code = FracLinCode(base, r, l * k, field)

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
-from typing import Callable
+from typing import Callable, Iterator
 
 from .galois import MAX_MODULUS, PrimeField
 from .network import INTERMEDIATE, SOURCE, TERMINAL, Edge, Node, SumNetwork
@@ -103,18 +103,19 @@ def parse_label(label: str) -> tuple[str, tuple[int, ...]]:
     """The kind (s, u, v, t or tp) and indices of a label printed above;
     the _c<copy> suffix the merge adds to u and v labels is dropped.
     Raises ValueError naming any label outside the scheme."""
-    kind, indices, _ = _parse_label(label)
+    kind, indices, _, _ = _parse_label(label)
     return kind, indices
 
 
-def _parse_label(label: str) -> tuple[str, tuple[int, ...], int]:
-    """As parse_label, plus the copy: the _c<copy> suffix, 1 without one."""
+def _parse_label(label: str) -> tuple[str, tuple[int, ...], str, int]:
+    """As parse_label, plus the label without its _c<copy> suffix and the
+    copy (1 without one)."""
     match = _LABEL.fullmatch(label)
     if match:
         kind, digits, copy = match.groups()
         indices = tuple(int(x) for x in digits[1:].split("_"))
         if len(indices) in _ARITY[kind] and (copy is None or kind in ("u", "v")):
-            return kind, indices, int(copy[2:]) if copy else 1
+            return kind, indices, label[: match.end(2)], int(copy[2:]) if copy else 1
     raise ValueError(f"node label {label!r} is outside the label scheme")
 
 
@@ -276,8 +277,10 @@ def copy_label(label: str, copy: int) -> str:
 def k_copy_merge(base: SumNetwork, k: int) -> SumNetwork:
     """k disjoint copies with same-labeled sources/terminals identified.
 
-    Intermediates and edges are duplicated per copy (suffix _c<t>), named
-    by `_copy_namer`.
+    Copy c of an edge gives its intermediate ends the suffix _c<c>; a
+    direct source->terminal edge keeps both ends and shifts par by
+    (c-1) * stride, stride being one more than the largest par in the
+    base.  `edge_origins` reads the copies back.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -285,78 +288,45 @@ def k_copy_merge(base: SumNetwork, k: int) -> SumNetwork:
     for n in base.nodes:
         if n.role != INTERMEDIATE:
             b.node(n.label, n.role)
-    name = _copy_namer(base)
+    stride = max((e.par for e in base.edges), default=0) + 1
     for copy in range(1, k + 1):
-        for n in base.nodes:
-            if n.role == INTERMEDIATE:
-                b.node(copy_label(n.label, copy), n.role)
+        name = {x: copy_label(x, copy) for x in base.intermediates}
+        for x in name.values():
+            b.node(x, INTERMEDIATE)
         for n in base.nodes:
             for base_idx in base.in_order[n.label]:
-                b.edge(*name(base_idx, copy))
+                e = base.edges[base_idx]
+                if e.tail in name or e.head in name:
+                    b.edge(name.get(e.tail, e.tail), name.get(e.head, e.head), e.par)
+                else:
+                    b.edge(e.tail, e.head, e.par + (copy - 1) * stride)
     return SumNetwork(b.nodes, b.edges, b.in_order, list(base.source_order))
 
 
-def _copy_namer(base: SumNetwork):
-    """The k-copy merge's naming rule, as name(base edge index, copy) ->
-    the (tail, head, par) key of that copy of the edge.
+def edge_origins(net: SumNetwork) -> Iterator[tuple[tuple[str, str, int], int]]:
+    """For each edge of a family network or its k-copy merge, in edge
+    order, the (tail, head, par) key of the base edge it copies, and its
+    copy, read back from the labels as `k_copy_merge` writes them.  An
+    intermediate end loses its _c<copy> suffix, copy 1 without one.  A
+    direct source->terminal edge keeps its ends and is copy par + 1 of
+    the base edge with par 0.
 
-    Intermediate ends get the _c<copy> suffix; a direct source->terminal
-    edge keeps both ends and shifts par by (copy-1) * stride, stride
-    being one more than the largest par in the base.
+    The direct-edge rule holds for a base whose direct edges all have
+    par 0, as every family base has.  A merge of a base with parallel
+    direct edges reads as copies beyond k, which a caller must refuse.
     """
-    stride = max((e.par for e in base.edges), default=0) + 1
-    tail_in = [base.role(e.tail) == INTERMEDIATE for e in base.edges]
-    head_in = [base.role(e.head) == INTERMEDIATE for e in base.edges]
-
-    def name(base_idx: int, copy: int) -> tuple[str, str, int]:
-        e = base.edges[base_idx]
-        if not (tail_in[base_idx] or head_in[base_idx]):
-            return e.tail, e.head, e.par + (copy - 1) * stride
-        tail = copy_label(e.tail, copy) if tail_in[base_idx] else e.tail
-        head = copy_label(e.head, copy) if head_in[base_idx] else e.head
-        return tail, head, e.par
-
-    return name
-
-
-def edge_copies(net: SumNetwork) -> list[int]:
-    """The copy each edge of a family network or its k-copy merge lies
-    in, as `_copy_namer` names it: the _c<copy> suffix of an intermediate
-    end (copy 1 without one), or par + 1 for a direct source->terminal
-    edge, family bases having par 0 and so stride 1."""
-    copy = {n.label: _parse_label(n.label)[2] for n in net.nodes if n.role == INTERMEDIATE}
-    return [copy.get(e.tail) or copy.get(e.head) or e.par + 1 for e in net.edges]
-
-
-def unmerge_map(merged: SumNetwork, base: SumNetwork, k: int) -> dict[int, list[int]]:
-    """Map each base edge index to its k images in the merged network, in
-    copy order.  Raises ValueError unless merged is a k-copy merge of base
-    (up to edge order)."""
-    if len(merged.edges) != k * len(base.edges):
-        raise ValueError(
-            f"merged network has {len(merged.edges)} edges, expected {k} x {len(base.edges)}"
-        )
-    index = {(e.tail, e.head, e.par): i for i, e in enumerate(merged.edges)}
-    if k == 1 and all(merged.has_node(x) for x in base.intermediates):
-        # One copy under the base's own labels, as build_merged(..., k=1) gives.
-        def name(base_idx: int, copy: int) -> tuple[str, str, int]:
-            e = base.edges[base_idx]
-            return e.tail, e.head, e.par
-
-    else:
-        name = _copy_namer(base)
-    images: dict[int, list[int]] = {}
-    for base_idx in range(len(base.edges)):
-        imgs = []
-        for copy in range(1, k + 1):
-            image = index.get(name(base_idx, copy))
-            if image is None:
-                raise ValueError(
-                    f"base edge {base.edges[base_idx].label} has no image in copy {copy}"
-                )
-            imgs.append(image)
-        images[base_idx] = imgs
-    return images
+    ends = {}
+    for n in net.nodes:
+        if n.role == INTERMEDIATE:
+            _, _, stem, copy = _parse_label(n.label)
+            ends[n.label] = stem, copy
+    for e in net.edges:
+        tail, head = ends.get(e.tail), ends.get(e.head)
+        if tail is None and head is None:
+            yield (e.tail, e.head, 0), e.par + 1
+        else:
+            copy = (tail or head)[1]
+            yield (tail[0] if tail else e.tail, head[0] if head else e.head, e.par), copy
 
 
 # --- family builders with their manifests ---------------------------------------

@@ -252,6 +252,22 @@ def test_bound_check_rejects_inapplicable_mode():
         bound_check(code.net, code, "sideways", 2, 2)
 
 
+@pytest.mark.parametrize("verifying", [True, False])
+def test_bound_check_refuses_a_mode_before_any_transfer(monkeypatch, verifying):
+    import sumnets.analysis
+
+    code = scheme_n1(2, 2, 2)
+    if not verifying:
+        code.src_mats[0] = Mat.zeros(code.field, code.l, code.r)
+
+    def no_transfer(*args):
+        raise AssertionError("transfer ran for a mode that does not apply")
+
+    monkeypatch.setattr(sumnets.analysis, "transfer", no_transfer)
+    with pytest.raises(ValueError, match="does not apply"):
+        bound_check(code.net, code, "n2-middle-only", 2, 2)
+
+
 def test_rate_always_satisfies_its_certificate():
     cases = [
         (scheme_n1(3, 6, 2), "n1-with-groups", 3, 6),

@@ -164,6 +164,30 @@ def test_bounds_with_code_appends_certificate(built_n1, tmp_path, capsys):
     assert "certificate: PASS" in out
 
 
+def test_bounds_on_a_code_that_does_not_verify_exits_1(tmp_path, capsys):
+    net, code = tmp_path / "n.json", tmp_path / "code.json"
+    assert run("build", "--family", "n1", "--m", "1", "--q", "2", "--out", str(net)) == 0
+    assert run("scheme", "--net", str(net), "--p", "2", "--out", str(code)) == 0
+    doc = json.loads(code.read_text())
+    doc["terminal_matrices"]["t_1"][0][0] ^= 1  # one entry of one decoder, over GF(2)
+    code.write_text(json.dumps(doc))
+    assert run("verify", "--net", str(net), "--code", str(code)) == 1
+    capsys.readouterr()
+    assert run("bounds", "--net", str(net), "--code", str(code)) == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1 and "verifying code" in captured.out
+    assert captured.err == ""
+
+
+def test_bounds_with_a_mode_that_does_not_apply_is_usage_error(built_n1, tmp_path, capsys):
+    code = tmp_path / "code.json"
+    assert run("scheme", "--net", str(built_n1), "--p", "2", "--out", str(code)) == 0
+    capsys.readouterr()
+    argv = ["bounds", "--net", str(built_n1), "--code", str(code), "--mode", "n2-middle-only"]
+    assert run(*argv) == 2
+    _one_line_error(capsys, "does not apply")
+
+
 def test_bounds_family_two_closed_form(tmp_path, capsys):
     out = tmp_path / "n2.json"
     run("build", "--family", "n2", "--m", "3", "--q", "2", "--out", str(out))

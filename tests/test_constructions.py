@@ -16,7 +16,7 @@ from sumnets.constructions import (
     build_n1,
     build_n2,
     copy_label,
-    edge_copies,
+    edge_origins,
     k_copy_merge,
     n1_counts,
     n1_s_ij,
@@ -31,11 +31,20 @@ from sumnets.constructions import (
     t3,
     t4,
     u_lab,
-    unmerge_map,
     v_lab,
 )
+from sumnets.galois import PrimeField
 from sumnets.matrix import Mat
-from sumnets.network import INTERMEDIATE, SOURCE, TERMINAL, Edge, SumNetwork, serialize, validate
+from sumnets.network import (
+    INTERMEDIATE,
+    SOURCE,
+    TERMINAL,
+    Edge,
+    Node,
+    SumNetwork,
+    serialize,
+    validate,
+)
 
 GRID = list(itertools.product([1, 2, 3], [2, 3, 6]))
 
@@ -139,25 +148,24 @@ def test_merge_three_copies():
 
 def test_merge_map_round_trip():
     base = build_n2(2, 2)
-    assert edge_copies(base) == [1] * len(base.edges)
+    assert list(edge_origins(base)) == [((e.tail, e.head, e.par), 1) for e in base.edges]
     for k in (1, 2, 3):
         merged = k_copy_merge(base, k)
-        images = unmerge_map(merged, base, k)
-        assert sorted(me for imgs in images.values() for me in imgs) == list(range(len(merged.edges)))
-        copies = edge_copies(merged)
-        for be, imgs in images.items():
-            b = base.edges[be]
+        want = {}
+        for b in base.edges:
             inter = [base.role(b.tail) == INTERMEDIATE, base.role(b.head) == INTERMEDIATE]
-            for c, me in enumerate(imgs, start=1):
+            for c in range(1, k + 1):
                 # The copy-c image carries _c<c> on its intermediate ends;
                 # a direct edge keeps its ends and takes par c-1.
                 if any(inter):
                     tail, head = (f"{x}_c{c}" if i else x for x, i in zip((b.tail, b.head), inter))
-                    want = Edge(tail, head, b.par)
+                    image = Edge(tail, head, b.par)
                 else:
-                    want = Edge(b.tail, b.head, c - 1)
-                assert merged.edges[me] == want
-                assert copies[me] == c
+                    image = Edge(b.tail, b.head, c - 1)
+                want[image] = (b.tail, b.head, b.par), c
+        # Each (base edge, copy) is read back from exactly its image.
+        assert len(merged.edges) == len(want)
+        assert dict(zip(merged.edges, edge_origins(merged))) == want
 
 
 def _permuted(net, seed):
@@ -177,9 +185,9 @@ def test_merge_map_survives_permuted_edge_list():
     merged = merged_code.net
     shuffled, new_of = _permuted(merged, seed=3)
     assert validate(shuffled) == []
-    want = unmerge_map(merged, base, 2)
-    got = unmerge_map(shuffled, base, 2)
-    assert got == {be: [new_of[me] for me in imgs] for be, imgs in want.items()}
+    want = list(edge_origins(merged))
+    got = list(edge_origins(shuffled))
+    assert all(got[new_of[me]] == origin for me, origin in enumerate(want))
 
     shuffled_code = FracLinCode(
         shuffled,
@@ -277,18 +285,66 @@ def test_unroll_places_in_edge_matrices_by_in_edge_position():
     assert verify(base, unroll_merged(moved, 2, base)).ok
 
 
+def _on(code, net):
+    """code's matrices on net, which has the same edge and in-edge structure."""
+    return FracLinCode(net, code.r, code.l, code.field, dict(code.src_mats),
+                       dict(code.in_mats), dict(code.dec_mats))
+
+
+def _renamed(net, old, new):
+    """net with node `old` relabelled `new`."""
+    def name(x):
+        return new if x == old else x
+
+    nodes = [Node(name(n.label), n.role) for n in net.nodes]
+    edges = [Edge(name(e.tail), name(e.head), e.par) for e in net.edges]
+    in_order = {name(x): ins for x, ins in net.in_order.items()}
+    return SumNetwork(nodes, edges, in_order, list(net.source_order))
+
+
 def test_merge_map_rejects_a_network_that_is_not_a_merge_of_the_base():
     with pytest.raises(ValueError, match="expected"):
-        unmerge_map(k_copy_merge(build_n2(2, 2), 2), build_n1(2, 2), 2)
-    # Same edge count, but one image renamed away.
+        unroll_merged(scheme_merged("n2", 2, 2, 3, 2), 2, build_n1(2, 2))
     base = build_n1(1, 2)
-    merged = k_copy_merge(base, 2)
+    code = scheme_merged("n1", 1, 2, 2, 2)
+    merged = code.net
+    # Same edge count, but one image renamed away.
     edges = list(merged.edges)
     e = edges[0]
     edges[0] = Edge(e.tail, e.head, e.par + 100)
     broken = SumNetwork(merged.nodes, edges, merged.in_order, list(merged.source_order))
-    with pytest.raises(ValueError, match="no image"):
-        unmerge_map(broken, base, 2)
+    # Copy 2 of u_1_1 relabelled as copy 3, and as the unsuffixed copy 1.
+    beyond = _renamed(merged, "u_1_1_c2", "u_1_1_c3")
+    twice = _renamed(merged, "u_1_1_c2", "u_1_1")
+    for net, message in [(broken, "copies no edge"), (beyond, "copy 3 > k = 2"),
+                         (twice, "second image in copy 1")]:
+        moved = _on(code, net)
+        assert verify(net, moved).ok
+        with pytest.raises(ValueError, match=message):
+            unroll_merged(moved, 2, base)
+
+
+def test_unroll_refuses_a_merge_of_a_base_with_parallel_direct_edges():
+    plain = build_bottleneck2()
+    edges = list(plain.edges) + [Edge("s_1", "t_1", 0), Edge("s_1", "t_1", 1)]
+    in_order = dict(plain.in_order, t_1=[*plain.in_order["t_1"], 5, 6])
+    base = SumNetwork(plain.nodes, edges, in_order, list(plain.source_order))
+    merged = k_copy_merge(base, 2)
+    # Over GF(2) at rate 1: copy 1 carries the sum; every other edge carries 0.
+    field = PrimeField(2)
+    one, zero = Mat(field, np.ones((1, 1))), Mat(field, np.zeros((1, 1)))
+    code = FracLinCode(merged, 1, 1, field)
+    for i, e in enumerate(merged.edges):
+        if merged.role(e.tail) == SOURCE:
+            code.src_mats[i] = one if e.head == "u_1_1_c1" else zero
+        else:
+            code.in_mats[i] = (one,) * len(merged.in_edges(e.tail))
+    for t in merged.terminals:
+        ins = merged.in_edges(t)
+        code.dec_mats[t] = tuple(one if merged.edges[i].tail == "v_1_1_c1" else zero for i in ins)
+    assert verify(merged, code).ok
+    with pytest.raises(ValueError, match="> k = 2"):
+        unroll_merged(code, 2, base)
 
 
 def test_merge_rejects_bad_k():
