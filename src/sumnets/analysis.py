@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._core_py import matmul_mod, rref_mod
+from ._core_py import matmul_mod, rref_mod, solvable_mod
 from .coding import (
     FracLinCode,
     LayerShape,
@@ -102,6 +102,44 @@ def _direct_chunks(r: int, l: int, count: int, source: str, terminal: str) -> li
     return [range(i * chunk, min(r, (i + 1) * chunk)) for i in range(count)]
 
 
+def _cell_starts(shape: LayerShape, r: int, l: int) -> list[int]:
+    """Where each middle edge's composite starts in the flat cells of a
+    composite encoding, in shape.middle order, then the cell count.  The
+    composite of edge e is l x r|S_e|, row-major."""
+    starts = [0]
+    for me in shape.middle:
+        starts.append(starts[-1] + l * r * len(shape.src_order[me]))
+    return starts
+
+
+def _decoder_system(
+    net: SumNetwork, shape: LayerShape, starts: list[int], r: int, l: int, t: str
+) -> tuple[list[str], np.ndarray]:
+    """Terminal t's non-direct sources nd, in source order, and its
+    stacked composites as a gather index into the flat cells.
+
+    The stack has l rows per tapped middle edge, in tap order, and r
+    columns per source of nd: the tapped edge's composite block for that
+    source, or zeros where the edge does not carry it.  gather[i, j] is
+    the cell of entry (i, j); a zero entry reads the cell starts[-1],
+    one past the last, which holds 0.
+    """
+    directs = shape.term_directs[t]
+    nd = [s for s in net.source_order if s not in directs]
+    nd_pos = {s: i for i, s in enumerate(nd)}
+    taps = shape.term_taps[t]
+    start = dict(zip(shape.middle, starts))
+    gather = np.full((l * len(taps), r * len(nd)), starts[-1], dtype=np.intp)
+    for i, (_, me) in enumerate(taps):
+        order = shape.src_order[me]
+        block = start[me] + r * len(order) * np.arange(l)[:, None] + np.arange(r)
+        for j, s in enumerate(order):
+            col = nd_pos.get(s)
+            if col is not None:
+                gather[i * l : (i + 1) * l, col * r : (col + 1) * r] = block + j * r
+    return nd, gather
+
+
 def feasible_decoders(
     net: SumNetwork,
     composites: CompositeEncoding,
@@ -123,6 +161,8 @@ def feasible_decoders(
     composites.check_shapes(shape)
     field = composites.field
     p = field.p
+    starts = _cell_starts(shape, r, l)
+    cells = np.concatenate([composites.mats[me].a.ravel() for me in shape.middle] + [[0]])
 
     # The solved decoders, if they exist for every terminal.
     dec_mats: dict[str, tuple[Mat, ...]] = {}
@@ -130,23 +170,10 @@ def feasible_decoders(
     for t in net.terminals:
         taps = shape.term_taps[t]
         directs = shape.term_directs[t]
-        nd = [s for s in net.source_order if s not in directs]
-        nd_pos = {s: i for i, s in enumerate(nd)}
-
-        # Stacked composites restricted to the non-direct source blocks.
-        a_rows = []
-        for _, me in taps:
-            arr = np.zeros((l, r * len(nd)), dtype=np.int64)
-            comp = composites.mats[me].a
-            for j, s in enumerate(shape.src_order[me]):
-                col = nd_pos.get(s)
-                if col is not None:
-                    arr[:, col * r : (col + 1) * r] = comp[:, j * r : (j + 1) * r]
-            a_rows.append(arr)
+        nd, gather = _decoder_system(net, shape, starts, r, l, t)
         if nd and taps:
-            a_stack = Mat(field, np.vstack(a_rows))
             b = Mat(field, np.tile(np.eye(r, dtype=np.int64), (1, len(nd))))
-            d = solve_right(a_stack, b)
+            d = solve_right(Mat(field, cells[gather]), b)
             if d is None:
                 return DecodeResult(None, t)
             d_arr = d.a
@@ -233,20 +260,28 @@ class Random:
 class SearchResult:
     found: list[FracLinCode]
     tried: int
+    # Candidates rejected at each terminal that rejected any, in terminal
+    # order; the counts sum to tried - len(found).
+    rejected_at: dict[str, int]
 
 
-def _composite_layout(shape: LayerShape, r: int, l: int) -> list[tuple[int, int]]:
-    return [(me, l * r * len(shape.src_order[me])) for me in shape.middle]
+# Working set of one screened chunk of search candidates, in bytes: their
+# cells plus, per candidate, the largest terminal system at 8 bytes an
+# entry (the gathered stack, its int16 working copy and the update's
+# temporary, with room to spare).  On the rate-3/5 network over GF(3) it
+# gives chunks of 5: larger chunks eliminate faster per candidate but
+# raise the resident peak, the search workload's tightest metric.
+_SCREEN_BYTES = 1 << 20
 
 
 def _composites_from_cells(
     field: PrimeField, shape: LayerShape, r: int, l: int, cells: np.ndarray
 ) -> CompositeEncoding:
-    mats = {}
-    at = 0
-    for me, size in _composite_layout(shape, r, l):
-        mats[me] = Mat(field, cells[at : at + size].reshape(l, r * len(shape.src_order[me])))
-        at += size
+    starts = _cell_starts(shape, r, l)
+    mats = {
+        me: Mat(field, cells[lo:hi].reshape(l, -1))
+        for me, lo, hi in zip(shape.middle, starts, starts[1:])
+    }
     return CompositeEncoding(r, l, field, mats)
 
 
@@ -255,7 +290,14 @@ def search(
 ) -> SearchResult:
     """Enumerate or sample composite encodings and keep those with
     feasible decoders.  Deterministic: exhaustive order is lexicographic,
-    random sampling is fixed by the seed."""
+    random sampling is fixed by the seed.
+
+    Candidates are screened in chunks, one terminal at a time in terminal
+    order: `solvable_mod` decides every survivor's decoder system at once,
+    read from the chunk's cells through the terminal's gather index.
+    Only candidates that pass every terminal reach `feasible_decoders`,
+    which builds their codes in stream order.
+    """
     for name, value in (("r", r), ("l", l)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -266,7 +308,8 @@ def search(
             raise ValueError(f"seed must be >= 0, got {strategy.seed}")
     field = PrimeField(p)
     shape = layer_shape(net)
-    total_cells = sum(size for _, size in _composite_layout(shape, r, l))
+    starts = _cell_starts(shape, r, l)
+    total_cells = starts[-1]
     if isinstance(strategy, Exhaustive):
         space = p**total_cells
         if space > strategy.budget:
@@ -276,18 +319,76 @@ def search(
         stream = itertools.product(range(p), repeat=total_cells)
     elif isinstance(strategy, Random):
         rng = np.random.default_rng(strategy.seed)
+        space = strategy.n
         stream = (rng.integers(0, p, size=total_cells, dtype=np.int64) for _ in range(strategy.n))
     else:
         raise TypeError(f"unknown search strategy {strategy!r}")
+
+    terminals = net.terminals
+    n_src = len(net.source_order)
+    largest = max(
+        (
+            (l * len(shape.term_taps[t]) + r) * r * (n_src - len(shape.term_directs[t]))
+            for t in terminals
+        ),
+        default=0,
+    )
+    # Residues in narrow cells; one pad cell past each candidate's own
+    # holds the zero that gathers read.
+    dtype = np.int8 if p <= 127 else np.int32
+    row_bytes = np.dtype(dtype).itemsize * (total_cells + 1)
+    size = min(space, max(1, _SCREEN_BYTES // (row_bytes + 8 * largest)))
+    chunk = np.zeros((size, total_cells + 1), dtype=dtype)
+    # Per terminal, once a candidate reaches it: nd, the gather index and
+    # the right-hand side, I_r under every source of nd.
+    systems: dict[str, tuple[list[str], np.ndarray, np.ndarray]] = {}
+    rejected = dict.fromkeys(terminals, 0)
+
+    def screen(cells: np.ndarray) -> np.ndarray:
+        """Indices of the rows of cells that pass every terminal."""
+        alive = np.arange(len(cells))
+        for t in terminals:
+            if not alive.size:
+                break
+            if t not in systems:
+                nd, gather = _decoder_system(net, shape, starts, r, l, t)
+                systems[t] = nd, gather, np.tile(np.eye(r, dtype=dtype), (1, len(nd)))
+            nd, gather, rhs = systems[t]
+            m = gather.shape[0]
+            if nd and m:
+                x = np.empty((alive.size, m + r, gather.shape[1]), dtype=dtype)
+                x[:, :m] = cells[alive[:, None, None], gather]
+                x[:, m:] = rhs
+                ok = solvable_mod(x.transpose(0, 2, 1), m, p)
+            else:  # nothing to recover, or nothing to read it from
+                ok = np.full(alive.size, not nd)
+            rejected[t] += int(alive.size - np.count_nonzero(ok))
+            if ok.any():
+                # feasible_decoders refuses these direct edges for any
+                # candidate that reaches them.
+                for s, positions in shape.term_directs[t].items():
+                    _direct_chunks(r, l, len(positions), s, t)
+            alive = alive[ok]
+        return alive
+
     found: list[FracLinCode] = []
     tried = 0
     for cells in stream:
+        chunk[tried % size, :total_cells] = cells
         tried += 1
-        comps = _composites_from_cells(field, shape, r, l, np.asarray(cells, dtype=np.int64))
-        result = feasible_decoders(net, comps, r, l, shape)
-        if result.feasible:
+        if tried % size and tried < space:
+            continue  # the chunk is neither full nor the stream's last
+        held = chunk[: (tried - 1) % size + 1]
+        for own in held[screen(held), :total_cells].astype(np.int64):
+            comps = _composites_from_cells(field, shape, r, l, own)
+            result = feasible_decoders(net, comps, r, l, shape)
+            if not result.feasible:
+                raise RuntimeError(
+                    f"internal error: search screen passed a candidate that "
+                    f"feasible_decoders rejects at {result.failed_terminal}"
+                )
             found.append(result.code)
-    return SearchResult(found, tried)
+    return SearchResult(found, tried, {t: n for t, n in rejected.items() if n})
 
 
 # --- wrong-characteristic bound ----------------------------------------------------
@@ -384,6 +485,11 @@ def bound_check(net: SumNetwork, code: FracLinCode, mode: str, m: int, q: int) -
     if n_mid == 0 or n_mid % (m * (q + 1)) != 0:
         raise ValueError(f"middle edge count {n_mid} does not match m={m}, q={q}")
     k = n_mid // (m * (q + 1))
+    groups = m if mode == "n1-with-groups" else 0
+    if n_src <= groups:
+        raise ValueError(
+            f"mode {mode} needs more than {groups} source(s) for m={m}; the network has {n_src}"
+        )
 
     # The mode is checked on the network alone, before any transfer.
     selectors = np.zeros((0, required), dtype=np.int64)

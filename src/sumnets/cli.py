@@ -221,6 +221,7 @@ def _cmd_search(args) -> int:
         "tried": result.tried,
         "found": len(result.found),
         "codes": [json.loads(code_to_json(c).decode("utf-8")) for c in result.found],
+        "rejected_at": result.rejected_at,
     }
     if args.out:
         out = Path(args.out)

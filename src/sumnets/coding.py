@@ -348,10 +348,14 @@ class LayerShape:
 def layer_shape(net: SumNetwork) -> LayerShape:
     """Detect the u -> middle -> v layering; raises if it does not hold."""
     middle = net.middle_edges()
+    edges = net.edges
+    sources = set(net.sources)
+    terminals = net.terminals
+    terminal_set = set(terminals)
     u_nodes: dict[str, int] = {}
     v_nodes: dict[str, int] = {}
     for me in middle:
-        e = net.edges[me]
+        e = edges[me]
         if e.tail in u_nodes or e.head in v_nodes:
             raise UnsupportedNetworkError("intermediate node on two middle edges")
         u_nodes[e.tail] = me
@@ -364,17 +368,15 @@ def layer_shape(net: SumNetwork) -> LayerShape:
                 raise UnsupportedNetworkError(f"node {label} must feed only its middle edge")
             tails = []
             for ei in net.in_edges(label):
-                tail = net.edges[ei].tail
-                if net.role(tail) != SOURCE:
+                tail = edges[ei].tail
+                if tail not in sources:
                     raise UnsupportedNetworkError(f"non-source feed into {label}")
                 if tail in tails:
                     raise UnsupportedNetworkError(f"duplicate source edge {tail} -> {label}")
                 tails.append(tail)
             src_order[me] = tails
         elif label in v_nodes:
-            if [net.edges[i].head for i in net.out_edges(label)] and any(
-                net.role(net.edges[i].head) != TERMINAL for i in net.out_edges(label)
-            ):
+            if any(edges[i].head not in terminal_set for i in net.out_edges(label)):
                 raise UnsupportedNetworkError(f"node {label} must feed terminals only")
             if len(net.in_edges(label)) != 1:
                 raise UnsupportedNetworkError(f"node {label} must have a single in-edge")
@@ -382,12 +384,12 @@ def layer_shape(net: SumNetwork) -> LayerShape:
             raise UnsupportedNetworkError(f"intermediate {label} is on no middle edge")
     term_taps: dict[str, list[tuple[int, int]]] = {}
     term_directs: dict[str, dict[str, list[int]]] = {}
-    for t in net.terminals:
+    for t in terminals:
         taps: list[tuple[int, int]] = []
         directs: dict[str, list[int]] = {}
         for pos, ei in enumerate(net.in_edges(t)):
-            tail = net.edges[ei].tail
-            if net.role(tail) == SOURCE:
+            tail = edges[ei].tail
+            if tail in sources:
                 directs.setdefault(tail, []).append(pos)
             else:
                 taps.append((pos, v_nodes[tail]))

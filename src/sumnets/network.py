@@ -122,11 +122,8 @@ class SumNetwork:
 
     def middle_edges(self) -> list[int]:
         """Edges between two intermediate nodes, in edge order."""
-        return [
-            i
-            for i, e in enumerate(self.edges)
-            if self.role(e.tail) == INTERMEDIATE and self.role(e.head) == INTERMEDIATE
-        ]
+        inner = set(self.intermediates)
+        return [i for i, e in enumerate(self.edges) if e.tail in inner and e.head in inner]
 
     def layout(self) -> "EdgeLayout":
         """The edge structure as int arrays, built on the first call."""

@@ -4,11 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import sumnets.analysis
 from sumnets.analysis import (
     BudgetExceededError,
     CompositeEncoding,
     Exhaustive,
     Random,
+    _composites_from_cells,
     bound_check,
     capacity,
     composites_from_code,
@@ -17,7 +19,16 @@ from sumnets.analysis import (
     search,
     wrong_char_bound,
 )
-from sumnets.coding import UnverifiedCodeError, scheme_n1, scheme_n2, transfer, verify
+from sumnets.coding import (
+    UnsupportedNetworkError,
+    UnverifiedCodeError,
+    code_to_json,
+    layer_shape,
+    scheme_n1,
+    scheme_n2,
+    transfer,
+    verify,
+)
 from sumnets.constructions import build_bottleneck2, build_n1, build_n2
 from sumnets.galois import PrimeField
 from sumnets.matrix import Mat
@@ -140,22 +151,154 @@ def test_random_search_can_find_bottleneck_solutions():
         assert verify(net, code).ok
 
 
-def test_direct_edge_residual_does_not_overflow_at_the_modulus_ceiling():
-    # Four sources share one middle edge; t_1 also has s_1 directly, so its
-    # decoder for that edge must cancel a product of two entries near 2^31.
-    sources = ["s_1", "s_2", "s_3", "s_4"]
-    net = SumNetwork(
-        [Node(s, SOURCE) for s in sources]
+FOUR_SOURCES = ["s_1", "s_2", "s_3", "s_4"]
+
+
+def four_source_direct_net(t_3_directs=()):
+    """Four sources share one middle edge; t_1 also has s_1 directly.
+    With t_3_directs, a third terminal reads direct edges from those
+    sources and nothing else."""
+    t_3 = [Node("t_3", TERMINAL)] if t_3_directs else []
+    return SumNetwork(
+        [Node(s, SOURCE) for s in FOUR_SOURCES]
         + [Node("u", INTERMEDIATE), Node("v", INTERMEDIATE)]
-        + [Node("t_1", TERMINAL), Node("t_2", TERMINAL)],
-        [Edge(s, "u") for s in sources]
-        + [Edge("u", "v"), Edge("v", "t_1"), Edge("v", "t_2"), Edge("s_1", "t_1")],
+        + [Node("t_1", TERMINAL), Node("t_2", TERMINAL)]
+        + t_3,
+        [Edge(s, "u") for s in FOUR_SOURCES]
+        + [Edge("u", "v"), Edge("v", "t_1"), Edge("v", "t_2"), Edge("s_1", "t_1")]
+        + [Edge(s, "t_3") for s in t_3_directs],
     )
+
+
+def two_tap_direct_net():
+    """Two middle edges both carry s_1 and s_2; t_1 taps both and has one
+    direct edge from s_1, t_2 taps both.  At r = 2 > l = 1, t_1 can
+    recover s_2 from its taps, but one direct edge cannot carry s_1."""
+    return SumNetwork(
+        [Node("s_1", SOURCE), Node("s_2", SOURCE)]
+        + [Node(x, INTERMEDIATE) for x in ("u_1", "u_2", "v_1", "v_2")]
+        + [Node("t_1", TERMINAL), Node("t_2", TERMINAL)],
+        [Edge(s, u) for u in ("u_1", "u_2") for s in ("s_1", "s_2")]
+        + [Edge("u_1", "v_1"), Edge("u_2", "v_2")]
+        + [Edge(v, t) for t in ("t_1", "t_2") for v in ("v_1", "v_2")]
+        + [Edge("s_1", "t_1")],
+    )
+
+
+def test_direct_edge_residual_does_not_overflow_at_the_modulus_ceiling():
+    # t_1's decoder for the middle edge must cancel a product of two
+    # entries near 2^31.
+    net = four_source_direct_net()
     for p in (5, 2**31 - 1):
         result = search(net, 2, 8, p, Random(n=20, seed=3))
         assert result.found
         for code in result.found:
             assert verify(net, code).ok
+
+
+# --- batched screen against the per-candidate loop --------------------------------
+
+
+def reference_search(net, r, l, p, strategy):
+    """The loop search ran before it screened in batches: every candidate's
+    composites go to feasible_decoders, one at a time, in stream order.
+    Returns (found codes, tried, rejections per terminal)."""
+    field = PrimeField(p)
+    shape = layer_shape(net)
+    total = sum(l * r * len(shape.src_order[me]) for me in shape.middle)
+    if isinstance(strategy, Exhaustive):
+        stream = itertools.product(range(p), repeat=total)
+    else:
+        rng = np.random.default_rng(strategy.seed)
+        stream = (rng.integers(0, p, size=total, dtype=np.int64) for _ in range(strategy.n))
+    found, tried, rejected = [], 0, {}
+    for cells in stream:
+        tried += 1
+        comps = _composites_from_cells(field, shape, r, l, np.asarray(cells, dtype=np.int64))
+        result = feasible_decoders(net, comps, r, l, shape)
+        if result.feasible:
+            found.append(result.code)
+        else:
+            t = result.failed_terminal
+            rejected[t] = rejected.get(t, 0) + 1
+    return found, tried, {t: rejected[t] for t in net.terminals if t in rejected}
+
+
+SCREEN_CASES = [
+    ("n1(1,2)", lambda: build_n1(1, 2), 2, 2, 2, Random(n=500, seed=1)),
+    ("n1(1,2)", lambda: build_n1(1, 2), 1, 2, 3, Random(n=1, seed=4)),
+    ("n1(1,2)", lambda: build_n1(1, 2), 1, 1, 2, Exhaustive()),
+    ("n2(1,2)", lambda: build_n2(1, 2), 1, 1, 3, Exhaustive()),
+    ("n2(1,2)", lambda: build_n2(1, 2), 1, 2, 5, Random(n=37, seed=2)),
+    ("n2(1,3)", lambda: build_n2(1, 3), 1, 2, 2, Random(n=300, seed=1)),
+    ("n2(1,3)", lambda: build_n2(1, 3), 1, 2, 3, Random(n=300, seed=1)),
+    ("n2(1,3)", lambda: build_n2(1, 3), 1, 2, 5, Random(n=300, seed=1)),
+    ("n2(1,3)", lambda: build_n2(1, 3), 2, 2, 3, Random(n=1, seed=0)),
+    ("bottleneck2", build_bottleneck2, 1, 1, 5, Exhaustive()),
+    ("bottleneck2", build_bottleneck2, 2, 2, 2, Random(n=101, seed=0)),
+    ("four-source", four_source_direct_net, 2, 8, 2**31 - 1, Random(n=20, seed=3)),
+    ("four-source", four_source_direct_net, 2, 3, 127, Random(n=41, seed=5)),
+    ("four-source", four_source_direct_net, 3, 2, 3, Random(n=50, seed=0)),
+    # t_3 has every source directly: nothing to solve, every candidate passes it.
+    ("t_3-all-direct", lambda: four_source_direct_net(FOUR_SOURCES), 2, 8, 5, Random(n=20, seed=3)),
+    # t_3 has s_1 only, and no tap to read the rest from: it rejects everything.
+    ("t_3-s_1-only", lambda: four_source_direct_net(["s_1"]), 2, 8, 5, Random(n=20, seed=3)),
+]
+
+
+def _case_id(case):
+    name, _, r, l, p, strategy = case
+    return f"{name}-r{r}l{l}-p{p}-{type(strategy).__name__}{getattr(strategy, 'n', '')}"
+
+
+@pytest.mark.parametrize("screen_bytes", [None, 4096, 1], ids=["default", "small", "one"])
+@pytest.mark.parametrize(
+    "name, make, r, l, p, strategy", SCREEN_CASES, ids=map(_case_id, SCREEN_CASES)
+)
+def test_search_matches_the_per_candidate_loop(
+    monkeypatch, screen_bytes, name, make, r, l, p, strategy
+):
+    # A budget of 1 byte screens one candidate per chunk; 4096 gives chunks
+    # of a few candidates, so most counts leave a partial last chunk.
+    if screen_bytes is not None:
+        monkeypatch.setattr(sumnets.analysis, "_SCREEN_BYTES", screen_bytes)
+    net = make()
+    want_found, want_tried, want_rejected = reference_search(net, r, l, p, strategy)
+    result = search(net, r, l, p, strategy)
+    assert result.tried == want_tried
+    assert [code_to_json(c) for c in result.found] == [code_to_json(c) for c in want_found]
+    assert result.rejected_at == want_rejected
+    assert sum(result.rejected_at.values()) == result.tried - len(result.found)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_n2_1_3_has_rate_one_half_codes_in_every_characteristic(p):
+    net = build_n2(1, 3)
+    result = search(net, 1, 2, p, Random(n=300, seed=1))
+    assert result.found
+    for code in result.found:
+        assert verify(net, code).ok
+
+
+@pytest.mark.parametrize("screen_bytes", [None, 1], ids=["default", "one"])
+def test_direct_edges_too_narrow_raise_as_in_the_per_candidate_loop(monkeypatch, screen_bytes):
+    if screen_bytes is not None:
+        monkeypatch.setattr(sumnets.analysis, "_SCREEN_BYTES", screen_bytes)
+    net = two_tap_direct_net()
+    with pytest.raises(UnsupportedNetworkError) as want:
+        reference_search(net, 2, 1, 3, Random(n=30, seed=0))
+    with pytest.raises(UnsupportedNetworkError) as got:
+        search(net, 2, 1, 3, Random(n=30, seed=0))
+    assert str(got.value) == str(want.value)
+    assert "s_1 -> t_1" in str(got.value)
+
+
+def test_search_refuses_to_return_a_candidate_feasible_decoders_rejects(monkeypatch):
+    net = build_bottleneck2()
+    rejects = lambda *a, **k: sumnets.analysis.DecodeResult(None, "t_1")  # noqa: E731
+    monkeypatch.setattr(sumnets.analysis, "feasible_decoders", rejects)
+    with pytest.raises(RuntimeError, match="internal error"):
+        search(net, 1, 1, 2, Exhaustive())
 
 
 # --- capacity formulas --------------------------------------------------------
@@ -266,6 +409,27 @@ def test_bound_check_refuses_a_mode_before_any_transfer(monkeypatch, verifying):
     monkeypatch.setattr(sumnets.analysis, "transfer", no_transfer)
     with pytest.raises(ValueError, match="does not apply"):
         bound_check(code.net, code, "n2-middle-only", 2, 2)
+
+
+def one_source_three_middle_net():
+    """s_1 feeds three middle edges u_1_j -> v_1_j, all read by t_1."""
+    js = (1, 2, 3)
+    return SumNetwork(
+        [Node("s_1", SOURCE), Node("t_1", TERMINAL)]
+        + [Node(f"{x}_1_{j}", INTERMEDIATE) for x in ("u", "v") for j in js],
+        [Edge("s_1", f"u_1_{j}") for j in js]
+        + [Edge(f"u_1_{j}", f"v_1_{j}") for j in js]
+        + [Edge(f"v_1_{j}", "t_1") for j in js],
+    )
+
+
+def test_group_mode_refuses_a_network_with_only_the_group_sources():
+    # m = 1 group source and nothing else: the implied bound would divide by zero.
+    net = one_source_three_middle_net()
+    code = routing_code(net, 2)
+    assert verify(net, code).ok
+    with pytest.raises(ValueError, match=r"^mode n1-with-groups .* m=1; the network has 1$"):
+        bound_check(net, code, "n1-with-groups", 1, 2)
 
 
 def test_rate_always_satisfies_its_certificate():

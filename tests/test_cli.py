@@ -133,6 +133,7 @@ def test_search_exhaustive_on_bottleneck(tmp_path, capsys):
     assert doc["tried"] == 9
     assert doc["found"] == 2
     assert len(doc["codes"]) == 2
+    assert doc["rejected_at"] == {"t_1": 7}
 
 
 def test_search_random_none_found_exits_one(built_n1, tmp_path):
@@ -186,6 +187,29 @@ def test_bounds_with_a_mode_that_does_not_apply_is_usage_error(built_n1, tmp_pat
     argv = ["bounds", "--net", str(built_n1), "--code", str(code), "--mode", "n2-middle-only"]
     assert run(*argv) == 2
     _one_line_error(capsys, "does not apply")
+
+
+def test_bounds_in_group_mode_on_a_network_of_m_sources_is_usage_error(tmp_path, capsys):
+    from sumnets.analysis import routing_code
+    from sumnets.coding import code_to_json
+    from sumnets.network import INTERMEDIATE, SOURCE, TERMINAL, Edge, Node, SumNetwork, serialize
+
+    js = (1, 2, 3)
+    net = SumNetwork(
+        [Node("s_1", SOURCE), Node("t_1", TERMINAL)]
+        + [Node(f"{x}_1_{j}", INTERMEDIATE) for x in ("u", "v") for j in js],
+        [Edge("s_1", f"u_1_{j}") for j in js]
+        + [Edge(f"u_1_{j}", f"v_1_{j}") for j in js]
+        + [Edge(f"v_1_{j}", "t_1") for j in js],
+    )
+    net_path, code_path = tmp_path / "n.json", tmp_path / "code.json"
+    net_path.write_bytes(serialize(net))
+    code_path.write_bytes(code_to_json(routing_code(net, 2)))
+    manifest = {"family": "n1", "m": 1, "q": 2, "k": 1}
+    (tmp_path / "n.json.manifest.json").write_text(json.dumps(manifest))
+    argv = ["bounds", "--net", str(net_path), "--code", str(code_path), "--mode", "n1-with-groups"]
+    assert run(*argv) == 2
+    _one_line_error(capsys, "m=1", "has 1")
 
 
 def test_bounds_family_two_closed_form(tmp_path, capsys):

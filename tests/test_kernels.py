@@ -9,6 +9,9 @@ against a Python-integer oracle and against the two kernels it replaced,
 kept verbatim below: the sparse elimination that reduced every block,
 and the dense elimination before it.  The reduced row echelon form is
 unique, so all four must give the same matrix, rank and pivots.
+`_core_py.solvable_mod`, the batched feasibility screen of `search`, is
+checked per member against the Python-integer elimination and against
+`solve_right`, the per-candidate solve it replaced there.
 """
 
 import numpy as np
@@ -16,6 +19,8 @@ import pytest
 
 import sumnets
 from sumnets import _core_py
+from sumnets.galois import PrimeField
+from sumnets.matrix import Mat, solve_right
 
 PRIMES = [2, 3, 5, 97, 2**31 - 1]
 P_MAX = 2**31 - 1
@@ -264,3 +269,95 @@ def test_deferral_stops_at_the_int64_edge(rows, p, allowed, always_defer):
     ]
     for m in wide:
         assert_all_agree(m, p)
+
+
+# --- solvable_mod ---------------------------------------------------------------
+
+SOLVE_PRIMES = [2, 3, 127, 32749, P_MAX]
+
+
+def assert_solvable_matches(x: np.ndarray, m: int, p: int) -> None:
+    """Each member [A^T | B^T] against the oracle (no pivot right of
+    column m) and against solve_right on D A = B."""
+    before = x.copy()
+    got = _core_py.solvable_mod(x, m, p)
+    assert np.array_equal(x, before)
+    assert got.dtype == bool and got.shape == (x.shape[0],)
+    field = PrimeField(p)
+    for member, ok in zip(x, got):
+        _, _, pivots = oracle_rref(member, p)
+        assert bool(ok) is all(c < m for c in pivots)
+        if m:
+            solved = solve_right(Mat(field, member[:, :m].T), Mat(field, member[:, m:].T))
+            assert bool(ok) is (solved is not None)
+
+
+def spanned_stack(rng, members: int, rows: int, m: int, k: int, p: int, rank: int) -> np.ndarray:
+    """Members whose first m columns have rank at most `rank`; the last
+    k columns of even members lie in their span, odd members' are random."""
+    x = np.zeros((members, rows, m + k), dtype=np.int64)
+    for b in range(members):
+        basis = rng.integers(0, p, size=(rows, rank), dtype=np.int64)
+        a = basis.astype(object) @ rng.integers(0, p, size=(rank, m)).astype(object) % p
+        if b % 2 == 0:
+            rhs = a @ rng.integers(0, p, size=(m, k)).astype(object) % p
+        else:
+            rhs = rng.integers(0, p, size=(rows, k)).astype(object)
+        x[b] = np.hstack([a, rhs]).astype(np.int64)
+    return x
+
+
+@pytest.mark.parametrize(
+    "rows, m, p, dtype",
+    [
+        (168, 90, 3, np.int16),  # the search's GF(3) system on the rate-3/5 network
+        (4, 4, 2, np.int16),
+        (2, 9, 127, np.int16),
+        (3, 9, 127, np.int32),
+        (9, 2, 32749, np.int32),
+        (9, 3, 32749, np.int64),
+        (9, 2, P_MAX, np.int64),
+        (9, 3, P_MAX, None),
+    ],
+)
+def test_solvable_mod_dtype_holds_every_unreduced_entry(rows, m, p, dtype):
+    # Entries change at most min(rows, m) times, by up to (p-1)^2 each.
+    assert _core_py._stack_dtype(rows, m, p) is dtype
+    rng = np.random.default_rng([rows, m, p % 1000])
+    for fill in (rng.integers(0, p, size=(3, rows, m + 2)), np.full((2, rows, m + 2), p - 1)):
+        assert_solvable_matches(fill.astype(np.int64), m, p)
+
+
+@pytest.mark.parametrize("p", SOLVE_PRIMES)
+def test_solvable_mod_random_stacks_match_oracle_and_solve_right(p):
+    rng = np.random.default_rng([p % 1000, 17])
+    for _ in range(25):
+        members, rows, m, k = (int(v) for v in rng.integers(1, 8, size=4))
+        rank = int(rng.integers(0, min(rows, m) + 1))
+        assert_solvable_matches(spanned_stack(rng, members, rows, m, k, p, rank), m, p)
+        assert_solvable_matches(rng.integers(0, p, size=(members, rows, m + k)), m, p)
+
+
+@pytest.mark.parametrize("p", SOLVE_PRIMES)
+def test_solvable_mod_rank_deficient_members(p):
+    rng = np.random.default_rng([p % 1000, 23])
+    rows, m, k = 6, 5, 2
+    base = rng.integers(0, p, size=(rows, m + k), dtype=np.int64)
+    zero_cols = base.copy()
+    zero_cols[:, [0, 2]] = 0
+    zero_a = base.copy()
+    zero_a[:, :m] = 0
+    repeated = np.vstack([base[:3], base[:3]])
+    in_span = base.copy()
+    in_span[:, m:] = (base[:, :1] * 2 + base[:, 1:3]) % p
+    cases = [zero_cols, zero_a, repeated, np.zeros((rows, m + k), dtype=np.int64), in_span]
+    for member in cases:
+        assert_solvable_matches(member[None], m, p)  # B = 1
+    # One batch whose members reach different ranks.
+    assert_solvable_matches(np.stack(cases + [base]), m, p)
+
+
+def test_solvable_mod_without_coefficient_columns_asks_for_a_zero_right_side():
+    x = np.zeros((3, 4, 2), dtype=np.int64)
+    x[1, 2, 1] = 1
+    assert _core_py.solvable_mod(x, 0, 5).tolist() == [True, False, True]
