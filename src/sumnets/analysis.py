@@ -267,10 +267,12 @@ class SearchResult:
 
 # Working set of one screened chunk of search candidates, in bytes: their
 # cells plus, per candidate, the largest terminal system at 8 bytes an
-# entry (the gathered stack, its int16 working copy and the update's
-# temporary, with room to spare).  On the rate-3/5 network over GF(3) it
-# gives chunks of 5: larger chunks eliminate faster per candidate but
-# raise the resident peak, the search workload's tightest metric.
+# entry (for p <= 127 the int8 gathered stack, its int16 working copy and
+# the update's temporary take at most 5).  On the rate-3/5 network over
+# GF(3) it gives chunks of 5.  Larger chunks eliminate faster per
+# candidate but raise the resident peak, the search workload's tightest
+# metric: chunks of 11 and 17 ran passes 15% and 23% faster and raised
+# `peak_rss_mb` by 0.8 and 1.9 MB (numpy 2.4.6, 2-vCPU x86-64).
 _SCREEN_BYTES = 1 << 20
 
 
