@@ -50,10 +50,17 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-def _may_defer(rows: int, cols: int, p: int) -> bool:
-    """Whether `rref_mod` may leave entries unreduced until it returns:
-    at most min(rows, cols) changes of up to (p-1)^2 each stay in int64."""
-    return min(rows, cols) * (p - 1) ** 2 + p <= 2**63 - 1
+def _deferred_dtype(rows: int, cols: int, p: int):
+    """Narrowest of int16, int32 and int64 that holds every entry an
+    elimination of a rows x cols matrix can reach while it defers
+    reduction: a residue in [0, p) changed at most min(rows, cols) times,
+    by up to (p-1)^2 each.  None when even int64 does not hold it, and
+    reduction may not be deferred."""
+    bound = p + min(rows, cols) * (p - 1) ** 2
+    for dtype in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return None
 
 
 def rref_mod(m: np.ndarray, p: int) -> tuple[int, list[int]]:
@@ -77,9 +84,9 @@ def rref_mod(m: np.ndarray, p: int) -> tuple[int, list[int]]:
     pivots and the rows updated are those of the reduced matrix; the
     factors are residues, and the pivot row is reduced before it is
     scaled.  Each entry then changes at most once per pivot, by at most
-    (p-1)^2, so deferring is allowed only when
-    min(rows, cols) * (p-1)^2 + p <= 2^63 - 1 (`_may_defer`); at
-    p = 2^31 - 1 the smaller dimension must be at most 2.  Every entry
+    (p-1)^2, so deferring is allowed only when int64 holds
+    p + min(rows, cols) * (p-1)^2 (`_deferred_dtype`); at p = 2^31 - 1
+    the smaller dimension must be at most 2.  Every entry
     stays congruent mod p to the one the per-pivot reduction holds, and
     the final reduction makes it canonical, so the output is the same
     unique RREF, byte for byte.
@@ -87,7 +94,7 @@ def rref_mod(m: np.ndarray, p: int) -> tuple[int, list[int]]:
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
-    may_defer = _may_defer(rows, cols, p)
+    may_defer = _deferred_dtype(rows, cols, p) is not None
     dirty = False
     for c in range(cols):
         if r == rows:
@@ -130,64 +137,50 @@ def rref_mod(m: np.ndarray, p: int) -> tuple[int, list[int]]:
     return r, pivots
 
 
-def _stack_dtype(rows: int, cols: int, p: int):
-    """Narrowest of int16, int32 and int64 that holds every entry
-    `solvable_mod` can reach without reducing: p + min(rows, cols)*(p-1)^2.
-    None when even int64 does not."""
-    bound = p + min(rows, cols) * (p - 1) ** 2
-    for dtype in (np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(dtype).max:
-            return dtype
-    return None
-
-
 def solvable_mod(x: np.ndarray, m: int, p: int) -> np.ndarray:
-    """Per member of the stack x, shape (B, n, m + k), whether its last k
-    columns lie in the column space of its first m over GF(p): whether
-    A^T Y = B^T is solvable when member b is [A^T | B^T].  Returns a
-    bool array of length B; x is not modified.
+    """Per member [A; B] of the stack x, shape (b, m + k, n), whether
+    D A = B is solvable over GF(p): whether every one of its last k rows
+    lies in the row space of its first m.  Returns a bool array of
+    length b; x is not modified.
 
     Entries must be canonical, in [0, p).  All members are eliminated in
-    lockstep, forward only and without row swaps.  At column c each
-    member's pivot is its first unsettled row (not yet a pivot row) with
-    a nonzero residue in c; the pivot row is reduced and scaled, and one
-    broadcast update over columns c on clears column c from every other
-    unsettled row.  The factors are zero on settled rows and on members
-    with no pivot at c.  A member is solvable iff none of its unsettled
-    rows keeps a nonzero residue in the last k columns.
+    lockstep by column operations, forward only and without swaps.  At
+    row c each member's pivot is its first unsettled column (not yet a
+    pivot column) with a nonzero residue in row c; the pivot column is
+    reduced and scaled from row c down, and one broadcast update over
+    rows c on, contiguous in this layout, clears row c from every other
+    unsettled column.  The factors are zero on settled columns and on
+    members with no pivot in row c.  A member is solvable iff none of
+    its unsettled columns keeps a nonzero residue in the last k rows.
 
-    Reduction is deferred, as in `rref_mod`: columns and pivot rows are
+    Reduction is deferred, as in `rref_mod`: rows and pivot columns are
     read as residues, and each entry changes at most once per pivot by
-    at most (p-1)^2, so the stack is eliminated in the narrowest dtype
-    that holds p + min(n, m)*(p-1)^2 (int16 for GF(3) on the search's
-    systems).  When int64 does not hold it, the updated block is reduced
-    after every pivot.  Pivot inverses are exact up to p = 2^31 - 1.
+    at most (p-1)^2, so the stack is eliminated in `_deferred_dtype`
+    (int16 for GF(3) on the search's systems).  When int64 does not hold
+    the bound, the updated block is reduced after every pivot.  Pivot
+    inverses are exact up to p = 2^31 - 1.
     """
-    members, rows, _ = x.shape
-    dtype = _stack_dtype(rows, m, p)
-    # Each member is held transposed, one column per row of w[b], so the
-    # update block w[:, c:] is contiguous: 1.5x faster on (8, 168, 96)
-    # GF(3) stacks than eliminating in x's own layout (numpy 2.4.6,
-    # 2-vCPU x86-64).
-    w = np.ascontiguousarray(x.transpose(0, 2, 1), dtype=dtype or np.int64)
+    members, _, cols = x.shape
+    dtype = _deferred_dtype(cols, m, p)
+    w = x.astype(dtype or np.int64, order="C")
     every = np.arange(members)
-    unsettled = np.ones((members, rows), dtype=bool)
+    unsettled = np.ones((members, cols), dtype=bool)
     for c in range(m):
-        col = w[:, c] % p
-        col *= unsettled
-        hit = col != 0
+        row = w[:, c] % p
+        row *= unsettled
+        hit = row != 0
         has = hit.any(axis=1)
         if not has.any():
             continue
         piv = hit.argmax(axis=1)
-        inv = [pow(int(v), -1, p) if v else 0 for v in col[every, piv]]
-        row = w[every, c:, piv] % p
-        row *= np.array(inv, dtype=w.dtype)[:, None]
-        row %= p
+        inv = [pow(int(v), -1, p) if v else 0 for v in row[every, piv]]
+        col = w[every, c:, piv] % p
+        col *= np.array(inv, dtype=w.dtype)[:, None]
+        col %= p
         unsettled[every[has], piv[has]] = False
-        col[every, piv] = 0
+        row[every, piv] = 0
         block = w[:, c:]
-        block -= row[:, :, None] * col[:, None, :]
+        block -= col[:, :, None] * row[:, None, :]
         if dtype is None:
             block %= p
     left = (w[:, m:] % p != 0).any(axis=1)

@@ -102,42 +102,57 @@ def _direct_chunks(r: int, l: int, count: int, source: str, terminal: str) -> li
     return [range(i * chunk, min(r, (i + 1) * chunk)) for i in range(count)]
 
 
-def _cell_starts(shape: LayerShape, r: int, l: int) -> list[int]:
-    """Where each middle edge's composite starts in the flat cells of a
-    composite encoding, in shape.middle order, then the cell count.  The
-    composite of edge e is l x r|S_e|, row-major."""
-    starts = [0]
-    for me in shape.middle:
-        starts.append(starts[-1] + l * r * len(shape.src_order[me]))
-    return starts
+class _DecoderSystems:
+    """The per-terminal decoder systems of a network at (r, l), read from
+    the flat cells of a composite encoding.
 
-
-def _decoder_system(
-    net: SumNetwork, shape: LayerShape, starts: list[int], r: int, l: int, t: str
-) -> tuple[list[str], np.ndarray]:
-    """Terminal t's non-direct sources nd, in source order, and its
-    stacked composites as a gather index into the flat cells.
-
-    The stack has l rows per tapped middle edge, in tap order, and r
-    columns per source of nd: the tapped edge's composite block for that
-    source, or zeros where the edge does not carry it.  gather[i, j] is
-    the cell of entry (i, j); a zero entry reads the cell starts[-1],
-    one past the last, which holds 0.
+    starts: where each middle edge's composite starts in the cells, in
+    shape.middle order, then the cell count; the composite of edge e is
+    l x r|S_e|, row-major.  The cells hold one more, zero, cell at
+    starts[-1].  `of(t)` builds terminal t's system on first use.
     """
-    directs = shape.term_directs[t]
-    nd = [s for s in net.source_order if s not in directs]
-    nd_pos = {s: i for i, s in enumerate(nd)}
-    taps = shape.term_taps[t]
-    start = dict(zip(shape.middle, starts))
-    gather = np.full((l * len(taps), r * len(nd)), starts[-1], dtype=np.intp)
-    for i, (_, me) in enumerate(taps):
-        order = shape.src_order[me]
-        block = start[me] + r * len(order) * np.arange(l)[:, None] + np.arange(r)
-        for j, s in enumerate(order):
-            col = nd_pos.get(s)
-            if col is not None:
-                gather[i * l : (i + 1) * l, col * r : (col + 1) * r] = block + j * r
-    return nd, gather
+
+    def __init__(self, net: SumNetwork, shape: LayerShape, r: int, l: int):
+        self.net, self.shape, self.r, self.l = net, shape, r, l
+        self.starts = [0]
+        for me in shape.middle:
+            self.starts.append(self.starts[-1] + l * r * len(shape.src_order[me]))
+        self.start = dict(zip(shape.middle, self.starts))
+        self._built: dict[str, tuple[list[str], np.ndarray, np.ndarray]] = {}
+
+    def composite(self, cells: np.ndarray, me: int) -> np.ndarray:
+        """Middle edge me's composite, a view of the cells."""
+        lo = self.start[me]
+        return cells[lo : lo + self.l * self.r * len(self.shape.src_order[me])].reshape(self.l, -1)
+
+    def of(self, t: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """Terminal t's non-direct sources nd, in source order, its stacked
+        composites as a gather index into the cells, and the right-hand
+        side, I_r under every source of nd.
+
+        The stack has l rows per tapped middle edge, in tap order, and r
+        columns per source of nd: the tapped edge's composite block for
+        that source, or zeros where the edge does not carry it.
+        gather[i, j] is the cell of entry (i, j); a zero entry reads the
+        zero cell at starts[-1].
+        """
+        if t not in self._built:
+            r, l, shape = self.r, self.l, self.shape
+            directs = shape.term_directs[t]
+            nd = [s for s in self.net.source_order if s not in directs]
+            nd_pos = {s: i for i, s in enumerate(nd)}
+            taps = shape.term_taps[t]
+            gather = np.full((l * len(taps), r * len(nd)), self.starts[-1], dtype=np.intp)
+            for i, (_, me) in enumerate(taps):
+                order = shape.src_order[me]
+                block = self.start[me] + r * len(order) * np.arange(l)[:, None] + np.arange(r)
+                for j, s in enumerate(order):
+                    col = nd_pos.get(s)
+                    if col is not None:
+                        gather[i * l : (i + 1) * l, col * r : (col + 1) * r] = block + j * r
+            rhs = np.tile(np.eye(r, dtype=np.int64), (1, len(nd)))
+            self._built[t] = nd, gather, rhs
+        return self._built[t]
 
 
 def feasible_decoders(
@@ -159,10 +174,15 @@ def feasible_decoders(
     if shape is None:
         shape = layer_shape(net)
     composites.check_shapes(shape)
-    field = composites.field
-    p = field.p
-    starts = _cell_starts(shape, r, l)
     cells = np.concatenate([composites.mats[me].a.ravel() for me in shape.middle] + [[0]])
+    return _decode(_DecoderSystems(net, shape, r, l), composites.field, cells)
+
+
+def _decode(systems: _DecoderSystems, field: PrimeField, cells: np.ndarray) -> DecodeResult:
+    """`feasible_decoders` on the int64 cells of a composite encoding,
+    with their zero cell."""
+    net, shape, r, l = systems.net, systems.shape, systems.r, systems.l
+    p = field.p
 
     # The solved decoders, if they exist for every terminal.
     dec_mats: dict[str, tuple[Mat, ...]] = {}
@@ -170,10 +190,9 @@ def feasible_decoders(
     for t in net.terminals:
         taps = shape.term_taps[t]
         directs = shape.term_directs[t]
-        nd, gather = _decoder_system(net, shape, starts, r, l, t)
+        nd, gather, rhs = systems.of(t)
         if nd and taps:
-            b = Mat(field, np.tile(np.eye(r, dtype=np.int64), (1, len(nd))))
-            d = solve_right(Mat(field, cells[gather]), b)
+            d = solve_right(Mat(field, cells[gather]), Mat(field, rhs))
             if d is None:
                 return DecodeResult(None, t)
             d_arr = d.a
@@ -197,7 +216,7 @@ def feasible_decoders(
                 order = shape.src_order[me]
                 if s in order:
                     j = order.index(s)
-                    comp = composites.mats[me].a
+                    comp = systems.composite(cells, me)
                     contrib = (contrib + matmul_mod(dm, comp[:, j * r : (j + 1) * r], p)) % p
             residual = (eye - contrib) % p
             chunks = _direct_chunks(r, l, len(positions), s, t)
@@ -217,7 +236,7 @@ def feasible_decoders(
     code = FracLinCode(net, r, l, field)
     for me in shape.middle:
         u = net.edges[me].tail
-        comp = composites.mats[me].a
+        comp = systems.composite(cells, me)
         for j, ei in enumerate(net.in_edges(u)):
             code.src_mats[ei] = Mat(field, comp[:, j * r : (j + 1) * r])
     code.src_mats.update(direct_src)
@@ -276,17 +295,6 @@ class SearchResult:
 _SCREEN_BYTES = 1 << 20
 
 
-def _composites_from_cells(
-    field: PrimeField, shape: LayerShape, r: int, l: int, cells: np.ndarray
-) -> CompositeEncoding:
-    starts = _cell_starts(shape, r, l)
-    mats = {
-        me: Mat(field, cells[lo:hi].reshape(l, -1))
-        for me, lo, hi in zip(shape.middle, starts, starts[1:])
-    }
-    return CompositeEncoding(r, l, field, mats)
-
-
 def search(
     net: SumNetwork, r: int, l: int, p: int, strategy: Union[Exhaustive, Random]
 ) -> SearchResult:
@@ -297,8 +305,9 @@ def search(
     Candidates are screened in chunks, one terminal at a time in terminal
     order: `solvable_mod` decides every survivor's decoder system at once,
     read from the chunk's cells through the terminal's gather index.
-    Only candidates that pass every terminal reach `feasible_decoders`,
-    which builds their codes in stream order.
+    Only candidates that pass every terminal have their decoders solved,
+    in stream order, as `feasible_decoders` does and on the same
+    per-terminal systems, to build their codes.
     """
     for name, value in (("r", r), ("l", l)):
         if value < 1:
@@ -310,8 +319,8 @@ def search(
             raise ValueError(f"seed must be >= 0, got {strategy.seed}")
     field = PrimeField(p)
     shape = layer_shape(net)
-    starts = _cell_starts(shape, r, l)
-    total_cells = starts[-1]
+    systems = _DecoderSystems(net, shape, r, l)
+    total_cells = systems.starts[-1]
     if isinstance(strategy, Exhaustive):
         space = p**total_cells
         if space > strategy.budget:
@@ -341,9 +350,6 @@ def search(
     row_bytes = np.dtype(dtype).itemsize * (total_cells + 1)
     size = min(space, max(1, _SCREEN_BYTES // (row_bytes + 8 * largest)))
     chunk = np.zeros((size, total_cells + 1), dtype=dtype)
-    # Per terminal, once a candidate reaches it: nd, the gather index and
-    # the right-hand side, I_r under every source of nd.
-    systems: dict[str, tuple[list[str], np.ndarray, np.ndarray]] = {}
     rejected = dict.fromkeys(terminals, 0)
 
     def screen(cells: np.ndarray) -> np.ndarray:
@@ -352,16 +358,13 @@ def search(
         for t in terminals:
             if not alive.size:
                 break
-            if t not in systems:
-                nd, gather = _decoder_system(net, shape, starts, r, l, t)
-                systems[t] = nd, gather, np.tile(np.eye(r, dtype=dtype), (1, len(nd)))
-            nd, gather, rhs = systems[t]
+            nd, gather, rhs = systems.of(t)
             m = gather.shape[0]
             if nd and m:
                 x = np.empty((alive.size, m + r, gather.shape[1]), dtype=dtype)
                 x[:, :m] = cells[alive[:, None, None], gather]
                 x[:, m:] = rhs
-                ok = solvable_mod(x.transpose(0, 2, 1), m, p)
+                ok = solvable_mod(x, m, p)
             else:  # nothing to recover, or nothing to read it from
                 ok = np.full(alive.size, not nd)
             rejected[t] += int(alive.size - np.count_nonzero(ok))
@@ -381,9 +384,8 @@ def search(
         if tried % size and tried < space:
             continue  # the chunk is neither full nor the stream's last
         held = chunk[: (tried - 1) % size + 1]
-        for own in held[screen(held), :total_cells].astype(np.int64):
-            comps = _composites_from_cells(field, shape, r, l, own)
-            result = feasible_decoders(net, comps, r, l, shape)
+        for own in held[screen(held)].astype(np.int64):
+            result = _decode(systems, field, own)
             if not result.feasible:
                 raise RuntimeError(
                     f"internal error: search screen passed a candidate that "

@@ -10,7 +10,6 @@ from sumnets.analysis import (
     CompositeEncoding,
     Exhaustive,
     Random,
-    _composites_from_cells,
     bound_check,
     capacity,
     composites_from_code,
@@ -205,7 +204,9 @@ def reference_search(net, r, l, p, strategy):
     Returns (found codes, tried, rejections per terminal)."""
     field = PrimeField(p)
     shape = layer_shape(net)
-    total = sum(l * r * len(shape.src_order[me]) for me in shape.middle)
+    sizes = [l * r * len(shape.src_order[me]) for me in shape.middle]
+    ends = list(itertools.accumulate(sizes))
+    total = ends[-1] if ends else 0
     if isinstance(strategy, Exhaustive):
         stream = itertools.product(range(p), repeat=total)
     else:
@@ -214,8 +215,12 @@ def reference_search(net, r, l, p, strategy):
     found, tried, rejected = [], 0, {}
     for cells in stream:
         tried += 1
-        comps = _composites_from_cells(field, shape, r, l, np.asarray(cells, dtype=np.int64))
-        result = feasible_decoders(net, comps, r, l, shape)
+        cells = np.asarray(cells, dtype=np.int64)
+        mats = {
+            me: Mat(field, cells[end - size : end].reshape(l, -1))
+            for me, size, end in zip(shape.middle, sizes, ends)
+        }
+        result = feasible_decoders(net, CompositeEncoding(r, l, field, mats), r, l, shape)
         if result.feasible:
             found.append(result.code)
         else:
@@ -296,9 +301,18 @@ def test_direct_edges_too_narrow_raise_as_in_the_per_candidate_loop(monkeypatch,
 def test_search_refuses_to_return_a_candidate_feasible_decoders_rejects(monkeypatch):
     net = build_bottleneck2()
     rejects = lambda *a, **k: sumnets.analysis.DecodeResult(None, "t_1")  # noqa: E731
-    monkeypatch.setattr(sumnets.analysis, "feasible_decoders", rejects)
+    monkeypatch.setattr(sumnets.analysis, "_decode", rejects)
     with pytest.raises(RuntimeError, match="internal error"):
         search(net, 1, 1, 2, Exhaustive())
+
+
+def test_a_screen_that_passes_everything_cannot_return_a_wrong_code(monkeypatch):
+    # Over GF(3), n1(1,2) has no rate-1 code: the decoder solve behind the
+    # screen must catch every candidate a broken screen lets through.
+    passes = lambda x, m, p: np.ones(len(x), dtype=bool)  # noqa: E731
+    monkeypatch.setattr(sumnets.analysis, "solvable_mod", passes)
+    with pytest.raises(RuntimeError, match="internal error"):
+        search(build_n1(1, 2), 2, 2, 3, Random(n=20, seed=1))
 
 
 # --- capacity formulas --------------------------------------------------------

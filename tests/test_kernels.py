@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import sumnets
-from sumnets import _core_py
+from sumnets import _core_py, analysis, constructions
 from sumnets.galois import PrimeField
 from sumnets.matrix import Mat, solve_right
 
@@ -259,8 +259,8 @@ def test_random_shapes_match_oracle_with_every_block_deferred(p, always_defer):
 )
 def test_deferral_stops_at_the_int64_edge(rows, p, allowed, always_defer):
     # Each entry changes at most min(rows, cols) times, by up to (p-1)^2.
-    assert _core_py._may_defer(rows, 2000, p) is allowed
-    assert _core_py._may_defer(2000, rows, p) is allowed
+    assert (_core_py._deferred_dtype(rows, 2000, p) is not None) is allowed
+    assert (_core_py._deferred_dtype(2000, rows, p) is not None) is allowed
     rng = np.random.default_rng([rows, p % 1000])
     wide = [
         np.full((rows, 2000), p - 1, dtype=np.int64),
@@ -277,38 +277,38 @@ SOLVE_PRIMES = [2, 3, 127, 32749, P_MAX]
 
 
 def assert_solvable_matches(x: np.ndarray, m: int, p: int) -> None:
-    """Each member [A^T | B^T] against the oracle (no pivot right of
-    column m) and against solve_right on D A = B."""
+    """Each member [A; B] against the oracle on [A^T | B^T] (no pivot
+    right of column m) and against solve_right on D A = B."""
     before = x.copy()
     got = _core_py.solvable_mod(x, m, p)
     assert np.array_equal(x, before)
     assert got.dtype == bool and got.shape == (x.shape[0],)
     field = PrimeField(p)
     for member, ok in zip(x, got):
-        _, _, pivots = oracle_rref(member, p)
+        _, _, pivots = oracle_rref(member.T, p)
         assert bool(ok) is all(c < m for c in pivots)
         if m:
-            solved = solve_right(Mat(field, member[:, :m].T), Mat(field, member[:, m:].T))
+            solved = solve_right(Mat(field, member[:m]), Mat(field, member[m:]))
             assert bool(ok) is (solved is not None)
 
 
-def spanned_stack(rng, members: int, rows: int, m: int, k: int, p: int, rank: int) -> np.ndarray:
-    """Members whose first m columns have rank at most `rank`; the last
-    k columns of even members lie in their span, odd members' are random."""
-    x = np.zeros((members, rows, m + k), dtype=np.int64)
+def spanned_stack(rng, members: int, cols: int, m: int, k: int, p: int, rank: int) -> np.ndarray:
+    """Members whose first m rows have rank at most `rank`; the last k
+    rows of even members lie in their span, odd members' are random."""
+    x = np.zeros((members, m + k, cols), dtype=np.int64)
     for b in range(members):
-        basis = rng.integers(0, p, size=(rows, rank), dtype=np.int64)
-        a = basis.astype(object) @ rng.integers(0, p, size=(rank, m)).astype(object) % p
+        basis = rng.integers(0, p, size=(rank, cols), dtype=np.int64)
+        a = rng.integers(0, p, size=(m, rank)).astype(object) @ basis.astype(object) % p
         if b % 2 == 0:
-            rhs = a @ rng.integers(0, p, size=(m, k)).astype(object) % p
+            rhs = rng.integers(0, p, size=(k, m)).astype(object) @ a % p
         else:
-            rhs = rng.integers(0, p, size=(rows, k)).astype(object)
-        x[b] = np.hstack([a, rhs]).astype(np.int64)
+            rhs = rng.integers(0, p, size=(k, cols)).astype(object)
+        x[b] = np.vstack([a, rhs]).astype(np.int64)
     return x
 
 
 @pytest.mark.parametrize(
-    "rows, m, p, dtype",
+    "cols, m, p, dtype",
     [
         (168, 90, 3, np.int16),  # the search's GF(3) system on the rate-3/5 network
         (4, 4, 2, np.int16),
@@ -320,11 +320,11 @@ def spanned_stack(rng, members: int, rows: int, m: int, k: int, p: int, rank: in
         (9, 3, P_MAX, None),
     ],
 )
-def test_solvable_mod_dtype_holds_every_unreduced_entry(rows, m, p, dtype):
-    # Entries change at most min(rows, m) times, by up to (p-1)^2 each.
-    assert _core_py._stack_dtype(rows, m, p) is dtype
-    rng = np.random.default_rng([rows, m, p % 1000])
-    for fill in (rng.integers(0, p, size=(3, rows, m + 2)), np.full((2, rows, m + 2), p - 1)):
+def test_solvable_mod_dtype_holds_every_unreduced_entry(cols, m, p, dtype):
+    # Entries change at most min(cols, m) times, by up to (p-1)^2 each.
+    assert _core_py._deferred_dtype(cols, m, p) is dtype
+    rng = np.random.default_rng([cols, m, p % 1000])
+    for fill in (rng.integers(0, p, size=(3, m + 2, cols)), np.full((2, m + 2, cols), p - 1)):
         assert_solvable_matches(fill.astype(np.int64), m, p)
 
 
@@ -332,32 +332,51 @@ def test_solvable_mod_dtype_holds_every_unreduced_entry(rows, m, p, dtype):
 def test_solvable_mod_random_stacks_match_oracle_and_solve_right(p):
     rng = np.random.default_rng([p % 1000, 17])
     for _ in range(25):
-        members, rows, m, k = (int(v) for v in rng.integers(1, 8, size=4))
-        rank = int(rng.integers(0, min(rows, m) + 1))
-        assert_solvable_matches(spanned_stack(rng, members, rows, m, k, p, rank), m, p)
-        assert_solvable_matches(rng.integers(0, p, size=(members, rows, m + k)), m, p)
+        members, cols, m, k = (int(v) for v in rng.integers(1, 8, size=4))
+        rank = int(rng.integers(0, min(cols, m) + 1))
+        assert_solvable_matches(spanned_stack(rng, members, cols, m, k, p, rank), m, p)
+        assert_solvable_matches(rng.integers(0, p, size=(members, m + k, cols)), m, p)
 
 
 @pytest.mark.parametrize("p", SOLVE_PRIMES)
 def test_solvable_mod_rank_deficient_members(p):
     rng = np.random.default_rng([p % 1000, 23])
-    rows, m, k = 6, 5, 2
-    base = rng.integers(0, p, size=(rows, m + k), dtype=np.int64)
-    zero_cols = base.copy()
-    zero_cols[:, [0, 2]] = 0
+    cols, m, k = 6, 5, 2
+    base = rng.integers(0, p, size=(m + k, cols), dtype=np.int64)
+    zero_rows = base.copy()
+    zero_rows[[0, 2]] = 0
     zero_a = base.copy()
-    zero_a[:, :m] = 0
-    repeated = np.vstack([base[:3], base[:3]])
+    zero_a[:m] = 0
+    repeated = np.hstack([base[:, :3], base[:, :3]])
     in_span = base.copy()
-    in_span[:, m:] = (base[:, :1] * 2 + base[:, 1:3]) % p
-    cases = [zero_cols, zero_a, repeated, np.zeros((rows, m + k), dtype=np.int64), in_span]
+    in_span[m:] = (base[:1] * 2 + base[1:3]) % p
+    cases = [zero_rows, zero_a, repeated, np.zeros((m + k, cols), dtype=np.int64), in_span]
     for member in cases:
         assert_solvable_matches(member[None], m, p)  # B = 1
     # One batch whose members reach different ranks.
     assert_solvable_matches(np.stack(cases + [base]), m, p)
 
 
-def test_solvable_mod_without_coefficient_columns_asks_for_a_zero_right_side():
-    x = np.zeros((3, 4, 2), dtype=np.int64)
-    x[1, 2, 1] = 1
+def test_solvable_mod_without_coefficient_rows_asks_for_a_zero_right_side():
+    x = np.zeros((3, 2, 4), dtype=np.int64)
+    x[1, 1, 2] = 1
     assert _core_py.solvable_mod(x, 0, 5).tolist() == [True, False, True]
+
+
+def test_solvable_mod_on_the_search_system_of_the_rate_three_fifths_network(monkeypatch):
+    # The stack search screens for one GF(3) candidate on the rate-3/5
+    # merge, a 96 x 168 member rejected at the first terminal.
+    target = constructions.RateTarget(3, 5, (2,), constructions.IN_SET)
+    net, _ = constructions.build_for_rate(target)
+    seen = []
+
+    def record(x, m, p):
+        seen.append((x.copy(), m, p))
+        return _core_py.solvable_mod(x, m, p)
+
+    monkeypatch.setattr(analysis, "solvable_mod", record)
+    result = analysis.search(net, 6, 10, 3, analysis.Random(n=1, seed=0))
+    assert (result.found, result.rejected_at) == ([], {net.terminals[0]: 1})
+    [(x, m, p)] = seen
+    assert x.shape == (1, m + 6, 168)
+    assert_solvable_matches(x, m, p)
