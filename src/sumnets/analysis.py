@@ -235,9 +235,8 @@ def _decode(systems: _DecoderSystems, field: PrimeField, cells: np.ndarray) -> D
     # identity forwarding elsewhere.
     code = FracLinCode(net, r, l, field)
     for me in shape.middle:
-        u = net.edges[me].tail
         comp = systems.composite(cells, me)
-        for j, ei in enumerate(net.in_edges(u)):
+        for j, ei in enumerate(net.in_edges_of(net.tail[me]).tolist()):
             code.src_mats[ei] = Mat(field, comp[:, j * r : (j + 1) * r])
     code.src_mats.update(direct_src)
     _identity_in_mats(net, code, Mat.identity(field, l))
@@ -509,7 +508,7 @@ def bound_check(net: SumNetwork, code: FracLinCode, mode: str, m: int, q: int) -
         closed = capacity("n2", m, q, k)
     else:  # n2-redundancy
         # Middle edge u_<i>_<j> -> v_<i>_<j> is kept when j <= q.
-        first_q = [me for me in middles if parse_label(net.edges[me].tail)[1][1] <= q]
+        first_q = [me for me in middles if parse_label(net.label_table[net.tail[me]])[1][1] <= q]
         group_sums = _selector_rows(net, r, [n2_s_ij(m, q, i, q + 1) for i in range(1, m + 1)])
         implied = Fraction(n_mid, n_src + m)
         closed = k * wrong_char_bound(m, q)

@@ -133,7 +133,7 @@ def _cmd_build(args) -> int:
         "artifacts": artifacts,
         "sources": len(net.sources),
         "terminals": len(net.terminals),
-        "edges": len(net.edges),
+        "edges": len(net.tail),
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
     manifest.update(meta)
@@ -141,7 +141,7 @@ def _cmd_build(args) -> int:
     print(
         f"built {meta['family']}(m={meta['m']}, q={meta['q']}, k={meta['k']}): "
         f"{len(net.sources)} sources, {len(net.terminals)} terminals, "
-        f"{len(net.edges)} edges; capacity {meta['capacity_num']}/{meta['capacity_den']}"
+        f"{len(net.tail)} edges; capacity {meta['capacity_num']}/{meta['capacity_den']}"
     )
     return 0
 

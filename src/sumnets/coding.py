@@ -32,7 +32,7 @@ from ._core_py import matmul_mod
 from .constructions import build_merged, build_n1, build_n2, edge_origins, parse_label
 from .galois import PrimeField
 from .matrix import Mat, rank
-from .network import SOURCE, TERMINAL, SumNetwork, topo_order
+from .network import INTERMEDIATE, SOURCE, TERMINAL, SumNetwork, topo_order
 
 CODE_FORMAT_VERSION = 1
 
@@ -79,19 +79,20 @@ class FracLinCode:
 
     def check_shapes(self) -> None:
         net = self.net
-        for i, e in enumerate(net.edges):
-            if net.role(e.tail) == SOURCE:
+        from_source = net.role_mask(SOURCE)[net.tail].tolist()
+        degrees = np.diff(net.in_ptr)[net.tail].tolist()
+        for i, (label, src, degree) in enumerate(zip(net.edge_labels(), from_source, degrees)):
+            if src:
                 m = self.src_mats.get(i)
                 if m is None or m.shape != (self.l, self.r):
-                    raise ValueError(f"edge {e.label}: missing or misshaped source matrix")
+                    raise ValueError(f"edge {label}: missing or misshaped source matrix")
             else:
                 mats = self.in_mats.get(i)
-                ins = net.in_edges(e.tail)
-                if mats is None or len(mats) != len(ins):
-                    raise ValueError(f"edge {e.label}: in-edge matrix list mismatch")
+                if mats is None or len(mats) != degree:
+                    raise ValueError(f"edge {label}: in-edge matrix list mismatch")
                 for m in mats:
                     if m.shape != (self.l, self.l):
-                        raise ValueError(f"edge {e.label}: expected {self.l}x{self.l} matrices")
+                        raise ValueError(f"edge {label}: expected {self.l}x{self.l} matrices")
         for t in net.terminals:
             mats = self.dec_mats.get(t)
             ins = net.in_edges(t)
@@ -173,8 +174,7 @@ def _checked_slots(net: SumNetwork, code: FracLinCode):
     srcs = list(map(code.src_mats.get, lay.source_edges.tolist()))
     relayed = lay.relayed_edges.tolist()
     ins = _flat_slots(
-        [code.in_mats.get(ei) for ei in relayed],
-        [len(net.in_edges(net.edges[ei].tail)) for ei in relayed],
+        [code.in_mats.get(ei) for ei in relayed], np.diff(net.in_ptr)[net.tail[relayed]]
     )
     decs = _flat_slots([code.dec_mats.get(t) for t in net.terminals], np.diff(lay.term_ptr))
     src_ids = _ids(srcs)
@@ -225,9 +225,10 @@ def transfer(net: SumNetwork, code: FracLinCode) -> TransferMap:
     tm = TransferMap(net, code)
 
     order = np.array(topo_order(net), dtype=np.intp)
-    for ei in order[lay.src_pos[order] < 0].tolist():
+    relayed = order[lay.src_pos[order] < 0]
+    for ei, tail in zip(relayed.tolist(), net.tail[relayed].tolist()):
         parts = []
-        for m, in_ei in zip(code.in_mats[ei], net.in_edges(net.edges[ei].tail)):
+        for m, in_ei in zip(code.in_mats[ei], net.in_edges_of(tail).tolist()):
             if m.a.any():
                 pos, msg = tm.message(in_ei)
                 if pos.size:
@@ -247,7 +248,7 @@ def transfer(net: SumNetwork, code: FracLinCode) -> TransferMap:
     direct = lay.direct_slots
     if direct.size:
         edges = lay.term_edges[direct]
-        src_id_of = np.zeros(len(net.edges), dtype=np.uint64)
+        src_id_of = np.zeros(len(net.tail), dtype=np.uint64)
         src_id_of[lay.source_edges] = src_ids
         _, dec_key = np.unique(dec_ids[direct], return_inverse=True)
         src_keys, src_key = np.unique(src_id_of[edges], return_inverse=True)
@@ -346,66 +347,95 @@ class LayerShape:
 
 
 def layer_shape(net: SumNetwork) -> LayerShape:
-    """Detect the u -> middle -> v layering; raises if it does not hold."""
-    middle = net.middle_edges()
-    edges = net.edges
-    sources = set(net.sources)
-    terminals = net.terminals
-    terminal_set = set(terminals)
-    u_nodes: dict[str, int] = {}
-    v_nodes: dict[str, int] = {}
-    for me in middle:
-        e = edges[me]
-        if e.tail in u_nodes or e.head in v_nodes:
+    """Detect the u -> middle -> v layering; raises if it does not hold.
+
+    Read from the arrays: per node for the intermediates, per array for
+    the terminals' in-edges."""
+    labels = net.label_table
+    tail, head = net.tail, net.head
+    inner = net.role_mask(INTERMEDIATE)
+    middle = np.flatnonzero(inner[tail] & inner[head])
+    u_of = np.full(len(labels), -1, dtype=np.intp)  # the middle edge an entry feeds
+    v_of = np.full(len(labels), -1, dtype=np.intp)  # the middle edge into an entry
+    for ends, of in ((tail[middle], u_of), (head[middle], v_of)):
+        if np.unique(ends).size != ends.size:
             raise UnsupportedNetworkError("intermediate node on two middle edges")
-        u_nodes[e.tail] = me
-        v_nodes[e.head] = me
+        of[ends] = middle
+    source = net.role_mask(SOURCE).tolist()
+    out_degree = np.bincount(tail, minlength=len(labels)).tolist()
+    beyond = np.bincount(tail[~net.role_mask(TERMINAL)[head]], minlength=len(labels)).tolist()
+    feeds = tail[net.in_idx].tolist()  # the tail of each in-edge slot
+    ptr = net.in_ptr.tolist()
     src_order: dict[int, list[str]] = {}
-    for label in net.intermediates:
-        if label in u_nodes:
-            me = u_nodes[label]
-            if net.out_edges(label) != [me]:
+    feeding, fed = u_of.tolist(), v_of.tolist()
+    for label, x in zip(net.intermediates, net.entries(INTERMEDIATE).tolist()):
+        if feeding[x] >= 0:
+            if out_degree[x] != 1:
                 raise UnsupportedNetworkError(f"node {label} must feed only its middle edge")
-            tails = []
-            for ei in net.in_edges(label):
-                tail = edges[ei].tail
-                if tail not in sources:
+            tails: list[int] = []
+            for t in feeds[ptr[x] : ptr[x + 1]]:
+                if not source[t]:
                     raise UnsupportedNetworkError(f"non-source feed into {label}")
-                if tail in tails:
-                    raise UnsupportedNetworkError(f"duplicate source edge {tail} -> {label}")
-                tails.append(tail)
-            src_order[me] = tails
-        elif label in v_nodes:
-            if any(edges[i].head not in terminal_set for i in net.out_edges(label)):
+                if t in tails:
+                    raise UnsupportedNetworkError(f"duplicate source edge {labels[t]} -> {label}")
+                tails.append(t)
+            src_order[feeding[x]] = [labels[t] for t in tails]
+        elif fed[x] >= 0:
+            if beyond[x]:
                 raise UnsupportedNetworkError(f"node {label} must feed terminals only")
-            if len(net.in_edges(label)) != 1:
+            if ptr[x + 1] - ptr[x] != 1:
                 raise UnsupportedNetworkError(f"node {label} must have a single in-edge")
         else:
             raise UnsupportedNetworkError(f"intermediate {label} is on no middle edge")
-    term_taps: dict[str, list[tuple[int, int]]] = {}
-    term_directs: dict[str, dict[str, list[int]]] = {}
-    for t in terminals:
-        taps: list[tuple[int, int]] = []
-        directs: dict[str, list[int]] = {}
-        for pos, ei in enumerate(net.in_edges(t)):
-            tail = edges[ei].tail
-            if tail in sources:
-                directs.setdefault(tail, []).append(pos)
-            else:
-                taps.append((pos, v_nodes[tail]))
-        term_taps[t] = taps
-        term_directs[t] = directs
-    return LayerShape(middle, src_order, term_taps, term_directs)
+
+    terminals = net.terminals
+    lay = net.layout()
+    slot_tail = tail[lay.term_edges]
+    slot_pos = np.arange(len(slot_tail)) - lay.term_ptr[lay.slot_term]
+    direct = net.role_mask(SOURCE)[slot_tail]
+
+    tap_me = v_of[slot_tail[~direct]]
+    if (tap_me < 0).any():
+        raise KeyError(labels[slot_tail[~direct][np.argmax(tap_me < 0)]])
+    tap_ptr = _bounds(lay.slot_term[~direct], len(terminals))
+    taps = list(zip(slot_pos[~direct].tolist(), tap_me.tolist()))
+    term_taps = {t: taps[a:b] for t, a, b in zip(terminals, tap_ptr, tap_ptr[1:])}
+
+    # Direct slots grouped by (terminal, source), the groups in order of
+    # their first slot.
+    d_term, d_tail = lay.slot_term[direct], slot_tail[direct]
+    by_key = np.argsort(d_term * len(labels) + d_tail, kind="stable")
+    key = (d_term * len(labels) + d_tail)[by_key]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    ends = np.append(starts[1:], len(key))
+    by_first = np.argsort(by_key[starts], kind="stable")
+    positions = slot_pos[direct][by_key].tolist()
+    pos_lists = [positions[a:b] for a, b in zip(starts[by_first].tolist(), ends[by_first].tolist())]
+    firsts = by_key[starts[by_first]]
+    sources = [labels[s] for s in d_tail[firsts].tolist()]
+    group_ptr = _bounds(d_term[firsts], len(terminals))
+    term_directs = {
+        t: dict(zip(sources[a:b], pos_lists[a:b]))
+        for t, a, b in zip(terminals, group_ptr, group_ptr[1:])
+    }
+    return LayerShape(middle.tolist(), src_order, term_taps, term_directs)
+
+
+def _bounds(sorted_keys: np.ndarray, n: int) -> list[int]:
+    """Where each key 0..n-1 starts in sorted_keys, then its length."""
+    return np.searchsorted(sorted_keys, np.arange(n + 1)).tolist()
 
 
 # --- shared building blocks -----------------------------------------------------
 
 
 def _identity_in_mats(net: SumNetwork, code: FracLinCode, identity: Mat) -> None:
-    """Identity forwarding on every edge not leaving a source."""
-    for i, e in enumerate(net.edges):
-        if net.role(e.tail) != SOURCE:
-            code.in_mats[i] = (identity,) * len(net.in_edges(e.tail))
+    """Identity forwarding on every edge not leaving a source; edges whose
+    tails have the same in-degree share one tuple."""
+    relayed = np.flatnonzero(~net.role_mask(SOURCE)[net.tail])
+    degrees = np.diff(net.in_ptr)[net.tail[relayed]].tolist()
+    by_degree = {d: (identity,) * d for d in set(degrees)}
+    code.in_mats.update(zip(relayed.tolist(), map(by_degree.__getitem__, degrees)))
 
 
 def _slot_first(i: int, x: int) -> int:
@@ -428,12 +458,11 @@ def _family_scheme(
     in the field; k is the largest copy.  The characteristic is not checked.
     """
     p = field.p
-    copies = [copy for _, copy in edge_origins(net)]
-    r, l = 2 * max(copies, default=1), m + 1
+    copies = edge_origins(net)[-1]
+    r, l = 2 * int(copies.max() if copies.size else 1), m + 1
     code = FracLinCode(net, r, l, field)
-    role = {n.label: n.role for n in net.nodes}
-    labels = {n.label: parse_label(n.label) for n in net.nodes}
-    if any(kind == "u" and idx[0] > m for kind, idx in labels.values()):
+    labels = [parse_label(x) for x in net.label_table[: net.n_nodes]]
+    if any(kind == "u" and idx[0] > m for kind, idx in labels):
         raise ValueError(f"the network has a group beyond m = {m}")
     proj = Mat(field, np.eye(2, l, dtype=np.int64))
     pad = proj.transpose()
@@ -483,20 +512,37 @@ def _family_scheme(
             return 0, scaled, scaled
         return 0, proj, proj
 
-    for ei, e in enumerate(net.edges):
-        if role[e.tail] == SOURCE:
-            direct = role[e.head] == TERMINAL
-            mat = pad if direct else source(labels[e.tail][1], labels[e.head][1][0])
-            code.src_mats[ei] = widen(mat, copies[ei], 1)
+    # Source edges: a direct edge pads, by copy; an edge into u_<i>_<j>
+    # carries its source's matrix for group i.
+    tail, head = net.tail, net.head
+    from_source = net.role_mask(SOURCE)
+    src = np.flatnonzero(from_source[tail])
+    direct = net.role_mask(TERMINAL)[head[src]]
+    direct_copies, at = np.unique(copies[src[direct]], return_inverse=True)
+    mats = [widen(pad, c, 1) for c in direct_copies.tolist()]
+    key = np.empty(len(src), dtype=np.intp)
+    key[direct] = at.ravel()
+    for j in np.flatnonzero(~direct).tolist():
+        ei = src[j]
+        key[j] = len(mats)
+        mats.append(widen(source(labels[tail[ei]][1], labels[head[ei]][1][0]), int(copies[ei]), 1))
+    code.src_mats.update(zip(src.tolist(), map(mats.__getitem__, key.tolist())))
     _identity_in_mats(net, code, Mat.identity(field, l))
-    for t in net.terminals:
-        g, own, other = taps(*labels[t])
-        decs = []
-        for ei in net.in_edges(t):
-            tail = net.edges[ei].tail
-            mat = proj if role[tail] == SOURCE else own if labels[tail][1][0] == g else other
-            decs.append(widen(mat, copies[ei], 0))
-        code.dec_mats[t] = tuple(decs)
+
+    # A decoder projects (0) for a direct in-edge, else reads the tap as
+    # own (1) or other (2) by the tail's group, widened by copy.
+    group = np.array([idx[0] for _, idx in labels] + [0] * (len(net.label_table) - net.n_nodes))
+    ins_kind = np.where(from_source[tail], 0, 2)
+    for t, x in zip(net.terminals, net.entries(TERMINAL).tolist()):
+        g, own, other = taps(*labels[x])
+        ins = net.in_edges_of(x)
+        kind = np.where((ins_kind[ins] == 2) & (group[tail[ins]] == g), 1, ins_kind[ins])
+        pairs = kind * (r // 2 + 1) + copies[ins]
+        made = {
+            int(pairs[j]): widen((proj, own, other)[kind[j]], int(copies[ins[j]]), 0)
+            for j in np.unique(pairs, return_index=True)[1].tolist()
+        }
+        code.dec_mats[t] = tuple(map(made.__getitem__, pairs.tolist()))
     return code
 
 
@@ -570,22 +616,11 @@ def unroll_merged(merged_code: FracLinCode, k: int, base: Optional[SumNetwork] =
     if base is None:
         raise ValueError("base network required to unroll a k>1 merge")
     merged = merged_code.net
-    if len(merged.edges) != k * len(base.edges):
+    if len(merged.tail) != k * len(base.tail):
         raise ValueError(
-            f"merged network has {len(merged.edges)} edges, expected {k} x {len(base.edges)}"
+            f"merged network has {len(merged.tail)} edges, expected {k} x {len(base.tail)}"
         )
-    # images[base edge][copy - 1]: the merged edge that is that copy of it.
-    base_index = {(e.tail, e.head, e.par): i for i, e in enumerate(base.edges)}
-    images: list[list[Optional[int]]] = [[None] * k for _ in base.edges]
-    for me, (key, copy) in enumerate(edge_origins(merged)):
-        be = base_index.get(key)
-        if be is None:
-            raise ValueError(f"merged edge {merged.edges[me].label} copies no edge of the base")
-        if copy > k:
-            raise ValueError(f"merged edge {merged.edges[me].label} lies in copy {copy} > k = {k}")
-        if images[be][copy - 1] is not None:
-            raise ValueError(f"base edge {base.edges[be].label} has a second image in copy {copy}")
-        images[be][copy - 1] = me
+    images = _merge_images(merged, base, k)
     field = merged_code.field
     r, l = merged_code.r, merged_code.l
     code = FracLinCode(base, r, l * k, field)
@@ -599,26 +634,90 @@ def unroll_merged(merged_code: FracLinCode, k: int, base: Optional[SumNetwork] =
             out = built[key] = Mat(field, make([m.a for m in parts]))
         return out
 
-    def by_in_edge(node: str, mats: tuple[Mat, ...]) -> dict[int, Mat]:
-        return dict(zip(merged.in_edges(node), mats))
+    def combined(make, parts: list[Mat]) -> list[Mat]:
+        """combine(make, row) for each row of k parts, once per distinct row."""
+        if not parts:
+            return []
+        _, first, which = np.unique(
+            _ids(parts).reshape(-1, k), axis=0, return_index=True, return_inverse=True
+        )
+        made = [combine(make, parts[f * k : (f + 1) * k]) for f in first.tolist()]
+        return list(map(made.__getitem__, which.ravel().tolist()))
+
+    position = np.full(len(merged.tail), -1, dtype=np.intp)
+    position[merged.in_idx] = np.arange(len(merged.in_idx)) - np.repeat(
+        merged.in_ptr[:-1], np.diff(merged.in_ptr)
+    )
+
+    def read(ins: np.ndarray, readers: np.ndarray) -> list[list[int]]:
+        """For each base in-edge in ins, the position of its copy-c image in
+        the in-edge order of merged node readers[c - 1], per copy c."""
+        imgs = images[ins]
+        wrong = (merged.head[imgs] != readers) | (position[imgs] < 0)
+        if wrong.any():
+            label = merged.edge_label(imgs[wrong][0])
+            raise ValueError(f"merged edge {label} is not an in-edge of the copy that reads it")
+        return position[imgs].tolist()
 
     # In copy c, base in-edge b is read through its copy-c image.
-    for be, e in enumerate(base.edges):
-        imgs = images[be]
-        if base.role(e.tail) == SOURCE:
-            code.src_mats[be] = combine(np.vstack, [merged_code.src_mats[me] for me in imgs])
-        else:
-            ins = [by_in_edge(merged.edges[me].tail, merged_code.in_mats[me]) for me in imgs]
-            code.in_mats[be] = tuple(
-                combine(_block_diag, [mats[i] for mats, i in zip(ins, images[b])])
-                for b in base.in_edges(e.tail)
-            )
-    for t in base.terminals:
-        dec = by_in_edge(t, merged_code.dec_mats[t])
-        code.dec_mats[t] = tuple(
-            combine(np.hstack, [dec[i] for i in images[b]]) for b in base.in_edges(t)
+    from_source = base.role_mask(SOURCE)[base.tail]
+    src = np.flatnonzero(from_source)
+    parts = list(map(merged_code.src_mats.__getitem__, images[src].ravel().tolist()))
+    code.src_mats.update(zip(src.tolist(), combined(np.vstack, parts)))
+    for be in np.flatnonzero(~from_source).tolist():
+        readers = images[be]
+        mats = [merged_code.in_mats[me] for me in readers.tolist()]
+        code.in_mats[be] = tuple(
+            combine(_block_diag, [mats[c][j] for c, j in enumerate(row)])
+            for row in read(base.in_edges_of(base.tail[be]), merged.tail[readers])
         )
+    for t, x, y in zip(base.terminals, base.entries(TERMINAL), merged.entries_of(base.terminals)):
+        dec = merged_code.dec_mats[t]
+        at = read(base.in_edges_of(x), np.full(k, y))
+        code.dec_mats[t] = tuple(combined(np.hstack, [dec[j] for row in at for j in row]))
     return code
+
+
+def _merge_images(merged: SumNetwork, base: SumNetwork, k: int) -> np.ndarray:
+    """images[b, c - 1]: the merged edge that is copy c of base edge b, read
+    from the labels (`edge_origins`).  Raises ValueError at the first
+    merged edge that copies no base edge, lies outside copies 1..k, or is
+    a second image of one base edge in one copy."""
+    stems, tail, head, par, copy = edge_origins(merged)
+    entry = base.entries_of(stems)
+    # One int key per (tail, head, par), par ranked over both networks.
+    _, par_rank = np.unique(np.concatenate([base.par, par]), return_inverse=True)
+    width = len(base.label_table) + 1
+    ends = (np.concatenate([base.tail, entry[tail]]) + 1) * width
+    ends += np.concatenate([base.head, entry[head]]) + 1
+    keys = ends * (par_rank.max(initial=0) + 1) + par_rank.ravel()
+    base_keys, merged_keys = keys[: len(base.tail)], keys[len(base.tail) :]
+    by_key = np.argsort(base_keys, kind="stable")
+    at = np.searchsorted(base_keys[by_key], merged_keys, side="right") - 1
+    found = at >= 0
+    found[found] = base_keys[by_key[at[found]]] == merged_keys[found]
+    origin = np.where(found, by_key[at], -1)  # the last base edge of that key, as a dict keeps
+    outside = (copy < 1) | (copy > k)
+    slot = origin * k + copy - 1
+    placed = np.flatnonzero(found & ~outside)
+    placed = placed[np.argsort(slot[placed], kind="stable")]
+    second = np.zeros(len(slot), dtype=bool)
+    second[placed[1:][np.diff(slot[placed]) == 0]] = True
+    bad = ~found | outside | second
+    if bad.any():
+        me = int(np.argmax(bad))
+        label = merged.edge_label(me)
+        if not found[me]:
+            raise ValueError(f"merged edge {label} copies no edge of the base")
+        if outside[me]:
+            bound = f"> k = {k}" if copy[me] > k else "< 1"
+            raise ValueError(f"merged edge {label} lies in copy {copy[me]} {bound}")
+        raise ValueError(
+            f"base edge {base.edge_label(origin[me])} has a second image in copy {copy[me]}"
+        )
+    images = np.empty((len(base.tail), k), dtype=np.intp)
+    images.ravel()[slot] = np.arange(len(slot))
+    return images
 
 
 def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
@@ -671,12 +770,11 @@ def _code_text(code: FracLinCode) -> str:
             out = tuple_texts[id(mats)] = "[" + ",".join(map(mat_text, mats)) + "]"
         return out
 
-    edge_matrices: dict[str, str] = {}
-    for i, e in enumerate(net.edges):
-        if net.role(e.tail) == SOURCE:
-            edge_matrices[e.label] = mat_text(code.src_mats[i])
-        else:
-            edge_matrices[e.label] = tuple_text(code.in_mats[i])
+    from_source = net.role_mask(SOURCE)[net.tail].tolist()
+    edge_matrices = {
+        label: mat_text(code.src_mats[i]) if src else tuple_text(code.in_mats[i])
+        for i, (label, src) in enumerate(zip(net.edge_labels(), from_source))
+    }
     doc = {
         "version": encode(CODE_FORMAT_VERSION),
         "r": encode(code.r),
@@ -834,19 +932,19 @@ def _code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
     code = FracLinCode(net, r, l, field)
     table = _MatTable(field, arrays)
     edge_matrices = doc["edge_matrices"]
-    for i, e in enumerate(net.edges):
-        label = e.label
+    from_source = net.role_mask(SOURCE)[net.tail].tolist()
+    degrees = np.diff(net.in_ptr)[net.tail].tolist()
+    for i, (label, src, degree) in enumerate(zip(net.edge_labels(), from_source, degrees)):
         if label not in edge_matrices:
             raise CodeFormatError(f"edge_matrices missing edge {label}")
         entry = edge_matrices[label]
-        if net.role(e.tail) == SOURCE:
+        if src:
             code.src_mats[i] = table.get(entry, l, r, f"edge {label}")
         else:
-            ins = net.in_edges(e.tail)
             if _is_ref(entry):
                 entry = arrays[entry[0]]
-            if not isinstance(entry, list) or len(entry) != len(ins):
-                raise CodeFormatError(f"edge {label}: expected {len(ins)} matrices")
+            if not isinstance(entry, list) or len(entry) != degree:
+                raise CodeFormatError(f"edge {label}: expected {degree} matrices")
             what = f"edge {label}"
             code.in_mats[i] = tuple(table.get(flat, l, l, what, j) for j, flat in enumerate(entry))
     terminal_matrices = doc["terminal_matrices"]

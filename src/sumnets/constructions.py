@@ -20,10 +20,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
-from typing import Callable, Iterator
+from typing import Callable
+
+import numpy as np
 
 from .galois import MAX_MODULUS, PrimeField
-from .network import INTERMEDIATE, SOURCE, TERMINAL, Edge, Node, SumNetwork
+from .network import INTERMEDIATE, ROLES, SOURCE, TERMINAL, SumNetwork
 
 IN_SET = "in-set"
 NOT_IN_SET = "not-in-set"
@@ -151,18 +153,31 @@ def n2_s_ij(m: int, q: int, i: int, j: int) -> list[str]:
 
 
 class _Builder:
+    """Nodes and edges as they are added, edges by node entry."""
+
     def __init__(self):
-        self.nodes: list[Node] = []
-        self.edges: list[Edge] = []
-        self.in_order: dict[str, list[int]] = {}
+        self.labels: list[str] = []
+        self.roles: list[int] = []
+        self.entry: dict[str, int] = {}
+        self.tails: list[int] = []
+        self.heads: list[int] = []
 
     def node(self, label: str, role: str) -> None:
-        self.nodes.append(Node(label, role))
-        self.in_order[label] = []
+        self.entry[label] = len(self.labels)
+        self.labels.append(label)
+        self.roles.append(ROLES.index(role))
 
-    def edge(self, tail: str, head: str, par: int = 0) -> None:
-        self.edges.append(Edge(tail, head, par))
-        self.in_order[head].append(len(self.edges) - 1)
+    def edges(self, tails, heads) -> None:
+        """Edges tails[i] -> heads[i], with par 0, given by label."""
+        self.tails += map(self.entry.__getitem__, tails)
+        self.heads += map(self.entry.__getitem__, heads)
+
+    def network(self, source_order: list[str]) -> SumNetwork:
+        """The network, each node's in-edges in edge order."""
+        par = np.zeros(len(self.tails), dtype=np.int64)
+        return SumNetwork.from_arrays(
+            self.labels, self.roles, self.tails, self.heads, par, source_order
+        )
 
 
 def _terminals(m: int, q: int) -> list[tuple[str, list[tuple[int, int]]]]:
@@ -188,7 +203,7 @@ def _build_family(
     u_ij, in that order (decoders rely on it); terminals: (label, taps)
     pairs, taps being the (i, j) middle edges the terminal reads.  Each
     terminal gets one direct edge from every source that none of its taps
-    can see.
+    can see, in source order.
     """
     _check_mq(m, q)
     b = _Builder()
@@ -203,19 +218,20 @@ def _build_family(
 
     reach = {(i, j): s_ij(m, q, i, j) for i, j in middles}
     for (i, j), sources in reach.items():
-        for s in sources:
-            b.edge(s, u_lab(i, j))
-    for i, j in middles:
-        b.edge(u_lab(i, j), v_lab(i, j))
-    for t, taps in terminals:
-        for i, j in taps:
-            b.edge(v_lab(i, j), t)
-    for t, taps in terminals:
-        seen = set().union(*(reach[ij] for ij in taps))
-        for s in source_order:
-            if s not in seen:
-                b.edge(s, t)
-    return SumNetwork(b.nodes, b.edges, b.in_order, source_order)
+        b.edges(sources, [u_lab(i, j)] * len(sources))
+    b.edges([u_lab(i, j) for i, j in middles], [v_lab(i, j) for i, j in middles])
+    taps = [(v_lab(i, j), t) for t, ij in terminals for i, j in ij]
+    b.edges([v for v, _ in taps], [t for _, t in taps])
+    # seen[t, s]: some tap of terminal t sees source s.
+    seen = np.zeros((len(terminals), len(source_order)), dtype=bool)
+    for row, (_, ij) in enumerate(terminals):
+        for tap in ij:
+            seen[row, [b.entry[s] for s in reach[tap]]] = True
+    rows, cols = np.nonzero(~seen)
+    first_terminal = b.entry[terminals[0][0]] if terminals else 0
+    b.tails += cols.tolist()
+    b.heads += (rows + first_terminal).tolist()
+    return b.network(source_order)
 
 
 def _pair_and_triple_sources(m: int, q: int) -> list[str]:
@@ -277,56 +293,69 @@ def copy_label(label: str, copy: int) -> str:
 def k_copy_merge(base: SumNetwork, k: int) -> SumNetwork:
     """k disjoint copies with same-labeled sources/terminals identified.
 
-    Copy c of an edge gives its intermediate ends the suffix _c<c>; a
-    direct source->terminal edge keeps both ends and shifts par by
+    The merge lists the base's non-intermediate nodes, then per copy the
+    intermediates; per copy, the images of the base edges node by node
+    in in-edge order; and each node's in-edges in edge order.  Copy c of
+    an edge gives its intermediate ends the suffix _c<c>; a direct
+    source->terminal edge keeps both ends and shifts par by
     (c-1) * stride, stride being one more than the largest par in the
     base.  `edge_origins` reads the copies back.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    b = _Builder()
-    for n in base.nodes:
-        if n.role != INTERMEDIATE:
-            b.node(n.label, n.role)
-    stride = max((e.par for e in base.edges), default=0) + 1
+    n = base.n_nodes
+    inner = base.role_mask(INTERMEDIATE)[:n]
+    outer = np.flatnonzero(~inner)
+    inside = np.flatnonzero(inner)
+    labels = [base.label_table[x] for x in outer.tolist()]
+    roles = [base.role_codes[outer]]
+    # entry[c - 1][x]: the merged entry of base entry x in copy c.
+    entry = np.zeros((k, n), dtype=np.intp)
+    entry[:, outer] = np.arange(len(outer))
     for copy in range(1, k + 1):
-        name = {x: copy_label(x, copy) for x in base.intermediates}
-        for x in name.values():
-            b.node(x, INTERMEDIATE)
-        for n in base.nodes:
-            for base_idx in base.in_order[n.label]:
-                e = base.edges[base_idx]
-                if e.tail in name or e.head in name:
-                    b.edge(name.get(e.tail, e.tail), name.get(e.head, e.head), e.par)
-                else:
-                    b.edge(e.tail, e.head, e.par + (copy - 1) * stride)
-    return SumNetwork(b.nodes, b.edges, b.in_order, list(base.source_order))
+        entry[copy - 1, inside] = len(labels) + np.arange(len(inside))
+        labels += [copy_label(base.label_table[x], copy) for x in inside.tolist()]
+        roles.append(base.role_codes[inside])
+    order = base.in_idx
+    tail, head, par = base.tail[order], base.head[order], base.par[order]
+    direct = ~(inner[tail] | inner[head])
+    stride = (base.par.max() if len(base.par) else 0) + 1
+    shift = np.zeros(len(par), dtype=par.dtype)
+    shift[direct] = stride
+    return SumNetwork.from_arrays(
+        labels,
+        np.concatenate(roles),
+        np.concatenate([entry[c][tail] for c in range(k)]),
+        np.concatenate([entry[c][head] for c in range(k)]),
+        np.concatenate([par + c * shift for c in range(k)]),
+        base.source_order,
+    )
 
 
-def edge_origins(net: SumNetwork) -> Iterator[tuple[tuple[str, str, int], int]]:
+def edge_origins(net: SumNetwork) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """For each edge of a family network or its k-copy merge, in edge
-    order, the (tail, head, par) key of the base edge it copies, and its
-    copy, read back from the labels as `k_copy_merge` writes them.  An
-    intermediate end loses its _c<copy> suffix, copy 1 without one.  A
-    direct source->terminal edge keeps its ends and is copy par + 1 of
-    the base edge with par 0.
+    order, the base edge it copies and its copy, read back from the labels
+    as `k_copy_merge` writes them: (stems, tail, head, par, copy), with
+    tail and head indexing stems, the entries of `net.label_table` less
+    any _c<copy> suffix.  An intermediate end loses its suffix, copy 1
+    without one; an edge takes the copy of its tail if that is
+    intermediate, else of its head.  A direct source->terminal edge keeps
+    its ends and is copy par + 1 of the base edge with par 0.
 
     The direct-edge rule holds for a base whose direct edges all have
     par 0, as every family base has.  A merge of a base with parallel
     direct edges reads as copies beyond k, which a caller must refuse.
     """
-    ends = {}
-    for n in net.nodes:
-        if n.role == INTERMEDIATE:
-            _, _, stem, copy = _parse_label(n.label)
-            ends[n.label] = stem, copy
-    for e in net.edges:
-        tail, head = ends.get(e.tail), ends.get(e.head)
-        if tail is None and head is None:
-            yield (e.tail, e.head, 0), e.par + 1
-        else:
-            copy = (tail or head)[1]
-            yield (tail[0] if tail else e.tail, head[0] if head else e.head, e.par), copy
+    stems = list(net.label_table)
+    node_copy = np.zeros(len(stems), dtype=np.int64)
+    for x in np.flatnonzero(net.role_mask(INTERMEDIATE)).tolist():
+        _, _, stems[x], node_copy[x] = _parse_label(stems[x])
+    tail, head = net.tail, net.head
+    copy = np.where(node_copy[tail] > 0, node_copy[tail], node_copy[head])
+    direct = copy == 0
+    par = np.where(direct, 0, net.par)
+    copy = np.where(direct, net.par + 1, copy)
+    return stems, tail, head, par, copy
 
 
 # --- family builders with their manifests ---------------------------------------
@@ -388,9 +417,5 @@ def build_bottleneck2() -> SumNetwork:
     b.node("v_1_1", INTERMEDIATE)
     for t in ("t_1", "t_2"):
         b.node(t, TERMINAL)
-    b.edge("s_1", "u_1_1")
-    b.edge("s_2", "u_1_1")
-    b.edge("u_1_1", "v_1_1")
-    b.edge("v_1_1", "t_1")
-    b.edge("v_1_1", "t_2")
-    return SumNetwork(b.nodes, b.edges, b.in_order, ["s_1", "s_2"])
+    b.edges(["s_1", "s_2", "u_1_1", "v_1_1", "v_1_1"], ["u_1_1", "u_1_1", "v_1_1", "t_1", "t_2"])
+    return b.network(["s_1", "s_2"])

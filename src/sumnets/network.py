@@ -6,6 +6,10 @@ terminal demands the sum of all source blocks.  Edges are identified by
 destination (this is the convention used throughout the file format and
 the DOT export).  Per-node in-edge order is explicit and serialized,
 because decoding matrices are positional.
+
+A network is held as int arrays over a table of node labels, so it keeps
+no Python object per edge; `Node` and `Edge` objects are made only for
+code that asks for `nodes` or `edges`.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -51,53 +56,183 @@ class Edge:
         return f"({self.tail},{self.head},{self.par})"
 
 
+def _int_array(values) -> np.ndarray:
+    """values as int64 if all lie in [-2^31, 2^31), else as Python ints
+    (object dtype), so that sums and multiples of them taken by the merge
+    and its readers cannot wrap."""
+    try:
+        out = np.array(values, dtype=np.int64)
+        if not out.size or (out.min() >= -(2**31) and out.max() < 2**31):
+            return out
+    except OverflowError:
+        pass
+    return np.array(values, dtype=object)
+
+
 class SumNetwork:
     """Immutable DAG with roles, parallel edges and fixed in-edge order.
 
-    The topological order and the `EdgeLayout` are computed on first use
-    and kept, which is sound only because nothing changes a network after
-    construction; neither enters `__eq__`.
+    Storage, read-only after construction:
+      label_table     the node labels in node order, then any edge end that
+                      names no node (only a hand-built network has one;
+                      `validate` reports it); an index into it is an entry
+      role_codes      per entry, its role as an index into role_names, or
+                      -1 for an entry that is no node
+      role_names      ROLES, then any other role a hand-built node carries
+      tail, head      edge e runs from entry tail[e] to entry head[e]
+      par             the parallel indices (int64, or Python ints if one
+                      lies outside [-2^31, 2^31))
+      in_ptr, in_idx  the in-edge order in CSR form: entry x's in-edges
+                      are in_idx[in_ptr[x]:in_ptr[x+1]]
+      source_order    source labels in source-vector order
+    A label that two nodes carry is one entry for edges and in-edge
+    order, its last node's, whose role `role` reports.
+
+    The constructor takes `Node` and `Edge` objects; the builders and the
+    file reader use `from_arrays`.  `nodes`, `edges` and the label-keyed
+    `in_order` are made on first read.  The topological order and the
+    `EdgeLayout` are computed on first use and kept, which is sound only
+    because nothing changes a network after construction; none of these
+    enter `__eq__`.
     """
 
     def __init__(
         self,
         nodes: Iterable[Node],
         edges: Iterable[Edge],
-        in_order: Optional[dict[str, list[int]]] = None,
+        in_order: Optional[dict[str, Sequence[int]]] = None,
         source_order: Optional[list[str]] = None,
     ):
-        self.nodes: tuple[Node, ...] = tuple(nodes)
-        self.edges: tuple[Edge, ...] = tuple(edges)
-        self._node_by_label = {n.label: n for n in self.nodes}
+        nodes = tuple(nodes)
+        edges = tuple(edges)
+        labels = [n.label for n in nodes]
+        index = {label: x for x, label in enumerate(labels)}
+        role_names = list(ROLES)
+        codes = []
+        for n in nodes:
+            if n.role not in role_names:
+                role_names.append(n.role)
+            codes.append(role_names.index(n.role))
 
-        natural: dict[str, list[int]] = {n.label: [] for n in self.nodes}
-        self._out_edges: dict[str, list[int]] = {n.label: [] for n in self.nodes}
-        for i, e in enumerate(self.edges):
-            if e.head in natural:
-                natural[e.head].append(i)
-            if e.tail in self._out_edges:
-                self._out_edges[e.tail].append(i)
-        if in_order is None:
-            in_order = natural
-        self.in_order: dict[str, tuple[int, ...]] = {
-            n.label: tuple(in_order.get(n.label, ())) for n in self.nodes
-        }
+        def entry(label: str) -> int:
+            x = index.get(label)
+            if x is None:
+                x = index[label] = len(labels)
+                labels.append(label)
+                codes.append(-1)
+            return x
+
+        ends = [(entry(e.tail), entry(e.head)) for e in edges]
+        tail = np.array([t for t, _ in ends], dtype=np.intp)
+        head = np.array([h for _, h in ends], dtype=np.intp)
+        orders = None
+        if in_order is not None:
+            orders = [()] * len(labels)
+            for x, label in enumerate(labels[: len(nodes)]):
+                if index[label] == x:
+                    orders[x] = in_order.get(label, ())
         if source_order is None:
-            source_order = [n.label for n in self.nodes if n.role == SOURCE]
+            source_order = [n.label for n in nodes if n.role == SOURCE]
+        self._store(
+            labels, len(nodes), tuple(role_names), codes, tail, head,
+            _int_array([e.par for e in edges]), orders, source_order, index,
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        labels: list[str],
+        role_codes,
+        tail,
+        head,
+        par,
+        source_order: Sequence[str],
+        in_orders: Optional[Sequence[Sequence[int]]] = None,
+    ) -> "SumNetwork":
+        """The network of nodes labels[x] with role ROLES[role_codes[x]],
+        edges from tail[e] to head[e] with par[e], and in-edge order
+        in_orders[x] per node (by default, each node's in-edges in edge
+        order)."""
+        net = cls.__new__(cls)
+        net._store(
+            list(labels), len(labels), ROLES, role_codes, np.asarray(tail, dtype=np.intp),
+            np.asarray(head, dtype=np.intp), _int_array(par), in_orders, source_order,
+        )
+        return net
+
+    def _store(self, labels, n_nodes, role_names, codes, tail, head, par, orders, source_order,
+               index=None):
+        self.label_table: list[str] = labels
+        self.n_nodes = n_nodes
+        self.role_names: tuple[str, ...] = role_names
+        self.role_codes = np.asarray(codes, dtype=np.int8)
+        self.tail, self.head, self.par = tail, head, par
+        if index is None:
+            index = {label: x for x, label in enumerate(labels)}
+        self._index: dict[str, int] = index
+        if orders is None:  # each node's in-edges in edge order
+            into = np.flatnonzero(head < n_nodes)
+            self.in_idx = into[np.argsort(head[into], kind="stable")]
+            degrees = np.bincount(head[into], minlength=len(labels))
+        else:
+            self.in_idx = np.fromiter(chain.from_iterable(orders), dtype=np.intp)
+            degrees = np.fromiter(map(len, orders), dtype=np.intp, count=len(orders))
+        self.in_ptr = np.zeros(len(labels) + 1, dtype=np.intp)
+        np.cumsum(degrees, out=self.in_ptr[1:])
         self.source_order: tuple[str, ...] = tuple(source_order)
         self._topo: Optional[np.ndarray] = None
         self._layout: Optional[EdgeLayout] = None
 
+    # --- views ------------------------------------------------------------
+
+    @cached_property
+    def nodes(self) -> tuple[Node, ...]:
+        names = self.role_names
+        codes = self.role_codes[: self.n_nodes].tolist()
+        return tuple(Node(label, names[c]) for label, c in zip(self.label_table, codes))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        t = self.label_table
+        ends = zip(self.tail.tolist(), self.head.tolist(), self.par.tolist())
+        return tuple(Edge(t[a], t[b], p) for a, b, p in ends)
+
+    @cached_property
+    def in_order(self) -> dict[str, tuple[int, ...]]:
+        return {label: self.in_edges(label) for label in self.label_table[: self.n_nodes]}
+
     # --- basic queries -------------------------------------------------
 
+    def _entry(self, label: str) -> int:
+        """The entry of the node labelled `label`; KeyError if there is none."""
+        x = self._index[label]
+        if x >= self.n_nodes:
+            raise KeyError(label)
+        return x
+
+    def entries_of(self, labels: Iterable[str]) -> np.ndarray:
+        """The entry of each node label, -1 for a label no node carries."""
+        n, get = self.n_nodes, self._index.get
+        return np.array([x if (x := get(s, n)) < n else -1 for s in labels], dtype=np.intp)
+
     def has_node(self, label: str) -> bool:
-        return label in self._node_by_label
+        return self._index.get(label, self.n_nodes) < self.n_nodes
 
     def role(self, label: str) -> str:
-        return self._node_by_label[label].role
+        return self.role_names[self.role_codes[self._entry(label)]]
+
+    def role_mask(self, role: str) -> np.ndarray:
+        """Per entry, whether it is a node of this role."""
+        code = self.role_names.index(role) if role in self.role_names else -2
+        return self.role_codes == code
+
+    def entries(self, role: str) -> np.ndarray:
+        """The entries of the nodes of this role, in node order."""
+        labels = self.labels(role)
+        return np.fromiter(map(self._index.__getitem__, labels), dtype=np.intp, count=len(labels))
 
     def labels(self, role: str) -> list[str]:
-        return [n.label for n in self.nodes if n.role == role]
+        return [self.label_table[x] for x in np.flatnonzero(self.role_mask(role)).tolist()]
 
     @property
     def sources(self) -> list[str]:
@@ -112,18 +247,32 @@ class SumNetwork:
         return self.labels(INTERMEDIATE)
 
     def in_edges(self, label: str) -> tuple[int, ...]:
-        return self.in_order[label]
+        return tuple(self.in_edges_of(self._entry(label)).tolist())
+
+    def in_edges_of(self, x: int) -> np.ndarray:
+        """The in-edges of entry x, in order."""
+        return self.in_idx[self.in_ptr[x] : self.in_ptr[x + 1]]
 
     def out_edges(self, label: str) -> list[int]:
-        return self._out_edges[label]
+        return np.flatnonzero(self.tail == self._entry(label)).tolist()
+
+    def edge_label(self, i: int) -> str:
+        t = self.label_table
+        return f"({t[self.tail[i]]},{t[self.head[i]]},{self.par[i]})"
+
+    def edge_labels(self) -> list[str]:
+        """Every edge's label, (tail,head,par), in edge order."""
+        t = self.label_table
+        ends = zip(self.tail.tolist(), self.head.tolist(), self.par.tolist())
+        return [f"({t[a]},{t[b]},{p})" for a, b, p in ends]
 
     def edge_index_by_label(self) -> dict[str, int]:
-        return {e.label: i for i, e in enumerate(self.edges)}
+        return {label: i for i, label in enumerate(self.edge_labels())}
 
     def middle_edges(self) -> list[int]:
         """Edges between two intermediate nodes, in edge order."""
-        inner = set(self.intermediates)
-        return [i for i, e in enumerate(self.edges) if e.tail in inner and e.head in inner]
+        inner = self.role_mask(INTERMEDIATE)
+        return np.flatnonzero(inner[self.tail] & inner[self.head]).tolist()
 
     def layout(self) -> "EdgeLayout":
         """The edge structure as int arrays, built on the first call."""
@@ -135,14 +284,29 @@ class SumNetwork:
         """Equal exactly when both hold the same fields of the network file."""
         return (
             isinstance(other, SumNetwork)
-            and other.nodes == self.nodes
-            and other.edges == self.edges
-            and other.in_order == self.in_order
+            and other.n_nodes == self.n_nodes
+            and other.label_table == self.label_table
+            and other.role_names == self.role_names
+            and np.array_equal(other.role_codes, self.role_codes)
+            and np.array_equal(other.tail, self.tail)
+            and np.array_equal(other.head, self.head)
+            and np.array_equal(other.par, self.par)
+            and np.array_equal(other.in_ptr, self.in_ptr)
+            and np.array_equal(other.in_idx, self.in_idx)
             and other.source_order == self.source_order
         )
 
     def __repr__(self):
-        return f"SumNetwork({len(self.nodes)} nodes, {len(self.edges)} edges)"
+        return f"SumNetwork({self.n_nodes} nodes, {len(self.tail)} edges)"
+
+
+def _csr_rows(ptr: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows `rows` of (ptr, idx), in that order, as a CSR pair."""
+    counts = ptr[rows + 1] - ptr[rows]
+    out_ptr = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum(counts, out=out_ptr[1:])
+    at = np.repeat(ptr[rows] - out_ptr[:-1], counts) + np.arange(out_ptr[-1])
+    return out_ptr, idx[at]
 
 
 class EdgeLayout:
@@ -160,20 +324,20 @@ class EdgeLayout:
     """
 
     def __init__(self, net: SumNetwork):
-        pos = {s: i for i, s in enumerate(net.source_order)}
-        role = net.role
-        self.src_pos = np.array(
-            [pos[e.tail] if role(e.tail) == SOURCE else -1 for e in net.edges], dtype=np.intp
-        )
-        self.source_edges = np.flatnonzero(self.src_pos >= 0)
-        self.relayed_edges = np.flatnonzero(self.src_pos < 0)
-        ins = [net.in_edges(t) for t in net.terminals]
-        degrees = np.fromiter(map(len, ins), dtype=np.intp, count=len(ins))
-        self.term_ptr = np.concatenate([[0], np.cumsum(degrees)])
-        self.term_edges = np.fromiter(
-            chain.from_iterable(ins), dtype=np.intp, count=self.term_ptr[-1]
-        )
-        self.slot_term = np.repeat(np.arange(len(ins)), degrees)
+        pos = np.full(len(net.label_table), -1, dtype=np.intp)
+        for i, s in enumerate(net.source_order):
+            if net.has_node(s):
+                pos[net._entry(s)] = i
+        from_source = net.role_mask(SOURCE)[net.tail]
+        unplaced = np.flatnonzero(from_source & (pos[net.tail] < 0))
+        if unplaced.size:
+            raise KeyError(net.label_table[net.tail[unplaced[0]]])
+        self.src_pos = np.where(from_source, pos[net.tail], -1)
+        self.source_edges = np.flatnonzero(from_source)
+        self.relayed_edges = np.flatnonzero(~from_source)
+        self.term_ptr, self.term_edges = _csr_rows(net.in_ptr, net.in_idx, net.entries(TERMINAL))
+        degrees = np.diff(self.term_ptr)
+        self.slot_term = np.repeat(np.arange(len(degrees)), degrees)
         direct = self.src_pos[self.term_edges] >= 0
         self.direct_slots = np.flatnonzero(direct)
         self.relayed_slots = np.flatnonzero(~direct)
@@ -185,34 +349,46 @@ class EdgeLayout:
 def validate(net: SumNetwork) -> list[str]:
     """All structural invariants; returns a list of violations (empty = ok)."""
     violations: list[str] = []
+    n = net.n_nodes
+    labels = net.label_table
     seen_labels: set[str] = set()
-    for n in net.nodes:
-        if n.label in seen_labels:
-            violations.append(f"duplicate node label {n.label!r}")
-        seen_labels.add(n.label)
-        if n.role not in ROLES:
-            violations.append(f"unknown role {n.role!r} on node {n.label!r}")
+    for label, code in zip(labels, net.role_codes[:n].tolist()):
+        if label in seen_labels:
+            violations.append(f"duplicate node label {label!r}")
+        seen_labels.add(label)
+        if code >= len(ROLES):
+            violations.append(f"unknown role {net.role_names[code]!r} on node {label!r}")
 
-    seen_edges: set[tuple[str, str, int]] = set()
-    for i, e in enumerate(net.edges):
-        key = (e.tail, e.head, e.par)
-        if key in seen_edges:
-            violations.append(f"duplicate edge {e.label}")
-        seen_edges.add(key)
-        for end in (e.tail, e.head):
-            if end not in seen_labels:
-                violations.append(f"edge {e.label} references unknown node {end!r}")
-        if net.has_node(e.tail) and net.role(e.tail) == TERMINAL:
-            violations.append(f"terminal has out-edge: {e.label}")
-        if net.has_node(e.head) and net.role(e.head) == SOURCE:
-            violations.append(f"source has in-edge: {e.label}")
+    tail, head = net.tail, net.head
+    n_edges = len(tail)
+    # An edge is a duplicate when an earlier edge has the same ends and par.
+    _, par_rank = np.unique(net.par, return_inverse=True)
+    by_key = np.lexsort((par_rank.ravel(), head, tail))
+    same = (np.diff(tail[by_key]) == 0) & (np.diff(head[by_key]) == 0)
+    same &= np.diff(par_rank.ravel()[by_key]) == 0
+    duplicate = np.zeros(n_edges, dtype=bool)
+    duplicate[by_key[1:][same]] = True
+    faults = [
+        (duplicate, lambda i: f"duplicate edge {net.edge_label(i)}"),
+        (tail >= n, lambda i: f"edge {net.edge_label(i)} references unknown node {labels[tail[i]]!r}"),
+        (head >= n, lambda i: f"edge {net.edge_label(i)} references unknown node {labels[head[i]]!r}"),
+        (net.role_mask(TERMINAL)[tail], lambda i: f"terminal has out-edge: {net.edge_label(i)}"),
+        (net.role_mask(SOURCE)[head], lambda i: f"source has in-edge: {net.edge_label(i)}"),
+    ]
+    for i in np.flatnonzero(np.any([mask for mask, _ in faults], axis=0)).tolist():
+        violations += [message(i) for mask, message in faults if mask[i]]
 
-    natural = {n.label: set() for n in net.nodes}
-    for i, e in enumerate(net.edges):
-        if e.head in natural:
-            natural[e.head].add(i)
-    for label, order in net.in_order.items():
-        if set(order) != natural.get(label, set()) or len(order) != len(set(order)):
+    # A node's in-edge order is bad unless it lists each edge into the node once.
+    ptr, idx = net.in_ptr, net.in_idx
+    slot_node = np.repeat(np.arange(len(labels)), np.diff(ptr))
+    listed = (idx >= 0) & (idx < n_edges)
+    listed[listed] = head[idx[listed]] == slot_node[listed]
+    times = np.bincount(idx[listed], minlength=n_edges)
+    bad = np.zeros(len(labels), dtype=bool)
+    bad[slot_node[~listed]] = True
+    bad[head[(head < n) & (times != 1)]] = True
+    for label in dict.fromkeys(labels[:n]):
+        if bad[net._index[label]]:
             violations.append(f"in_order for {label!r} is not a permutation of its in-edges")
 
     srcs = [s for s in net.source_order]
@@ -242,26 +418,26 @@ def topo_order(net: SumNetwork) -> list[int]:
 
 
 def _topo_order(net: SumNetwork) -> list[int]:
-    pending = {n.label: len(net.in_order.get(n.label, ())) for n in net.nodes}
-    ready: list[int] = []
-    emitted = [False] * len(net.edges)
-    for i, e in enumerate(net.edges):
-        if pending.get(e.tail, 0) == 0:
-            heapq.heappush(ready, i)
+    """The smallest ready edge first; an edge is ready once as many edges
+    into its tail have gone as the tail's in-edge order lists."""
+    tail = net.tail
+    by_tail = np.argsort(tail, kind="stable")
+    out_ptr = np.searchsorted(tail[by_tail], np.arange(len(net.label_table) + 1)).tolist()
+    by_tail = by_tail.tolist()
+    pending = np.diff(net.in_ptr)
+    ready = np.flatnonzero(pending[tail] == 0).tolist()  # ascending, so a heap
+    pending = pending.tolist()
+    head = net.head.tolist()
     out: list[int] = []
     while ready:
         i = heapq.heappop(ready)
-        if emitted[i]:
-            continue
-        emitted[i] = True
         out.append(i)
-        head = net.edges[i].head
-        if head in pending:
-            pending[head] -= 1
-            if pending[head] == 0:
-                for j in net.out_edges(head):
-                    heapq.heappush(ready, j)
-    if len(out) != len(net.edges):
+        h = head[i]
+        pending[h] -= 1
+        if pending[h] == 0:
+            for j in by_tail[out_ptr[h] : out_ptr[h + 1]]:
+                heapq.heappush(ready, j)
+    if len(out) != len(tail):
         raise CycleError("cycle detected")
     return out
 
@@ -269,15 +445,29 @@ def _topo_order(net: SumNetwork) -> list[int]:
 # --- serialization --------------------------------------------------------
 
 
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def serialize(net: SumNetwork) -> bytes:
-    doc = {
-        "version": FORMAT_VERSION,
-        "nodes": [{"label": n.label, "role": n.role} for n in net.nodes],
-        "edges": [{"tail": e.tail, "head": e.head, "par": e.par} for e in net.edges],
-        "in_order": {label: list(order) for label, order in net.in_order.items()},
-        "source_order": list(net.source_order),
-    }
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    """`json.dumps(doc, sort_keys=True, separators=(",", ":"))` plus a
+    newline, byte for byte, with each label encoded once."""
+    n = net.n_nodes
+    text = [_ENCODE(label) for label in net.label_table]
+    roles = [_ENCODE(role) for role in net.role_names]
+    ends = zip(net.tail.tolist(), net.head.tolist(), net.par.tolist())
+    edges = ",".join([f'{{"head":{text[h]},"par":{p},"tail":{text[t]}}}' for t, h, p in ends])
+    idx, ptr = net.in_idx.tolist(), net.in_ptr.tolist()
+    first = {label: net._index[label] for label in net.label_table[:n]}
+    in_order = ",".join(
+        f"{text[x]}:{str(idx[ptr[x] : ptr[x + 1]]).replace(' ', '')}"
+        for _, x in sorted(first.items())
+    )
+    codes = net.role_codes[:n].tolist()
+    nodes = ",".join([f'{{"label":{text[x]},"role":{roles[c]}}}' for x, c in enumerate(codes)])
+    return (
+        f'{{"edges":[{edges}],"in_order":{{{in_order}}},"nodes":[{nodes}],'
+        f'"source_order":{_ENCODE(list(net.source_order))},"version":{FORMAT_VERSION}}}\n'
+    ).encode("utf-8")
 
 
 def _expect(doc: dict, key: str, kind) -> object:
@@ -287,6 +477,39 @@ def _expect(doc: dict, key: str, kind) -> object:
     if not isinstance(value, kind) or isinstance(value, bool):
         raise NetworkFormatError(f"field {key!r} has wrong type")
     return value
+
+
+def _edge_fault(i: int, item, index: dict[str, int]) -> Optional[str]:
+    """What is wrong with edges[i] of a network file, if anything."""
+    if not isinstance(item, dict):
+        return f"edges[{i}] must be an object"
+    tail, head, par = item.get("tail"), item.get("head"), item.get("par")
+    if not isinstance(tail, str) or not isinstance(head, str):
+        return f"edges[{i}].tail/head must be strings"
+    if tail not in index:
+        return f"edges[{i}].tail: unknown node {tail!r}"
+    if head not in index:
+        return f"edges[{i}].head: unknown node {head!r}"
+    if type(par) is not int:
+        return f"edges[{i}].par must be an integer"
+    return None
+
+
+def _edge_arrays(items: list, index: dict[str, int]):
+    """(tail, head, par) of the edges of a network file, or None if an edge
+    has a fault; the checks are `_edge_fault`'s, taken list by list."""
+    if not all(type(item) is dict for item in items):
+        return None
+    tails = [item.get("tail") for item in items]
+    heads = [item.get("head") for item in items]
+    pars = [item.get("par") for item in items]
+    if not all(type(x) is str for x in chain(tails, heads)):
+        return None
+    tail = list(map(index.get, tails))
+    head = list(map(index.get, heads))
+    if None in tail or None in head or not all(type(p) is int for p in pars):
+        return None
+    return tail, head, pars
 
 
 def deserialize(data: bytes) -> SumNetwork:
@@ -303,7 +526,7 @@ def deserialize(data: bytes) -> SumNetwork:
     version = _expect(doc, "version", int)
     if version != FORMAT_VERSION:
         raise NetworkFormatError(f"unsupported version {version}")
-    nodes = []
+    labels, codes = [], []
     for i, item in enumerate(_expect(doc, "nodes", list)):
         if not isinstance(item, dict):
             raise NetworkFormatError(f"nodes[{i}] must be an object")
@@ -313,36 +536,32 @@ def deserialize(data: bytes) -> SumNetwork:
             raise NetworkFormatError(f"nodes[{i}].label must be a string")
         if role not in ROLES:
             raise NetworkFormatError(f"nodes[{i}].role: unknown role {role!r}")
-        nodes.append(Node(label, role))
-    labels = {n.label for n in nodes}
-    edges = []
-    for i, item in enumerate(_expect(doc, "edges", list)):
-        if not isinstance(item, dict):
-            raise NetworkFormatError(f"edges[{i}] must be an object")
-        tail, head, par = item.get("tail"), item.get("head"), item.get("par")
-        if not isinstance(tail, str) or not isinstance(head, str):
-            raise NetworkFormatError(f"edges[{i}].tail/head must be strings")
-        if tail not in labels:
-            raise NetworkFormatError(f"edges[{i}].tail: unknown node {tail!r}")
-        if head not in labels:
-            raise NetworkFormatError(f"edges[{i}].head: unknown node {head!r}")
-        if type(par) is not int:
-            raise NetworkFormatError(f"edges[{i}].par must be an integer")
-        edges.append(Edge(tail, head, par))
+        labels.append(label)
+        codes.append(ROLES.index(role))
+    index = {label: x for x, label in enumerate(labels)}
+    items = _expect(doc, "edges", list)
+    edges = _edge_arrays(items, index)
+    if edges is None:
+        for i, item in enumerate(items):
+            fault = _edge_fault(i, item, index)
+            if fault:
+                raise NetworkFormatError(fault)
+    n_edges = len(items)
     in_order_raw = _expect(doc, "in_order", dict)
-    in_order: dict[str, list[int]] = {}
+    orders: list = [()] * len(labels)
     for label, order in in_order_raw.items():
-        if label not in labels:
+        if label not in index:
             raise NetworkFormatError(f"in_order[{label!r}]: unknown node")
-        if not isinstance(order, list) or not all(
-            type(i) is int and 0 <= i < len(edges) for i in order
+        if not isinstance(order, list) or (
+            order
+            and (set(map(type, order)) != {int} or min(order) < 0 or max(order) >= n_edges)
         ):
             raise NetworkFormatError(f"in_order[{label!r}] must list edge indices")
-        in_order[label] = order
+        orders[index[label]] = order
     source_order = _expect(doc, "source_order", list)
     if not all(isinstance(s, str) for s in source_order):
         raise NetworkFormatError("source_order must list node labels")
-    return SumNetwork(nodes, edges, in_order, list(source_order))
+    return SumNetwork.from_arrays(labels, codes, *edges, source_order, orders)
 
 
 # --- DOT export ------------------------------------------------------------
@@ -360,8 +579,9 @@ def to_dot(net: SumNetwork) -> str:
         else:
             lines.append(f'  "{n.label}";')
     middles = set(net.middle_edges())
-    for i, e in enumerate(net.edges):
+    t = net.label_table
+    for i, (a, b) in enumerate(zip(net.tail.tolist(), net.head.tolist())):
         attr = " [color=red,penwidth=2]" if i in middles else ""
-        lines.append(f'  "{e.tail}" -> "{e.head}"{attr};')
+        lines.append(f'  "{t[a]}" -> "{t[b]}"{attr};')
     lines.append("}")
     return "\n".join(lines) + "\n"

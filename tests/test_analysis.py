@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from sumnets.analysis import (
     wrong_char_bound,
 )
 from sumnets.coding import (
+    LayerShape,
     UnsupportedNetworkError,
     UnverifiedCodeError,
     code_to_json,
@@ -28,7 +30,7 @@ from sumnets.coding import (
     transfer,
     verify,
 )
-from sumnets.constructions import build_bottleneck2, build_n1, build_n2
+from sumnets.constructions import build_bottleneck2, build_n1, build_n2, k_copy_merge
 from sumnets.galois import PrimeField
 from sumnets.matrix import Mat
 from sumnets.network import INTERMEDIATE, SOURCE, TERMINAL, Edge, Node, SumNetwork
@@ -455,3 +457,139 @@ def test_rate_always_satisfies_its_certificate():
         report = bound_check(code.net, code, mode, m, q)
         assert report.consistent
         assert Fraction(code.r, code.l) <= report.implied
+
+
+# --- layer_shape on the arrays against the walk it replaced ---------------------------
+
+
+def reference_layer_shape(net: SumNetwork) -> LayerShape:
+    """The previous body of `coding.layer_shape`, kept verbatim: a walk
+    over Edge objects and the terminals' in-edges."""
+    middle = net.middle_edges()
+    edges = net.edges
+    sources = set(net.sources)
+    terminals = net.terminals
+    terminal_set = set(terminals)
+    u_nodes: dict[str, int] = {}
+    v_nodes: dict[str, int] = {}
+    for me in middle:
+        e = edges[me]
+        if e.tail in u_nodes or e.head in v_nodes:
+            raise UnsupportedNetworkError("intermediate node on two middle edges")
+        u_nodes[e.tail] = me
+        v_nodes[e.head] = me
+    src_order: dict[int, list[str]] = {}
+    for label in net.intermediates:
+        if label in u_nodes:
+            me = u_nodes[label]
+            if net.out_edges(label) != [me]:
+                raise UnsupportedNetworkError(f"node {label} must feed only its middle edge")
+            tails = []
+            for ei in net.in_edges(label):
+                tail = edges[ei].tail
+                if tail not in sources:
+                    raise UnsupportedNetworkError(f"non-source feed into {label}")
+                if tail in tails:
+                    raise UnsupportedNetworkError(f"duplicate source edge {tail} -> {label}")
+                tails.append(tail)
+            src_order[me] = tails
+        elif label in v_nodes:
+            if any(edges[i].head not in terminal_set for i in net.out_edges(label)):
+                raise UnsupportedNetworkError(f"node {label} must feed terminals only")
+            if len(net.in_edges(label)) != 1:
+                raise UnsupportedNetworkError(f"node {label} must have a single in-edge")
+        else:
+            raise UnsupportedNetworkError(f"intermediate {label} is on no middle edge")
+    term_taps: dict[str, list[tuple[int, int]]] = {}
+    term_directs: dict[str, dict[str, list[int]]] = {}
+    for t in terminals:
+        taps: list[tuple[int, int]] = []
+        directs: dict[str, list[int]] = {}
+        for pos, ei in enumerate(net.in_edges(t)):
+            tail = edges[ei].tail
+            if tail in sources:
+                directs.setdefault(tail, []).append(pos)
+            else:
+                taps.append((pos, v_nodes[tail]))
+        term_taps[t] = taps
+        term_directs[t] = directs
+    return LayerShape(middle, src_order, term_taps, term_directs)
+
+
+def assert_shape_as_reference(net: SumNetwork) -> None:
+    """layer_shape returns what the reference returns, dict orders included,
+    or raises the same exception with the same message."""
+    try:
+        want = reference_layer_shape(net)
+    except (UnsupportedNetworkError, KeyError) as exc:
+        with pytest.raises(type(exc)) as err:
+            layer_shape(net)
+        assert str(err.value) == str(exc)
+        return
+    got = layer_shape(net)
+    assert got == want
+    assert list(got.src_order) == list(want.src_order)
+    assert list(got.term_taps) == list(want.term_taps)
+    for t, directs in want.term_directs.items():
+        assert list(got.term_directs[t].items()) == list(directs.items())
+
+
+FAMILY_CELLS = [(b, m, q) for b in (build_n1, build_n2) for m in (1, 2, 3) for q in (2, 3, 6)]
+
+
+@pytest.mark.parametrize("build,m,q", FAMILY_CELLS, ids=lambda x: getattr(x, "__name__", x))
+def test_layer_shape_matches_the_reference_on_every_family_cell(build, m, q):
+    assert_shape_as_reference(build(m, q))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("build,m,q", [(build_n1, 2, 2), (build_n2, 2, 3), (build_n1, 9, 2)])
+def test_layer_shape_matches_the_reference_on_merges(build, m, q, k):
+    assert_shape_as_reference(k_copy_merge(build(m, q), k))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_layer_shape_matches_the_reference_with_shuffled_in_edges(seed):
+    net = k_copy_merge(build_n2(2, 2), 2)
+    rng = random.Random(seed)
+    order = list(range(len(net.edges)))
+    rng.shuffle(order)
+    new_of = {old: new for new, old in enumerate(order)}
+    in_order = {x: rng.sample([new_of[i] for i in ins], len(ins)) for x, ins in net.in_order.items()}
+    shuffled = SumNetwork(net.nodes, [net.edges[i] for i in order], in_order, list(net.source_order))
+    assert_shape_as_reference(shuffled)
+
+
+def _rejected_networks():
+    """Networks layer_shape refuses, one per message, and one whose
+    terminal reads a terminal, which the reference's tap lookup refuses
+    with a KeyError."""
+    s1, s2, t1 = Node("s_1", SOURCE), Node("s_2", SOURCE), Node("t_1", TERMINAL)
+    inter = [Node(x, INTERMEDIATE) for x in ("u", "v", "w")]
+    base = [Edge("s_1", "u"), Edge("s_2", "u"), Edge("u", "v"), Edge("v", "t_1")]
+    nets = {
+        "two middles into v": SumNetwork([s1, s2, *inter, t1], base + [Edge("w", "v"), Edge("s_1", "w")]),
+        "two middles from u": SumNetwork([s1, s2, *inter, t1], base + [Edge("u", "w"), Edge("w", "t_1")]),
+        "u feeds a terminal": SumNetwork([s1, s2, *inter[:2], t1], base + [Edge("u", "t_1")]),
+        "middle feeds a middle": SumNetwork(
+            [s1, s2, *inter, t1], base[:3] + [Edge("v", "w"), Edge("w", "t_1")]
+        ),
+        "duplicate feed": SumNetwork([s1, s2, *inter[:2], t1], base + [Edge("s_1", "u", 1)]),
+        "v feeds a source": SumNetwork([s1, s2, *inter[:2], t1], base + [Edge("v", "s_1")]),
+        "v has two in-edges": SumNetwork([s1, s2, *inter[:2], t1], base + [Edge("s_1", "v")]),
+        "idle intermediate": SumNetwork([s1, s2, *inter, t1], base),
+        "terminal feeds a terminal": SumNetwork(
+            [s1, s2, *inter[:2], t1, Node("t_2", TERMINAL)], base + [Edge("t_1", "t_2")]
+        ),
+    }
+    return nets
+
+
+REJECTED = _rejected_networks()
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_layer_shape_refuses_as_the_reference_refuses(name):
+    with pytest.raises((UnsupportedNetworkError, KeyError)):
+        reference_layer_shape(REJECTED[name])
+    assert_shape_as_reference(REJECTED[name])

@@ -146,9 +146,16 @@ def test_merge_three_copies():
         assert len(merged.in_edges(t)) == 3 * len(base.in_edges(t))
 
 
+def _origins(net):
+    """`edge_origins` per edge: ((base tail, base head, base par), copy)."""
+    stems, tail, head, par, copy = edge_origins(net)
+    ends = zip(tail.tolist(), head.tolist(), par.tolist(), copy.tolist())
+    return [((stems[t], stems[h], p), c) for t, h, p, c in ends]
+
+
 def test_merge_map_round_trip():
     base = build_n2(2, 2)
-    assert list(edge_origins(base)) == [((e.tail, e.head, e.par), 1) for e in base.edges]
+    assert _origins(base) == [((e.tail, e.head, e.par), 1) for e in base.edges]
     for k in (1, 2, 3):
         merged = k_copy_merge(base, k)
         want = {}
@@ -165,7 +172,7 @@ def test_merge_map_round_trip():
                 want[image] = (b.tail, b.head, b.par), c
         # Each (base edge, copy) is read back from exactly its image.
         assert len(merged.edges) == len(want)
-        assert dict(zip(merged.edges, edge_origins(merged))) == want
+        assert dict(zip(merged.edges, _origins(merged))) == want
 
 
 def _permuted(net, seed):
@@ -185,8 +192,8 @@ def test_merge_map_survives_permuted_edge_list():
     merged = merged_code.net
     shuffled, new_of = _permuted(merged, seed=3)
     assert validate(shuffled) == []
-    want = list(edge_origins(merged))
-    got = list(edge_origins(shuffled))
+    want = _origins(merged)
+    got = _origins(shuffled)
     assert all(got[new_of[me]] == origin for me, origin in enumerate(want))
 
     shuffled_code = FracLinCode(
@@ -444,3 +451,46 @@ def test_every_printed_label_parses_back_to_its_indices(family, m, q, k):
 def test_parse_label_names_a_label_outside_the_scheme(label):
     with pytest.raises(ValueError, match=f"node label {label!r} is outside the label scheme"):
         parse_label(label)
+
+
+def test_merge_shifts_pars_beyond_int64_exactly():
+    base = SumNetwork([Node("s", SOURCE), Node("t", TERMINAL)], [Edge("s", "t", 2**63 - 1), Edge("s", "t", 3)])
+    merged = k_copy_merge(base, 3)
+    stride = 2**63
+    assert [e.par for e in merged.edges] == [p + c * stride for c in range(3) for p in (2**63 - 1, 3)]
+    assert _origins(merged)[-1] == (("s", "t", 0), 3 + 2 * stride + 1)
+
+
+def reference_k_copy_merge(base, k):
+    """The previous body of `k_copy_merge`, on Node and Edge objects."""
+    nodes, edges, in_order = [], [], {}
+    for n in base.nodes:
+        if n.role != INTERMEDIATE:
+            nodes.append(n)
+            in_order[n.label] = []
+    stride = max((e.par for e in base.edges), default=0) + 1
+    for copy in range(1, k + 1):
+        name = {x: copy_label(x, copy) for x in base.intermediates}
+        for x in name.values():
+            nodes.append(Node(x, INTERMEDIATE))
+            in_order[x] = []
+        for n in base.nodes:
+            for base_idx in base.in_order[n.label]:
+                e = base.edges[base_idx]
+                if e.tail in name or e.head in name:
+                    edges.append(Edge(name.get(e.tail, e.tail), name.get(e.head, e.head), e.par))
+                else:
+                    edges.append(Edge(e.tail, e.head, e.par + (copy - 1) * stride))
+                in_order[edges[-1].head].append(len(edges) - 1)
+    return SumNetwork(nodes, edges, in_order, list(base.source_order))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("seed", [None, 0, 1])
+def test_merge_matches_the_reference_merge(seed, k):
+    """On a family base, and on one with its edge list and every in-edge
+    order shuffled (so the merge follows the base's in-edge order)."""
+    base = build_n2(2, 2) if seed is None else _shuffled(build_n2(2, 2), seed)[0]
+    merged = k_copy_merge(base, k)
+    assert merged == reference_k_copy_merge(base, k)
+    assert serialize(merged) == serialize(reference_k_copy_merge(base, k))

@@ -13,8 +13,16 @@ import json
 import pytest
 
 from sumnets.analysis import routing_code
-from sumnets.coding import code_to_json, scheme_merged, scheme_n1, scheme_n2
-from sumnets.constructions import build_bottleneck2, build_n1, build_n2, k_copy_merge
+from sumnets.coding import code_to_json, scheme_merged, scheme_n1, scheme_n2, unroll_merged
+from sumnets.constructions import (
+    IN_SET,
+    RateTarget,
+    build_bottleneck2,
+    build_for_rate,
+    build_n1,
+    build_n2,
+    k_copy_merge,
+)
 from sumnets.network import SOURCE, TERMINAL, serialize
 
 NETWORKS = {
@@ -67,6 +75,22 @@ CODES = {
     ("n2", 3, 6, 5): "89b1f62d19c6d0c4303ddc6ef3fca7356fbc22fc56face45aacaa4f26a71ce89",
 }
 MERGED_N1_2_2_2_2 = "b80256699745c7a2038211a88adcd361fd15a31d91d49c13580c12e5a94fc668"
+# The (6,10) code on the rate-3/5 merge, the pipeline benchmark's code file.
+MERGED_N1_9_2_2_3 = "bd1d4a7d14bc1f63c49e3b527e522dce630af079ec5c957412acfc0b3268a5de"
+# Codes unrolled from merged schemes, (family, m, q, p, k), recorded
+# before the network moved to int arrays.
+UNROLLED = {
+    ("n2", 2, 3, 2, 2): "6ecce6ffc5696c60d21aeefa1f23b7315628961d5fec3e4637c429a6c064de45",
+    ("n1", 2, 2, 2, 3): "b16f969c0c2b1262050598f4aa5b8eae869d47da6d731626fd5d4f5057456f0b",
+}
+# Network files of merges and of the search oracle network, recorded
+# before the network moved to int arrays.
+MERGED_NETWORKS = {
+    "rate 3/5 in {2}": "4d5bbca8fa71258291d5ae22123305fd9022d995ca0a2b4436f1cb4adc755304",
+    "n1(2,2) x 2": "9c28e3efcfa9542c2c4e0fbdf6dd20232c570e0e555d1568b812661db684f73b",
+    "n2(2,3) x 3": "492b9353ff77e612a28e6b102e00a6f293b30c156f5736c4bc907d7a075d95c8",
+    "bottleneck2": "2739ba0aad590df0558a3b80a74b39ae7ca1873145404f63feb3bb8a427aca91",
+}
 ROUTING_CODES = {
     ("n1", 1, 2, 2): "e283db6e0aa6be82f3961e7d47c4ee3ea0efdea88e893dc09f401ed5195376ef",
     ("n1", 1, 2, 3): "1cae9eac7d930ce83c13a73975afaa63288404484470a9b1959a4fa2c625848c",
@@ -165,8 +189,29 @@ def test_scheme_bytes_pinned(key):
     assert _sha(code_to_json(SCHEMES[family](m, q, p))) == CODES[key]
 
 
+MERGED_BUILDS = {
+    "rate 3/5 in {2}": lambda: build_for_rate(RateTarget(3, 5, (2,), IN_SET))[0],
+    "n1(2,2) x 2": lambda: k_copy_merge(build_n1(2, 2), 2),
+    "n2(2,3) x 3": lambda: k_copy_merge(build_n2(2, 3), 3),
+    "bottleneck2": build_bottleneck2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MERGED_NETWORKS))
+def test_merged_network_bytes_pinned(name):
+    assert _sha(serialize(MERGED_BUILDS[name]())) == MERGED_NETWORKS[name]
+
+
 def test_merged_scheme_bytes_pinned():
     assert _sha(code_to_json(scheme_merged("n1", 2, 2, 2, 2))) == MERGED_N1_2_2_2_2
+    assert _sha(code_to_json(scheme_merged("n1", 9, 2, 2, 3))) == MERGED_N1_9_2_2_3
+
+
+@pytest.mark.parametrize("key", sorted(UNROLLED))
+def test_unrolled_code_bytes_pinned(key):
+    family, m, q, p, k = key
+    unrolled = unroll_merged(scheme_merged(family, m, q, p, k), k, BUILDERS[family](m, q))
+    assert _sha(code_to_json(unrolled)) == UNROLLED[key]
 
 
 def test_routing_pins_cover_every_base_cell():

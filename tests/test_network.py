@@ -1,8 +1,26 @@
+"""The network model, its file reader and writer, `validate` and
+`topo_order`.
+
+`reference_deserialize`, `reference_validate` and `reference_topo_order`
+below are the bodies of `network.deserialize`, `network.validate` and
+`network._topo_order` from before the network moved to int arrays, kept
+verbatim except that they call each other.  They work on `Node` and
+`Edge` objects and label-keyed dicts.  The array versions must accept
+exactly the documents the reference accepts, refuse the rest with the
+same message, and report the same violations in the same order.
+"""
+
+import heapq
+import json
+import random
+
 import pytest
 
-from sumnets.constructions import build_n1
+from sumnets.constructions import build_bottleneck2, build_n1, build_n2, k_copy_merge
 from sumnets.network import (
+    FORMAT_VERSION,
     INTERMEDIATE,
+    ROLES,
     SOURCE,
     TERMINAL,
     CycleError,
@@ -10,12 +28,171 @@ from sumnets.network import (
     NetworkFormatError,
     Node,
     SumNetwork,
+    _expect,
     deserialize,
     serialize,
     to_dot,
     topo_order,
     validate,
 )
+
+# --- the reference reader -----------------------------------------------------------
+
+
+def reference_validate(net: SumNetwork) -> list[str]:
+    """All structural invariants; returns a list of violations (empty = ok)."""
+    violations: list[str] = []
+    seen_labels: set[str] = set()
+    for n in net.nodes:
+        if n.label in seen_labels:
+            violations.append(f"duplicate node label {n.label!r}")
+        seen_labels.add(n.label)
+        if n.role not in ROLES:
+            violations.append(f"unknown role {n.role!r} on node {n.label!r}")
+
+    seen_edges: set[tuple[str, str, int]] = set()
+    for i, e in enumerate(net.edges):
+        key = (e.tail, e.head, e.par)
+        if key in seen_edges:
+            violations.append(f"duplicate edge {e.label}")
+        seen_edges.add(key)
+        for end in (e.tail, e.head):
+            if end not in seen_labels:
+                violations.append(f"edge {e.label} references unknown node {end!r}")
+        if net.has_node(e.tail) and net.role(e.tail) == TERMINAL:
+            violations.append(f"terminal has out-edge: {e.label}")
+        if net.has_node(e.head) and net.role(e.head) == SOURCE:
+            violations.append(f"source has in-edge: {e.label}")
+
+    natural = {n.label: set() for n in net.nodes}
+    for i, e in enumerate(net.edges):
+        if e.head in natural:
+            natural[e.head].add(i)
+    for label, order in net.in_order.items():
+        if set(order) != natural.get(label, set()) or len(order) != len(set(order)):
+            violations.append(f"in_order for {label!r} is not a permutation of its in-edges")
+
+    srcs = [s for s in net.source_order]
+    if sorted(srcs) != sorted(net.sources) or len(srcs) != len(set(srcs)):
+        violations.append("source_order is not a permutation of the sources")
+
+    try:
+        reference_topo_order(net)
+    except CycleError:
+        violations.append("cycle detected")
+    return violations
+
+
+def reference_topo_order(net: SumNetwork) -> list[int]:
+    pending = {n.label: len(net.in_order.get(n.label, ())) for n in net.nodes}
+    ready: list[int] = []
+    emitted = [False] * len(net.edges)
+    for i, e in enumerate(net.edges):
+        if pending.get(e.tail, 0) == 0:
+            heapq.heappush(ready, i)
+    out: list[int] = []
+    while ready:
+        i = heapq.heappop(ready)
+        if emitted[i]:
+            continue
+        emitted[i] = True
+        out.append(i)
+        head = net.edges[i].head
+        if head in pending:
+            pending[head] -= 1
+            if pending[head] == 0:
+                for j in net.out_edges(head):
+                    heapq.heappush(ready, j)
+    if len(out) != len(net.edges):
+        raise CycleError("cycle detected")
+    return out
+
+
+def reference_deserialize(data: bytes) -> SumNetwork:
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise NetworkFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise NetworkFormatError(
+            "not valid JSON: the network file nests deeper than the recursion limit"
+        ) from None
+    if not isinstance(doc, dict):
+        raise NetworkFormatError("top level must be an object")
+    version = _expect(doc, "version", int)
+    if version != FORMAT_VERSION:
+        raise NetworkFormatError(f"unsupported version {version}")
+    nodes = []
+    for i, item in enumerate(_expect(doc, "nodes", list)):
+        if not isinstance(item, dict):
+            raise NetworkFormatError(f"nodes[{i}] must be an object")
+        label = item.get("label")
+        role = item.get("role")
+        if not isinstance(label, str):
+            raise NetworkFormatError(f"nodes[{i}].label must be a string")
+        if role not in ROLES:
+            raise NetworkFormatError(f"nodes[{i}].role: unknown role {role!r}")
+        nodes.append(Node(label, role))
+    labels = {n.label for n in nodes}
+    edges = []
+    for i, item in enumerate(_expect(doc, "edges", list)):
+        if not isinstance(item, dict):
+            raise NetworkFormatError(f"edges[{i}] must be an object")
+        tail, head, par = item.get("tail"), item.get("head"), item.get("par")
+        if not isinstance(tail, str) or not isinstance(head, str):
+            raise NetworkFormatError(f"edges[{i}].tail/head must be strings")
+        if tail not in labels:
+            raise NetworkFormatError(f"edges[{i}].tail: unknown node {tail!r}")
+        if head not in labels:
+            raise NetworkFormatError(f"edges[{i}].head: unknown node {head!r}")
+        if type(par) is not int:
+            raise NetworkFormatError(f"edges[{i}].par must be an integer")
+        edges.append(Edge(tail, head, par))
+    in_order_raw = _expect(doc, "in_order", dict)
+    in_order: dict[str, list[int]] = {}
+    for label, order in in_order_raw.items():
+        if label not in labels:
+            raise NetworkFormatError(f"in_order[{label!r}]: unknown node")
+        if not isinstance(order, list) or not all(
+            type(i) is int and 0 <= i < len(edges) for i in order
+        ):
+            raise NetworkFormatError(f"in_order[{label!r}] must list edge indices")
+        in_order[label] = order
+    source_order = _expect(doc, "source_order", list)
+    if not all(isinstance(s, str) for s in source_order):
+        raise NetworkFormatError("source_order must list node labels")
+    return SumNetwork(nodes, edges, in_order, list(source_order))
+
+
+def _topo_or_cycle(order, net):
+    try:
+        return order(net)
+    except CycleError as exc:
+        return str(exc)
+
+
+def assert_checks_as_reference(net: SumNetwork) -> None:
+    """`validate` and `topo_order` agree with the references on net."""
+    assert validate(net) == reference_validate(net)
+    assert _topo_or_cycle(topo_order, net) == _topo_or_cycle(reference_topo_order, net)
+
+
+def assert_reads_as_reference(data: bytes) -> None:
+    """`deserialize` loads what the reference loads, and then validates
+    it the same way, or refuses with the same message."""
+    try:
+        want = reference_deserialize(data)
+    except NetworkFormatError as exc:
+        with pytest.raises(NetworkFormatError) as err:
+            deserialize(data)
+        assert str(err.value) == str(exc)
+        return
+    got = deserialize(data)
+    assert got == want
+    assert got.nodes == want.nodes and got.edges == want.edges
+    assert got.in_order == want.in_order and got.source_order == want.source_order
+    assert_checks_as_reference(got)
+    assert serialize(got) == serialize(want)
 
 
 def tiny_path():
@@ -177,3 +354,165 @@ def test_deserialize_refuses_a_boolean_where_an_integer_belongs(old, new, field)
     with pytest.raises(NetworkFormatError) as err:
         deserialize(data.replace(old, new))
     assert str(err.value).startswith(field)
+
+
+# --- the array reader and checks against the reference ----------------------------------
+
+
+def _malformed():
+    """(name, document) pairs: the malformed documents of the tests
+    above, and more, each refused or loaded as the reference does."""
+    path = serialize(tiny_path())
+    n1 = serialize(build_n1(1, 2))
+    doc = json.loads(n1)
+    cases = {
+        "truncated": path[: len(path) // 2],
+        "not utf-8": b"\xff" + path,
+        "not an object": b"[1, 2]",
+        "empty object": b"{}",
+        "sink role": path.replace(b'"role":"source"', b'"role":"sink"'),
+        "bad in_order index": path.replace(b'"u":[0]', b'"u":[9]'),
+        "negative in_order index": path.replace(b'"u":[0]', b'"u":[-1]'),
+        "in_order not a list": path.replace(b'"u":[0]', b'"u":0'),
+        "in_order float": path.replace(b'"u":[0]', b'"u":[0.0]'),
+        "unknown tail": path.replace(b'"tail":"s"', b'"tail":"x"'),
+        "unknown head": path.replace(b'"head":"t"', b'"head":"y"'),
+        "ghost in_order": path.replace(b'"u":[0]', b'"u":[0],"ghost":[]'),
+        "version true": path.replace(b'"version":1', b'"version":true'),
+        "version 2": path.replace(b'"version":1', b'"version":2'),
+        "par false": path.replace(b'"par":0,"tail":"s"', b'"par":false,"tail":"s"'),
+        "par float": path.replace(b'"par":0,"tail":"u"', b'"par":1.0,"tail":"u"'),
+        "par huge": path.replace(b'"par":0,"tail":"u"', b'"par":100000000000000000000,"tail":"u"'),
+        "par negative": path.replace(b'"par":0,"tail":"u"', b'"par":-9223372036854775809,"tail":"u"'),
+        "in_order true": path.replace(b'"t":[1]', b'"t":[true]'),
+        "nested": b"[" * 100_000,
+    }
+    for field, junk in [("nodes", {}), ("edges", 5), ("in_order", []), ("source_order", "s")]:
+        bad = dict(doc, **{field: junk})
+        cases[f"{field} of the wrong type"] = json.dumps(bad).encode()
+        cases[f"{field} missing"] = json.dumps({k: v for k, v in doc.items() if k != field}).encode()
+    edited = [
+        ("edge not an object", lambda d: d["edges"].__setitem__(3, [1])),
+        ("tail not a string", lambda d: d["edges"][2].__setitem__("tail", 7)),
+        ("head missing", lambda d: d["edges"][4].pop("head")),
+        ("two faults, second edge first", lambda d: (d["edges"][5].__setitem__("par", "0"),
+                                                     d["edges"][9].__setitem__("tail", None))),
+        ("label not a string", lambda d: d["nodes"][1].__setitem__("label", None)),
+        ("node not an object", lambda d: d["nodes"].__setitem__(0, "s_1")),
+        ("duplicate label", lambda d: d["nodes"].append(dict(d["nodes"][0]))),
+        ("duplicate label, other role", lambda d: d["nodes"].append({"label": "s_1", "role": TERMINAL})),
+        ("duplicate edge", lambda d: d["edges"].__setitem__(1, d["edges"][0])),
+        ("in-edge listed twice", lambda d: d["in_order"]["t_1"].append(d["in_order"]["t_1"][0])),
+        ("in-edge missing", lambda d: d["in_order"]["t_1"].pop()),
+        ("foreign in-edge", lambda d: d["in_order"]["t_1"].append(0)),
+        ("in_order dropped", lambda d: d["in_order"].pop("u_1_1")),
+        ("source_order short", lambda d: d["source_order"].pop()),
+        ("source_order twice", lambda d: d["source_order"].append(d["source_order"][0])),
+        ("source_order not labels", lambda d: d["source_order"].append(1)),
+        ("edge into a source", lambda d: d["edges"][0].__setitem__("head", "s_1")),
+        ("edge out of a terminal", lambda d: d["edges"][-1].__setitem__("tail", "t_1")),
+        ("cycle", lambda d: d["edges"][0].update(tail="v_1_1", head="u_1_1")),
+    ]
+    for name, edit in edited:
+        bad = json.loads(n1)
+        edit(bad)
+        cases[name] = json.dumps(bad, sort_keys=True, separators=(",", ":")).encode()
+    return cases
+
+
+MALFORMED = _malformed()
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_documents_read_as_the_reference_reads_them(name):
+    assert_reads_as_reference(MALFORMED[name])
+
+
+@pytest.mark.parametrize(
+    "net",
+    [build_n1(2, 2), build_n2(2, 3), k_copy_merge(build_n1(2, 2), 3), build_bottleneck2()],
+    ids=["n1(2,2)", "n2(2,3)", "n1(2,2) x 3", "bottleneck2"],
+)
+def test_built_networks_read_as_the_reference_reads_them(net):
+    assert_reads_as_reference(serialize(net))
+
+
+def _hand_built():
+    s, u, v, t = Node("s", SOURCE), Node("u", INTERMEDIATE), Node("v", INTERMEDIATE), Node("t", TERMINAL)
+    path = [Edge("s", "u"), Edge("u", "v"), Edge("v", "t")]
+    return {
+        "unknown ends": SumNetwork([s, t], [Edge("s", "x"), Edge("y", "t"), Edge("y", "z", 2)]),
+        "duplicate labels": SumNetwork([s, u, Node("u", TERMINAL), t], path),
+        "duplicate edges": SumNetwork([s, u, v, t], path + [Edge("s", "u"), Edge("u", "v", 1)]),
+        "cycle": SumNetwork([s, u, v, t], path + [Edge("v", "u")]),
+        "unknown role": SumNetwork([s, Node("u", "relay"), Node("v", 3), t], path),
+        "source in, terminal out": SumNetwork([s, u, v, t], path + [Edge("t", "s")]),
+        "in_order short": SumNetwork([s, u, v, t], path, {"u": [], "v": [1], "t": [2]}),
+        "in_order foreign": SumNetwork([s, u, v, t], path, {"u": [0], "v": [1, 2], "t": [2]}),
+        "in_order out of range": SumNetwork([s, u, v, t], path, {"u": [0], "v": [1], "t": [7, -1]}),
+        "in_order twice": SumNetwork([s, u, v, t], path, {"u": [0, 0], "v": [1], "t": [2]}),
+        "source_order": SumNetwork([s, u, v, t], path, None, ["s", "s", "t"]),
+        "empty": SumNetwork([], []),
+        "huge par": SumNetwork([s, t], [Edge("s", "t", 2**80), Edge("s", "t", -1), Edge("s", "t", 2**80)]),
+    }
+
+
+HAND_BUILT = _hand_built()
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_hand_built_networks_check_as_the_reference_checks_them(name):
+    assert_checks_as_reference(HAND_BUILT[name])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shuffled_networks_check_as_the_reference_checks_them(seed):
+    """Edge list and every in-edge order shuffled: the smallest ready edge
+    still comes first in both topological orders."""
+    net = k_copy_merge(build_n2(2, 2), 2)
+    rng = random.Random(seed)
+    order = list(range(len(net.edges)))
+    rng.shuffle(order)
+    new_of = {old: new for new, old in enumerate(order)}
+    in_order = {x: rng.sample([new_of[i] for i in ins], len(ins)) for x, ins in net.in_order.items()}
+    shuffled = SumNetwork(net.nodes, [net.edges[i] for i in order], in_order, list(net.source_order))
+    assert validate(shuffled) == []
+    assert_checks_as_reference(shuffled)
+    assert_reads_as_reference(serialize(shuffled))
+
+
+def test_views_round_trip_through_the_object_constructor():
+    net = k_copy_merge(build_n1(1, 2), 2)
+    again = SumNetwork(net.nodes, net.edges, net.in_order, list(net.source_order))
+    assert again == net
+    assert serialize(again) == serialize(net)
+    assert net.edge_labels() == [e.label for e in net.edges]
+    assert net.middle_edges() == [
+        i for i, e in enumerate(net.edges) if {net.role(e.tail), net.role(e.head)} == {INTERMEDIATE}
+    ]
+
+
+def test_the_rate_three_fifths_pipeline_makes_no_edge_objects(monkeypatch):
+    """build -> scheme -> write -> read -> validate -> code read -> verify
+    -> bound_check -> base build -> unroll -> verify, as the pipeline
+    benchmark runs it, on arrays alone."""
+    from sumnets import network
+    from sumnets.analysis import bound_check
+    from sumnets.coding import code_from_json, code_to_json, scheme_merged, unroll_merged, verify
+    from sumnets.constructions import IN_SET, RateTarget, build_for_rate
+
+    made = []
+    init = network.Edge.__init__
+    monkeypatch.setattr(network.Edge, "__init__", lambda self, *a, **k: made.append(a) or init(self, *a, **k))
+    net, meta = build_for_rate(RateTarget(3, 5, (2,), IN_SET))
+    code = scheme_merged(meta["family"], meta["m"], meta["q"], 2, meta["k"])
+    net2 = deserialize(serialize(net))
+    assert validate(net2) == []
+    code2 = code_from_json(net2, code_to_json(code))
+    assert verify(net2, code2).ok
+    assert bound_check(net2, code2, "n1-with-groups", meta["m"], meta["q"]).ok
+    base = build_n1(meta["m"], meta["q"])
+    assert verify(base, unroll_merged(code2, meta["k"], base)).ok
+    assert made == []
+    Edge("s", "t")
+    assert len(made) == 1  # the count sees an Edge when one is made
