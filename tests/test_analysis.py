@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +33,8 @@ from sumnets.constructions import build_bottleneck2, build_n1, build_n2, k_copy_
 from sumnets.galois import PrimeField
 from sumnets.matrix import Mat
 from sumnets.network import INTERMEDIATE, SOURCE, TERMINAL, Edge, Node, SumNetwork
+
+from test_constructions import _shuffled
 
 
 def bottleneck_composite(p, a, b):
@@ -550,14 +551,7 @@ def test_layer_shape_matches_the_reference_on_merges(build, m, q, k):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_layer_shape_matches_the_reference_with_shuffled_in_edges(seed):
-    net = k_copy_merge(build_n2(2, 2), 2)
-    rng = random.Random(seed)
-    order = list(range(len(net.edges)))
-    rng.shuffle(order)
-    new_of = {old: new for new, old in enumerate(order)}
-    in_order = {x: rng.sample([new_of[i] for i in ins], len(ins)) for x, ins in net.in_order.items()}
-    shuffled = SumNetwork(net.nodes, [net.edges[i] for i in order], in_order, list(net.source_order))
-    assert_shape_as_reference(shuffled)
+    assert_shape_as_reference(_shuffled(k_copy_merge(build_n2(2, 2), 2), seed)[0])
 
 
 def _rejected_networks():

@@ -12,7 +12,6 @@ same message, and report the same violations in the same order.
 
 import heapq
 import json
-import random
 
 import pytest
 
@@ -35,6 +34,8 @@ from sumnets.network import (
     topo_order,
     validate,
 )
+
+from test_constructions import _shuffled
 
 # --- the reference reader -----------------------------------------------------------
 
@@ -469,13 +470,7 @@ def test_hand_built_networks_check_as_the_reference_checks_them(name):
 def test_shuffled_networks_check_as_the_reference_checks_them(seed):
     """Edge list and every in-edge order shuffled: the smallest ready edge
     still comes first in both topological orders."""
-    net = k_copy_merge(build_n2(2, 2), 2)
-    rng = random.Random(seed)
-    order = list(range(len(net.edges)))
-    rng.shuffle(order)
-    new_of = {old: new for new, old in enumerate(order)}
-    in_order = {x: rng.sample([new_of[i] for i in ins], len(ins)) for x, ins in net.in_order.items()}
-    shuffled = SumNetwork(net.nodes, [net.edges[i] for i in order], in_order, list(net.source_order))
+    shuffled, _ = _shuffled(k_copy_merge(build_n2(2, 2), 2), seed)
     assert validate(shuffled) == []
     assert_checks_as_reference(shuffled)
     assert_reads_as_reference(serialize(shuffled))
