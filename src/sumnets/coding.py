@@ -23,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass, field as dc_field
 from functools import cache
-from itertools import chain
+from itertools import chain, count
 from typing import Optional, Sequence
 
 import numpy as np
@@ -731,16 +731,7 @@ def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
 # --- code files ------------------------------------------------------------------------
 
 
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
-
-
-def _object_parts(items: dict) -> list[str]:
-    """A JSON object as fragments; its values are already-encoded strings
-    or such objects, its keys sorted as `sort_keys` does."""
-    parts = []
-    for k, v in sorted(items.items()):
-        parts += [",", _ENCODER.encode(k), ":", *(_object_parts(v) if isinstance(v, dict) else [v])]
-    return ["{", *parts[1:], "}"]
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def code_to_json(code: FracLinCode) -> bytes:
@@ -750,18 +741,19 @@ def code_to_json(code: FracLinCode) -> bytes:
 
 
 def _code_text(code: FracLinCode) -> str:
-    """The code file's text, joined once from one list of fragments, with
-    each Mat object and each in-edge or decoder tuple encoded once; the
-    fragments are freed on return, before the text is encoded."""
+    """The code file's text, joined once from one list of fragments.  Each
+    node label, Mat object and in-edge or decoder tuple is encoded once; an
+    edge key is put together from its ends' encoded labels, as JSON escapes
+    a string character by character.  Keys come in `sort_keys` order, by
+    label.  The fragments are freed on return, before the text is encoded."""
     net = code.net
-    encode = _ENCODER.encode
     mat_texts: dict[int, str] = {}  # id(Mat) -> its entry list as JSON
     tuple_texts: dict[int, str] = {}  # id(tuple of Mats) -> its list of entry lists
 
     def mat_text(m: Mat) -> str:
         out = mat_texts.get(id(m))
         if out is None:
-            out = mat_texts[id(m)] = encode(m.flat())
+            out = mat_texts[id(m)] = _ENCODE(m.flat())
         return out
 
     def tuple_text(mats: Sequence[Mat]) -> str:
@@ -770,20 +762,32 @@ def _code_text(code: FracLinCode) -> str:
             out = tuple_texts[id(mats)] = "[" + ",".join(map(mat_text, mats)) + "]"
         return out
 
+    names = [_ENCODE(label)[1:-1] for label in net.label_table]
+    ends = zip(net.tail.tolist(), net.head.tolist(), net.par.tolist())
+    keys = [f',"({names[t]},{names[h]},{p})":' for t, h, p in ends]
     from_source = net.role_mask(SOURCE)[net.tail].tolist()
-    edge_matrices = {
-        label: mat_text(code.src_mats[i]) if src else tuple_text(code.in_mats[i])
-        for i, (label, src) in enumerate(zip(net.edge_labels(), from_source))
-    }
-    doc = {
-        "version": encode(CODE_FORMAT_VERSION),
-        "r": encode(code.r),
-        "l": encode(code.l),
-        "p": encode(code.field.p),
-        "edge_matrices": edge_matrices,
-        "terminal_matrices": {t: tuple_text(code.dec_mats[t]) for t in net.terminals},
-    }
-    return "".join(_object_parts(doc) + ["\n"])
+    src, ins = code.src_mats, code.in_mats
+    values = [mat_text(src[i]) if s else tuple_text(ins[i]) for i, s in enumerate(from_source)]
+    by_label = dict(zip(net.edge_labels(), count()))  # a repeated label keeps its last edge
+    order = list(map(by_label.__getitem__, sorted(by_label)))
+    del by_label  # the labels are not needed for the join
+    edges = [""] * (2 * len(order))
+    edges[0::2] = map(keys.__getitem__, order)
+    edges[1::2] = map(values.__getitem__, order)
+    decoders = {t: tuple_text(code.dec_mats[t]) for t in net.terminals}
+    terminals = []
+    for t in sorted(decoders):
+        terminals += (f",{_ENCODE(t)}:", decoders[t])
+    for section in (edges, terminals):
+        if section:
+            section[0] = section[0][1:]  # no comma before the first key
+    return "".join(
+        [
+            '{"edge_matrices":{', *edges, f'}},"l":{_ENCODE(code.l)},"p":{_ENCODE(code.field.p)}',
+            f',"r":{_ENCODE(code.r)},"terminal_matrices":{{', *terminals,
+            f'}},"version":{_ENCODE(CODE_FORMAT_VERSION)}}}\n',
+        ]
+    )
 
 
 def _as_mat(field: PrimeField, flat, rows: int, cols: int, what: str) -> Mat:
@@ -802,40 +806,83 @@ def _as_mat(field: PrimeField, flat, rows: int, cols: int, what: str) -> Mat:
     return Mat(field, a.reshape(rows, cols))
 
 
-# A JSON string, kept as it is (to the end of the text if unterminated,
-# so that no later quote is taken for an opening one), or an array literal
-# of integers only, however spaced.
-_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|(\[[ \t\n\r0-9,-]*\])', re.DOTALL)
+# An array literal of integers only, however spaced.
+_ARRAY = re.compile(rb"\[[ \t\n\r0-9,-]*\]")
 
 
-def _parse_code_file(text: str) -> tuple[object, list[list[int]]]:
-    """json.loads(text) with every all-integer array replaced by a
-    reference [k], and the value of the k-th distinct array text; each
-    distinct text is decoded once.  A skeleton list that holds exactly one
-    int is a reference, because every all-integer array was replaced.
-    Either part fails to decode only when the text does, so the text's own
-    error is raised."""
-    refs: dict[str, str] = {}
+def _split_strings(data: bytes) -> list[bytes]:
+    """data.split(b'"') with the pieces around each escaped quote joined
+    again, so that the pieces alternate: outside strings (even), then a
+    string's body (odd; the last one is unterminated if their count is
+    even).  A quote is escaped when an odd run of backslashes precedes
+    it.  JSON has backslashes only in strings; a text with one outside
+    them is no JSON, whatever its pieces, and its own error is raised.
+    Each run of joined pieces is joined once, so the time stays linear."""
+    pieces = data.split(b'"')
+    if b"\\" not in data:
+        return pieces
+    joined = []  # k: the quote after piece k is escaped
+    for k, piece in enumerate(pieces[:-1]):
+        if piece.endswith(b"\\") and (len(piece) - len(piece.rstrip(b"\\"))) % 2:
+            joined.append(k)
+    out, start, first = [], 0, 0
+    for n, k in enumerate(joined):
+        if n + 1 < len(joined) and joined[n + 1] == k + 1:
+            continue  # the run of joins goes on
+        out += pieces[start : joined[first]]
+        out.append(b'"'.join(pieces[joined[first] : k + 2]))
+        start, first = k + 2, n + 1
+    return out + pieces[start:]
 
-    def ref(m: re.Match) -> str:
-        array = m.group(1)
-        if array is None:
-            return m.group(0)
-        out = refs.get(array)
+
+def _parse_code_file(data: bytes) -> tuple[object, list[list[int]]]:
+    """json.loads of the UTF-8 text with every all-integer array replaced
+    by a reference [k], and the value of the k-th distinct array text.
+
+    The bytes are split at their quotes (a quote byte is never part of a
+    multi-byte character); the references are substituted once per
+    distinct piece outside strings (71 in the rate-3/5 code file, for
+    112,212 matrices), and each distinct array text is decoded once.  A skeleton
+    list that holds exactly one int is a reference, because every
+    all-integer array was replaced.  Either part fails to decode only
+    when the text does, so the text's own error is raised."""
+    data.decode("utf-8")  # raises where the text is not UTF-8
+    pieces = _split_strings(data)
+    refs: dict[bytes, bytes] = {}
+
+    def ref(m: re.Match) -> bytes:
+        out = refs.get(m.group())
         if out is None:
-            out = refs[array] = f"[{len(refs)}]"
+            out = refs[m.group()] = b"[%d]" % len(refs)
         return out
 
+    outside = pieces[0::2]
+    subs = dict.fromkeys(outside)
+    for piece in subs:
+        subs[piece] = _ARRAY.sub(ref, piece)
+    pieces[0::2] = map(subs.__getitem__, outside)
+    skeleton = b'"'.join(pieces).decode("utf-8")
+    del pieces, outside, subs  # before the skeleton is parsed
     try:
-        skeleton = json.loads(_TOKEN.sub(ref, text))
-        return skeleton, [json.loads(array) for array in refs]
+        return json.loads(skeleton), [json.loads(array.decode()) for array in refs]
     except json.JSONDecodeError:
-        json.loads(text)
+        json.loads(data.decode("utf-8"))
         raise
 
 
 def _is_ref(x) -> bool:
     return type(x) is list and len(x) == 1 and type(x[0]) is int
+
+
+def _ref_ids(entry: list) -> Optional[tuple[int, ...]]:
+    """The references of a skeleton list made only of references, else None."""
+    try:
+        ids = tuple([k for (k,) in entry])
+    except (TypeError, ValueError):  # an item that is not a one-item sequence
+        return None
+    if set(map(type, entry)) <= {list} and set(map(type, ids)) <= {int}:
+        return ids
+    return None
 
 
 def _resolve(x, arrays: list[list[int]]):
@@ -853,7 +900,8 @@ def _resolve(x, arrays: list[list[int]]):
 class _MatTable:
     """One read-only Mat per distinct entry list of a code file.
 
-    A reference is looked up once per (array, rows, cols).  Equal tuples
+    A reference is looked up once per (array, rows, cols), and a list of
+    references once per (rows, cols, references).  Equal tuples
     of JSON values are equal matrices, with one exception: a float equal
     to an integer (1.0 == 1, with the same hash).  A list that matches a
     stored one holds only integers, booleans and such floats, and its sum
@@ -865,6 +913,7 @@ class _MatTable:
         self.field = field
         self.arrays = arrays
         self.refs: dict[tuple[int, int, int], Mat] = {}
+        self.rows: dict[tuple, tuple[Mat, ...]] = {}
         self.mats: dict[tuple, Mat] = {}
 
     def get(self, flat, rows: int, cols: int, what: str, j: Optional[int] = None) -> Mat:
@@ -876,6 +925,22 @@ class _MatTable:
                 mat = self.refs[key] = self._get(self.arrays[flat[0]], rows, cols, what, j)
             return mat
         return self._get(_resolve(flat, self.arrays), rows, cols, what, j)
+
+    def row(self, entry, degree: int, rows: int, cols: int, what: str) -> tuple[Mat, ...]:
+        """The matrices of an in-edge or decoder list, one per in-edge; a
+        list made only of references is looked up once per (rows, cols,
+        references)."""
+        if _is_ref(entry):
+            entry = self.arrays[entry[0]]
+        if not isinstance(entry, list) or len(entry) != degree:
+            raise CodeFormatError(f"{what}: expected {degree} matrices")
+        ids = _ref_ids(entry)
+        mats = None if ids is None else self.rows.get((rows, cols, ids))
+        if mats is None:
+            mats = tuple(self.get(flat, rows, cols, what, j) for j, flat in enumerate(entry))
+            if ids is not None:
+                self.rows[rows, cols, ids] = mats
+        return mats
 
     def _get(self, flat, rows: int, cols: int, what: str, j: Optional[int]) -> Mat:
         if j is not None:
@@ -905,7 +970,7 @@ def code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
 
 def _code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
     try:
-        doc, arrays = _parse_code_file(data.decode("utf-8"))
+        doc, arrays = _parse_code_file(data)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CodeFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -931,32 +996,28 @@ def _code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
             raise CodeFormatError(f"field {key!r} must be an object")
     code = FracLinCode(net, r, l, field)
     table = _MatTable(field, arrays)
+    src_refs: dict[int, Mat] = {}  # reference -> its l x r source matrix
+    missing = object()
     edge_matrices = doc["edge_matrices"]
     from_source = net.role_mask(SOURCE)[net.tail].tolist()
     degrees = np.diff(net.in_ptr)[net.tail].tolist()
     for i, (label, src, degree) in enumerate(zip(net.edge_labels(), from_source, degrees)):
-        if label not in edge_matrices:
+        entry = edge_matrices.get(label, missing)
+        if entry is missing:
             raise CodeFormatError(f"edge_matrices missing edge {label}")
-        entry = edge_matrices[label]
-        if src:
-            code.src_mats[i] = table.get(entry, l, r, f"edge {label}")
+        if not src:
+            code.in_mats[i] = table.row(entry, degree, l, l, f"edge {label}")
+        elif _is_ref(entry):
+            mat = src_refs.get(entry[0])
+            if mat is None:
+                mat = src_refs[entry[0]] = table.get(entry, l, r, f"edge {label}")
+            code.src_mats[i] = mat
         else:
-            if _is_ref(entry):
-                entry = arrays[entry[0]]
-            if not isinstance(entry, list) or len(entry) != degree:
-                raise CodeFormatError(f"edge {label}: expected {degree} matrices")
-            what = f"edge {label}"
-            code.in_mats[i] = tuple(table.get(flat, l, l, what, j) for j, flat in enumerate(entry))
+            code.src_mats[i] = table.get(entry, l, r, f"edge {label}")
     terminal_matrices = doc["terminal_matrices"]
     for t in net.terminals:
         if t not in terminal_matrices:
             raise CodeFormatError(f"terminal_matrices missing terminal {t}")
-        entry = terminal_matrices[t]
-        ins = net.in_edges(t)
-        if _is_ref(entry):
-            entry = arrays[entry[0]]
-        if not isinstance(entry, list) or len(entry) != len(ins):
-            raise CodeFormatError(f"terminal {t}: expected {len(ins)} matrices")
-        what = f"terminal {t}"
-        code.dec_mats[t] = tuple(table.get(flat, r, l, what, j) for j, flat in enumerate(entry))
+        degree = len(net.in_edges(t))
+        code.dec_mats[t] = table.row(terminal_matrices[t], degree, r, l, f"terminal {t}")
     return code

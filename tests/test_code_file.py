@@ -8,9 +8,15 @@ parses each distinct entry list once; it must write the same bytes, and
 load the same entries (sharing matrices the same way) or refuse with the
 same exception type and message.  The one intended difference: a
 `version` of `true` or `1.0`, which the reference accepts, is refused.
+
+`reference_parse_code_file` is the regex tokenizer that
+`coding._parse_code_file` replaced, kept verbatim: it scans the whole text
+with one callback per string or all-integer array.  The quote-split
+tokenizer must give the same skeleton and arrays, or the same error.
 """
 
 import json
+import re
 import time
 
 import numpy as np
@@ -23,6 +29,7 @@ from sumnets.coding import (
     CodeFormatError,
     FracLinCode,
     _as_mat,
+    _parse_code_file,
     code_from_json,
     code_to_json,
     scheme_merged,
@@ -151,7 +158,49 @@ def reference_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
     return code
 
 
+# A JSON string, kept as it is (to the end of the text if unterminated,
+# so that no later quote is taken for an opening one), or an array literal
+# of integers only, however spaced.
+_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|(\[[ \t\n\r0-9,-]*\])', re.DOTALL)
+
+
+def reference_parse_code_file(text: str) -> tuple[object, list[list[int]]]:
+    refs: dict[str, str] = {}
+
+    def ref(m: re.Match) -> str:
+        array = m.group(1)
+        if array is None:
+            return m.group(0)
+        out = refs.get(array)
+        if out is None:
+            out = refs[array] = f"[{len(refs)}]"
+        return out
+
+    try:
+        skeleton = json.loads(_TOKEN.sub(ref, text))
+        return skeleton, [json.loads(array) for array in refs]
+    except json.JSONDecodeError:
+        json.loads(text)
+        raise
+
+
 # --- comparing the two ----------------------------------------------------------------
+
+
+def _parsed(parse, data: bytes):
+    """What tokenizing and parsing gives: the skeleton and arrays (by repr,
+    so that a NaN equals itself), or the exception."""
+    try:
+        return ("parsed", repr(parse(data)))
+    except RecursionError:  # how deep it gets depends on the caller's stack
+        return ("refused", RecursionError)
+    except Exception as exc:  # compared by type and message
+        return ("refused", type(exc), str(exc))
+
+
+def assert_parses_as_reference(data: bytes):
+    want = _parsed(lambda data: reference_parse_code_file(data.decode("utf-8")), data)
+    assert _parsed(_parse_code_file, data) == want
 
 
 def _slots(code: FracLinCode) -> list[Mat]:
@@ -183,6 +232,7 @@ def _version_is_loose(data: bytes) -> bool:
 
 
 def assert_reads_as_reference(net: SumNetwork, data: bytes):
+    assert_parses_as_reference(data)
     want = _outcome(reference_from_json, net, data)
     got = _outcome(code_from_json, net, data)
     if want[0] == "loaded" and _version_is_loose(data):
@@ -301,6 +351,20 @@ def test_a_spaced_copy_of_a_matrix_shares_the_compact_one():
     assert a is b and not a.a.flags.writeable
 
 
+def test_a_list_of_references_is_read_once_per_shape():
+    # The same list text as an in-edge list of 2x2 matrices and as a
+    # decoder list of 1x2 ones: it holds a matrix of the first shape only.
+    nodes = [Node("s", "source"), Node("v", "intermediate"), Node("t", "terminal")]
+    net = SumNetwork(nodes, [Edge("s", "v"), Edge("v", "t")])
+    doc = {
+        "version": 1, "r": 1, "l": 2, "p": 2,
+        "edge_matrices": {"(s,v,0)": [1, 1], "(v,t,0)": [[1, 0, 0, 1]]},
+        "terminal_matrices": {"t": [[1, 0, 0, 1]]},
+    }
+    got = assert_reads_as_reference(net, json.dumps(doc).encode())
+    assert got == ("refused", CodeFormatError, "terminal t[0]: expected 2 entries")
+
+
 @pytest.mark.parametrize("key", ["version", "r", "l", "p"])
 @pytest.mark.parametrize("text", ["[5]", "[ 2 ]", "[true]", "[]", "[1,2]", '"[2]"', "2.0"])
 def test_an_echoed_field_shows_its_own_value(key, text):
@@ -366,7 +430,31 @@ FILES = {
     "top-level string": b'"[1,2]"',
     "NaN entry": COMPACT.replace(b"[1,0,0,1]", b"[NaN,0,0,1]", 1),
     "missing comma": COMPACT.replace(b"[1,0,0,1]", b"[1,0,0,1][1]", 1),
+    "backslash before a quote outside strings": COMPACT.replace(
+        LAST_KEY, b'"version":1,\\"note":[1,2]}'
+    ),
+    "backslash before the first quote": b"{\\" + COMPACT[1:],
+    "string ending the file in a backslash": COMPACT.rstrip().replace(
+        LAST_KEY, b'"version":1,"note":"[1,2] \\'
+    ),
+    "string ending the file in two backslashes": COMPACT.rstrip().replace(
+        LAST_KEY, b'"version":1,"note":"[1,2] \\\\'
+    ),
+    "CRLF": json.dumps(CODE_DOC, indent=1).replace("\n", "\r\n").encode(),
 }
+# A run of n backslashes before a quote escapes it when n is odd: the
+# string goes on, over an array.  Each layout is JSON for one parity only.
+ESCAPE_LAYOUTS = {
+    "in a value, the array inside": (b'"note":"x', b'"[1,2]"}'),
+    "in a value, the array after": (b'"note":["x', b'",[1,2],"y"]}'),
+    "in a key, the array inside": (b'"k', b'":[3]":[1,2]}'),
+    "in a key, the array after": (b'"k', b'":[1,2]}'),
+}
+for n in range(1, 5):
+    for where, (head, tail) in ESCAPE_LAYOUTS.items():
+        FILES[f"{n} backslashes before a quote {where}"] = COMPACT.replace(
+            LAST_KEY, b'"version":1,' + head + b"\\" * n + tail
+        )
 
 
 @pytest.mark.parametrize("name", sorted(FILES))
@@ -382,6 +470,17 @@ def test_an_unterminated_string_of_escaped_quotes_is_refused_at_once():
     with pytest.raises(CodeFormatError, match="^not valid JSON: Unterminated string"):
         code_from_json(NET, data)
     assert time.perf_counter() - started < 2
+
+
+def test_a_file_of_many_strings_with_escaped_quotes_is_read_at_once():
+    # 200,000 strings each holding \\\": each escaped quote joins two pieces
+    # of the split again, and joining them one by one would be quadratic.
+    notes = b",".join([b'"\\\\\\""'] * 200_000)
+    data = COMPACT.replace(LAST_KEY, b'"version":1,"note":[' + notes + b"]}")
+    started = time.perf_counter()
+    code = code_from_json(NET, data)
+    assert time.perf_counter() - started < 2
+    assert _outcome(lambda net, data: code, NET, data) == _outcome(code_from_json, NET, COMPACT)
 
 
 def _nested(depth: int) -> bytes:
@@ -406,24 +505,34 @@ def test_the_hand_written_files_change_what_they_claim_to():
 
 
 def test_labels_with_brackets_quotes_and_non_ascii_round_trip():
+    # Labels that JSON escapes: brackets and quotes, non-ASCII, a control
+    # character, DEL and a non-BMP character (a surrogate pair).  "s_1" and
+    # "s_1!" order one way as labels and the other way inside edge labels,
+    # since "," sorts after "!".
     field = PrimeField(3)
     nodes = [
         Node("s[1,2]", "source"),
         Node('s"2\\', "source"),
+        Node("s\x01\x7f\U0001f600", "source"),
+        Node("s_1!", "source"),
+        Node("s_1", "source"),
         Node("v [3] ü", "intermediate"),
         Node('t"[1,2]"✓', "terminal"),
     ]
     names = [n.label for n in nodes]
-    edges = [Edge(names[0], names[2]), Edge(names[1], names[2]), Edge(names[2], names[3])]
+    v, t = names[-2], names[-1]
+    edges = [Edge(s, v) for s in names[:-2]] + [Edge(v, t)]
     net = SumNetwork(nodes, edges)
     one = Mat(field, np.ones((1, 1), dtype=np.int64))
     code = FracLinCode(net, 1, 1, field)
-    code.src_mats = {0: one, 1: one}
-    code.in_mats = {2: (one, one)}
-    code.dec_mats = {names[3]: (one,)}
+    code.src_mats = {i: one for i in range(5)}
+    code.in_mats = {5: (one,) * 5}
+    code.dec_mats = {t: (one,)}
     assert verify(net, code).ok
     data = _check_code(code)
     assert b"[1,2]" in data and b"\\u00fc" in data
+    assert b"\\u0001\\u007f\\ud83d\\ude00" in data
+    assert data.index(b'"(s_1!,v') < data.index(b'"(s_1,v')
     loaded = code_from_json(net, data)
     assert verify(net, loaded).ok
-    assert loaded.src_mats[0] is loaded.src_mats[1] is loaded.in_mats[2][0]
+    assert all(m is loaded.src_mats[0] for m in [*loaded.src_mats.values(), *loaded.in_mats[5]])
