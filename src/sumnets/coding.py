@@ -1001,19 +1001,20 @@ def _code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
     edge_matrices = doc["edge_matrices"]
     from_source = net.role_mask(SOURCE)[net.tail].tolist()
     degrees = np.diff(net.in_ptr)[net.tail].tolist()
-    for i, (label, src, degree) in enumerate(zip(net.edge_labels(), from_source, degrees)):
-        entry = edge_matrices.get(label, missing)
+    get, src_mats, in_mats = edge_matrices.get, code.src_mats, code.in_mats
+    for i, (label, src) in enumerate(zip(net.edge_labels(), from_source)):
+        entry = get(label, missing)
         if entry is missing:
             raise CodeFormatError(f"edge_matrices missing edge {label}")
         if not src:
-            code.in_mats[i] = table.row(entry, degree, l, l, f"edge {label}")
-        elif _is_ref(entry):
+            in_mats[i] = table.row(entry, degrees[i], l, l, f"edge {label}")
+        elif type(entry) is list and len(entry) == 1 and type(entry[0]) is int:  # _is_ref
             mat = src_refs.get(entry[0])
             if mat is None:
                 mat = src_refs[entry[0]] = table.get(entry, l, r, f"edge {label}")
-            code.src_mats[i] = mat
+            src_mats[i] = mat
         else:
-            code.src_mats[i] = table.get(entry, l, r, f"edge {label}")
+            src_mats[i] = table.get(entry, l, r, f"edge {label}")
     terminal_matrices = doc["terminal_matrices"]
     for t in net.terminals:
         if t not in terminal_matrices:
