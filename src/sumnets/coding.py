@@ -842,8 +842,8 @@ def _parse_code_file(data: bytes) -> tuple[object, list[list[int]]]:
     The bytes are split at their quotes (a quote byte is never part of a
     multi-byte character); the references are substituted once per
     distinct piece outside strings (71 in the rate-3/5 code file, for
-    112,212 matrices), and each distinct array text is decoded once.  A skeleton
-    list that holds exactly one int is a reference, because every
+    112,212 matrices), and each distinct array text is decoded once.  A
+    skeleton list that holds exactly one int is a reference, because every
     all-integer array was replaced.  Either part fails to decode only
     when the text does, so the text's own error is raised."""
     data.decode("utf-8")  # raises where the text is not UTF-8
@@ -996,7 +996,6 @@ def _code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
             raise CodeFormatError(f"field {key!r} must be an object")
     code = FracLinCode(net, r, l, field)
     table = _MatTable(field, arrays)
-    src_refs: dict[int, Mat] = {}  # reference -> its l x r source matrix
     missing = object()
     edge_matrices = doc["edge_matrices"]
     from_source = net.role_mask(SOURCE)[net.tail].tolist()
@@ -1009,10 +1008,8 @@ def _code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
         if not src:
             in_mats[i] = table.row(entry, degrees[i], l, l, f"edge {label}")
         elif type(entry) is list and len(entry) == 1 and type(entry[0]) is int:  # _is_ref
-            mat = src_refs.get(entry[0])
-            if mat is None:
-                mat = src_refs[entry[0]] = table.get(entry, l, r, f"edge {label}")
-            src_mats[i] = mat
+            mat = table.refs.get((entry[0], l, r))
+            src_mats[i] = mat if mat is not None else table.get(entry, l, r, f"edge {label}")
         else:
             src_mats[i] = table.get(entry, l, r, f"edge {label}")
     terminal_matrices = doc["terminal_matrices"]
