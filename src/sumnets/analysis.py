@@ -58,10 +58,11 @@ class CompositeEncoding:
     mats: dict[int, Mat]  # middle edge index -> composite matrix
 
     def check_shapes(self, shape: LayerShape) -> None:
-        if set(self.mats) != set(shape.middle):
+        widths = dict(zip(shape.middle.tolist(), np.diff(shape.feed_ptr).tolist()))
+        if set(self.mats) != set(widths):
             raise ValueError("composite encoding does not cover exactly the middle edges")
         for me, mat in self.mats.items():
-            want = (self.l, self.r * len(shape.src_order[me]))
+            want = (self.l, self.r * widths[me])
             if mat.shape != want:
                 raise ValueError(f"composite for middle edge {me}: expected shape {want}")
 
@@ -70,12 +71,10 @@ def composites_from_code(net: SumNetwork, code: FracLinCode) -> CompositeEncodin
     """Extract the composite encodings realized by an arbitrary code."""
     shape = layer_shape(net)
     tm = transfer(net, code)
-    src_pos = {s: i for i, s in enumerate(net.source_order)}
     mats: dict[int, Mat] = {}
-    for me in shape.middle:
+    for i, me in enumerate(shape.middle.tolist()):
         blocks = tm.edge_matrix(me).a.reshape(code.l, -1, code.r)
-        cols = [src_pos[s] for s in shape.src_order[me]]
-        mats[me] = Mat(code.field, blocks[:, cols].reshape(code.l, -1))
+        mats[me] = Mat(code.field, blocks[:, shape.feeds_of(i)].reshape(code.l, -1))
     return CompositeEncoding(code.r, code.l, code.field, mats)
 
 
@@ -107,61 +106,59 @@ class _DecoderSystems:
     the flat cells of a composite encoding.
 
     starts: where each middle edge's composite starts in the cells, in
-    shape.middle order, then the cell count; the composite of edge e is
-    l x r|S_e|, row-major.  The cells hold one more, zero, cell at
-    starts[-1].  `of(t)` builds terminal t's system on first use.
+    shape.middle order, then the cell count; the composite of middle edge
+    i is l x r|S_e|, row-major.  The cells hold one more, zero, cell at
+    starts[-1].  `of(i)` builds terminal i's system on first use.
     """
 
     def __init__(self, net: SumNetwork, shape: LayerShape, r: int, l: int):
         self.net, self.shape, self.r, self.l = net, shape, r, l
-        self.starts = [0]
-        for me in shape.middle:
-            self.starts.append(self.starts[-1] + l * r * len(shape.src_order[me]))
-        self.start = dict(zip(shape.middle, self.starts))
-        self._built: dict[str, tuple[list[str], np.ndarray, np.ndarray]] = {}
+        self.starts = [l * r * x for x in shape.feed_ptr.tolist()]
+        self._built: dict[int, tuple] = {}
 
-    def composite(self, cells: np.ndarray, me: int) -> np.ndarray:
-        """Middle edge me's composite, a view of the cells."""
-        lo = self.start[me]
-        return cells[lo : lo + self.l * self.r * len(self.shape.src_order[me])].reshape(self.l, -1)
+    def composite(self, cells: np.ndarray, i: int) -> np.ndarray:
+        """Middle edge i's composite, a view of the cells."""
+        return cells[self.starts[i] : self.starts[i + 1]].reshape(self.l, -1)
 
-    def of(self, t: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """Terminal t's non-direct sources nd, in source order, its stacked
-        composites as a gather index into the cells, and the right-hand
-        side, I_r under every source of nd.
+    def of(self, i: int) -> tuple:
+        """Terminal i's stacked composites as a gather index into the
+        cells, the right-hand side, its taps and its direct slots.
 
-        The stack has l rows per tapped middle edge, in tap order, and r
-        columns per source of nd: the tapped edge's composite block for
-        that source, or zeros where the edge does not carry it.
-        gather[i, j] is the cell of entry (i, j); a zero entry reads the
-        zero cell at starts[-1].
+        The sources to recover, nd, are those without a direct edge into
+        the terminal, in source order.  The stack has l rows per tap, in
+        tap order, and r columns per source of nd: the tapped edge's
+        composite block for that source, or zeros where the edge does not
+        carry it.  gather[i, j] is the cell of entry (i, j); a zero entry
+        reads the zero cell at starts[-1].  The right-hand side is I_r
+        under every source of nd.  Taps are (slot, middle edge) pairs, a
+        slot being a position in the terminal's in-edge order; direct
+        slots map each direct source to its slots, by first slot.
         """
-        if t not in self._built:
-            r, l, shape = self.r, self.l, self.shape
-            directs = shape.term_directs[t]
-            nd = [s for s in self.net.source_order if s not in directs]
-            nd_pos = {s: i for i, s in enumerate(nd)}
-            taps = shape.term_taps[t]
+        if i not in self._built:
+            r, l, shape, lay = self.r, self.l, self.shape, self.net.layout()
+            lo, hi = lay.term_ptr[i], lay.term_ptr[i + 1]
+            tap = shape.tap[lo:hi]
+            slots: dict[int, list[int]] = {}
+            direct = np.flatnonzero(tap < 0)
+            for pos, s in zip(direct.tolist(), lay.src_pos[lay.term_edges[lo + direct]].tolist()):
+                slots.setdefault(s, []).append(pos)
+            col = np.zeros(len(self.net.source_order), dtype=np.intp)
+            col[list(slots)] = -1
+            nd = np.flatnonzero(col == 0)
+            col[nd] = np.arange(len(nd))
+            taps = [(pos, int(tap[pos])) for pos in np.flatnonzero(tap >= 0).tolist()]
             gather = np.full((l * len(taps), r * len(nd)), self.starts[-1], dtype=np.intp)
-            for i, (_, me) in enumerate(taps):
-                order = shape.src_order[me]
-                block = self.start[me] + r * len(order) * np.arange(l)[:, None] + np.arange(r)
-                for j, s in enumerate(order):
-                    col = nd_pos.get(s)
-                    if col is not None:
-                        gather[i * l : (i + 1) * l, col * r : (col + 1) * r] = block + j * r
+            for k, (_, me) in enumerate(taps):
+                cols = col[shape.feeds_of(me)]
+                block = np.arange(self.starts[me], self.starts[me + 1]).reshape(l, len(cols), r)
+                rows = gather[k * l : (k + 1) * l].reshape(l, len(nd), r)
+                rows[:, cols[cols >= 0]] = block[:, cols >= 0]
             rhs = np.tile(np.eye(r, dtype=np.int64), (1, len(nd)))
-            self._built[t] = nd, gather, rhs
-        return self._built[t]
+            self._built[i] = gather, rhs, taps, slots
+        return self._built[i]
 
 
-def feasible_decoders(
-    net: SumNetwork,
-    composites: CompositeEncoding,
-    r: int,
-    l: int,
-    shape: Optional[LayerShape] = None,
-) -> DecodeResult:
+def feasible_decoders(net: SumNetwork, composites: CompositeEncoding) -> DecodeResult:
     """Solve for terminal decoders realizing the sum under the given
     composites, or report the first terminal where no decoders exist.
 
@@ -169,59 +166,59 @@ def feasible_decoders(
     reproduce I_r on every source block without a direct edge into the
     terminal; direct-edge decoders then absorb whatever residual remains
     on the directly-supplied blocks (always possible: the parallel direct
-    edges jointly forward the full block).
+    edges jointly forward the full block).  The rate (r, l) is the
+    composites' own.
     """
-    if shape is None:
-        shape = layer_shape(net)
+    shape = layer_shape(net)
     composites.check_shapes(shape)
-    cells = np.concatenate([composites.mats[me].a.ravel() for me in shape.middle] + [[0]])
-    return _decode(_DecoderSystems(net, shape, r, l), composites.field, cells)
+    cells = np.concatenate([composites.mats[me].a.ravel() for me in shape.middle.tolist()] + [[0]])
+    systems = _DecoderSystems(net, shape, composites.r, composites.l)
+    return _decode(systems, composites.field, cells)
 
 
 def _decode(systems: _DecoderSystems, field: PrimeField, cells: np.ndarray) -> DecodeResult:
     """`feasible_decoders` on the int64 cells of a composite encoding,
     with their zero cell."""
     net, shape, r, l = systems.net, systems.shape, systems.r, systems.l
+    lay = net.layout()
     p = field.p
 
     # The solved decoders, if they exist for every terminal.
     dec_mats: dict[str, tuple[Mat, ...]] = {}
     direct_src: dict[int, Mat] = {}
-    for t in net.terminals:
-        taps = shape.term_taps[t]
-        directs = shape.term_directs[t]
-        nd, gather, rhs = systems.of(t)
-        if nd and taps:
+    eye = np.eye(r, dtype=np.int64)
+    for i, t in enumerate(net.terminals):
+        lo, hi = lay.term_ptr[i], lay.term_ptr[i + 1]
+        gather, rhs, taps, directs = systems.of(i)
+        if gather.size:
             d = solve_right(Mat(field, cells[gather]), Mat(field, rhs))
             if d is None:
                 return DecodeResult(None, t)
             d_arr = d.a
         else:
-            if nd:  # sources to recover but nothing to read them from
+            if gather.shape[1]:  # sources to recover but nothing to read them from
                 return DecodeResult(None, t)
             d_arr = np.zeros((r, l * len(taps)), dtype=np.int64)
 
-        mats: list[Mat] = [Mat.zeros(field, r, l)] * len(net.in_edges(t))
+        mats: list[Mat] = [Mat.zeros(field, r, l)] * (hi - lo)
         tap_mats = []
-        for i, (pos, _) in enumerate(taps):
-            dm = Mat(field, d_arr[:, i * l : (i + 1) * l])
+        for k, (pos, _) in enumerate(taps):
+            dm = Mat(field, d_arr[:, k * l : (k + 1) * l])
             mats[pos] = dm
             tap_mats.append(dm.a)
 
         # Residual correction on directly-supplied blocks.
-        eye = np.eye(r, dtype=np.int64)
+        contrib = {s: np.zeros((r, r), dtype=np.int64) for s in directs}
+        for (_, me), dm in zip(taps, tap_mats):
+            comp = systems.composite(cells, me)
+            for j, s in enumerate(shape.feeds_of(me).tolist()):
+                if s in contrib:
+                    contrib[s] = (contrib[s] + matmul_mod(dm, comp[:, j * r : (j + 1) * r], p)) % p
         for s, positions in directs.items():
-            contrib = np.zeros((r, r), dtype=np.int64)
-            for (_, me), dm in zip(taps, tap_mats):
-                order = shape.src_order[me]
-                if s in order:
-                    j = order.index(s)
-                    comp = systems.composite(cells, me)
-                    contrib = (contrib + matmul_mod(dm, comp[:, j * r : (j + 1) * r], p)) % p
-            residual = (eye - contrib) % p
-            chunks = _direct_chunks(r, l, len(positions), s, t)
+            residual = (eye - contrib[s]) % p
+            chunks = _direct_chunks(r, l, len(positions), net.source_order[s], t)
             for pos, rows in zip(positions, chunks):
-                ei = net.in_edges(t)[pos]
+                ei = int(lay.term_edges[lo + pos])
                 if ei not in direct_src:
                     a = np.zeros((l, r), dtype=np.int64)
                     a[np.arange(len(rows)), list(rows)] = 1
@@ -234,8 +231,8 @@ def _decode(systems: _DecoderSystems, field: PrimeField, cells: np.ndarray) -> D
     # Assemble the full code: composites realized on the source edges,
     # identity forwarding elsewhere.
     code = FracLinCode(net, r, l, field)
-    for me in shape.middle:
-        comp = systems.composite(cells, me)
+    for i, me in enumerate(shape.middle.tolist()):
+        comp = systems.composite(cells, i)
         for j, ei in enumerate(net.in_edges_of(net.tail[me]).tolist()):
             code.src_mats[ei] = Mat(field, comp[:, j * r : (j + 1) * r])
     code.src_mats.update(direct_src)
@@ -249,12 +246,13 @@ def routing_code(net: SumNetwork, p: int) -> FracLinCode:
     every middle edge forwards its sources verbatim, source j in slot j,
     and feasible_decoders picks the decoders."""
     shape = layer_shape(net)
-    if not shape.middle:
+    if not shape.middle.size:
         raise UnsupportedNetworkError("network has no middle edges")
     field = PrimeField(p)
-    l = max(len(shape.src_order[me]) for me in shape.middle)
-    mats = {me: Mat(field, np.eye(l, len(shape.src_order[me]))) for me in shape.middle}
-    result = feasible_decoders(net, CompositeEncoding(1, l, field, mats), 1, l, shape)
+    widths = np.diff(shape.feed_ptr).tolist()
+    l = max(widths)
+    mats = {me: Mat(field, np.eye(l, w)) for me, w in zip(shape.middle.tolist(), widths)}
+    result = feasible_decoders(net, CompositeEncoding(1, l, field, mats))
     if result.code is None:
         raise UnsupportedNetworkError(f"terminal {result.failed_terminal} cannot decode the sum")
     return result.code
@@ -292,6 +290,11 @@ class SearchResult:
 # metric: chunks of 11 and 17 ran passes 15% and 23% faster and raised
 # `peak_rss_mb` by 0.8 and 1.9 MB (numpy 2.4.6, 2-vCPU x86-64).
 _SCREEN_BYTES = 1 << 20
+
+# The most one candidate's cells and largest system, or a found code's
+# l x l identity, may take, in bytes; search refuses larger (r, l) before
+# it allocates.
+_MAX_BYTES = 1 << 30
 
 
 def search(
@@ -335,18 +338,21 @@ def search(
         raise TypeError(f"unknown search strategy {strategy!r}")
 
     terminals = net.terminals
+    lay = net.layout()
     n_src = len(net.source_order)
-    largest = max(
-        (
-            (l * len(shape.term_taps[t]) + r) * r * (n_src - len(shape.term_directs[t]))
-            for t in terminals
-        ),
-        default=0,
-    )
+    relayed = shape.tap >= 0
+    n_taps = np.bincount(lay.slot_term[relayed], minlength=len(terminals)).tolist()
+    pairs = np.sort(lay.slot_term[~relayed] * n_src + lay.src_pos[lay.term_edges[~relayed]])
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # each (terminal, direct source) once
+    n_direct = np.bincount(pairs // n_src, minlength=len(terminals)).tolist()
+    largest = max(((l * a + r) * r * (n_src - b) for a, b in zip(n_taps, n_direct)), default=0)
     # Residues in narrow cells; one pad cell past each candidate's own
     # holds the zero that gathers read.
     dtype = np.int8 if p <= 127 else np.int32
     row_bytes = np.dtype(dtype).itemsize * (total_cells + 1)
+    for what, need in (("one candidate", row_bytes + 8 * largest), ("a found code", 8 * l * l)):
+        if need > _MAX_BYTES:
+            raise ValueError(f"r={r}, l={l}: {what} would take {need} bytes, more than {_MAX_BYTES}")
     size = min(space, max(1, _SCREEN_BYTES // (row_bytes + 8 * largest)))
     chunk = np.zeros((size, total_cells + 1), dtype=dtype)
     rejected = dict.fromkeys(terminals, 0)
@@ -354,24 +360,24 @@ def search(
     def screen(cells: np.ndarray) -> np.ndarray:
         """Indices of the rows of cells that pass every terminal."""
         alive = np.arange(len(cells))
-        for t in terminals:
+        for i, t in enumerate(terminals):
             if not alive.size:
                 break
-            nd, gather, rhs = systems.of(t)
-            m = gather.shape[0]
-            if nd and m:
-                x = np.empty((alive.size, m + r, gather.shape[1]), dtype=dtype)
+            gather, rhs, _, directs = systems.of(i)
+            m, n = gather.shape
+            if gather.size:
+                x = np.empty((alive.size, m + r, n), dtype=dtype)
                 x[:, :m] = cells[alive[:, None, None], gather]
                 x[:, m:] = rhs
                 ok = solvable_mod(x, m, p)
             else:  # nothing to recover, or nothing to read it from
-                ok = np.full(alive.size, not nd)
+                ok = np.full(alive.size, not n)
             rejected[t] += int(alive.size - np.count_nonzero(ok))
             if ok.any():
                 # feasible_decoders refuses these direct edges for any
                 # candidate that reaches them.
-                for s, positions in shape.term_directs[t].items():
-                    _direct_chunks(r, l, len(positions), s, t)
+                for s, positions in directs.items():
+                    _direct_chunks(r, l, len(positions), net.source_order[s], t)
             alive = alive[ok]
         return alive
 
@@ -547,14 +553,15 @@ def bound_check(net: SumNetwork, code: FracLinCode, mode: str, m: int, q: int) -
 def _selector_rows(net: SumNetwork, r: int, groups: list[list[str]]) -> np.ndarray:
     """For each group of source labels, r rows with I_r on every listed
     source block (the map X |-> sum of those blocks)."""
-    pos = {s: i for i, s in enumerate(net.source_order)}
-    out = np.zeros((r * len(groups), r * len(net.source_order)), dtype=np.int64)
+    order = net.source_order
+    out = np.zeros((r * len(groups), r * len(order)), dtype=np.int64)
     eye = np.eye(r, dtype=np.int64)
     for g, labels in enumerate(groups):
         for s in labels:
-            if s not in pos:
+            if s not in order:
                 raise ValueError(f"network has no source {s!r}")
-            out[g * r : (g + 1) * r, pos[s] * r : (pos[s] + 1) * r] += eye
+            i = order.index(s)
+            out[g * r : (g + 1) * r, i * r : (i + 1) * r] += eye
     return out
 
 

@@ -32,7 +32,7 @@ from ._core_py import matmul_mod
 from .constructions import build_merged, build_n1, build_n2, edge_origins, parse_label
 from .galois import PrimeField
 from .matrix import Mat, rank
-from .network import INTERMEDIATE, SOURCE, TERMINAL, SumNetwork, topo_order
+from .network import INTERMEDIATE, SOURCE, TERMINAL, SumNetwork, _csr_rows, topo_order
 
 CODE_FORMAT_VERSION = 1
 
@@ -332,18 +332,22 @@ def verify_transfer(tm: TransferMap) -> VerifyReport:
 
 @dataclass
 class LayerShape:
-    """Structure of a bottleneck-family network.
+    """Structure of a bottleneck-family network, as index arrays.
 
-    middle: middle edge indices.  src_order[e]: sources wired into the
-    tail of middle edge e, in the tail's in-edge order.  term_taps[t]:
-    (position in t's in-edge order, middle edge index) pairs.
-    term_directs[t]: source label -> positions of its direct in-edges.
+    middle: the middle edge indices, ascending; "middle edge i" below is
+    middle[i].  feeds[feed_ptr[i] : feed_ptr[i+1]]: the `source_order`
+    positions of the sources wired into the tail of middle edge i, in the
+    tail's in-edge order.  tap[s], per terminal slot s of `net.layout()`:
+    the middle edge i that a relayed slot reads, or -1 for a direct slot.
     """
 
-    middle: list[int]
-    src_order: dict[int, list[str]]
-    term_taps: dict[str, list[tuple[int, int]]]
-    term_directs: dict[str, dict[str, list[int]]]
+    middle: np.ndarray
+    feed_ptr: np.ndarray
+    feeds: np.ndarray
+    tap: np.ndarray
+
+    def feeds_of(self, i: int) -> np.ndarray:
+        return self.feeds[self.feed_ptr[i] : self.feed_ptr[i + 1]]
 
 
 def layer_shape(net: SumNetwork) -> LayerShape:
@@ -355,18 +359,17 @@ def layer_shape(net: SumNetwork) -> LayerShape:
     tail, head = net.tail, net.head
     inner = net.role_mask(INTERMEDIATE)
     middle = np.flatnonzero(inner[tail] & inner[head])
-    u_of = np.full(len(labels), -1, dtype=np.intp)  # the middle edge an entry feeds
-    v_of = np.full(len(labels), -1, dtype=np.intp)  # the middle edge into an entry
+    u_of = np.full(len(labels), -1, dtype=np.intp)  # the middle edge i an entry feeds
+    v_of = np.full(len(labels), -1, dtype=np.intp)  # the middle edge i into an entry
     for ends, of in ((tail[middle], u_of), (head[middle], v_of)):
         if np.unique(ends).size != ends.size:
             raise UnsupportedNetworkError("intermediate node on two middle edges")
-        of[ends] = middle
+        of[ends] = np.arange(len(middle))
     source = net.role_mask(SOURCE).tolist()
     out_degree = np.bincount(tail, minlength=len(labels)).tolist()
     beyond = np.bincount(tail[~net.role_mask(TERMINAL)[head]], minlength=len(labels)).tolist()
     feeds = tail[net.in_idx].tolist()  # the tail of each in-edge slot
     ptr = net.in_ptr.tolist()
-    src_order: dict[int, list[str]] = {}
     feeding, fed = u_of.tolist(), v_of.tolist()
     for label, x in zip(net.intermediates, net.entries(INTERMEDIATE).tolist()):
         if feeding[x] >= 0:
@@ -379,7 +382,6 @@ def layer_shape(net: SumNetwork) -> LayerShape:
                 if t in tails:
                     raise UnsupportedNetworkError(f"duplicate source edge {labels[t]} -> {label}")
                 tails.append(t)
-            src_order[feeding[x]] = [labels[t] for t in tails]
         elif fed[x] >= 0:
             if beyond[x]:
                 raise UnsupportedNetworkError(f"node {label} must feed terminals only")
@@ -388,42 +390,18 @@ def layer_shape(net: SumNetwork) -> LayerShape:
         else:
             raise UnsupportedNetworkError(f"intermediate {label} is on no middle edge")
 
-    terminals = net.terminals
     lay = net.layout()
-    slot_tail = tail[lay.term_edges]
-    slot_pos = np.arange(len(slot_tail)) - lay.term_ptr[lay.slot_term]
-    direct = net.role_mask(SOURCE)[slot_tail]
-
-    tap_me = v_of[slot_tail[~direct]]
-    if (tap_me < 0).any():
-        raise KeyError(labels[slot_tail[~direct][np.argmax(tap_me < 0)]])
-    tap_ptr = _bounds(lay.slot_term[~direct], len(terminals))
-    taps = list(zip(slot_pos[~direct].tolist(), tap_me.tolist()))
-    term_taps = {t: taps[a:b] for t, a, b in zip(terminals, tap_ptr, tap_ptr[1:])}
-
-    # Direct slots grouped by (terminal, source), the groups in order of
-    # their first slot.
-    d_term, d_tail = lay.slot_term[direct], slot_tail[direct]
-    by_key = np.argsort(d_term * len(labels) + d_tail, kind="stable")
-    key = (d_term * len(labels) + d_tail)[by_key]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    ends = np.append(starts[1:], len(key))
-    by_first = np.argsort(by_key[starts], kind="stable")
-    positions = slot_pos[direct][by_key].tolist()
-    pos_lists = [positions[a:b] for a, b in zip(starts[by_first].tolist(), ends[by_first].tolist())]
-    firsts = by_key[starts[by_first]]
-    sources = [labels[s] for s in d_tail[firsts].tolist()]
-    group_ptr = _bounds(d_term[firsts], len(terminals))
-    term_directs = {
-        t: dict(zip(sources[a:b], pos_lists[a:b]))
-        for t, a, b in zip(terminals, group_ptr, group_ptr[1:])
-    }
-    return LayerShape(middle.tolist(), src_order, term_taps, term_directs)
-
-
-def _bounds(sorted_keys: np.ndarray, n: int) -> list[int]:
-    """Where each key 0..n-1 starts in sorted_keys, then its length."""
-    return np.searchsorted(sorted_keys, np.arange(n + 1)).tolist()
+    feed_ptr, feed_edges = _csr_rows(net.in_ptr, net.in_idx, tail[middle])
+    relayed = lay.relayed_slots
+    tap = np.full(len(lay.term_edges), -1, dtype=np.intp)
+    tap[relayed] = v_of[tail[lay.term_edges[relayed]]]
+    if (tap[relayed] < 0).any():
+        s = relayed[np.argmax(tap[relayed] < 0)]
+        raise UnsupportedNetworkError(
+            f"terminal {net.terminals[lay.slot_term[s]]} reads {labels[tail[lay.term_edges[s]]]},"
+            " which is neither a source nor a middle edge's head"
+        )
+    return LayerShape(middle, feed_ptr, lay.src_pos[feed_edges], tap)
 
 
 # --- shared building blocks -----------------------------------------------------

@@ -1,4 +1,6 @@
 import itertools
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +21,6 @@ from sumnets.analysis import (
     wrong_char_bound,
 )
 from sumnets.coding import (
-    LayerShape,
     UnsupportedNetworkError,
     UnverifiedCodeError,
     code_to_json,
@@ -50,34 +51,65 @@ def bottleneck_composite(p, a, b):
 def test_scheme_composites_are_feasible_and_sound():
     code = scheme_n1(2, 2, 2)
     comps = composites_from_code(code.net, code)
-    result = feasible_decoders(code.net, comps, 2, 3)
+    result = feasible_decoders(code.net, comps)
     assert result.feasible
     assert verify(code.net, result.code).ok
 
 
 def test_zero_column_composite_is_infeasible():
     net, comps = bottleneck_composite(2, 1, 0)
-    result = feasible_decoders(net, comps, 1, 1)
+    result = feasible_decoders(net, comps)
     assert not result.feasible
     assert result.failed_terminal == "t_1"
 
 
 def test_gf3_equal_coefficients_feasible_unequal_not():
     net, comps = bottleneck_composite(3, 1, 1)
-    result = feasible_decoders(net, comps, 1, 1)
+    result = feasible_decoders(net, comps)
     assert result.feasible
     assert verify(net, result.code).ok
 
     net, comps = bottleneck_composite(3, 1, 2)
-    assert not feasible_decoders(net, comps, 1, 1).feasible
+    assert not feasible_decoders(net, comps).feasible
 
 
 def test_feasible_decoders_on_family_two_composites():
     code = scheme_n2(2, 3, 2)
     comps = composites_from_code(code.net, code)
-    result = feasible_decoders(code.net, comps, 2, 3)
+    result = feasible_decoders(code.net, comps)
     assert result.feasible
     assert verify(code.net, result.code).ok
+
+
+@pytest.mark.parametrize(
+    "mats, message",
+    [
+        ({}, "composite encoding does not cover exactly the middle edges"),
+        ({2: [[1]]}, "composite for middle edge 2: expected shape (1, 2)"),
+    ],
+)
+def test_feasible_decoders_refuses_composites_that_do_not_fit_the_shape(mats, message):
+    f = PrimeField(2)
+    comps = CompositeEncoding(1, 1, f, {me: Mat.from_rows(f, rows) for me, rows in mats.items()})
+    with pytest.raises(ValueError) as err:
+        feasible_decoders(build_bottleneck2(), comps)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: SumNetwork([Node("s", SOURCE), Node("t", TERMINAL)], [Edge("s", "t")]),
+            "network has no middle edges",
+        ),
+        (lambda: four_source_direct_net(["s_1"]), "terminal t_3 cannot decode the sum"),
+    ],
+)
+def test_routing_code_refusals(make, message):
+    with pytest.raises(UnsupportedNetworkError) as err:
+        routing_code(make(), 2)
+    assert str(err.value) == message
 
 
 # --- search ----------------------------------------------------------------
@@ -207,7 +239,7 @@ def reference_search(net, r, l, p, strategy):
     Returns (found codes, tried, rejections per terminal)."""
     field = PrimeField(p)
     shape = layer_shape(net)
-    sizes = [l * r * len(shape.src_order[me]) for me in shape.middle]
+    sizes = (l * r * np.diff(shape.feed_ptr)).tolist()
     ends = list(itertools.accumulate(sizes))
     total = ends[-1] if ends else 0
     if isinstance(strategy, Exhaustive):
@@ -221,9 +253,9 @@ def reference_search(net, r, l, p, strategy):
         cells = np.asarray(cells, dtype=np.int64)
         mats = {
             me: Mat(field, cells[end - size : end].reshape(l, -1))
-            for me, size, end in zip(shape.middle, sizes, ends)
+            for me, size, end in zip(shape.middle.tolist(), sizes, ends)
         }
-        result = feasible_decoders(net, CompositeEncoding(r, l, field, mats), r, l, shape)
+        result = feasible_decoders(net, CompositeEncoding(r, l, field, mats))
         if result.feasible:
             found.append(result.code)
         else:
@@ -463,8 +495,20 @@ def test_rate_always_satisfies_its_certificate():
 # --- layer_shape on the arrays against the walk it replaced ---------------------------
 
 
-def reference_layer_shape(net: SumNetwork) -> LayerShape:
-    """The previous body of `coding.layer_shape`, kept verbatim: a walk
+@dataclass
+class ReferenceShape:
+    """What the reference walk returns: middle edge indices; per middle
+    edge, the source labels wired into its tail; per terminal, (position,
+    middle edge) taps and source label -> direct in-edge positions."""
+
+    middle: list[int]
+    src_order: dict[int, list[str]]
+    term_taps: dict[str, list[tuple[int, int]]]
+    term_directs: dict[str, dict[str, list[int]]]
+
+
+def reference_layer_shape(net: SumNetwork) -> ReferenceShape:
+    """An earlier body of `coding.layer_shape`, kept verbatim: a walk
     over Edge objects and the terminals' in-edges."""
     middle = net.middle_edges()
     edges = net.edges
@@ -514,25 +558,43 @@ def reference_layer_shape(net: SumNetwork) -> LayerShape:
                 taps.append((pos, v_nodes[tail]))
         term_taps[t] = taps
         term_directs[t] = directs
-    return LayerShape(middle, src_order, term_taps, term_directs)
+    return ReferenceShape(middle, src_order, term_taps, term_directs)
 
 
 def assert_shape_as_reference(net: SumNetwork) -> None:
-    """layer_shape returns what the reference returns, dict orders included,
-    or raises the same exception with the same message."""
+    """layer_shape's arrays hold what the reference's dicts hold: the
+    feeds as source positions, the taps slot by slot, and the direct
+    slots grouped by source in first-slot order, as the decoder systems
+    read them.  Where the reference refuses, layer_shape raises the same
+    UnsupportedNetworkError; where the reference's tap lookup raises a
+    KeyError, layer_shape raises an UnsupportedNetworkError naming that
+    label."""
     try:
         want = reference_layer_shape(net)
-    except (UnsupportedNetworkError, KeyError) as exc:
-        with pytest.raises(type(exc)) as err:
+    except UnsupportedNetworkError as exc:
+        with pytest.raises(UnsupportedNetworkError) as err:
             layer_shape(net)
         assert str(err.value) == str(exc)
         return
+    except KeyError as exc:
+        with pytest.raises(UnsupportedNetworkError, match=re.escape(exc.args[0])):
+            layer_shape(net)
+        return
     got = layer_shape(net)
-    assert got == want
-    assert list(got.src_order) == list(want.src_order)
-    assert list(got.term_taps) == list(want.term_taps)
-    for t, directs in want.term_directs.items():
-        assert list(got.term_directs[t].items()) == list(directs.items())
+    assert got.middle.tolist() == want.middle
+    pos = {s: i for i, s in enumerate(net.source_order)}
+    for i, me in enumerate(want.middle):
+        assert got.feeds_of(i).tolist() == [pos[s] for s in want.src_order[me]]
+    lay = net.layout()
+    tap = np.full(len(lay.term_edges), -1)
+    for i, t in enumerate(net.terminals):
+        for slot, me in want.term_taps[t]:
+            tap[lay.term_ptr[i] + slot] = want.middle.index(me)
+    assert got.tap.tolist() == tap.tolist()
+    systems = sumnets.analysis._DecoderSystems(net, got, 1, 1)
+    for i, t in enumerate(net.terminals):
+        directs = [(pos[s], slots) for s, slots in want.term_directs[t].items()]
+        assert list(systems.of(i)[3].items()) == directs
 
 
 FAMILY_CELLS = [(b, m, q) for b in (build_n1, build_n2) for m in (1, 2, 3) for q in (2, 3, 6)]
@@ -555,7 +617,7 @@ def test_layer_shape_matches_the_reference_with_shuffled_in_edges(seed):
 
 
 def _rejected_networks():
-    """Networks layer_shape refuses, one per message, and one whose
+    """Networks layer_shape refuses, one per message; in the last, a
     terminal reads a terminal, which the reference's tap lookup refuses
     with a KeyError."""
     s1, s2, t1 = Node("s_1", SOURCE), Node("s_2", SOURCE), Node("t_1", TERMINAL)

@@ -421,11 +421,15 @@ def test_build_k_zero_is_usage_error(tmp_path, capsys):
         (["--r", "2", "--l", "3", "--random", "-3", "--seed", "1"], "n must be >= 1"),
         (["--r", "2", "--l", "3", "--random", "0", "--seed", "1"], "n must be >= 1"),
         (["--r", "2", "--l", "3", "--random", "5", "--seed", "-1"], "seed must be >= 0"),
+        (["--r", "100000", "--l", "3", "--random", "1", "--seed", "0"], "r=100000, l=3"),
+        (["--r", "2", "--l", "100000", "--random", "1", "--seed", "0"], "r=2, l=100000"),
     ],
 )
 def test_search_out_of_range_number_is_usage_error(built_n1, capsys, flags, name):
     capsys.readouterr()
+    started = time.perf_counter()
     assert run("search", "--net", str(built_n1), "--p", "3", *flags) == 2
+    assert time.perf_counter() - started < 1
     _one_line_error(capsys, name)
 
 

@@ -224,12 +224,11 @@ def test_transfer_and_verify_match_the_per_slot_reference(case):
         # Composite encodings: the reference blocks of each middle edge in
         # S_e order, zero where the edge carries nothing from a source.
         shape = layer_shape(net)
-        src_pos = {s: i for i, s in enumerate(net.source_order)}
         zero = np.zeros((code.l, code.r), dtype=np.int64)
         comps = composites_from_code(net, code)
-        assert set(comps.mats) == set(shape.middle)
-        for me in shape.middle:
-            want = np.hstack([ref_edges[me].get(src_pos[s], zero) for s in shape.src_order[me]])
+        assert set(comps.mats) == set(shape.middle.tolist())
+        for i, me in enumerate(shape.middle.tolist()):
+            want = np.hstack([ref_edges[me].get(s, zero) for s in shape.feeds_of(i).tolist()])
             assert np.array_equal(comps.mats[me].a, want), me
         ok, first, residuals = reference_verify(net, code, ref_terminals)
         report = verify_transfer(tm)
