@@ -4,25 +4,16 @@ The package's only implementation of its exact entry points: the
 product `matmul_mod`, the elimination `rref_mod`, on which the rank
 certificates, the decoder solves and the transfer products rest, and
 the batched feasibility test `solvable_mod` that screens search
-candidates.  `tests/test_kernels.py` checks all three against
-Python-integer oracles, `rref_mod` also against the two eliminations it
-replaced, and `solvable_mod` also against per-matrix `solve_right`.
+candidates.  `rref_mod` reduces every updated block after its pivot;
+`solvable_mod` defers reduction while its dtype holds the unreduced
+entries.  `tests/test_kernels.py` checks all three against
+Python-integer oracles, `rref_mod` also against the dense elimination
+it replaced, and `solvable_mod` also against per-matrix `solve_right`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Fixed cost of one numpy call, in element operations.  `rref_mod`
-# defers reduction once skipping one block's reduction (hits * width
-# elements) outweighs reducing a column and a pivot row as residues
-# (rows + cols elements) plus this cost.  One int64 `%` call costs ~1.4 us
-# fixed and 4-10 ns per element; 1024 was chosen by timing (numpy 2.4.6,
-# 2-vCPU x86-64): at 256 the 864x864 GF(2) bound matrix (0.3% nonzero)
-# defers and runs 1.4x slower, at 4096 a dense 60x60 GF(5) matrix no
-# longer defers and loses its 0.75x, and at 1024 the 168x96 GF(3) search
-# solve runs at 0.54x of per-pivot reduction.
-_CALL_COST = 1024
 
 
 def backend_name() -> str:
@@ -75,32 +66,14 @@ def rref_mod(m: np.ndarray, p: int) -> tuple[int, list[int]]:
     every other row has a zero factor.  No intermediate overflows int64
     up to p = 2^31 - 1: each product is at most (p-1)^2 < 2^62 and is
     subtracted from an entry in [0, p).
-
-    Reduction mod p is deferred, as in FFLAS-FFPACK.  Once an update
-    block is large enough that reducing it costs more than working on
-    residues from then on (`_CALL_COST`), no block is reduced after its
-    pivot, and the whole matrix is reduced once before returning.  While
-    reduction is deferred the pivot column is scanned as residues, so the
-    pivots and the rows updated are those of the reduced matrix; the
-    factors are residues, and the pivot row is reduced before it is
-    scaled.  Each entry then changes at most once per pivot, by at most
-    (p-1)^2, so deferring is allowed only when int64 holds
-    p + min(rows, cols) * (p-1)^2 (`_deferred_dtype`); at p = 2^31 - 1
-    the smaller dimension must be at most 2.  Every entry
-    stays congruent mod p to the one the per-pivot reduction holds, and
-    the final reduction makes it canonical, so the output is the same
-    unique RREF, byte for byte.
     """
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
-    may_defer = _deferred_dtype(rows, cols, p) is not None
-    dirty = False
     for c in range(cols):
         if r == rows:
             break
-        col = m[:, c] % p if dirty else m[:, c]
-        nz = col.nonzero()[0]
+        nz = m[:, c].nonzero()[0]
         k = int(nz.searchsorted(r))
         if k == nz.size:
             continue
@@ -110,8 +83,6 @@ def rref_mod(m: np.ndarray, p: int) -> tuple[int, list[int]]:
             m[r, c:] = m[i, c:]
             m[i, c:] = row
         pivot = m[r, c:]
-        if dirty:
-            pivot %= p
         inv = pow(int(pivot[0]), -1, p)
         if inv != 1:
             pivot *= inv
@@ -122,18 +93,11 @@ def rref_mod(m: np.ndarray, p: int) -> tuple[int, list[int]]:
         hit = nz[1:]
         if hit.size:
             block = m[hit, c:]
-            if not dirty and may_defer and hit.size * (cols - c) > rows + cols + _CALL_COST:
-                dirty = True
-            if dirty:
-                block -= col[hit, None] * pivot
-            else:
-                block -= block[:, :1] * pivot
-                block %= p
+            block -= block[:, :1] * pivot
+            block %= p
             m[hit, c:] = block
         pivots.append(c)
         r += 1
-    if dirty:
-        m %= p
     return r, pivots
 
 
@@ -153,7 +117,7 @@ def solvable_mod(x: np.ndarray, m: int, p: int) -> np.ndarray:
     members with no pivot in row c.  A member is solvable iff none of
     its unsettled columns keeps a nonzero residue in the last k rows.
 
-    Reduction is deferred, as in `rref_mod`: rows and pivot columns are
+    Reduction is deferred, as in FFLAS-FFPACK: rows and pivot columns are
     read as residues, and each entry changes at most once per pivot by
     at most (p-1)^2, so the stack is eliminated in `_deferred_dtype`
     (int16 for GF(3) on the search's systems).  When int64 does not hold

@@ -5,7 +5,8 @@ producing run writes a manifest next to its output so runs are
 reproducible from the recorded parameters alone.
 
 Exit codes: 0 success/verified, 1 verification failure / infeasible /
-scheme refusal, 2 usage error or an unreadable or malformed input.
+scheme refusal, 2 usage error, an unreadable or malformed input, or a
+run out of memory.
 """
 
 from __future__ import annotations
@@ -349,6 +350,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: {args.command}: out of memory", file=sys.stderr)
         return 2
 
 

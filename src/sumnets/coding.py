@@ -443,7 +443,7 @@ def _family_scheme(
     if any(kind == "u" and idx[0] > m for kind, idx in labels):
         raise ValueError(f"the network has a group beyond m = {m}")
     proj = Mat(field, np.eye(2, l, dtype=np.int64))
-    pad = proj.transpose()
+    pad = Mat(field, np.eye(l, 2, dtype=np.int64))
     scaled = proj if qinv is None else Mat(field, proj.a * qinv % p)
     widened: dict[tuple[int, int, int], Mat] = {}
 

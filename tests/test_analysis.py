@@ -42,7 +42,7 @@ def bottleneck_composite(p, a, b):
     net = build_bottleneck2()
     middle = net.middle_edges()[0]
     f = PrimeField(p)
-    return net, CompositeEncoding(1, 1, f, {middle: Mat.from_rows(f, [[a, b]])})
+    return net, CompositeEncoding(1, 1, f, {middle: Mat(f, np.array([[a, b]]))})
 
 
 # --- decoder feasibility -----------------------------------------------------
@@ -90,7 +90,7 @@ def test_feasible_decoders_on_family_two_composites():
 )
 def test_feasible_decoders_refuses_composites_that_do_not_fit_the_shape(mats, message):
     f = PrimeField(2)
-    comps = CompositeEncoding(1, 1, f, {me: Mat.from_rows(f, rows) for me, rows in mats.items()})
+    comps = CompositeEncoding(1, 1, f, {me: Mat(f, np.array(rows)) for me, rows in mats.items()})
     with pytest.raises(ValueError) as err:
         feasible_decoders(build_bottleneck2(), comps)
     assert str(err.value) == message

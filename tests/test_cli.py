@@ -448,6 +448,17 @@ def test_build_out_of_range_family_parameter_is_usage_error(tmp_path, capsys, fl
     assert not out.exists()
 
 
+def test_build_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(constructions, "_build_family", exhausted)
+    out = tmp_path / "x.json"
+    assert run("build", "--family", "n1", "--m", "2", "--q", "2", "--out", str(out)) == 2
+    _one_line_error(capsys, "build", "out of memory")
+    assert not out.exists()
+
+
 def test_build_rate_excludes_zero_family_parameter(tmp_path, capsys):
     out = tmp_path / "x.json"
     argv = ["build", "--rate", "1/2", "--primes", "2", "--mode", "in-set", "--m", "0"]

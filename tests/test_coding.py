@@ -44,13 +44,13 @@ def scalar_code(net, p, src=1, dec=1):
     code = FracLinCode(net, 1, 1, f)
     for i, e in enumerate(net.edges):
         if net.role(e.tail) == SOURCE:
-            code.src_mats[i] = Mat.from_rows(f, [[src]])
+            code.src_mats[i] = Mat(f, np.array([[src]]))
         else:
             code.in_mats[i] = tuple(
-                Mat.from_rows(f, [[1]]) for _ in net.in_edges(e.tail)
+                Mat(f, np.array([[1]])) for _ in net.in_edges(e.tail)
             )
     for t in net.terminals:
-        code.dec_mats[t] = tuple(Mat.from_rows(f, [[dec]]) for _ in net.in_edges(t))
+        code.dec_mats[t] = tuple(Mat(f, np.array([[dec]])) for _ in net.in_edges(t))
     return code
 
 
@@ -58,7 +58,7 @@ def test_transfer_single_edge_identity():
     net = single_edge_net()
     code = scalar_code(net, 2)
     tm = transfer(net, code)
-    assert tm.edge_matrix(0).to_rows() == [[1]]
+    assert tm.edge_matrix(0).a.tolist() == [[1]]
     assert verify(net, code).ok
 
 
@@ -67,7 +67,7 @@ def test_transfer_bottleneck_sums_both_sources():
     code = scalar_code(net, 2)
     tm = transfer(net, code)
     middle = net.middle_edges()[0]
-    assert tm.edge_matrix(middle).to_rows() == [[1, 1]]
+    assert tm.edge_matrix(middle).a.tolist() == [[1, 1]]
     assert verify(net, code).ok
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sumnets._core_py import matmul_mod
 from sumnets.coding import FracLinCode, code_to_json, scheme, scheme_merged, unroll_merged, verify
 from sumnets.constructions import (
     IN_SET,
@@ -283,9 +284,9 @@ def test_unroll_places_in_edge_matrices_by_in_edge_position():
         a = np.eye(code.l, dtype=np.int64)
         a[j, (j + 1) % code.l] = 1
         d = Mat(code.field, a)
-        assert (d @ d).a.tolist() == np.eye(code.l, dtype=np.int64).tolist()
+        assert matmul_mod(d.a, d.a, 2).tolist() == np.eye(code.l, dtype=np.int64).tolist()
         ds.append(d)
-        code.src_mats[ei] = d @ code.src_mats[ei]
+        code.src_mats[ei] = Mat(code.field, matmul_mod(d.a, code.src_mats[ei].a, 2))
     code.in_mats[me] = tuple(ds)
     moved = _reversed_in_order(code, node)
     assert verify(moved.net, moved).ok

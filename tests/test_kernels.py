@@ -3,12 +3,12 @@
 `_core_py.matmul_mod` sums products in chunks short enough that no
 partial sum overflows int64, and is checked against the product of
 Python integers.  `_core_py.rref_mod` eliminates only the rows with a
-nonzero in the pivot column, from that column on, and on large blocks
-defers the reduction mod p to one pass at the end.  It is checked
-against a Python-integer oracle and against the two kernels it replaced,
-kept verbatim below: the sparse elimination that reduced every block,
-and the dense elimination before it.  The reduced row echelon form is
-unique, so all four must give the same matrix, rank and pivots.
+nonzero in the pivot column, from that column on, and reduces each
+updated block mod p.  It is checked against a Python-integer oracle and
+against two kernels kept verbatim below: the sparse elimination that
+reduces every block, its own algorithm frozen as a reference, and the
+dense elimination it replaced.  The reduced row echelon form is unique,
+so all four must give the same matrix, rank and pivots.
 `_core_py.solvable_mod`, the batched feasibility screen of `search`, is
 checked per member against the Python-integer elimination and against
 `solve_right`, the per-candidate solve it replaced there.
@@ -217,15 +217,9 @@ def test_all_max_entries_at_modulus_ceiling():
     assert_all_agree(m, P_MAX)
 
 
-# --- deferred reduction ---------------------------------------------------------
+# --- large systems and the int64 edge -------------------------------------------
 
 P30 = 1073741789  # the largest prime below 2^30
-
-
-@pytest.fixture()
-def always_defer(monkeypatch):
-    """Defer on every block that may be deferred, however small."""
-    monkeypatch.setattr(_core_py, "_CALL_COST", -(2**62))
 
 
 @pytest.mark.parametrize(
@@ -239,26 +233,19 @@ def always_defer(monkeypatch):
     ],
 )
 def test_dense_solve_shapes_match_oracle(shape, p, density):
-    # Large enough that the blocks pass the deferral threshold.
+    # Decoder-solve sized systems, dense enough that most pivots update
+    # many rows.
     rng = np.random.default_rng([shape[0], p, int(density * 100)])
     assert_all_agree(random_matrix(rng, shape, p, density), p)
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_random_shapes_match_oracle_with_every_block_deferred(p, always_defer):
-    rng = np.random.default_rng([p % 1000, 7])
-    for _ in range(60):
-        rows, cols = (int(x) for x in rng.integers(1, 13, size=2))
-        density = float(rng.choice([0.05, 0.3, 1.0]))
-        assert_all_agree(random_matrix(rng, (rows, cols), p, density), p)
 
 
 @pytest.mark.parametrize(
     "rows, p, allowed",
     [(8, P30, True), (9, P30, False), (2, P_MAX, True), (3, P_MAX, False)],
 )
-def test_deferral_stops_at_the_int64_edge(rows, p, allowed, always_defer):
-    # Each entry changes at most min(rows, cols) times, by up to (p-1)^2.
+def test_deferral_stops_at_the_int64_edge(rows, p, allowed):
+    # Deferred, each entry changes at most min(rows, cols) times, by up to
+    # (p-1)^2; reduced per pivot, no intermediate exceeds (p-1)^2 in size.
     assert (_core_py._deferred_dtype(rows, 2000, p) is not None) is allowed
     assert (_core_py._deferred_dtype(2000, rows, p) is not None) is allowed
     rng = np.random.default_rng([rows, p % 1000])

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from sumnets.galois import FieldMismatchError, PrimeField
-from sumnets.matrix import Mat, hstack, matmul, rank, solve_right, vstack
+from sumnets._core_py import matmul_mod
+from sumnets.galois import PrimeField
+from sumnets.matrix import Mat, rank, solve_right
 
 
 def brute_rank(rows: list[list[int]], p: int) -> int:
@@ -29,49 +30,33 @@ def test_rank_matches_span_oracle_up_to_3x3(p):
         for ncols in range(1, 4):
             for flat in itertools.product(range(p), repeat=nrows * ncols):
                 rows = [list(flat[i * ncols : (i + 1) * ncols]) for i in range(nrows)]
-                assert rank(Mat.from_rows(f, rows)) == brute_rank(rows, p)
+                assert rank(Mat(f, np.array(rows))) == brute_rank(rows, p)
 
 
 def test_rank_trivia():
     f = PrimeField(2)
     assert rank(Mat.zeros(f, 4, 4)) == 0
     assert rank(Mat.identity(f, 5)) == 5
-    assert rank(Mat.from_rows(f, [[1, 1], [1, 1]])) == 1
-
-
-def test_matmul_examples():
-    f2, f5 = PrimeField(2), PrimeField(5)
-    b = Mat.from_rows(f5, [[1, 2], [3, 4], [0, 1]])
-    assert matmul(Mat.identity(f5, 3), b) == b
-    assert matmul(Mat.from_rows(f2, [[1, 1]]), Mat.from_rows(f2, [[1], [1]])).flat() == [0]
-    assert matmul(Mat.from_rows(f5, [[2, 3]]), Mat.from_rows(f5, [[1], [1]])).flat() == [0]
-
-
-def test_matmul_shape_and_field_errors():
-    f2, f3 = PrimeField(2), PrimeField(3)
-    with pytest.raises(ValueError):
-        matmul(Mat.identity(f2, 2), Mat.identity(f2, 3))
-    with pytest.raises(FieldMismatchError):
-        matmul(Mat.identity(f2, 2), Mat.identity(f3, 2))
+    assert rank(Mat(f, np.array([[1, 1], [1, 1]]))) == 1
 
 
 def test_solve_right_identity_case():
     f = PrimeField(5)
-    b = Mat.from_rows(f, [[1, 2, 3], [4, 0, 1]])
+    b = Mat(f, np.array([[1, 2, 3], [4, 0, 1]]))
     assert solve_right(Mat.identity(f, 3), b) == b
 
 
 def test_solve_right_infeasible_over_gf2():
     f = PrimeField(2)
-    a = Mat.from_rows(f, [[1, 1]])
-    b = Mat.from_rows(f, [[1, 0]])
+    a = Mat(f, np.array([[1, 1]]))
+    b = Mat(f, np.array([[1, 0]]))
     assert solve_right(a, b) is None
 
 
 def test_solve_right_free_variables_fixed_to_zero_vs_brute_force():
     f = PrimeField(3)
-    a = Mat.from_rows(f, [[1], [2]])
-    b = Mat.from_rows(f, [[0]])
+    a = Mat(f, np.array([[1], [2]]))
+    b = Mat(f, np.array([[0]]))
     solutions = [
         (d0, d1)
         for d0 in range(3)
@@ -93,7 +78,7 @@ def test_solve_right_soundness_and_completeness_small_random(p):
         b = Mat(f, rng.integers(0, p, size=(2, 4)))
         d = solve_right(a, b)
         if d is not None:
-            assert matmul(d, a) == b
+            assert Mat(f, matmul_mod(d.a, a.a, p)) == b
         else:
             # brute force confirms there is truly no 2x3 solution
             cands = np.array(
@@ -103,30 +88,16 @@ def test_solve_right_soundness_and_completeness_small_random(p):
             assert not (products == b.a).all(axis=(1, 2)).any()
 
 
-def test_stacking():
-    f = PrimeField(5)
-    two = hstack(Mat.identity(f, 2), Mat.identity(f, 2))
-    assert two.shape == (2, 4)
-    assert two.to_rows() == [[1, 0, 1, 0], [0, 1, 0, 1]]
-    a = Mat.from_rows(f, [[1, 2]])
-    assert vstack(Mat.zeros(f, 0, 2), a) == a
-    assert hstack(Mat.from_rows(f, [[3]]), Mat.from_rows(f, [[4]])).to_rows() == [[3, 4]]
-    with pytest.raises(ValueError):
-        hstack(Mat.identity(f, 2), Mat.identity(f, 3))
-    with pytest.raises(ValueError):
-        vstack(Mat.identity(f, 2), Mat.identity(f, 3))
-
-
 def test_rank_of_hstack_at_least_parts():
     f = PrimeField(3)
     rng = np.random.default_rng(0)
     for _ in range(50):
         a = Mat(f, rng.integers(0, 3, size=(3, 2)))
         b = Mat(f, rng.integers(0, 3, size=(3, 3)))
-        assert rank(hstack(a, b)) >= max(rank(a), rank(b))
+        assert rank(Mat(f, np.hstack([a.a, b.a]))) >= max(rank(a), rank(b))
 
 
 def test_entries_canonicalized():
     f = PrimeField(3)
     m = Mat(f, np.array([[4, -1], [3, 5]]))
-    assert m.to_rows() == [[1, 2], [0, 2]]
+    assert m.a.tolist() == [[1, 2], [0, 2]]
