@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from sumnets import constructions
+from sumnets import cli, constructions
 from sumnets.cli import main
 from sumnets.network import deserialize
 
@@ -456,6 +456,35 @@ def test_build_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
     out = tmp_path / "x.json"
     assert run("build", "--family", "n1", "--m", "2", "--q", "2", "--out", str(out)) == 2
     _one_line_error(capsys, "build", "out of memory")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [("scheme", "scheme"), ("verify", "verify"), ("search", "search"), ("bounds", "bound_check")],
+)
+def test_out_of_memory_names_its_subcommand(
+    built_n1, tmp_path, capsys, monkeypatch, command, target
+):
+    code = tmp_path / "c.json"
+    assert run("scheme", "--net", str(built_n1), "--p", "2", "--out", str(code)) == 0
+    capsys.readouterr()
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, target, exhausted)
+    out = tmp_path / "out.json"
+    argv = {
+        "scheme": ["--p", "2", "--out", str(out)],
+        "verify": ["--code", str(code)],
+        "search": [
+            "--r", "1", "--l", "1", "--p", "2", "--random", "1", "--seed", "0", "--out", str(out)
+        ],
+        "bounds": ["--code", str(code)],
+    }[command]
+    assert run(command, "--net", str(built_n1), *argv) == 2
+    _one_line_error(capsys, f"{command}: out of memory")
     assert not out.exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sumnets._core_py import matmul_mod
-from sumnets.galois import PrimeField
+from sumnets.galois import FieldMismatchError, PrimeField
 from sumnets.matrix import Mat, rank, solve_right
 
 
@@ -38,6 +38,39 @@ def test_rank_trivia():
     assert rank(Mat.zeros(f, 4, 4)) == 0
     assert rank(Mat.identity(f, 5)) == 5
     assert rank(Mat(f, np.array([[1, 1], [1, 1]]))) == 1
+
+
+def test_mat_equality_and_hash_follow_field_shape_and_entries():
+    f3, f5 = PrimeField(3), PrimeField(5)
+    a = Mat(f5, np.array([[1, 2], [3, 4]]))
+    assert a == Mat(f5, np.array([[6, -3], [3, 9]]))
+    assert hash(a) == hash(Mat(f5, np.array([[6, -3], [3, 9]])))
+    assert a != Mat(f3, np.array([[1, 2], [3, 4]]))
+    assert a != Mat(f5, np.array([[1, 2, 3, 4]]))
+    assert a != Mat(f5, np.array([[1, 2], [3, 0]]))
+    assert a != a.a
+    assert repr(a) == f"Mat({f5!r}, [[1, 2], [3, 4]])"
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+def test_mat_requires_a_2d_array(shape):
+    with pytest.raises(ValueError, match="2-d"):
+        Mat(PrimeField(3), np.zeros(shape, dtype=np.int64))
+
+
+def test_rank_of_empty_matrices():
+    f = PrimeField(7)
+    assert rank(Mat.zeros(f, 0, 3)) == 0
+    assert rank(Mat.zeros(f, 3, 0)) == 0
+    assert rank(Mat.zeros(f, 0, 0)) == 0
+
+
+def test_solve_right_shape_and_field_errors():
+    f2, f3 = PrimeField(2), PrimeField(3)
+    with pytest.raises(ValueError, match="column mismatch"):
+        solve_right(Mat.identity(f2, 2), Mat.identity(f2, 3))
+    with pytest.raises(FieldMismatchError):
+        solve_right(Mat.identity(f2, 2), Mat.identity(f3, 2))
 
 
 def test_solve_right_identity_case():
