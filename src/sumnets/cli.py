@@ -20,7 +20,6 @@ from typing import Optional
 
 from .analysis import (
     MODES,
-    BudgetExceededError,
     Exhaustive,
     Random,
     bound_check,
@@ -108,18 +107,15 @@ def _cmd_build(args) -> int:
     started = time.perf_counter()
     if args.rate is not None:
         if args.family is not None or args.m is not None or args.q is not None:
-            print("error: --rate excludes --family/--m/--q", file=sys.stderr)
-            return 2
+            raise ValueError("--rate excludes --family/--m/--q")
         if args.primes is None or args.mode is None:
-            print("error: --rate requires --primes and --mode", file=sys.stderr)
-            return 2
+            raise ValueError("--rate requires --primes and --mode")
         k, n = args.rate
         target = RateTarget(k=k, n=n, primes=args.primes, mode=args.mode)
         net, meta = build_for_rate(target)
     else:
         if args.family is None or args.m is None or args.q is None:
-            print("error: need --family/--m/--q or --rate", file=sys.stderr)
-            return 2
+            raise ValueError("need --family/--m/--q or --rate")
         net, meta = build_merged(args.family, args.m, args.q, args.k)
     out = Path(args.out)
     out.write_bytes(serialize(net))
@@ -162,8 +158,7 @@ def _cmd_scheme(args) -> int:
     want = [c["sources"], c["terminals"], k * c["intermediates"], k * c["middle_edges"]]
     have = [len(net.sources), len(net.terminals), len(net.intermediates), len(net.middle_edges())]
     if have != want or net != build_merged(family, m, q, k)[0]:
-        print("error: network file does not match its manifest parameters", file=sys.stderr)
-        return 2
+        raise ValueError("network file does not match its manifest parameters")
     try:
         code = scheme(net, family, m, q, args.p)
     except CharacteristicError as exc:
@@ -210,14 +205,9 @@ def _cmd_search(args) -> int:
         strategy = Exhaustive(budget=args.budget)
     else:
         if args.seed is None:
-            print("error: --random requires --seed", file=sys.stderr)
-            return 2
+            raise ValueError("--random requires --seed")
         strategy = Random(n=args.random, seed=args.seed)
-    try:
-        result = search(net, args.r, args.l, args.p, strategy)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = search(net, args.r, args.l, args.p, strategy)
     doc = {
         "tried": result.tried,
         "found": len(result.found),
@@ -287,8 +277,13 @@ def _cmd_bounds(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit 2, as every other usage error
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sumnets",
         description="Build sum-networks, realize and verify fractional linear codes, "
         "search for codes, and check capacity bound certificates.",

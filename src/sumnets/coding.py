@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._core_py import matmul_mod
-from .constructions import build_merged, build_n1, build_n2, edge_origins, parse_label
+from .constructions import build_merged, edge_origins, parse_label
 from .galois import PrimeField
 from .matrix import Mat, rank
 from .network import INTERMEDIATE, SOURCE, TERMINAL, SumNetwork, _csr_rows, topo_order
@@ -71,12 +71,6 @@ class FracLinCode:
     in_mats: dict[int, tuple[Mat, ...]] = dc_field(default_factory=dict)
     dec_mats: dict[str, tuple[Mat, ...]] = dc_field(default_factory=dict)
 
-    @property
-    def rate(self):
-        from fractions import Fraction
-
-        return Fraction(self.r, self.l)
-
     def check_shapes(self) -> None:
         net = self.net
         from_source = net.role_mask(SOURCE)[net.tail].tolist()
@@ -117,8 +111,8 @@ class TransferMap:
     gives an edge's dense form on demand.
     """
 
-    def __init__(self, net: SumNetwork, code: FracLinCode):
-        self.net = net
+    def __init__(self, code: FracLinCode):
+        self.net = net = code.net
         self.r = code.r
         self.l = code.l
         self.field = code.field
@@ -165,10 +159,11 @@ def _flat_slots(tuples: list, degrees) -> Optional[list]:
     return list(chain.from_iterable(tuples))
 
 
-def _checked_slots(net: SumNetwork, code: FracLinCode):
+def _checked_slots(code: FracLinCode):
     """(ids of the source matrices per source edge, decoders per terminal
     slot, their ids), with every shape checked.  On a missing or misshaped
     entry, `check_shapes` raises, naming the first bad entry."""
+    net = code.net
     lay = net.layout()
     r, l = code.r, code.l
     srcs = list(map(code.src_mats.get, lay.source_edges.tolist()))
@@ -217,12 +212,16 @@ def transfer(net: SumNetwork, code: FracLinCode) -> TransferMap:
     those products are computed once per distinct (decoder, source
     matrix) pair and scattered with one `np.add.at` each.  Each entry of
     `terminal_maps` sums fewer than 2^32 terms below 2^31 before its one
-    reduction, so int64 cannot overflow.
+    reduction, so int64 cannot overflow.  Raises ValueError unless `net`
+    is the code's own network or equal to it.
     """
-    src_ids, decs, dec_ids = _checked_slots(net, code)
+    if not (net is code.net or net == code.net):
+        raise ValueError("net: the code is bound to another network")
+    net = code.net
+    src_ids, decs, dec_ids = _checked_slots(code)
     lay = net.layout()
     r, l, p = code.r, code.l, code.field.p
-    tm = TransferMap(net, code)
+    tm = TransferMap(code)
 
     order = np.array(topo_order(net), dtype=np.intp)
     relayed = order[lay.src_pos[order] < 0]
@@ -556,18 +555,6 @@ def scheme(net: SumNetwork, family: str, m: int, q: int, p: int) -> FracLinCode:
     field = _checked_field(family, q, p)
     qinv = pow(q % p, -1, p) if family == "n2" else None
     return _family_scheme(net, field, m, qinv)
-
-
-def scheme_n1(m: int, q: int, p: int) -> FracLinCode:
-    """The (2, m+1) code on family n1; a solution exactly when p divides q."""
-    _checked_field("n1", q, p)
-    return scheme(build_n1(m, q), "n1", m, q, p)
-
-
-def scheme_n2(m: int, q: int, p: int) -> FracLinCode:
-    """The (2, m+1) code on family n2; a solution exactly when p does not divide q."""
-    _checked_field("n2", q, p)
-    return scheme(build_n2(m, q), "n2", m, q, p)
 
 
 def scheme_merged(family: str, m: int, q: int, p: int, k: int) -> FracLinCode:

@@ -29,6 +29,7 @@ from .network import INTERMEDIATE, ROLES, SOURCE, TERMINAL, SumNetwork
 
 IN_SET = "in-set"
 NOT_IN_SET = "not-in-set"
+MAX_EDGES = 2**22  # the most edges `build_merged` builds; it peaks near 80 bytes per edge
 
 
 @dataclass(frozen=True)
@@ -373,8 +374,14 @@ def capacity(family: str, m: int, q: int, k: int = 1) -> Fraction:
 
 def build_merged(family: str, m: int, q: int, k: int = 1) -> tuple[SumNetwork, dict]:
     """The k-copy merge of n1(m, q) or n2(m, q) (the base itself when
-    k = 1), with a manifest of its parameters and capacity."""
+    k = 1), with a manifest of its parameters and capacity.  Refuses, before
+    building, an edge bound past MAX_EDGES: each base edge is a middle edge
+    or joins a source or v node to a u node or terminal, once per pair."""
     cap = capacity(family, m, q, k)
+    c = (n1_counts if family == "n1" else n2_counts)(m, q)
+    s, t, mid = c["sources"], c["terminals"], c["middle_edges"]
+    if k * (s + mid) * (t + mid + 1) > MAX_EDGES:
+        raise ValueError(f"{family}(m={m}, q={q}, k={k}) may pass the {MAX_EDGES}-edge build ceiling")
     base = build_n1(m, q) if family == "n1" else build_n2(m, q)
     net = k_copy_merge(base, k) if k > 1 else base
     manifest = {

@@ -62,7 +62,3 @@ class PrimeField:
 
     def __repr__(self):
         return f"GF({self.p})"
-
-    @property
-    def characteristic(self) -> int:
-        return self.p

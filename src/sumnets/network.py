@@ -266,9 +266,6 @@ class SumNetwork:
         ends = zip(self.tail.tolist(), self.head.tolist(), self.par.tolist())
         return [f"({t[a]},{t[b]},{p})" for a, b, p in ends]
 
-    def edge_index_by_label(self) -> dict[str, int]:
-        return {label: i for i, label in enumerate(self.edge_labels())}
-
     def middle_edges(self) -> list[int]:
         """Edges between two intermediate nodes, in edge order."""
         inner = self.role_mask(INTERMEDIATE)

@@ -26,9 +26,8 @@ from sumnets.analysis import (
 from sumnets.coding import (
     CharacteristicError,
     _family_scheme,
+    scheme,
     scheme_merged,
-    scheme_n1,
-    scheme_n2,
     unroll_merged,
     verify,
 )
@@ -76,11 +75,11 @@ def test_characteristic_grid_family_one():
     ok = True
     for (m, q), p in itertools.product(GRID, PRIMES):
         if q % p == 0:
-            code = scheme_n1(m, q, p)
+            code = scheme(build_n1(m, q), "n1", m, q, p)
             ok &= verify(code.net, code).ok
         else:
             with pytest.raises(CharacteristicError):
-                scheme_n1(m, q, p)
+                scheme(build_n1(m, q), "n1", m, q, p)
             bad = _family_scheme(build_n1(m, q), PrimeField(p), m)  # the refused matrices
             ok &= not verify(bad.net, bad).ok
     check(
@@ -96,11 +95,11 @@ def test_characteristic_grid_family_two():
     ok = True
     for (m, q), p in itertools.product(GRID, PRIMES):
         if q % p != 0:
-            code = scheme_n2(m, q, p)
+            code = scheme(build_n2(m, q), "n2", m, q, p)
             ok &= verify(code.net, code).ok
         else:
             with pytest.raises(CharacteristicError):
-                scheme_n2(m, q, p)
+                scheme(build_n2(m, q), "n2", m, q, p)
     check(
         "family two: rate-2/(m+1) scheme exists and verifies iff p does not divide q (27 cells)",
         ok,
@@ -148,9 +147,9 @@ def test_bound_certificates_for_every_verified_code():
     suite = []
     for (m, q), p in itertools.product(GRID, PRIMES):
         if q % p == 0:
-            suite.append((scheme_n1(m, q, p), "n1-with-groups", m, q))
+            suite.append((scheme(build_n1(m, q), "n1", m, q, p), "n1-with-groups", m, q))
         else:
-            suite.append((scheme_n2(m, q, p), "n2-middle-only", m, q))
+            suite.append((scheme(build_n2(m, q), "n2", m, q, p), "n2-middle-only", m, q))
     for p in (2, 3):
         net1 = build_n1(2, 2)
         suite.append((routing_code(net1, p), "n1-middle-only", 2, 2))

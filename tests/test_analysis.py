@@ -25,8 +25,7 @@ from sumnets.coding import (
     UnverifiedCodeError,
     code_to_json,
     layer_shape,
-    scheme_n1,
-    scheme_n2,
+    scheme,
     transfer,
     verify,
 )
@@ -49,7 +48,7 @@ def bottleneck_composite(p, a, b):
 
 
 def test_scheme_composites_are_feasible_and_sound():
-    code = scheme_n1(2, 2, 2)
+    code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
     comps = composites_from_code(code.net, code)
     result = feasible_decoders(code.net, comps)
     assert result.feasible
@@ -74,7 +73,7 @@ def test_gf3_equal_coefficients_feasible_unequal_not():
 
 
 def test_feasible_decoders_on_family_two_composites():
-    code = scheme_n2(2, 3, 2)
+    code = scheme(build_n2(2, 3), "n2", 2, 3, 2)
     comps = composites_from_code(code.net, code)
     result = feasible_decoders(code.net, comps)
     assert result.feasible
@@ -376,7 +375,7 @@ def test_wrong_char_bound_strictly_below_capacity():
 
 
 def test_group_recovery_certificate():
-    code = scheme_n1(2, 2, 2)
+    code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
     report = bound_check(code.net, code, "n1-with-groups", 2, 2)
     assert report.rank == report.required == 2 * 11
     assert report.implied == Fraction(2, 3)
@@ -387,7 +386,7 @@ def test_group_recovery_certificate():
 def test_bound_report_names_the_stacked_matrix():
     # n1(1,2) over GF(2): a rate-1 code with r = l = 2 on 4 sources and
     # 3 middle edges; the m*r selector rows are one I_r block each.
-    code = scheme_n1(1, 2, 2)
+    code = scheme(build_n1(1, 2), "n1", 1, 2, 2)
     assert (code.r, code.l) == (2, 2)
     report = bound_check(code.net, code, "n1-with-groups", 1, 2)
     tm = transfer(code.net, code)
@@ -411,7 +410,7 @@ def test_middle_only_certificate_on_routing_code():
 
 
 def test_family_two_certificate():
-    code = scheme_n2(2, 2, 3)
+    code = scheme(build_n2(2, 2), "n2", 2, 2, 3)
     report = bound_check(code.net, code, "n2-middle-only", 2, 2)
     assert report.rank == report.required == 2 * 9
     assert report.implied == Fraction(2, 3)
@@ -430,14 +429,14 @@ def test_family_two_redundancy_certificate():
 
 
 def test_bound_check_requires_verifying_code():
-    code = scheme_n1(2, 2, 2)
+    code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
     code.src_mats[0] = Mat.zeros(code.field, code.l, code.r)
     with pytest.raises(UnverifiedCodeError):
         bound_check(code.net, code, "n1-with-groups", 2, 2)
 
 
 def test_bound_check_rejects_inapplicable_mode():
-    code = scheme_n1(2, 2, 2)
+    code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
     with pytest.raises(ValueError):
         bound_check(code.net, code, "n2-redundancy", 2, 2)
     with pytest.raises(ValueError):
@@ -448,7 +447,7 @@ def test_bound_check_rejects_inapplicable_mode():
 def test_bound_check_refuses_a_mode_before_any_transfer(monkeypatch, verifying):
     import sumnets.analysis
 
-    code = scheme_n1(2, 2, 2)
+    code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
     if not verifying:
         code.src_mats[0] = Mat.zeros(code.field, code.l, code.r)
 
@@ -483,8 +482,8 @@ def test_group_mode_refuses_a_network_with_only_the_group_sources():
 
 def test_rate_always_satisfies_its_certificate():
     cases = [
-        (scheme_n1(3, 6, 2), "n1-with-groups", 3, 6),
-        (scheme_n2(3, 2, 5), "n2-middle-only", 3, 2),
+        (scheme(build_n1(3, 6), "n1", 3, 6, 2), "n1-with-groups", 3, 6),
+        (scheme(build_n2(3, 2), "n2", 3, 2, 5), "n2-middle-only", 3, 2),
     ]
     for code, mode, m, q in cases:
         report = bound_check(code.net, code, mode, m, q)

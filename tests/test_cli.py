@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumnets import cli, constructions
+from sumnets.analysis import MODES
 from sumnets.cli import main
 from sumnets.network import deserialize
 
@@ -404,6 +408,26 @@ def test_build_rate_huge_prime_is_usage_error_at_once(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (
+            ["--rate", "1/1", "--primes", str(2**31 - 1), "--mode", "in-set"],
+            "m=1, q=2147483647, k=1",
+        ),
+        (["--family", "n1", "--m", "100000", "--q", "2"], "m=100000, q=2, k=1"),
+    ],
+    ids=["q-2^31-1", "m-100000"],
+)
+def test_build_past_the_edge_ceiling_is_usage_error_at_once(tmp_path, capsys, flags, name):
+    out = tmp_path / "x.json"
+    started = time.perf_counter()
+    assert run("build", *flags, "--out", str(out)) == 2
+    assert time.perf_counter() - started < 1
+    _one_line_error(capsys, name, "edge build ceiling")
+    assert not out.exists()
+
+
 def test_build_k_zero_is_usage_error(tmp_path, capsys):
     out = tmp_path / "x.json"
     assert run("build", "--family", "n1", "--m", "1", "--q", "2", "--k", "0", "--out", str(out)) == 2
@@ -537,3 +561,82 @@ def test_verify_boolean_or_float_for_an_integer_is_usage_error(tmp_path, capsys,
     capsys.readouterr()
     assert run("verify", "--net", str(paths["net"]), "--code", str(paths["code"])) == 2
     _one_line_error(capsys, name)
+
+
+# --- argument fuzz -------------------------------------------------------------------
+
+SMALL = st.integers(-2, 4)  # m, q, k, r and l
+COUNT = st.integers(-1, 50)  # counts, budgets and seeds
+MODULI = st.sampled_from([-3, 0, 1, 2, 3, 4, 2**31 - 1, 2**31, 2**61])
+JUNK = st.text(max_size=4)
+
+
+@st.composite
+def _argv(draw, net, code, out):
+    """One subcommand on the n1(1,2) files, with small drawn values.  One
+    run in four makes one value junk, and one in four drops one flag."""
+    command = draw(st.sampled_from(["build", "scheme", "verify", "search", "bounds"]))
+    if command == "build":
+        if draw(st.booleans()):
+            n1_or_n2 = st.sampled_from(["n1", "n2"])
+            flags = [("--family", draw(n1_or_n2)), ("--m", draw(SMALL)), ("--q", draw(SMALL))]
+            flags += [("--k", draw(SMALL))] if draw(st.booleans()) else []
+        else:
+            primes = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2))
+            flags = [
+                ("--rate", f"{draw(SMALL)}/{draw(st.integers(-2, 2))}"),
+                ("--primes", ",".join(map(str, primes))),
+                ("--mode", draw(st.sampled_from(["in-set", "not-in-set"]))),
+            ]
+        flags.append(("--out", out))
+    elif command == "scheme":
+        flags = [("--net", net), ("--p", draw(MODULI)), ("--out", out)]
+    elif command == "verify":
+        flags = [("--net", net), ("--code", code)]
+    elif command == "search":
+        flags = [("--net", net), ("--r", draw(SMALL)), ("--l", draw(SMALL)), ("--p", draw(MODULI))]
+        if draw(st.booleans()):
+            flags += [("--exhaustive", None), ("--budget", draw(COUNT))]
+        else:
+            flags += [("--random", draw(COUNT)), ("--seed", draw(COUNT))]
+        flags += [("--out", out)] if draw(st.booleans()) else []
+    else:
+        flags = [("--net", net), ("--code", code)]
+        flags += [("--mode", draw(st.sampled_from(MODES)))] if draw(st.booleans()) else []
+    values = [i for i, (_, v) in enumerate(flags) if v is not None and v not in (net, code, out)]
+    if values and draw(st.integers(0, 3)) == 0:
+        i = draw(st.sampled_from(values))
+        flags[i] = (flags[i][0], draw(JUNK))
+    if draw(st.integers(0, 3)) == 0:
+        del flags[draw(st.integers(0, len(flags) - 1))]
+    argv = [command]
+    for flag, value in flags:
+        argv += [flag] if value is None else [flag, str(value)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def n1_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    net, code = tmp / "n.json", tmp / "c.json"
+    assert run("build", "--family", "n1", "--m", "1", "--q", "2", "--out", str(net)) == 0
+    assert run("scheme", "--net", str(net), "--p", "2", "--out", str(code)) == 0
+    return str(net), str(code), str(tmp / "out.json")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_fuzzed_arguments_exit_0_1_or_2_with_one_line(n1_files, data):
+    """Every subcommand, with drawn arguments: each run exits 0, 1 or 2,
+    prints no traceback, and an exit 2 prints exactly one line on stderr."""
+    argv = data.draw(_argv(*n1_files))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse refuses the arguments
+            status = exc.code
+    text = err.getvalue()
+    assert status in (0, 1, 2) and "Traceback" not in text, (argv, text)
+    if status == 2:
+        assert text.endswith("\n") and text.count("\n") == 1, (argv, text)

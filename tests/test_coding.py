@@ -19,8 +19,6 @@ from sumnets.coding import (
     layer_shape,
     scheme,
     scheme_merged,
-    scheme_n1,
-    scheme_n2,
     transfer,
     unroll_merged,
     verify,
@@ -87,33 +85,33 @@ def test_verify_fails_and_names_terminal_when_coefficient_dropped():
 @pytest.mark.parametrize("p", PRIMES)
 def test_family_one_scheme_exists_iff_characteristic_divides_q(m, q, p):
     if q % p == 0:
-        code = scheme_n1(m, q, p)
+        code = scheme(build_n1(m, q), "n1", m, q, p)
         assert (code.r, code.l) == (2, m + 1)
         assert verify(code.net, code).ok
     else:
         with pytest.raises(CharacteristicError):
-            scheme_n1(m, q, p)
+            scheme(build_n1(m, q), "n1", m, q, p)
 
 
 @pytest.mark.parametrize("m,q", GRID)
 @pytest.mark.parametrize("p", PRIMES)
 def test_family_two_scheme_exists_iff_characteristic_coprime_to_q(m, q, p):
     if q % p != 0:
-        code = scheme_n2(m, q, p)
+        code = scheme(build_n2(m, q), "n2", m, q, p)
         assert (code.r, code.l) == (2, m + 1)
         assert verify(code.net, code).ok
     else:
         with pytest.raises(CharacteristicError):
-            scheme_n2(m, q, p)
+            scheme(build_n2(m, q), "n2", m, q, p)
 
 
 def test_family_one_scheme_rate_equals_capacity():
-    code = scheme_n1(2, 2, 2)
+    code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
     assert Fraction(code.r, code.l) == Fraction(2, 3)
 
 
 def test_family_one_matrices_fail_over_wrong_characteristic():
-    # scheme_n1's matrices over GF(3), which scheme_n1 itself refuses to build
+    # the n1 scheme's matrices over GF(3), which scheme itself refuses to build
     code = _family_scheme(build_n1(2, 2), PrimeField(3), 2)
     report = verify(code.net, code)
     assert not report.ok
@@ -122,10 +120,10 @@ def test_family_one_matrices_fail_over_wrong_characteristic():
 
 
 def test_family_one_middle_edge_transfer_pattern():
-    code = scheme_n1(2, 2, 2)
+    code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
     net = code.net
     tm = transfer(net, code)
-    e11 = net.edge_index_by_label()["(u_1_1,v_1_1,0)"]
+    e11 = net.edge_labels().index("(u_1_1,v_1_1,0)")
     dense = tm.edge_matrix(e11).a
     pos = {s: i for i, s in enumerate(net.source_order)}
     eye = np.eye(2, dtype=np.int64)
@@ -140,7 +138,7 @@ def test_family_one_middle_edge_transfer_pattern():
 def test_verification_is_input_independent():
     # pass/fail is a matrix identity: scaling every source map by a unit
     # changes the transfer but a verifying code stays characterized by it
-    code = scheme_n2(2, 2, 3)
+    code = scheme(build_n2(2, 2), "n2", 2, 2, 3)
     tm = transfer(code.net, code)
     assert tm.terminal_maps.shape == (len(code.net.terminals), len(code.net.source_order), 2, 2)
     assert (tm.terminal_maps == np.eye(2, dtype=np.int64)).all()
@@ -155,7 +153,7 @@ def test_merged_scheme_verifies(k):
 
 def test_merged_scheme_k1_is_base_scheme():
     merged = scheme_merged("n2", 3, 2, 3, 1)
-    base = scheme_n2(3, 2, 3)
+    base = scheme(build_n2(3, 2), "n2", 3, 2, 3)
     assert merged.net == base.net
     assert merged.src_mats == base.src_mats
     assert merged.dec_mats == base.dec_mats
@@ -174,7 +172,7 @@ def test_merged_scheme_propagates_refusal():
 
 
 def test_unroll_identity_at_k1():
-    code = scheme_n1(2, 2, 2)
+    code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
     assert unroll_merged(code, 1) is code
 
 
@@ -220,7 +218,7 @@ def test_layer_shape_rejects_unsupported_topology():
 
 
 def test_code_json_round_trip():
-    code = scheme_n2(2, 2, 3)
+    code = scheme(build_n2(2, 2), "n2", 2, 2, 3)
     data = code_to_json(code)
     again = code_from_json(code.net, data)
     assert (again.r, again.l, again.field) == (code.r, code.l, code.field)
@@ -232,7 +230,7 @@ def test_code_json_round_trip():
 
 
 def test_code_json_rejects_malformed_input():
-    code = scheme_n1(2, 2, 2)
+    code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
     net = code.net
     with pytest.raises(CodeFormatError):
         code_from_json(net, b"not json")
@@ -246,7 +244,7 @@ def test_code_json_rejects_malformed_input():
 @pytest.mark.parametrize("key", ["r", "l", "p"])
 @pytest.mark.parametrize("value", [-2, 0, "2"])
 def test_code_json_names_a_bad_dimension_or_modulus(key, value):
-    code = scheme_n1(1, 2, 2)
+    code = scheme(build_n1(1, 2), "n1", 1, 2, 2)
     doc = json.loads(code_to_json(code))
     doc[key] = value
     with pytest.raises(CodeFormatError, match=f"'{key}'"):
@@ -259,7 +257,7 @@ def test_code_json_names_a_bad_dimension_or_modulus(key, value):
      ("edge_matrices", []), ("terminal_matrices", 5), ("terminal_matrices", [1])],
 )
 def test_code_json_names_a_section_of_the_wrong_type(section, value):
-    code = scheme_n1(1, 2, 2)
+    code = scheme(build_n1(1, 2), "n1", 1, 2, 2)
     doc = json.loads(code_to_json(code))
     doc[section] = value
     with pytest.raises(CodeFormatError, match=f"'{section}'"):
@@ -268,7 +266,7 @@ def test_code_json_names_a_section_of_the_wrong_type(section, value):
 
 @pytest.mark.parametrize("value", [2**70, 2**63, -(2**63) - 1, 1.5, "1", None, [1]])
 def test_code_json_names_the_matrix_of_a_bad_entry(value):
-    code = scheme_n1(1, 2, 2)
+    code = scheme(build_n1(1, 2), "n1", 1, 2, 2)
     doc = json.loads(code_to_json(code))
     doc["edge_matrices"]["(s_1,u_1_1,0)"][0] = value
     with pytest.raises(CodeFormatError, match=r"edge \(s_1,u_1_1,0\): entries must be integers"):
@@ -279,7 +277,7 @@ def test_code_json_names_the_matrix_of_a_bad_entry(value):
 def test_code_json_rejects_a_float_in_a_later_duplicate_matrix(value):
     # 1.0 == 1 and hash(1.0) == hash(1): sharing matrices by equal entry
     # lists must not let a float through once the integer list is known.
-    code = scheme_n1(1, 2, 2)
+    code = scheme(build_n1(1, 2), "n1", 1, 2, 2)
     doc = json.loads(code_to_json(code))
     t = code.net.terminals[-1]
     j = len(doc["terminal_matrices"][t]) - 1
@@ -291,7 +289,7 @@ def test_code_json_rejects_a_float_in_a_later_duplicate_matrix(value):
 
 
 def test_code_json_accepts_a_boolean_in_a_later_duplicate_matrix():
-    code = scheme_n1(1, 2, 2)
+    code = scheme(build_n1(1, 2), "n1", 1, 2, 2)
     doc = json.loads(code_to_json(code))
     flat = doc["terminal_matrices"][code.net.terminals[-1]][-1]
     flat[flat.index(1)] = True
@@ -324,7 +322,7 @@ def test_code_json_shares_one_read_only_matrix_per_distinct_entry_list():
 
 
 def test_verify_reports_the_residual_rank_of_each_failing_terminal():
-    code = scheme_n1(2, 2, 2)
+    code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
     net = code.net
     passing = verify(net, code)
     assert passing.residual_ranks == {} and passing.to_json()["residual_ranks"] == {}
@@ -342,7 +340,7 @@ def test_verify_reports_the_residual_rank_of_each_failing_terminal():
 
 
 def test_code_json_refuses_a_huge_modulus_at_once():
-    code = scheme_n1(1, 2, 2)
+    code = scheme(build_n1(1, 2), "n1", 1, 2, 2)
     doc = json.loads(code_to_json(code))
     doc["p"] = 2**61 - 1  # prime: trial division would take minutes
     started = time.perf_counter()
@@ -368,14 +366,14 @@ def test_unroll_single_copy_onto_base(suffixed):
         assert code.net != base
     unrolled = unroll_merged(code, 1, base)
     assert unrolled.net is base
-    assert code_to_json(unrolled) == code_to_json(scheme_n1(2, 2, 2))
+    assert code_to_json(unrolled) == code_to_json(scheme(build_n1(2, 2), "n1", 2, 2, 2))
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: scheme_n1(2, 3, 2),
-        lambda: scheme_n2(2, 4, 2),
+        lambda: scheme_merged("n1", 2, 3, 2, 1),
+        lambda: scheme_merged("n2", 2, 4, 2, 1),
         lambda: scheme_merged("n1", 2, 3, 2, 4),
         lambda: scheme_merged("n2", 13, 3, 3, 4),
     ],

@@ -9,6 +9,7 @@ from sumnets._core_py import matmul_mod
 from sumnets.coding import FracLinCode, code_to_json, scheme, scheme_merged, unroll_merged, verify
 from sumnets.constructions import (
     IN_SET,
+    MAX_EDGES,
     NOT_IN_SET,
     RateTarget,
     build_bottleneck2,
@@ -408,6 +409,19 @@ def test_bottleneck2_shape():
 def test_build_merged_rejects_k_below_one():
     with pytest.raises(ValueError, match="k must be >= 1, got 0"):
         build_merged("n1", 1, 2, 0)
+
+
+def test_build_merged_refuses_an_edge_bound_past_the_ceiling_before_it_builds():
+    families = [(build_n1, n1_counts), (build_n2, n2_counts)]
+    for (m, q), (build, counts) in itertools.product(GRID, families):
+        c, mid = counts(m, q), m * (q + 1)
+        assert len(build(m, q).tail) <= (c["sources"] + mid) * (c["terminals"] + mid + 1)
+    net, meta = build_for_rate(RateTarget(4, 7, (3,), NOT_IN_SET))  # the 4/7 target
+    assert (meta["family"], meta["m"], meta["q"], meta["k"]) == ("n2", 13, 3, 4)
+    assert len(net.tail) == 540_592 < MAX_EDGES
+    for m, q in [(1, 2**31 - 1), (100_000, 2)]:
+        with pytest.raises(ValueError, match=rf"^n1\(m={m}, q={q}, k=1\) may pass the {MAX_EDGES}-"):
+            build_merged("n1", m, q)
 
 
 def test_build_for_rate_is_build_merged_plus_the_rate_keys():

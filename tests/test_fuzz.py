@@ -15,12 +15,13 @@ from hypothesis import given, settings, strategies as st
 
 from sumnets.cli import main
 
-from sumnets.coding import CodeFormatError, code_from_json, code_to_json, scheme_n1, verify
+from sumnets.coding import CodeFormatError, code_from_json, code_to_json, scheme, verify
+from sumnets.constructions import build_n1
 from sumnets.network import NetworkFormatError, deserialize, serialize, validate
 
 from test_network import assert_reads_as_reference
 
-CODE = scheme_n1(1, 2, 2)
+CODE = scheme(build_n1(1, 2), "n1", 1, 2, 2)
 NET = CODE.net
 CODE_DOC = json.loads(code_to_json(CODE))
 NET_DOC = json.loads(serialize(NET))

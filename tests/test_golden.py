@@ -13,7 +13,7 @@ import json
 import pytest
 
 from sumnets.analysis import routing_code
-from sumnets.coding import code_to_json, scheme_merged, scheme_n1, scheme_n2, unroll_merged
+from sumnets.coding import code_to_json, scheme, scheme_merged, unroll_merged
 from sumnets.constructions import (
     IN_SET,
     RateTarget,
@@ -160,7 +160,7 @@ MERGED_ROUTING = {
 }
 
 BUILDERS = {"n1": build_n1, "n2": build_n2}
-SCHEMES = {"n1": scheme_n1, "n2": scheme_n2}
+SCHEMES = {f: lambda m, q, p, f=f: scheme(BUILDERS[f](m, q), f, m, q, p) for f in BUILDERS}
 
 
 def _sha(data: bytes) -> str:

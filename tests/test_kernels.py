@@ -5,10 +5,9 @@ partial sum overflows int64, and is checked against the product of
 Python integers.  `_core_py.rref_mod` eliminates only the rows with a
 nonzero in the pivot column, from that column on, and reduces each
 updated block mod p.  It is checked against a Python-integer oracle and
-against two kernels kept verbatim below: the sparse elimination that
-reduces every block, its own algorithm frozen as a reference, and the
-dense elimination it replaced.  The reduced row echelon form is unique,
-so all four must give the same matrix, rank and pivots.
+against the dense elimination it replaced, kept verbatim below.  The
+reduced row echelon form is unique, so all three must give the same
+matrix, rank and pivots.
 `_core_py.solvable_mod`, the batched feasibility screen of `search`, is
 checked per member against the Python-integer elimination and against
 `solve_right`, the per-candidate solve it replaced there.
@@ -98,42 +97,6 @@ def dense_rref_mod(m: np.ndarray, p: int) -> tuple[int, list[int]]:
     return r, pivots
 
 
-def sparse_rref_mod(m: np.ndarray, p: int) -> tuple[int, list[int]]:
-    """The previous numpy kernel: sparse updates, each block reduced."""
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = m[:, c].nonzero()[0]
-        k = int(nz.searchsorted(r))
-        if k == nz.size:
-            continue
-        i = int(nz[k])
-        if i != r:
-            row = m[r, c:].copy()
-            m[r, c:] = m[i, c:]
-            m[i, c:] = row
-        pivot = m[r, c:]
-        inv = pow(int(pivot[0]), -1, p)
-        if inv != 1:
-            pivot *= inv
-            pivot %= p
-        # After the swap the nonzeros of column c are nz with i replaced
-        # by r; moving nz[0] into slot k leaves exactly the other rows.
-        nz[k] = nz[0]
-        hit = nz[1:]
-        if hit.size:
-            block = m[hit, c:]
-            block -= block[:, :1] * pivot
-            block %= p
-            m[hit, c:] = block
-        pivots.append(c)
-        r += 1
-    return r, pivots
-
-
 def oracle_rref(m: np.ndarray, p: int) -> tuple[list[list[int]], int, list[int]]:
     """Reduced row echelon form with Python integers, first-nonzero pivots."""
     rows = [[int(x) % p for x in row] for row in m.tolist()]
@@ -162,10 +125,9 @@ def assert_all_agree(m: np.ndarray, p: int) -> None:
     assert _core_py.rref_mod(new, p) == (want_rank, want_pivots)
     assert new.tolist() == want_rows
     assert ((new >= 0) & (new < p)).all()
-    for reference in (sparse_rref_mod, dense_rref_mod):
-        old = m.copy()
-        assert reference(old, p) == (want_rank, want_pivots)
-        assert np.array_equal(new, old)
+    old = m.copy()
+    assert dense_rref_mod(old, p) == (want_rank, want_pivots)
+    assert np.array_equal(new, old)
 
 
 def random_matrix(rng, shape, p: int, density: float) -> np.ndarray:

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from sumnets._core_py import matmul_mod
-from sumnets.analysis import composites_from_code, routing_code
+from sumnets.analysis import bound_check, composites_from_code, routing_code
 from sumnets.coding import (
     FracLinCode,
     code_from_json,
     code_to_json,
     layer_shape,
+    scheme,
     scheme_merged,
     transfer,
     unroll_merged,
@@ -25,7 +26,7 @@ from sumnets.coding import (
 )
 from sumnets.constructions import build_bottleneck2, build_n1, build_n2, k_copy_merge
 from sumnets.galois import PrimeField
-from sumnets.matrix import Mat
+from sumnets.matrix import Mat, rank, solve_right
 from sumnets.network import (
     INTERMEDIATE,
     SOURCE,
@@ -470,3 +471,60 @@ def test_merge_unroll_verify_round_trip(family, m, q, p, k):
     again = code_from_json(base, code_to_json(unrolled))
     assert code_to_json(again) == code_to_json(unrolled)
     assert verify(base, again).ok
+
+
+def _with_in_mats(code, in_mats):
+    """The code with the in-edge matrices of some edges replaced."""
+    mats = {**code.in_mats, **in_mats}
+    return FracLinCode(code.net, code.r, code.l, code.field, code.src_mats, mats, code.dec_mats)
+
+
+@pytest.mark.parametrize(
+    "family,p,mode", [("n1", 2, "n1-with-groups"), ("n2", 3, "n2-middle-only")]
+)
+def test_a_basis_change_on_a_middle_edge_leaves_verify_and_the_bound_unchanged(family, p, mode):
+    """G on a middle edge's in-edge matrices and G^-1 on every edge out of
+    its head carry the same messages past that head."""
+    net = (build_n1 if family == "n1" else build_n2)(2, 2)
+    code = scheme(net, family, 2, 2, p)
+    field, l = code.field, code.l
+    rng = np.random.default_rng(5)
+    g = Mat(field, rng.integers(0, p, size=(l, l)))
+    while rank(g) < l or np.array_equal(g.a, np.eye(l)):
+        g = Mat(field, rng.integers(0, p, size=(l, l)))
+    g_inv = solve_right(g, Mat.identity(field, l))
+    assert np.array_equal(matmul_mod(g_inv.a, g.a, p), np.eye(l))
+
+    me = net.middle_edges()[0]
+    changed = {me: tuple(Mat(field, matmul_mod(g.a, m.a, p)) for m in code.in_mats[me])}
+    alone = _with_in_mats(code, changed)
+    for e in net.out_edges(net.label_table[net.head[me]]):
+        at = net.in_edges_of(net.tail[e]).tolist().index(me)
+        mats = list(code.in_mats[e])
+        mats[at] = Mat(field, matmul_mod(mats[at].a, g_inv.a, p))
+        changed[e] = tuple(mats)
+    changed_code = _with_in_mats(code, changed)
+
+    before, after = verify(net, code), verify(net, changed_code)
+    assert before.ok and after.to_json() == before.to_json()
+    assert (
+        bound_check(net, changed_code, mode, 2, 2).rank == bound_check(net, code, mode, 2, 2).rank
+    )
+    assert not verify(net, alone).ok  # the control: G without its inverse downstream
+
+
+def test_a_code_bound_to_another_network_is_refused():
+    code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
+    other = build_n2(2, 2)
+    refused = "^net: the code is bound to another network$"
+    for call in (
+        lambda: transfer(other, code),
+        lambda: verify(other, code),
+        lambda: bound_check(other, code, "n2-middle-only", 2, 2),
+        lambda: composites_from_code(other, code),
+    ):
+        with pytest.raises(ValueError, match=refused):
+            call()
+    equal = build_n1(2, 2)
+    assert equal is not code.net and verify(equal, code).ok
+    assert bound_check(equal, code, "n1-with-groups", 2, 2).consistent
