@@ -32,7 +32,7 @@ from .coding import (
     transfer,
     verify_transfer,
 )
-from .constructions import capacity, n2_s_ij, parse_label, s1
+from .constructions import _check_mq, capacity, n2_s_ij, parse_label, s1
 from .galois import PrimeField
 from .matrix import Mat, solve_right
 from .network import SumNetwork
@@ -182,11 +182,21 @@ def _decode(systems: _DecoderSystems, field: PrimeField, cells: np.ndarray) -> D
     net, shape, r, l = systems.net, systems.shape, systems.r, systems.l
     lay = net.layout()
     p = field.p
+    made: dict[tuple, Mat] = {}
+
+    def mat(a: np.ndarray) -> Mat:
+        """The canonical int64 array a as a Mat, one per distinct value in the code."""
+        key = (a.shape, a.tobytes())
+        out = made.get(key)
+        if out is None:
+            out = made[key] = Mat(field, a)
+        return out
 
     # The solved decoders, if they exist for every terminal.
     dec_mats: dict[str, tuple[Mat, ...]] = {}
     direct_src: dict[int, Mat] = {}
     eye = np.eye(r, dtype=np.int64)
+    zero = mat(np.zeros((r, l), dtype=np.int64))
     for i, t in enumerate(net.terminals):
         lo, hi = lay.term_ptr[i], lay.term_ptr[i + 1]
         gather, rhs, taps, directs = systems.of(i)
@@ -200,10 +210,10 @@ def _decode(systems: _DecoderSystems, field: PrimeField, cells: np.ndarray) -> D
                 return DecodeResult(None, t)
             d_arr = np.zeros((r, l * len(taps)), dtype=np.int64)
 
-        mats: list[Mat] = [Mat.zeros(field, r, l)] * (hi - lo)
+        mats: list[Mat] = [zero] * (hi - lo)
         tap_mats = []
         for k, (pos, _) in enumerate(taps):
-            dm = Mat(field, d_arr[:, k * l : (k + 1) * l])
+            dm = mat(d_arr[:, k * l : (k + 1) * l])
             mats[pos] = dm
             tap_mats.append(dm.a)
 
@@ -222,10 +232,10 @@ def _decode(systems: _DecoderSystems, field: PrimeField, cells: np.ndarray) -> D
                 if ei not in direct_src:
                     a = np.zeros((l, r), dtype=np.int64)
                     a[np.arange(len(rows)), list(rows)] = 1
-                    direct_src[ei] = Mat(field, a)
+                    direct_src[ei] = mat(a)
                 dmat = np.zeros((r, l), dtype=np.int64)
                 dmat[:, : len(rows)] = residual[:, list(rows)]
-                mats[pos] = Mat(field, dmat)
+                mats[pos] = mat(dmat)
         dec_mats[t] = tuple(mats)
 
     # Assemble the full code: composites realized on the source edges,
@@ -234,9 +244,9 @@ def _decode(systems: _DecoderSystems, field: PrimeField, cells: np.ndarray) -> D
     for i, me in enumerate(shape.middle.tolist()):
         comp = systems.composite(cells, i)
         for j, ei in enumerate(net.in_edges_of(net.tail[me]).tolist()):
-            code.src_mats[ei] = Mat(field, comp[:, j * r : (j + 1) * r])
+            code.src_mats[ei] = mat(comp[:, j * r : (j + 1) * r])
     code.src_mats.update(direct_src)
-    _identity_in_mats(net, code, Mat.identity(field, l))
+    _identity_in_mats(net, code, mat(np.eye(l, dtype=np.int64)))
     code.dec_mats = dec_mats
     return DecodeResult(code, None)
 
@@ -486,6 +496,7 @@ def bound_check(net: SumNetwork, code: FracLinCode, mode: str, m: int, q: int) -
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    _check_mq(m, q)
     r, l = code.r, code.l
     n_src = len(net.source_order)
     required = r * n_src

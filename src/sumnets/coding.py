@@ -210,9 +210,10 @@ def transfer(net: SumNetwork, code: FracLinCode) -> TransferMap:
     every terminal in-edge from such an edge.  A terminal in-edge straight
     from a source adds dec @ src to the terminal's block for that source;
     those products are computed once per distinct (decoder, source
-    matrix) pair and scattered with one `np.add.at` each.  Each entry of
-    `terminal_maps` sums fewer than 2^32 terms below 2^31 before its one
-    reduction, so int64 cannot overflow.  Raises ValueError unless `net`
+    matrix) object pair and scattered with one `np.add.at` each; every
+    code the package makes gives equal direct-slot matrices one object.
+    Each entry of `terminal_maps` sums fewer than 2^32 terms below 2^31
+    before its one reduction, so int64 cannot overflow.  Raises ValueError unless `net`
     is the code's own network or equal to it.
     """
     if not (net is code.net or net == code.net):
@@ -254,21 +255,13 @@ def transfer(net: SumNetwork, code: FracLinCode) -> TransferMap:
         _, first, pair = np.unique(
             dec_key * len(src_keys) + src_key, return_index=True, return_inverse=True
         )
-        # Distinct object pairs, then distinct by bytes: one product each.
-        index: dict[tuple[bytes, bytes], int] = {}
-        products: list[np.ndarray] = []
-        which = np.empty(len(first), dtype=np.intp)
-        for k, (s, ei) in enumerate(zip(direct[first].tolist(), edges[first].tolist())):
-            dec, src = decs[s].a, code.src_mats[ei].a
-            key = (dec.tobytes(), src.tobytes())
-            if key not in index:
-                index[key] = len(products)
-                products.append(matmul_mod(dec, src, p))
-            which[k] = index[key]
+        products = [
+            matmul_mod(decs[s].a, code.src_mats[ei].a, p)
+            for s, ei in zip(direct[first].tolist(), edges[first].tolist())
+        ]
         # Scatter product by product, so no per-slot copy of the blocks is made.
-        slot_product = which[pair]
-        by_product = np.argsort(slot_product, kind="stable")
-        bounds = np.searchsorted(slot_product[by_product], np.arange(len(products) + 1))
+        by_product = np.argsort(pair, kind="stable")
+        bounds = np.searchsorted(pair[by_product], np.arange(len(products) + 1))
         terms, positions = lay.slot_term[direct], lay.src_pos[edges]
         for j, prod in enumerate(products):
             sel = by_product[bounds[j] : bounds[j + 1]]
@@ -438,7 +431,7 @@ def _family_scheme(
     copies = edge_origins(net)[-1]
     r, l = 2 * int(copies.max() if copies.size else 1), m + 1
     code = FracLinCode(net, r, l, field)
-    labels = [parse_label(x) for x in net.label_table[: net.n_nodes]]
+    labels = [parse_label(x) for x in net.label_table]
     if any(kind == "u" and idx[0] > m for kind, idx in labels):
         raise ValueError(f"the network has a group beyond m = {m}")
     proj = Mat(field, np.eye(2, l, dtype=np.int64))
@@ -508,7 +501,7 @@ def _family_scheme(
 
     # A decoder projects (0) for a direct in-edge, else reads the tap as
     # own (1) or other (2) by the tail's group, widened by copy.
-    group = np.array([idx[0] for _, idx in labels] + [0] * (len(net.label_table) - net.n_nodes))
+    group = np.array([idx[0] for _, idx in labels])
     ins_kind = np.where(from_source[tail], 0, 2)
     for t, x in zip(net.terminals, net.entries(TERMINAL).tolist()):
         g, own, other = taps(*labels[x])
@@ -917,7 +910,6 @@ class _MatTable:
             return _as_mat(self.field, flat, rows, cols, what)
         if mat is None:
             mat = self.mats[key] = _as_mat(self.field, flat, rows, cols, what)
-            mat.a.flags.writeable = False
         elif isinstance(sum(flat), float):
             raise CodeFormatError(f"{what}: entries must be integers")
         return mat

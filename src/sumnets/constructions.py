@@ -304,8 +304,8 @@ def k_copy_merge(base: SumNetwork, k: int) -> SumNetwork:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n = base.n_nodes
-    inner = base.role_mask(INTERMEDIATE)[:n]
+    n = len(base.label_table)
+    inner = base.role_mask(INTERMEDIATE)
     outer = np.flatnonzero(~inner)
     inside = np.flatnonzero(inner)
     labels = [base.label_table[x] for x in outer.tolist()]

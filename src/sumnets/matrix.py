@@ -19,7 +19,8 @@ from .galois import FieldMismatchError, PrimeField
 class Mat:
     """A rows x cols matrix with canonical entries in GF(p).
 
-    Treated as immutable after construction.
+    Immutable after construction: its array is read-only, so one Mat may
+    serve many slots of a code.
     """
 
     __slots__ = ("field", "a")
@@ -30,6 +31,7 @@ class Mat:
             raise ValueError("Mat requires a 2-d array")
         self.field = field
         self.a = a % field.p
+        self.a.flags.writeable = False
 
     @classmethod
     def zeros(cls, field: PrimeField, rows: int, cols: int) -> "Mat":

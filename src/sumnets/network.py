@@ -32,7 +32,8 @@ FORMAT_VERSION = 1
 
 
 class NetworkFormatError(ValueError):
-    """Raised on malformed network files; the message names the field."""
+    """Raised on a malformed network file, or on `Node` and `Edge` objects
+    that make no network; the message names the field."""
 
 
 class CycleError(ValueError):
@@ -73,12 +74,9 @@ class SumNetwork:
     """Immutable DAG with roles, parallel edges and fixed in-edge order.
 
     Storage, read-only after construction:
-      label_table     the node labels in node order, then any edge end that
-                      names no node (only a hand-built network has one;
-                      `validate` reports it); an index into it is an entry
-      role_codes      per entry, its role as an index into role_names, or
-                      -1 for an entry that is no node
-      role_names      ROLES, then any other role a hand-built node carries
+      label_table     the node labels in node order; an index into it is
+                      an entry
+      role_codes      per entry, its role as an index into ROLES
       tail, head      edge e runs from entry tail[e] to entry head[e]
       par             the parallel indices (int64, or Python ints if one
                       lies outside [-2^31, 2^31))
@@ -88,12 +86,14 @@ class SumNetwork:
     A label that two nodes carry is one entry for edges and in-edge
     order, its last node's, whose role `role` reports.
 
-    The constructor takes `Node` and `Edge` objects; the builders and the
-    file reader use `from_arrays`.  `nodes`, `edges` and the label-keyed
-    `in_order` are made on first read.  The topological order and the
-    `EdgeLayout` are computed on first use and kept, which is sound only
-    because nothing changes a network after construction; none of these
-    enter `__eq__`.
+    The constructor takes `Node` and `Edge` objects and raises
+    NetworkFormatError at the first role outside ROLES, then at the first
+    edge end that names no node, as the file reader refuses both; the
+    builders and the file reader use `from_arrays`.  `nodes`, `edges` and
+    the label-keyed `in_order` are made on first read.  The topological
+    order and the `EdgeLayout` are computed on first use and kept, which
+    is sound only because nothing changes a network after construction;
+    none of these enter `__eq__`.
     """
 
     def __init__(
@@ -105,37 +105,29 @@ class SumNetwork:
     ):
         nodes = tuple(nodes)
         edges = tuple(edges)
-        labels = [n.label for n in nodes]
-        index = {label: x for x, label in enumerate(labels)}
-        role_names = list(ROLES)
-        codes = []
         for n in nodes:
-            if n.role not in role_names:
-                role_names.append(n.role)
-            codes.append(role_names.index(n.role))
-
-        def entry(label: str) -> int:
-            x = index.get(label)
-            if x is None:
-                x = index[label] = len(labels)
-                labels.append(label)
-                codes.append(-1)
-            return x
-
-        ends = [(entry(e.tail), entry(e.head)) for e in edges]
-        tail = np.array([t for t, _ in ends], dtype=np.intp)
-        head = np.array([h for _, h in ends], dtype=np.intp)
+            if n.role not in ROLES:
+                raise NetworkFormatError(f"unknown role {n.role!r} on node {n.label!r}")
+        index = {n.label: x for x, n in enumerate(nodes)}
+        for e in edges:
+            for end in (e.tail, e.head):
+                if end not in index:
+                    raise NetworkFormatError(f"edge {e.label} references unknown node {end!r}")
         orders = None
         if in_order is not None:
-            orders = [()] * len(labels)
-            for x, label in enumerate(labels[: len(nodes)]):
-                if index[label] == x:
-                    orders[x] = in_order.get(label, ())
+            orders = [()] * len(nodes)
+            for label, x in index.items():
+                orders[x] = in_order.get(label, ())
         if source_order is None:
             source_order = [n.label for n in nodes if n.role == SOURCE]
         self._store(
-            labels, len(nodes), tuple(role_names), codes, tail, head,
-            _int_array([e.par for e in edges]), orders, source_order, index,
+            [n.label for n in nodes],
+            [ROLES.index(n.role) for n in nodes],
+            np.array([index[e.tail] for e in edges], dtype=np.intp),
+            np.array([index[e.head] for e in edges], dtype=np.intp),
+            _int_array([e.par for e in edges]),
+            orders,
+            source_order,
         )
 
     @classmethod
@@ -155,25 +147,19 @@ class SumNetwork:
         order)."""
         net = cls.__new__(cls)
         net._store(
-            list(labels), len(labels), ROLES, role_codes, np.asarray(tail, dtype=np.intp),
+            list(labels), role_codes, np.asarray(tail, dtype=np.intp),
             np.asarray(head, dtype=np.intp), _int_array(par), in_orders, source_order,
         )
         return net
 
-    def _store(self, labels, n_nodes, role_names, codes, tail, head, par, orders, source_order,
-               index=None):
+    def _store(self, labels, codes, tail, head, par, orders, source_order):
         self.label_table: list[str] = labels
-        self.n_nodes = n_nodes
-        self.role_names: tuple[str, ...] = role_names
         self.role_codes = np.asarray(codes, dtype=np.int8)
         self.tail, self.head, self.par = tail, head, par
-        if index is None:
-            index = {label: x for x, label in enumerate(labels)}
-        self._index: dict[str, int] = index
+        self._index: dict[str, int] = {label: x for x, label in enumerate(labels)}
         if orders is None:  # each node's in-edges in edge order
-            into = np.flatnonzero(head < n_nodes)
-            self.in_idx = into[np.argsort(head[into], kind="stable")]
-            degrees = np.bincount(head[into], minlength=len(labels))
+            self.in_idx = np.argsort(head, kind="stable")
+            degrees = np.bincount(head, minlength=len(labels))
         else:
             self.in_idx = np.fromiter(chain.from_iterable(orders), dtype=np.intp)
             degrees = np.fromiter(map(len, orders), dtype=np.intp, count=len(orders))
@@ -187,9 +173,8 @@ class SumNetwork:
 
     @cached_property
     def nodes(self) -> tuple[Node, ...]:
-        names = self.role_names
-        codes = self.role_codes[: self.n_nodes].tolist()
-        return tuple(Node(label, names[c]) for label, c in zip(self.label_table, codes))
+        codes = self.role_codes.tolist()
+        return tuple(Node(label, ROLES[c]) for label, c in zip(self.label_table, codes))
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -199,32 +184,24 @@ class SumNetwork:
 
     @cached_property
     def in_order(self) -> dict[str, tuple[int, ...]]:
-        return {label: self.in_edges(label) for label in self.label_table[: self.n_nodes]}
+        return {label: self.in_edges(label) for label in self.label_table}
 
     # --- basic queries -------------------------------------------------
 
-    def _entry(self, label: str) -> int:
-        """The entry of the node labelled `label`; KeyError if there is none."""
-        x = self._index[label]
-        if x >= self.n_nodes:
-            raise KeyError(label)
-        return x
-
     def entries_of(self, labels: Iterable[str]) -> np.ndarray:
         """The entry of each node label, -1 for a label no node carries."""
-        n, get = self.n_nodes, self._index.get
-        return np.array([x if (x := get(s, n)) < n else -1 for s in labels], dtype=np.intp)
+        get = self._index.get
+        return np.array([get(s, -1) for s in labels], dtype=np.intp)
 
     def has_node(self, label: str) -> bool:
-        return self._index.get(label, self.n_nodes) < self.n_nodes
+        return label in self._index
 
     def role(self, label: str) -> str:
-        return self.role_names[self.role_codes[self._entry(label)]]
+        return ROLES[self.role_codes[self._index[label]]]
 
     def role_mask(self, role: str) -> np.ndarray:
         """Per entry, whether it is a node of this role."""
-        code = self.role_names.index(role) if role in self.role_names else -2
-        return self.role_codes == code
+        return self.role_codes == ROLES.index(role)
 
     def entries(self, role: str) -> np.ndarray:
         """The entries of the nodes of this role, in node order."""
@@ -247,14 +224,14 @@ class SumNetwork:
         return self.labels(INTERMEDIATE)
 
     def in_edges(self, label: str) -> tuple[int, ...]:
-        return tuple(self.in_edges_of(self._entry(label)).tolist())
+        return tuple(self.in_edges_of(self._index[label]).tolist())
 
     def in_edges_of(self, x: int) -> np.ndarray:
         """The in-edges of entry x, in order."""
         return self.in_idx[self.in_ptr[x] : self.in_ptr[x + 1]]
 
     def out_edges(self, label: str) -> list[int]:
-        return np.flatnonzero(self.tail == self._entry(label)).tolist()
+        return np.flatnonzero(self.tail == self._index[label]).tolist()
 
     def edge_label(self, i: int) -> str:
         t = self.label_table
@@ -281,9 +258,7 @@ class SumNetwork:
         """Equal exactly when both hold the same fields of the network file."""
         return (
             isinstance(other, SumNetwork)
-            and other.n_nodes == self.n_nodes
             and other.label_table == self.label_table
-            and other.role_names == self.role_names
             and np.array_equal(other.role_codes, self.role_codes)
             and np.array_equal(other.tail, self.tail)
             and np.array_equal(other.head, self.head)
@@ -294,7 +269,7 @@ class SumNetwork:
         )
 
     def __repr__(self):
-        return f"SumNetwork({self.n_nodes} nodes, {len(self.tail)} edges)"
+        return f"SumNetwork({len(self.label_table)} nodes, {len(self.tail)} edges)"
 
 
 def _csr_rows(ptr: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,18 +292,20 @@ class EdgeLayout:
     order, owns slots term_ptr[i] .. term_ptr[i+1]-1, slot s holding
     in-edge term_edges[s] of terminal slot_term[s], in the terminal's
     in-edge order.  direct_slots and relayed_slots: the slots whose edge
-    leaves a source, and the others.
+    leaves a source, and the others.  Raises NetworkFormatError when
+    `source_order` omits a source that has an out-edge.
     """
 
     def __init__(self, net: SumNetwork):
         pos = np.full(len(net.label_table), -1, dtype=np.intp)
         for i, s in enumerate(net.source_order):
             if net.has_node(s):
-                pos[net._entry(s)] = i
+                pos[net._index[s]] = i
         from_source = net.role_mask(SOURCE)[net.tail]
         unplaced = np.flatnonzero(from_source & (pos[net.tail] < 0))
         if unplaced.size:
-            raise KeyError(net.label_table[net.tail[unplaced[0]]])
+            label = net.label_table[net.tail[unplaced[0]]]
+            raise NetworkFormatError(f"source_order does not list source {label!r}")
         self.src_pos = np.where(from_source, pos[net.tail], -1)
         self.source_edges = np.flatnonzero(from_source)
         self.relayed_edges = np.flatnonzero(~from_source)
@@ -346,15 +323,12 @@ class EdgeLayout:
 def validate(net: SumNetwork) -> list[str]:
     """All structural invariants; returns a list of violations (empty = ok)."""
     violations: list[str] = []
-    n = net.n_nodes
     labels = net.label_table
     seen_labels: set[str] = set()
-    for label, code in zip(labels, net.role_codes[:n].tolist()):
+    for label in labels:
         if label in seen_labels:
             violations.append(f"duplicate node label {label!r}")
         seen_labels.add(label)
-        if code >= len(ROLES):
-            violations.append(f"unknown role {net.role_names[code]!r} on node {label!r}")
 
     tail, head = net.tail, net.head
     n_edges = len(tail)
@@ -367,8 +341,6 @@ def validate(net: SumNetwork) -> list[str]:
     duplicate[by_key[1:][same]] = True
     faults = [
         (duplicate, lambda i: f"duplicate edge {net.edge_label(i)}"),
-        (tail >= n, lambda i: f"edge {net.edge_label(i)} references unknown node {labels[tail[i]]!r}"),
-        (head >= n, lambda i: f"edge {net.edge_label(i)} references unknown node {labels[head[i]]!r}"),
         (net.role_mask(TERMINAL)[tail], lambda i: f"terminal has out-edge: {net.edge_label(i)}"),
         (net.role_mask(SOURCE)[head], lambda i: f"source has in-edge: {net.edge_label(i)}"),
     ]
@@ -383,9 +355,9 @@ def validate(net: SumNetwork) -> list[str]:
     times = np.bincount(idx[listed], minlength=n_edges)
     bad = np.zeros(len(labels), dtype=bool)
     bad[slot_node[~listed]] = True
-    bad[head[(head < n) & (times != 1)]] = True
-    for label in dict.fromkeys(labels[:n]):
-        if bad[net._index[label]]:
+    bad[head[times != 1]] = True
+    for label, x in net._index.items():  # each label once, at its last node
+        if bad[x]:
             violations.append(f"in_order for {label!r} is not a permutation of its in-edges")
 
     srcs = [s for s in net.source_order]
@@ -448,18 +420,16 @@ _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 def serialize(net: SumNetwork) -> bytes:
     """`json.dumps(doc, sort_keys=True, separators=(",", ":"))` plus a
     newline, byte for byte, with each label encoded once."""
-    n = net.n_nodes
     text = [_ENCODE(label) for label in net.label_table]
-    roles = [_ENCODE(role) for role in net.role_names]
+    roles = [_ENCODE(role) for role in ROLES]
     ends = zip(net.tail.tolist(), net.head.tolist(), net.par.tolist())
     edges = ",".join([f'{{"head":{text[h]},"par":{p},"tail":{text[t]}}}' for t, h, p in ends])
     idx, ptr = net.in_idx.tolist(), net.in_ptr.tolist()
-    first = {label: net._index[label] for label in net.label_table[:n]}
     in_order = ",".join(
         f"{text[x]}:{str(idx[ptr[x] : ptr[x + 1]]).replace(' ', '')}"
-        for _, x in sorted(first.items())
+        for _, x in sorted(net._index.items())
     )
-    codes = net.role_codes[:n].tolist()
+    codes = net.role_codes.tolist()
     nodes = ",".join([f'{{"label":{text[x]},"role":{roles[c]}}}' for x, c in enumerate(codes)])
     return (
         f'{{"edges":[{edges}],"in_order":{{{in_order}}},"nodes":[{nodes}],'

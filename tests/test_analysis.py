@@ -34,6 +34,7 @@ from sumnets.galois import PrimeField
 from sumnets.matrix import Mat
 from sumnets.network import INTERMEDIATE, SOURCE, TERMINAL, Edge, Node, SumNetwork
 
+from test_coding import code_mats
 from test_constructions import _shuffled
 
 
@@ -174,6 +175,18 @@ def test_random_search_is_deterministic_and_finds_nothing_at_wrong_characteristi
 def test_search_rejects_out_of_range_numbers(r, l, strategy, name):
     with pytest.raises(ValueError, match=f"^{name} must be >= "):
         search(build_n1(1, 2), r, l, 3, strategy)
+
+
+def test_decoder_solve_codes_share_equal_matrices():
+    """A code from the decoder solve holds one Mat per distinct matrix, so
+    transfer takes one direct product per distinct value."""
+    codes = [routing_code(build_n1(2, 2), 2)]
+    codes += search(build_n1(1, 2), 2, 2, 2, Random(500, 1)).found
+    assert len(codes) > 1
+    for code in codes:
+        mats = code_mats(code)
+        assert len({id(m) for m in mats}) == len({(m.shape, m.a.tobytes()) for m in mats})
+        assert verify(code.net, code).ok
 
 
 def test_random_search_can_find_bottleneck_solutions():
@@ -457,6 +470,13 @@ def test_bound_check_refuses_a_mode_before_any_transfer(monkeypatch, verifying):
     monkeypatch.setattr(sumnets.analysis, "transfer", no_transfer)
     with pytest.raises(ValueError, match="does not apply"):
         bound_check(code.net, code, "n2-middle-only", 2, 2)
+
+
+@pytest.mark.parametrize("m,q,message", [(0, 2, "m must be >= 1, got 0"), (1, -1, "q must be >= 2, got -1")])
+def test_bound_check_refuses_m_and_q_out_of_range(m, q, message):
+    code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bound_check(code.net, code, "n1-with-groups", m, q)
 
 
 def one_source_three_middle_net():

@@ -27,7 +27,17 @@ from sumnets import constructions
 from sumnets.constructions import build_bottleneck2, build_n1, build_n2, k_copy_merge
 from sumnets.galois import PrimeField
 from sumnets.matrix import Mat
-from sumnets.network import INTERMEDIATE, SOURCE, TERMINAL, Edge, Node, SumNetwork
+from sumnets.network import (
+    INTERMEDIATE,
+    SOURCE,
+    TERMINAL,
+    Edge,
+    NetworkFormatError,
+    Node,
+    SumNetwork,
+    deserialize,
+    serialize,
+)
 
 GRID = list(itertools.product([1, 2, 3], [2, 3, 6]))
 PRIMES = [2, 3, 5]
@@ -309,16 +319,45 @@ def test_code_json_shares_one_read_only_matrix_per_distinct_entry_list():
     loaded.check_shapes()
     assert loaded.src_mats[min(code.src_mats)].shape == (3, 4)
     assert loaded.dec_mats[first_terminal][0].shape == (4, 3)
-    mats = (
-        list(loaded.src_mats.values())
-        + [m for ms in loaded.in_mats.values() for m in ms]
-        + [m for ms in loaded.dec_mats.values() for m in ms]
-    )
+    mats = code_mats(loaded)
     assert len({id(m) for m in mats}) == len({(m.shape, m.a.tobytes()) for m in mats}) < len(mats)
     assert not any(m.a.flags.writeable for m in mats)
     with pytest.raises(ValueError, match="read-only"):
         mats[0].a[0, 0] = 1
     assert code_to_json(loaded) == (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def code_mats(code: FracLinCode) -> list[Mat]:
+    """Every matrix slot of the code: source, in-edge, then decoder matrices."""
+    return (
+        list(code.src_mats.values())
+        + [m for ms in code.in_mats.values() for m in ms]
+        + [m for ms in code.dec_mats.values() for m in ms]
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: scheme(build_n1(2, 2), "n1", 2, 2, 2), lambda: routing_code(build_n1(2, 2), 2)],
+    ids=["scheme", "routing_code"],
+)
+def test_code_matrices_are_read_only(make):
+    mats = code_mats(make())
+    assert not any(m.a.flags.writeable for m in mats)
+    for m in (mats[0], mats[-1]):
+        with pytest.raises(ValueError, match="read-only"):
+            m.a[0, 0] = 1
+
+
+def test_verify_names_a_source_that_source_order_omits():
+    """The file reader takes the network (validate refuses it); a library
+    caller of its layout gets a NetworkFormatError naming the source."""
+    doc = json.loads(serialize(build_n1(1, 2)))
+    assert doc["source_order"].pop() == "s_1_3"
+    net = deserialize(json.dumps(doc).encode())
+    code = scheme(net, "n1", 1, 2, 2)
+    with pytest.raises(NetworkFormatError, match=r"^source_order does not list source 's_1_3'$"):
+        verify(net, code)
 
 
 def test_verify_reports_the_residual_rank_of_each_failing_terminal():

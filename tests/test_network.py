@@ -442,11 +442,9 @@ def _hand_built():
     s, u, v, t = Node("s", SOURCE), Node("u", INTERMEDIATE), Node("v", INTERMEDIATE), Node("t", TERMINAL)
     path = [Edge("s", "u"), Edge("u", "v"), Edge("v", "t")]
     return {
-        "unknown ends": SumNetwork([s, t], [Edge("s", "x"), Edge("y", "t"), Edge("y", "z", 2)]),
-        "duplicate labels": SumNetwork([s, u, Node("u", TERMINAL), t], path),
+        "duplicate labels": SumNetwork([s, u, Node("u", TERMINAL), v, t], path),
         "duplicate edges": SumNetwork([s, u, v, t], path + [Edge("s", "u"), Edge("u", "v", 1)]),
         "cycle": SumNetwork([s, u, v, t], path + [Edge("v", "u")]),
-        "unknown role": SumNetwork([s, Node("u", "relay"), Node("v", 3), t], path),
         "source in, terminal out": SumNetwork([s, u, v, t], path + [Edge("t", "s")]),
         "in_order short": SumNetwork([s, u, v, t], path, {"u": [], "v": [1], "t": [2]}),
         "in_order foreign": SumNetwork([s, u, v, t], path, {"u": [0], "v": [1, 2], "t": [2]}),
@@ -464,6 +462,30 @@ HAND_BUILT = _hand_built()
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_hand_built_networks_check_as_the_reference_checks_them(name):
     assert_checks_as_reference(HAND_BUILT[name])
+
+
+@pytest.mark.parametrize(
+    "nodes,edges,message",
+    [
+        (
+            [Node("s", SOURCE), Node("u", "relay"), Node("v", 3), Node("t", TERMINAL)],
+            [Edge("s", "u"), Edge("u", "v"), Edge("v", "t"), Edge("v", "x")],
+            "unknown role 'relay' on node 'u'",
+        ),
+        (
+            [Node("s", SOURCE), Node("t", TERMINAL)],
+            [Edge("s", "t"), Edge("y", "z", 2), Edge("s", "x")],
+            "edge (y,z,2) references unknown node 'y'",
+        ),
+    ],
+    ids=["unknown role", "unknown ends"],
+)
+def test_the_constructor_refuses_unknown_roles_and_ends(nodes, edges, message):
+    """The first offender is named: roles in node order, then edge ends
+    in edge order, tail before head, with `reference_validate`'s message."""
+    with pytest.raises(NetworkFormatError) as err:
+        SumNetwork(nodes, edges)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("seed", range(4))
