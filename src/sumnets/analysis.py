@@ -26,11 +26,9 @@ from .coding import (
     FracLinCode,
     LayerShape,
     UnsupportedNetworkError,
-    UnverifiedCodeError,
-    _identity_in_mats,
+    _verified,
     layer_shape,
     transfer,
-    verify_transfer,
 )
 from .constructions import _check_mq, capacity, n2_s_ij, parse_label, s1
 from .galois import PrimeField
@@ -178,25 +176,28 @@ def feasible_decoders(net: SumNetwork, composites: CompositeEncoding) -> DecodeR
 
 def _decode(systems: _DecoderSystems, field: PrimeField, cells: np.ndarray) -> DecodeResult:
     """`feasible_decoders` on the int64 cells of a composite encoding,
-    with their zero cell."""
+    with their zero cell.  The code is built as a table, one Mat per
+    distinct matrix."""
     net, shape, r, l = systems.net, systems.shape, systems.r, systems.l
     lay = net.layout()
     p = field.p
-    made: dict[tuple, Mat] = {}
+    mats: list[Mat] = []
+    made: dict[tuple, int] = {}
 
-    def mat(a: np.ndarray) -> Mat:
-        """The canonical int64 array a as a Mat, one per distinct value in the code."""
+    def index(a: np.ndarray) -> int:
+        """The table index of the canonical int64 array a, added on first use."""
         key = (a.shape, a.tobytes())
-        out = made.get(key)
-        if out is None:
-            out = made[key] = Mat(field, a)
-        return out
+        i = made.get(key)
+        if i is None:
+            i = made[key] = len(mats)
+            mats.append(Mat(field, a))
+        return i
 
     # The solved decoders, if they exist for every terminal.
-    dec_mats: dict[str, tuple[Mat, ...]] = {}
-    direct_src: dict[int, Mat] = {}
+    dec_idx = np.empty(len(lay.term_edges), dtype=np.intp)
+    direct_src: dict[int, int] = {}
     eye = np.eye(r, dtype=np.int64)
-    zero = mat(np.zeros((r, l), dtype=np.int64))
+    zero = index(np.zeros((r, l), dtype=np.int64))
     for i, t in enumerate(net.terminals):
         lo, hi = lay.term_ptr[i], lay.term_ptr[i + 1]
         gather, rhs, taps, directs = systems.of(i)
@@ -210,12 +211,13 @@ def _decode(systems: _DecoderSystems, field: PrimeField, cells: np.ndarray) -> D
                 return DecodeResult(None, t)
             d_arr = np.zeros((r, l * len(taps)), dtype=np.int64)
 
-        mats: list[Mat] = [zero] * (hi - lo)
+        row = dec_idx[lo:hi]
+        row[:] = zero
         tap_mats = []
         for k, (pos, _) in enumerate(taps):
-            dm = mat(d_arr[:, k * l : (k + 1) * l])
-            mats[pos] = dm
-            tap_mats.append(dm.a)
+            dm = d_arr[:, k * l : (k + 1) * l]
+            row[pos] = index(dm)
+            tap_mats.append(mats[row[pos]].a)
 
         # Residual correction on directly-supplied blocks.
         contrib = {s: np.zeros((r, r), dtype=np.int64) for s in directs}
@@ -232,22 +234,22 @@ def _decode(systems: _DecoderSystems, field: PrimeField, cells: np.ndarray) -> D
                 if ei not in direct_src:
                     a = np.zeros((l, r), dtype=np.int64)
                     a[np.arange(len(rows)), list(rows)] = 1
-                    direct_src[ei] = mat(a)
+                    direct_src[ei] = index(a)
                 dmat = np.zeros((r, l), dtype=np.int64)
                 dmat[:, : len(rows)] = residual[:, list(rows)]
-                mats[pos] = mat(dmat)
-        dec_mats[t] = tuple(mats)
+                row[pos] = index(dmat)
 
     # Assemble the full code: composites realized on the source edges,
     # identity forwarding elsewhere.
-    code = FracLinCode(net, r, l, field)
+    src_of: dict[int, int] = {}
     for i, me in enumerate(shape.middle.tolist()):
         comp = systems.composite(cells, i)
         for j, ei in enumerate(net.in_edges_of(net.tail[me]).tolist()):
-            code.src_mats[ei] = mat(comp[:, j * r : (j + 1) * r])
-    code.src_mats.update(direct_src)
-    _identity_in_mats(net, code, mat(np.eye(l, dtype=np.int64)))
-    code.dec_mats = dec_mats
+            src_of[ei] = index(comp[:, j * r : (j + 1) * r])
+    src_of.update(direct_src)
+    src_idx = np.array([src_of.get(e, -1) for e in lay.source_edges.tolist()], dtype=np.intp)
+    in_idx = np.full(len(lay.in_slot_edges), index(np.eye(l, dtype=np.int64)), dtype=np.intp)
+    code = FracLinCode._of_table(net, r, l, field, mats, src_idx, in_idx, dec_idx)
     return DecodeResult(code, None)
 
 
@@ -493,6 +495,11 @@ def bound_check(net: SumNetwork, code: FracLinCode, mode: str, m: int, q: int) -
     already determined by the first q middle edges of each group
     (rank does not grow when those selector rows are appended), which
     tightens the count to l*E >= r*(|S| + m).
+
+    The middle edges' messages and the verdict are those `verify` left on
+    the code, when it did and no view write has dropped them; otherwise
+    the code is composed here.  Raises UnverifiedCodeError unless it
+    verifies.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -534,9 +541,7 @@ def bound_check(net: SumNetwork, code: FracLinCode, mode: str, m: int, q: int) -
             f"mode {mode} does not apply: implied bound {implied} != closed form {closed}"
         )
 
-    tm = transfer(net, code)
-    if not verify_transfer(tm).ok:
-        raise UnverifiedCodeError("bound_check requires a verifying code")
+    tm = _verified(net, code, "bound_check requires a verifying code")
     stacked = np.vstack([selectors] + [tm.edge_matrix(me).a for me in middles])
     stacked_shape = stacked.shape
     stacked_nonzeros = int(np.count_nonzero(stacked))

@@ -29,6 +29,7 @@ from .analysis import (
 from .coding import (
     CharacteristicError,
     UnverifiedCodeError,
+    _code_text,
     code_from_json,
     code_to_json,
     scheme,
@@ -198,6 +199,24 @@ def _cmd_verify(args) -> int:
 # --- search -----------------------------------------------------------------
 
 
+def _search_text(result) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2)` plus a newline for the
+    search document {"codes", "found", "rejected_at", "tried"}, each
+    found code laid out in place by the code file's writer, not encoded,
+    parsed and encoded again."""
+    rest = json.dumps(
+        {"codes": [], "found": len(result.found), "rejected_at": result.rejected_at,
+         "tried": result.tried},
+        sort_keys=True,
+        indent=2,
+    )
+    empty = '{\n  "codes": []'  # "codes" sorts first
+    if not result.found:
+        return rest + "\n"
+    codes = ",".join("\n    " + _code_text(code, indent=2, depth=2) for code in result.found)
+    return '{\n  "codes": [' + codes + "\n  ]" + rest[len(empty) :] + "\n"
+
+
 def _cmd_search(args) -> int:
     started = time.perf_counter()
     net = _load_net(Path(args.net))
@@ -208,15 +227,9 @@ def _cmd_search(args) -> int:
             raise ValueError("--random requires --seed")
         strategy = Random(n=args.random, seed=args.seed)
     result = search(net, args.r, args.l, args.p, strategy)
-    doc = {
-        "tried": result.tried,
-        "found": len(result.found),
-        "codes": [json.loads(code_to_json(c).decode("utf-8")) for c in result.found],
-        "rejected_at": result.rejected_at,
-    }
     if args.out:
         out = Path(args.out)
-        out.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        out.write_text(_search_text(result), encoding="utf-8")
         _write_manifest(
             out,
             {

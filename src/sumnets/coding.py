@@ -20,11 +20,13 @@ second-symbol slot for (x,i), x < i, is 2+(m-i)+x.
 from __future__ import annotations
 
 import json
+import operator
 import re
+from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass, field as dc_field
 from functools import cache
-from itertools import chain, count
-from typing import Optional, Sequence
+from itertools import count
+from typing import Optional
 
 import numpy as np
 
@@ -53,48 +55,283 @@ class UnsupportedNetworkError(ValueError):
     """The network is not of the three-layer-plus-direct shape."""
 
 
-@dataclass
 class FracLinCode:
-    """An (r,l) fractional linear code bound to a network.
+    """An (r,l) fractional linear code bound to a network, held as a table.
 
-    src_mats: edge index -> l x r matrix, for every edge leaving a source.
-    in_mats:  edge index -> per-in-edge l x l matrices (aligned with the
-              in-edge order of the edge's tail node).
-    dec_mats: terminal label -> per-in-edge r x l matrices.
+    mats: the table, one Mat per distinct matrix.  Three int arrays index
+    it over the slots of `net.layout()`, -1 marking a missing entry:
+      src_idx  per source edge (`source_edges`), its l x r matrix;
+      in_idx   per in-edge slot of a relayed edge (`in_slot_ptr`), its
+               l x l matrix, in the tail's in-edge order;
+      dec_idx  per terminal slot (`term_ptr`), its r x l decoder.
+
+    src_mats (edge index -> Mat), in_mats (edge index -> tuple, one per
+    in-edge of the tail) and dec_mats (terminal label -> tuple) are
+    writable mapping views of the table, and the constructor fills them
+    from mappings.  A view write adds a new object to the table once; a
+    tuple of another length than the in-degree is held apart, its slots
+    at -1, so that `check_shapes` names it.  `verify` leaves its verdict
+    and the relayed edges' messages on the code, for `bound_check` and
+    `unroll_merged`; every write through a view drops them.
     """
 
-    net: SumNetwork
-    r: int
-    l: int
-    field: PrimeField
-    src_mats: dict[int, Mat] = dc_field(default_factory=dict)
-    in_mats: dict[int, tuple[Mat, ...]] = dc_field(default_factory=dict)
-    dec_mats: dict[str, tuple[Mat, ...]] = dc_field(default_factory=dict)
+    def __init__(
+        self,
+        net: SumNetwork,
+        r: int,
+        l: int,
+        field: PrimeField,
+        src_mats: Optional[Mapping] = None,
+        in_mats: Optional[Mapping] = None,
+        dec_mats: Optional[Mapping] = None,
+    ):
+        self._net, self._r, self._l, self._field = net, r, l, field
+        lay = net.layout()
+        self.mats: list[Mat] = []
+        self.src_idx = np.full(len(lay.source_edges), -1, dtype=np.intp)
+        self.in_idx = np.full(len(lay.in_slot_edges), -1, dtype=np.intp)
+        self.dec_idx = np.full(len(lay.term_edges), -1, dtype=np.intp)
+        self._ragged: dict[tuple[str, object], tuple] = {}  # (view, key) -> a misfit row
+        self._at: Optional[dict[int, int]] = None  # id(table entry) -> its index
+        self._composed: Optional[tuple[bool, Optional[dict]]] = None
+        for view, given in zip(self._views(), (src_mats, in_mats, dec_mats)):
+            if given:
+                view.update(given)
+
+    @classmethod
+    def _of_table(cls, net, r, l, field, mats, src_idx, in_idx, dec_idx) -> "FracLinCode":
+        code = cls(net, r, l, field)
+        code.mats = mats
+        code.src_idx[:] = src_idx
+        code.in_idx[:] = in_idx
+        code.dec_idx[:] = dec_idx
+        return code
+
+    net = property(lambda self: self._net)
+    r = property(lambda self: self._r)
+    l = property(lambda self: self._l)
+    field = property(lambda self: self._field)
+
+    def _views(self):
+        return self.src_mats, self.in_mats, self.dec_mats
+
+    @property
+    def src_mats(self) -> "_SourceView":
+        return _SourceView(self)
+
+    @src_mats.setter
+    def src_mats(self, mapping: Mapping) -> None:
+        _replace(self.src_mats, mapping)
+
+    @property
+    def in_mats(self) -> "_RowView":
+        return _RowView(self, "in")
+
+    @in_mats.setter
+    def in_mats(self, mapping: Mapping) -> None:
+        _replace(self.in_mats, mapping)
+
+    @property
+    def dec_mats(self) -> "_RowView":
+        return _RowView(self, "dec")
+
+    @dec_mats.setter
+    def dec_mats(self, mapping: Mapping) -> None:
+        _replace(self.dec_mats, mapping)
+
+    def _index(self, mat) -> int:
+        """The table index of this object, added on first use."""
+        if self._at is None:
+            self._at = {}
+            for i, m in enumerate(self.mats):
+                self._at.setdefault(id(m), i)
+        i = self._at.get(id(mat))
+        if i is None:
+            i = self._at[id(mat)] = len(self.mats)
+            self.mats.append(mat)
+        return i
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FracLinCode)
+            and (self.net, self.r, self.l, self.field) == (other.net, other.r, other.l, other.field)
+            and all(a == b for a, b in zip(self._views(), other._views()))
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        size = f"r={self.r}, l={self.l}, {self.field!r}, {len(self.mats)} matrices"
+        return f"FracLinCode({self.net!r}, {size})"
 
     def check_shapes(self) -> None:
         net = self.net
         from_source = net.role_mask(SOURCE)[net.tail].tolist()
         degrees = np.diff(net.in_ptr)[net.tail].tolist()
+        src_mats, in_mats = dict(self.src_mats), dict(self.in_mats)
         for i, (label, src, degree) in enumerate(zip(net.edge_labels(), from_source, degrees)):
             if src:
-                m = self.src_mats.get(i)
+                m = src_mats.get(i)
                 if m is None or m.shape != (self.l, self.r):
                     raise ValueError(f"edge {label}: missing or misshaped source matrix")
             else:
-                mats = self.in_mats.get(i)
+                mats = in_mats.get(i)
                 if mats is None or len(mats) != degree:
                     raise ValueError(f"edge {label}: in-edge matrix list mismatch")
                 for m in mats:
                     if m.shape != (self.l, self.l):
                         raise ValueError(f"edge {label}: expected {self.l}x{self.l} matrices")
+        dec_mats = self.dec_mats
         for t in net.terminals:
-            mats = self.dec_mats.get(t)
+            mats = dec_mats.get(t)
             ins = net.in_edges(t)
             if mats is None or len(mats) != len(ins):
                 raise ValueError(f"terminal {t}: decoder list mismatch")
             for m in mats:
                 if m.shape != (self.r, self.l):
                     raise ValueError(f"terminal {t}: expected {self.r}x{self.l} decoders")
+
+
+def _edge_row(lay, edges: np.ndarray, key) -> int:
+    """The row of edge `key` in `edges`, which is lay.source_edges or
+    lay.relayed_edges; KeyError unless it is there."""
+    try:
+        e = operator.index(key)
+    except TypeError:
+        raise KeyError(key) from None
+    if not 0 <= e < len(lay.edge_row):
+        raise KeyError(key)
+    j = int(lay.edge_row[e])
+    if j >= len(edges) or edges[j] != e:
+        raise KeyError(key)
+    return j
+
+
+class _SourceView(MutableMapping):
+    """Edge index -> source matrix, over `src_idx`."""
+
+    def __init__(self, code: FracLinCode):
+        self._code = code
+        self._lay = code.net.layout()
+        self._edges = self._lay.source_edges
+
+    def _row(self, key) -> int:
+        return _edge_row(self._lay, self._edges, key)
+
+    def __getitem__(self, key):
+        i = self._code.src_idx[self._row(key)]
+        if i < 0:
+            raise KeyError(key)
+        return self._code.mats[i]
+
+    def __setitem__(self, key, mat) -> None:
+        code = self._code
+        code.src_idx[self._row(key)] = code._index(mat)
+        code._composed = None
+
+    def __delitem__(self, key) -> None:
+        j = self._row(key)
+        if self._code.src_idx[j] < 0:
+            raise KeyError(key)
+        self._code.src_idx[j] = -1
+        self._code._composed = None
+
+    def clear(self) -> None:
+        self._code.src_idx[:] = -1
+        self._code._composed = None
+
+    def __iter__(self):
+        return iter(self._edges[self._code.src_idx >= 0].tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._code.src_idx >= 0))
+
+
+class _RowView(MutableMapping):
+    """Edge index -> in-edge matrices (`in_idx`), or terminal label ->
+    decoders (`dec_idx`), one tuple per key.  A key's row is present when
+    none of its slots is -1, or when it is held apart as misfit."""
+
+    def __init__(self, code: FracLinCode, kind: str):
+        self._code, self._kind = code, kind
+        self._lay = lay = code.net.layout()
+        if kind == "in":
+            self._keys, self._ptr = lay.relayed_edges, lay.in_slot_ptr
+        else:
+            self._keys, self._ptr = code.net.terminals, lay.term_ptr
+            self._rows_of = lay.term_rows
+
+    @property
+    def _idx(self) -> np.ndarray:
+        return self._code.in_idx if self._kind == "in" else self._code.dec_idx
+
+    def _rows(self, key) -> list[int]:
+        if self._kind == "in":
+            return [_edge_row(self._lay, self._keys, key)]
+        rows = self._rows_of.get(key) if isinstance(key, str) else None
+        if rows is None:
+            raise KeyError(key)
+        return rows
+
+    def __getitem__(self, key) -> tuple:
+        j = self._rows(key)[0]
+        odd = self._code._ragged.get((self._kind, key))
+        if odd is not None:
+            return odd
+        ids = self._idx[self._ptr[j] : self._ptr[j + 1]]
+        if (ids < 0).any():
+            raise KeyError(key)
+        return tuple(map(self._code.mats.__getitem__, ids.tolist()))
+
+    def __setitem__(self, key, mats) -> None:
+        code, idx = self._code, self._idx
+        mats = tuple(mats)
+        for j in self._rows(key):
+            lo, hi = self._ptr[j], self._ptr[j + 1]
+            if len(mats) == hi - lo:
+                idx[lo:hi] = [code._index(m) for m in mats]
+                code._ragged.pop((self._kind, key), None)
+            else:
+                idx[lo:hi] = -1
+                code._ragged[self._kind, key] = mats
+        code._composed = None
+
+    def __delitem__(self, key) -> None:
+        self[key]  # raises KeyError when absent
+        for j in self._rows(key):
+            self._idx[self._ptr[j] : self._ptr[j + 1]] = -1
+        self._code._ragged.pop((self._kind, key), None)
+        self._code._composed = None
+
+    def clear(self) -> None:
+        self._idx[:] = -1
+        for key in [key for key in self._code._ragged if key[0] == self._kind]:
+            del self._code._ragged[key]
+        self._code._composed = None
+
+    def _present(self) -> np.ndarray:
+        rows = len(self._ptr) - 1
+        missing = np.repeat(np.arange(rows), np.diff(self._ptr))[self._idx < 0]
+        present = np.bincount(missing, minlength=rows) == 0
+        for kind, key in self._code._ragged:
+            if kind == self._kind:
+                present[self._rows(key)] = True
+        return present
+
+    def __iter__(self):
+        present = self._present().tolist()
+        keys = self._keys if self._kind == "dec" else self._keys.tolist()
+        return iter(dict.fromkeys(k for k, ok in zip(keys, present) if ok))
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
+def _replace(view: MutableMapping, mapping: Mapping) -> None:
+    """Assigning a whole mapping to a view: every entry replaced."""
+    mapping = dict(mapping)
+    view.clear()
+    view.update(mapping)
 
 
 # --- transfer matrices ------------------------------------------------------
@@ -104,23 +341,22 @@ class TransferMap:
     """Edge and terminal maps from the global source vector.
 
     Terminals are one (n_terminals, n_sources, r, r) array,
-    `terminal_maps`, in `net.terminals` order.  An edge leaving a source
-    carries its source matrix, read from the code.  Every other edge
-    carries, in `messages`, (source positions, one l x (n*r) array) whose
-    j-th l x r block is the map from source positions[j].  `edge_matrix`
-    gives an edge's dense form on demand.
+    `terminal_maps`, in `net.terminals` order, or None on the map that
+    `bound_check` rebuilds from what `verify` left on a code.  An edge
+    leaving a source carries its source matrix, read from the code.
+    Every other edge carries, in `messages`, (source positions, one
+    l x (n*r) array) whose j-th l x r block is the map from source
+    positions[j].  `edge_matrix` gives an edge's dense form on demand.
     """
 
-    def __init__(self, code: FracLinCode):
-        self.net = net = code.net
+    def __init__(self, code: FracLinCode, messages: Optional[dict] = None, terminal_maps=None):
+        self.net = code.net
         self.r = code.r
         self.l = code.l
         self.field = code.field
-        self._src_mats = code.src_mats
-        self.messages: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.terminal_maps = np.zeros(
-            (len(net.terminals), self.n_sources, self.r, self.r), dtype=np.int64
-        )
+        self._code = code
+        self.messages: dict[int, tuple[np.ndarray, np.ndarray]] = messages or {}
+        self.terminal_maps = terminal_maps
 
     @property
     def n_sources(self) -> int:
@@ -130,7 +366,7 @@ class TransferMap:
         """(source positions, l x (n*r) array) carried by the edge."""
         pos = self.net.layout().src_pos[edge_index]
         if pos >= 0:
-            return np.array([pos]), self._src_mats[edge_index].a
+            return np.array([pos]), self._code.src_mats[edge_index].a
         return self.messages[edge_index]
 
     def edge_matrix(self, edge_index: int) -> Mat:
@@ -140,49 +376,18 @@ class TransferMap:
         return Mat(self.field, out.reshape(self.l, -1))
 
 
-def _ids(objects: list) -> np.ndarray:
-    return np.fromiter(map(id, objects), dtype=np.uint64, count=len(objects))
-
-
-def _shapes_ok(objects: list, ids: np.ndarray, shape: tuple[int, int]) -> bool:
-    """Every object is present and of `shape`; each distinct object is looked at once."""
-    if (ids == id(None)).any():
-        return False
-    _, first = np.unique(ids, return_index=True)
-    return all(objects[i].shape == shape for i in first.tolist())
-
-
-def _flat_slots(tuples: list, degrees) -> Optional[list]:
-    """The tuples' items in order, or None if a tuple is missing or of the wrong length."""
-    if any(t is None for t in tuples) or not np.array_equal(list(map(len, tuples)), degrees):
-        return None
-    return list(chain.from_iterable(tuples))
-
-
-def _checked_slots(code: FracLinCode):
-    """(ids of the source matrices per source edge, decoders per terminal
-    slot, their ids), with every shape checked.  On a missing or misshaped
-    entry, `check_shapes` raises, naming the first bad entry."""
-    net = code.net
-    lay = net.layout()
+def _table_ok(code: FracLinCode) -> bool:
+    """Every slot holds a table entry of its shape; each distinct entry is looked at once."""
     r, l = code.r, code.l
-    srcs = list(map(code.src_mats.get, lay.source_edges.tolist()))
-    relayed = lay.relayed_edges.tolist()
-    ins = _flat_slots(
-        [code.in_mats.get(ei) for ei in relayed], np.diff(net.in_ptr)[net.tail[relayed]]
-    )
-    decs = _flat_slots([code.dec_mats.get(t) for t in net.terminals], np.diff(lay.term_ptr))
-    src_ids = _ids(srcs)
-    dec_ids = _ids(decs or [])
-    if not (
-        ins is not None
-        and decs is not None
-        and _shapes_ok(srcs, src_ids, (l, r))
-        and _shapes_ok(ins, _ids(ins), (l, l))
-        and _shapes_ok(decs, dec_ids, (r, l))
-    ):
-        code.check_shapes()  # it checks the same conditions entry by entry, so it raises
-    return src_ids, decs, dec_ids
+    if code._ragged:
+        return False
+    for idx, shape in ((code.src_idx, (l, r)), (code.in_idx, (l, l)), (code.dec_idx, (r, l))):
+        if idx.size and idx.min() < 0:
+            return False
+        for i in np.unique(idx).tolist():
+            if getattr(code.mats[i], "shape", None) != shape:
+                return False
+    return True
 
 
 def _scatter_sum(parts: list[tuple[np.ndarray, np.ndarray]], rows: int, r: int, p: int):
@@ -202,72 +407,137 @@ def _scatter_sum(parts: list[tuple[np.ndarray, np.ndarray]], rows: int, r: int, 
     return pos, acc.reshape(rows, -1)
 
 
+def _kinds(code: FracLinCode, ids: np.ndarray) -> np.ndarray:
+    """Per table entry, looked at once for each one in ids: 0 when zero,
+    1 when an identity, else 2."""
+    kind = np.full(len(code.mats), 2, dtype=np.int8)
+    for i in np.unique(ids).tolist():
+        a = code.mats[i].a
+        kind[i] = 0 if not a.any() else 1 if np.array_equal(a, np.eye(*a.shape)) else 2
+    return kind
+
+
+def _relay(code: FracLinCode) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The message of every relayed edge, in topological order.  A zero
+    in-edge matrix is skipped and an identity one passes its in-edge's
+    message on, so an edge with one such in-edge shares its message
+    object; any other takes one product with the whole message."""
+    net, lay = code.net, code.net.layout()
+    r, l, p = code.r, code.l, code.field.p
+    src_pos = lay.src_pos
+    order = np.array(topo_order(net), dtype=np.intp)
+    relayed = order[src_pos[order] < 0]
+    rows = lay.edge_row[relayed].tolist()
+    ptr = lay.in_slot_ptr.tolist()
+    ins = lay.in_slot_edges.tolist()
+    ids = code.in_idx.tolist()
+    kind = _kinds(code, code.in_idx)[code.in_idx].tolist()
+    mats = code.mats
+    # Source edges carry their matrix at their one position.
+    feeds = np.unique(lay.in_slot_edges[src_pos[lay.in_slot_edges] >= 0])
+    at = src_pos[feeds][:, None]
+    src = code.src_idx[lay.edge_row[feeds]].tolist()
+    known = {e: (at[j], mats[i].a) for j, (e, i) in enumerate(zip(feeds.tolist(), src))}
+    messages: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for ei, j in zip(relayed.tolist(), rows):
+        parts = []
+        for s in range(ptr[j], ptr[j + 1]):
+            if kind[s]:
+                part = known[ins[s]]
+                if part[0].size:
+                    if kind[s] == 2:
+                        part = (part[0], matmul_mod(mats[ids[s]].a, part[1], p))
+                    parts.append(part)
+        known[ei] = messages[ei] = _scatter_sum(parts, l, r, p)
+    return messages
+
+
+def _terminal_maps(code: FracLinCode, messages: dict) -> np.ndarray:
+    """The (T, S, r, r) terminal maps, reduced once at the end.
+
+    Taps: the decoders of a terminal that read one message are summed,
+    and each distinct message takes one product with the sums of every
+    terminal that reads it stacked.  Direct slots: each terminal's
+    count of slots per (source, distinct decoder and source matrix pair)
+    times that pair's product.  Each entry sums fewer than 2^32 terms
+    below 2^31 before the reduction, so int64 cannot overflow."""
+    net, lay = code.net, code.net.layout()
+    r, l, p = code.r, code.l, code.field.p
+    n_terms, n_src = len(lay.term_ptr) - 1, len(net.source_order)
+    maps = np.zeros((n_terms, n_src, r, r), dtype=np.int64)
+    zero = _kinds(code, code.dec_idx) == 0
+
+    taps = lay.relayed_slots
+    taps = taps[~zero[code.dec_idx[taps]]]
+    if taps.size:
+        edges = lay.term_edges[taps].tolist()
+        msg_ids = np.fromiter((id(messages[e]) for e in edges), dtype=np.uint64, count=len(edges))
+        _, first, group = np.unique(msg_ids, return_index=True, return_inverse=True)
+        terms = lay.slot_term[taps]
+        order = np.lexsort((terms, group))
+        key = group[order] * n_terms + terms[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        stack = np.stack([code.mats[i].a for i in code.dec_idx[taps[order]].tolist()])
+        sums = np.add.reduceat(stack, starts, axis=0) % p
+        sum_terms, sum_group = terms[order][starts], group[order][starts]
+        bounds = np.searchsorted(sum_group, np.arange(len(first) + 1))
+        for g, e in enumerate(lay.term_edges[taps[first]].tolist()):
+            pos, msg = messages[e]
+            lo, hi = bounds[g], bounds[g + 1]
+            if pos.size and hi > lo:
+                prod = matmul_mod(sums[lo:hi].reshape(-1, l), msg, p)
+                blocks = prod.reshape(hi - lo, r, pos.size, r).transpose(0, 2, 1, 3)
+                maps[sum_terms[lo:hi, None], pos[None, :]] += blocks
+
+    direct = lay.direct_slots
+    direct = direct[~zero[code.dec_idx[direct]]]
+    if direct.size:
+        edges = lay.term_edges[direct]
+        n = len(code.mats)
+        pair_key = code.dec_idx[direct] * n + code.src_idx[lay.edge_row[edges]]
+        pairs, pair = np.unique(pair_key, return_inverse=True)
+        products = [
+            matmul_mod(code.mats[d].a, code.mats[e].a, p)
+            for d, e in zip((pairs // n).tolist(), (pairs % n).tolist())
+        ]
+        key = (lay.slot_term[direct] * len(pairs) + pair) * n_src + lay.src_pos[edges]
+        cells, counts = np.unique(key, return_counts=True)
+        segment, pos = np.divmod(cells, n_src)
+        starts = np.flatnonzero(np.diff(segment, prepend=-1))
+        repeated = (np.maximum.reduceat(counts, starts) > 1).tolist() if starts.size else []
+        starts = starts.tolist()
+        bounds = zip(starts, starts[1:] + [len(cells)], segment[starts].tolist(), repeated)
+        # One (terminal, product) segment at a time, so no block is made per slot.
+        for lo, hi, seg, many in bounds:
+            t, j = divmod(seg, len(pairs))
+            if products[j].any():
+                prod = products[j]
+                maps[t, pos[lo:hi]] += counts[lo:hi, None, None] * prod if many else prod
+    maps %= p
+    return maps
+
+
 def transfer(net: SumNetwork, code: FracLinCode) -> TransferMap:
     """Compose all local maps in topological order.
 
-    Every edge not leaving a source gets one product per nonzero in-edge
-    matrix, taken with the whole stacked message of that in-edge; so does
-    every terminal in-edge from such an edge.  A terminal in-edge straight
-    from a source adds dec @ src to the terminal's block for that source;
-    those products are computed once per distinct (decoder, source
-    matrix) object pair and scattered with one `np.add.at` each; every
-    code the package makes gives equal direct-slot matrices one object.
-    Each entry of `terminal_maps` sums fewer than 2^32 terms below 2^31
-    before its one reduction, so int64 cannot overflow.  Raises ValueError unless `net`
-    is the code's own network or equal to it.
+    Each distinct in-edge matrix is classed once as zero, identity or
+    other: a zero slot adds nothing, an identity slot passes its
+    in-edge's message on with no product, and any other takes one
+    product with the whole stacked message of that in-edge.  The
+    terminal maps take one product per distinct message, with the
+    decoders of every terminal that reads it stacked, and one product
+    per distinct (decoder, source matrix) pair of the direct slots,
+    scaled by how often each terminal and source use it.  Raises
+    ValueError unless `net` is the code's own network or equal to it,
+    and as `check_shapes` does on a missing or misshaped entry.
     """
     if not (net is code.net or net == code.net):
         raise ValueError("net: the code is bound to another network")
-    net = code.net
-    src_ids, decs, dec_ids = _checked_slots(code)
-    lay = net.layout()
-    r, l, p = code.r, code.l, code.field.p
-    tm = TransferMap(code)
-
-    order = np.array(topo_order(net), dtype=np.intp)
-    relayed = order[lay.src_pos[order] < 0]
-    for ei, tail in zip(relayed.tolist(), net.tail[relayed].tolist()):
-        parts = []
-        for m, in_ei in zip(code.in_mats[ei], net.in_edges_of(tail).tolist()):
-            if m.a.any():
-                pos, msg = tm.message(in_ei)
-                if pos.size:
-                    parts.append((pos, matmul_mod(m.a, msg, p)))
-        tm.messages[ei] = _scatter_sum(parts, l, r, p)
-
-    slots = lay.relayed_slots
-    tap_edges, tap_terms = lay.term_edges[slots].tolist(), lay.slot_term[slots].tolist()
-    for s, ei, ti in zip(slots.tolist(), tap_edges, tap_terms):
-        dec = decs[s].a
-        if dec.any():
-            pos, msg = tm.message(ei)
-            if pos.size:
-                prod = matmul_mod(dec, msg, p).reshape(r, -1, r)
-                tm.terminal_maps[ti, pos] += prod.transpose(1, 0, 2)
-
-    direct = lay.direct_slots
-    if direct.size:
-        edges = lay.term_edges[direct]
-        src_id_of = np.zeros(len(net.tail), dtype=np.uint64)
-        src_id_of[lay.source_edges] = src_ids
-        _, dec_key = np.unique(dec_ids[direct], return_inverse=True)
-        src_keys, src_key = np.unique(src_id_of[edges], return_inverse=True)
-        _, first, pair = np.unique(
-            dec_key * len(src_keys) + src_key, return_index=True, return_inverse=True
-        )
-        products = [
-            matmul_mod(decs[s].a, code.src_mats[ei].a, p)
-            for s, ei in zip(direct[first].tolist(), edges[first].tolist())
-        ]
-        # Scatter product by product, so no per-slot copy of the blocks is made.
-        by_product = np.argsort(pair, kind="stable")
-        bounds = np.searchsorted(pair[by_product], np.arange(len(products) + 1))
-        terms, positions = lay.slot_term[direct], lay.src_pos[edges]
-        for j, prod in enumerate(products):
-            sel = by_product[bounds[j] : bounds[j + 1]]
-            np.add.at(tm.terminal_maps, (terms[sel], positions[sel]), prod)
-    tm.terminal_maps %= p
-    return tm
+    code.net.layout().src_pos  # raises when source_order omits a source
+    if not _table_ok(code):
+        code.check_shapes()  # it checks the same conditions entry by entry, so it raises
+    messages = _relay(code)
+    return TransferMap(code, messages, _terminal_maps(code, messages))
 
 
 # --- verification ------------------------------------------------------------
@@ -298,25 +568,53 @@ class VerifyReport:
 
 
 def verify(net: SumNetwork, code: FracLinCode) -> VerifyReport:
-    """Pass iff every terminal transfer equals [I_r | ... | I_r]."""
-    return verify_transfer(transfer(net, code))
+    """Pass iff every terminal transfer equals [I_r | ... | I_r].  The
+    verdict, and for a passing code the relayed edges' messages, stay on
+    the code until a view write, so that `bound_check` and
+    `unroll_merged` do not compose it again."""
+    tm = transfer(net, code)
+    report = verify_transfer(tm)
+    code._composed = (report.ok, tm.messages if report.ok else None)
+    return report
+
+
+def _failing(tm: TransferMap) -> np.ndarray:
+    """Per terminal, whether its map differs from [I_r | ... | I_r]."""
+    return (tm.terminal_maps != np.eye(tm.r, dtype=np.int64) % tm.field.p).any(axis=(1, 2, 3))
 
 
 def verify_transfer(tm: TransferMap) -> VerifyReport:
     """Compare every terminal map with [I_r | ... | I_r] at once; the
     residual (map minus target) and its rank are built only for the
     terminals that fail."""
-    diff = (tm.terminal_maps - np.eye(tm.r, dtype=np.int64)) % tm.field.p
+    eye = np.eye(tm.r, dtype=np.int64)
     terminals = tm.net.terminals
     residuals: dict[str, Mat] = {}
     ranks: dict[str, int] = {}
-    for i in np.flatnonzero(diff.any(axis=(1, 2, 3))):
+    for i in np.flatnonzero(_failing(tm)):
         # Block (pos) of the residual occupies columns pos*r .. pos*r + r - 1.
-        res = Mat(tm.field, diff[i].transpose(1, 0, 2).reshape(tm.r, -1))
+        diff = (tm.terminal_maps[i] - eye) % tm.field.p
+        res = Mat(tm.field, diff.transpose(1, 0, 2).reshape(tm.r, -1))
         residuals[terminals[i]] = res
         ranks[terminals[i]] = rank(res)
     first = next(iter(residuals), None)
     return VerifyReport(not residuals, residuals, first, ranks)
+
+
+def _verified(net: SumNetwork, code: FracLinCode, refusal: str) -> TransferMap:
+    """The code's composition without terminal maps, as `verify` left it
+    or composed now; raises UnverifiedCodeError(refusal) unless the code
+    verifies, and ValueError unless `net` is the code's own or equal."""
+    if not (net is code.net or net == code.net):
+        raise ValueError("net: the code is bound to another network")
+    kept = code._composed
+    if kept is None:
+        tm = transfer(net, code)
+        kept = (not _failing(tm).any(), tm.messages)
+    ok, messages = kept
+    if not ok:
+        raise UnverifiedCodeError(refusal)
+    return TransferMap(code, messages)
 
 
 # --- three-layer shape ---------------------------------------------------------
@@ -399,15 +697,6 @@ def layer_shape(net: SumNetwork) -> LayerShape:
 # --- shared building blocks -----------------------------------------------------
 
 
-def _identity_in_mats(net: SumNetwork, code: FracLinCode, identity: Mat) -> None:
-    """Identity forwarding on every edge not leaving a source; edges whose
-    tails have the same in-degree share one tuple."""
-    relayed = np.flatnonzero(~net.role_mask(SOURCE)[net.tail])
-    degrees = np.diff(net.in_ptr)[net.tail[relayed]].tolist()
-    by_degree = {d: (identity,) * d for d in set(degrees)}
-    code.in_mats.update(zip(relayed.tolist(), map(by_degree.__getitem__, degrees)))
-
-
 def _slot_first(i: int, x: int) -> int:
     """0-indexed slot of the first-symbol carrier for pair (i,x), x > i, on e_ij."""
     return 1 + (x - i)
@@ -430,7 +719,6 @@ def _family_scheme(
     p = field.p
     copies = edge_origins(net)[-1]
     r, l = 2 * int(copies.max() if copies.size else 1), m + 1
-    code = FracLinCode(net, r, l, field)
     labels = [parse_label(x) for x in net.label_table]
     if any(kind == "u" and idx[0] > m for kind, idx in labels):
         raise ValueError(f"the network has a group beyond m = {m}")
@@ -482,38 +770,57 @@ def _family_scheme(
             return 0, scaled, scaled
         return 0, proj, proj
 
+    table: dict[tuple, int] = {}  # (shape, entries) -> its index in mats
+    mats: list[Mat] = []
+
+    def add(mat: Mat) -> int:
+        """The table index of mat's value, one Mat per distinct matrix."""
+        key = (mat.shape, mat.a.tobytes())
+        i = table.get(key)
+        if i is None:
+            i = table[key] = len(mats)
+            mats.append(mat)
+        return i
+
     # Source edges: a direct edge pads, by copy; an edge into u_<i>_<j>
     # carries its source's matrix for group i.
+    lay = net.layout()
     tail, head = net.tail, net.head
     from_source = net.role_mask(SOURCE)
-    src = np.flatnonzero(from_source[tail])
+    src = lay.source_edges
     direct = net.role_mask(TERMINAL)[head[src]]
     direct_copies, at = np.unique(copies[src[direct]], return_inverse=True)
-    mats = [widen(pad, c, 1) for c in direct_copies.tolist()]
-    key = np.empty(len(src), dtype=np.intp)
-    key[direct] = at.ravel()
+    src_idx = np.empty(len(src), dtype=np.intp)
+    pads = [add(widen(pad, c, 1)) for c in direct_copies.tolist()]
+    src_idx[direct] = np.array(pads, dtype=np.intp)[at]
     for j in np.flatnonzero(~direct).tolist():
         ei = src[j]
-        key[j] = len(mats)
-        mats.append(widen(source(labels[tail[ei]][1], labels[head[ei]][1][0]), int(copies[ei]), 1))
-    code.src_mats.update(zip(src.tolist(), map(mats.__getitem__, key.tolist())))
-    _identity_in_mats(net, code, Mat.identity(field, l))
+        base = source(labels[tail[ei]][1], labels[head[ei]][1][0])
+        src_idx[j] = add(widen(base, int(copies[ei]), 1))
+    in_idx = np.full(len(lay.in_slot_edges), add(Mat.identity(field, l)), dtype=np.intp)
 
     # A decoder projects (0) for a direct in-edge, else reads the tap as
     # own (1) or other (2) by the tail's group, widened by copy.
+    bases = [proj]  # the distinct unwidened decoders, proj first
+    base_of = {id(proj): 0}
+    g, own, other = [], [], []
+    for x in net.entries(TERMINAL).tolist():
+        g_t, *reads = taps(*labels[x])
+        g.append(g_t)
+        for mat, out in zip(reads, (own, other)):
+            if id(mat) not in base_of:
+                base_of[id(mat)] = len(bases)
+                bases.append(mat)
+            out.append(base_of[id(mat)])
+    g, own, other = (np.array(a, dtype=np.intp) for a in (g, own, other))
     group = np.array([idx[0] for _, idx in labels])
-    ins_kind = np.where(from_source[tail], 0, 2)
-    for t, x in zip(net.terminals, net.entries(TERMINAL).tolist()):
-        g, own, other = taps(*labels[x])
-        ins = net.in_edges_of(x)
-        kind = np.where((ins_kind[ins] == 2) & (group[tail[ins]] == g), 1, ins_kind[ins])
-        pairs = kind * (r // 2 + 1) + copies[ins]
-        made = {
-            int(pairs[j]): widen((proj, own, other)[kind[j]], int(copies[ins[j]]), 0)
-            for j in np.unique(pairs, return_index=True)[1].tolist()
-        }
-        code.dec_mats[t] = tuple(map(made.__getitem__, pairs.tolist()))
-    return code
+    ins, term = lay.term_edges, lay.slot_term
+    base = np.where(group[tail[ins]] == g[term], own[term], other[term])
+    base[from_source[tail[ins]]] = 0
+    keys, which = np.unique(base * (r // 2 + 1) + copies[ins], return_inverse=True)
+    made = [add(widen(bases[k // (r // 2 + 1)], k % (r // 2 + 1), 0)) for k in keys.tolist()]
+    dec_idx = np.array(made, dtype=np.intp)[which.ravel()]
+    return FracLinCode._of_table(net, r, l, field, mats, src_idx, in_idx, dec_idx)
 
 
 def _checked_field(family: str, q: int, p: int) -> PrimeField:
@@ -566,9 +873,13 @@ def unroll_merged(merged_code: FracLinCode, k: int, base: Optional[SumNetwork] =
     each merged edge's base edge and copy are read from its labels
     (`edge_origins`).  Raises ValueError unless every base edge has
     exactly one image in each copy 1..k; a merge of a base with parallel
-    direct edges reads as copies beyond k, so it is refused."""
-    if not verify(merged_code.net, merged_code).ok:
-        raise UnverifiedCodeError("input code does not verify on the merged network")
+    direct edges reads as copies beyond k, so it is refused.  The verdict
+    that `verify` left on the input is used when it is there.
+
+    Every base slot reads k merged table entries, one per copy; each
+    distinct row of k entries is stacked (sources), put on the diagonal
+    (in-edges) or set side by side (decoders) once."""
+    _verified(merged_code.net, merged_code, "input code does not verify on the merged network")
     if k == 1 and base is None:
         return merged_code
     if base is None:
@@ -579,61 +890,57 @@ def unroll_merged(merged_code: FracLinCode, k: int, base: Optional[SumNetwork] =
             f"merged network has {len(merged.tail)} edges, expected {k} x {len(base.tail)}"
         )
     images = _merge_images(merged, base, k)
-    field = merged_code.field
-    r, l = merged_code.r, merged_code.l
-    code = FracLinCode(base, r, l * k, field)
-    built: dict[tuple, Mat] = {}
-
-    def combine(make, parts: list[Mat]) -> Mat:
-        """make(arrays of parts) as a Mat, built once per (make, part objects)."""
-        key = (make, *map(id, parts))
-        out = built.get(key)
-        if out is None:
-            out = built[key] = Mat(field, make([m.a for m in parts]))
-        return out
-
-    def combined(make, parts: list[Mat]) -> list[Mat]:
-        """combine(make, row) for each row of k parts, once per distinct row."""
-        if not parts:
-            return []
-        _, first, which = np.unique(
-            _ids(parts).reshape(-1, k), axis=0, return_index=True, return_inverse=True
-        )
-        made = [combine(make, parts[f * k : (f + 1) * k]) for f in first.tolist()]
-        return list(map(made.__getitem__, which.ravel().tolist()))
-
+    lay, mlay = base.layout(), merged.layout()
     position = np.full(len(merged.tail), -1, dtype=np.intp)
     position[merged.in_idx] = np.arange(len(merged.in_idx)) - np.repeat(
         merged.in_ptr[:-1], np.diff(merged.in_ptr)
     )
 
-    def read(ins: np.ndarray, readers: np.ndarray) -> list[list[int]]:
-        """For each base in-edge in ins, the position of its copy-c image in
-        the in-edge order of merged node readers[c - 1], per copy c."""
+    def read(ins: np.ndarray, readers: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Per base in-edge slot (rows) and copy c (columns): the merged
+        slot, starts plus the position of the in-edge's copy-c image in
+        the in-edge order of merged node readers[:, c - 1]."""
         imgs = images[ins]
         wrong = (merged.head[imgs] != readers) | (position[imgs] < 0)
         if wrong.any():
             label = merged.edge_label(imgs[wrong][0])
             raise ValueError(f"merged edge {label} is not an in-edge of the copy that reads it")
-        return position[imgs].tolist()
+        return starts + position[imgs]
 
     # In copy c, base in-edge b is read through its copy-c image.
-    from_source = base.role_mask(SOURCE)[base.tail]
-    src = np.flatnonzero(from_source)
-    parts = list(map(merged_code.src_mats.__getitem__, images[src].ravel().tolist()))
-    code.src_mats.update(zip(src.tolist(), combined(np.vstack, parts)))
-    for be in np.flatnonzero(~from_source).tolist():
-        readers = images[be]
-        mats = [merged_code.in_mats[me] for me in readers.tolist()]
-        code.in_mats[be] = tuple(
-            combine(_block_diag, [mats[c][j] for c, j in enumerate(row)])
-            for row in read(base.in_edges_of(base.tail[be]), merged.tail[readers])
-        )
-    for t, x, y in zip(base.terminals, base.entries(TERMINAL), merged.entries_of(base.terminals)):
-        dec = merged_code.dec_mats[t]
-        at = read(base.in_edges_of(x), np.full(k, y))
-        code.dec_mats[t] = tuple(combined(np.hstack, [dec[j] for row in at for j in row]))
-    return code
+    src_ids = merged_code.src_idx[mlay.edge_row[images[lay.source_edges]]]
+    # The image of each relayed base edge reads its slots in the image's tail.
+    owner = np.repeat(np.arange(len(lay.relayed_edges)), np.diff(lay.in_slot_ptr))
+    image = images[lay.relayed_edges[owner]]
+    row = mlay.edge_row[image]
+    in_ids = merged_code.in_idx[read(lay.in_slot_edges, merged.tail[image], mlay.in_slot_ptr[row])]
+    # Terminal t of the base reads through terminal t of the merge.
+    term_row = np.array([mlay.term_rows.get(t, [0])[0] for t in base.terminals], dtype=np.intp)
+    reader = merged.entries_of(base.terminals)[lay.slot_term]
+    starts = mlay.term_ptr[term_row[lay.slot_term]][:, None]
+    readers = np.repeat(reader[:, None], k, axis=1)
+    dec_ids = merged_code.dec_idx[read(lay.term_edges, readers, starts)]
+
+    field, mats = merged_code.field, merged_code.mats
+    table: list[Mat] = []
+    built = []
+    for ids, make in ((src_ids, np.vstack), (in_ids, _block_diag), (dec_ids, np.hstack)):
+        first, which = _distinct_rows(ids)
+        built.append(len(table) + which)
+        table += [Mat(field, make([mats[i].a for i in row])) for row in ids[first].tolist()]
+    r, l = merged_code.r, merged_code.l
+    return FracLinCode._of_table(base, r, l * k, field, table, *built)
+
+
+def _distinct_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first row of each distinct row, per row its distinct row's number)
+    of a 2-d array of table indices, ranked one column at a time so that
+    no key exceeds rows x (entries + 1)."""
+    key = np.zeros(len(ids), dtype=np.int64)
+    for col in ids.T:
+        _, key = np.unique(key * (int(col.max(initial=0)) + 1) + col, return_inverse=True)
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    return first, which.ravel()
 
 
 def _merge_images(merged: SumNetwork, base: SumNetwork, k: int) -> np.ndarray:
@@ -695,55 +1002,103 @@ _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 def code_to_json(code: FracLinCode) -> bytes:
     """The v1 code file: `json.dumps(doc, sort_keys=True, separators=(",", ":"))`
     plus a newline, byte for byte."""
-    return _code_text(code).encode("utf-8")
+    return _code_text(code, end="\n").encode("utf-8")
 
 
-def _code_text(code: FracLinCode) -> str:
-    """The code file's text, joined once from one list of fragments.  Each
-    node label, Mat object and in-edge or decoder tuple is encoded once; an
-    edge key is put together from its ends' encoded labels, as JSON escapes
-    a string character by character.  Keys come in `sort_keys` order, by
-    label.  The fragments are freed on return, before the text is encoded."""
-    net = code.net
-    mat_texts: dict[int, str] = {}  # id(Mat) -> its entry list as JSON
-    tuple_texts: dict[int, str] = {}  # id(tuple of Mats) -> its list of entry lists
+def _code_rows(code: FracLinCode, kind: str) -> list:
+    """Per row of the in-edge (kind "in") or decoder ("dec") slots, the
+    tuple of its table indices, or its misfit tuple of matrices.  Raises
+    KeyError naming the first edge or terminal whose row is missing."""
+    lay = code.net.layout()
+    if kind == "in":
+        keys, ptr, idx = lay.relayed_edges.tolist(), lay.in_slot_ptr.tolist(), code.in_idx.tolist()
+    else:
+        keys, ptr, idx = code.net.terminals, lay.term_ptr.tolist(), code.dec_idx.tolist()
+    rows = []
+    for j, key in enumerate(keys):
+        row = code._ragged.get((kind, key))
+        if row is None:
+            row = tuple(idx[ptr[j] : ptr[j + 1]])
+            if row and min(row) < 0:
+                raise KeyError(key)
+        rows.append(row)
+    return rows
 
-    def mat_text(m: Mat) -> str:
-        out = mat_texts.get(id(m))
-        if out is None:
-            out = mat_texts[id(m)] = _ENCODE(m.flat())
+
+def _code_text(
+    code: FracLinCode, indent: Optional[int] = None, depth: int = 0, end: str = ""
+) -> str:
+    """The code file's text, then `end`, joined once from one list of
+    fragments: compact, or as `json.dumps(doc, sort_keys=True,
+    indent=indent)` lays the doc out `depth` levels deep.  Each node label,
+    table entry and distinct row of table indices is encoded once; an edge
+    key is put together from its ends' encoded labels, as JSON escapes a
+    string character by character.  Keys come in `sort_keys` order, by
+    label.  The fragments are freed on return, before the text is
+    encoded."""
+    net, lay = code.net, code.net.layout()
+    colon = ":" if indent is None else ": "
+
+    def nl(level: int) -> str:
+        return "" if indent is None else "\n" + " " * (indent * (depth + level))
+
+    def listing(items: list[str], level: int) -> str:
+        """A JSON list at `level` of encoded items."""
+        if not items:
+            return "[]"
+        return "[" + nl(level + 1) + ("," + nl(level + 1)).join(items) + nl(level) + "]"
+
+    def texts(level: int, *slots: np.ndarray) -> list[str]:
+        """The entry list at `level` of each table entry in slots, "" for the others."""
+        out = [""] * len(code.mats)
+        for i in np.unique(np.concatenate(slots)).tolist():
+            if i >= 0:
+                out[i] = listing(list(map(str, code.mats[i].flat())), level)
         return out
 
-    def tuple_text(mats: Sequence[Mat]) -> str:
-        out = tuple_texts.get(id(mats))
+    at_source, in_row = texts(2, code.src_idx), texts(3, code.in_idx, code.dec_idx)
+    row_texts: dict[tuple, str] = {}  # row of table indices -> its list of entry lists
+
+    def row_text(row: tuple) -> str:
+        if row and not isinstance(row[0], int):  # a misfit row of matrices
+            return listing([listing(list(map(str, m.flat())), 3) for m in row], 2)
+        out = row_texts.get(row)
         if out is None:
-            out = tuple_texts[id(mats)] = "[" + ",".join(map(mat_text, mats)) + "]"
+            out = row_texts[row] = listing(list(map(in_row.__getitem__, row)), 2)
         return out
 
+    src = code.src_idx
+    if src.size and src.min() < 0:
+        raise KeyError(int(lay.source_edges[np.argmax(src < 0)]))
+    # Per edge, its value's place in at_source, or past it in the rows' texts.
+    value = np.empty(len(net.tail), dtype=np.intp)
+    value[lay.source_edges] = src
+    value[lay.relayed_edges] = len(at_source) + np.arange(len(lay.relayed_edges))
+    at_source += map(row_text, _code_rows(code, "in"))
     names = [_ENCODE(label)[1:-1] for label in net.label_table]
-    ends = zip(net.tail.tolist(), net.head.tolist(), net.par.tolist())
-    keys = [f',"({names[t]},{names[h]},{p})":' for t, h, p in ends]
-    from_source = net.role_mask(SOURCE)[net.tail].tolist()
-    src, ins = code.src_mats, code.in_mats
-    values = [mat_text(src[i]) if s else tuple_text(ins[i]) for i, s in enumerate(from_source)]
     by_label = dict(zip(net.edge_labels(), count()))  # a repeated label keeps its last edge
     order = list(map(by_label.__getitem__, sorted(by_label)))
     del by_label  # the labels are not needed for the join
+    sep = "," + nl(2)
+    ends = zip(net.tail[order].tolist(), net.head[order].tolist(), net.par[order].tolist())
     edges = [""] * (2 * len(order))
-    edges[0::2] = map(keys.__getitem__, order)
-    edges[1::2] = map(values.__getitem__, order)
-    decoders = {t: tuple_text(code.dec_mats[t]) for t in net.terminals}
+    edges[0::2] = [f'{sep}"({names[t]},{names[h]},{p})"{colon}' for t, h, p in ends]
+    edges[1::2] = map(at_source.__getitem__, value[order].tolist())
+    decoders = dict(zip(net.terminals, map(row_text, _code_rows(code, "dec"))))
     terminals = []
     for t in sorted(decoders):
-        terminals += (f",{_ENCODE(t)}:", decoders[t])
+        terminals += (f"{sep}{_ENCODE(t)}{colon}", decoders[t])
     for section in (edges, terminals):
         if section:
-            section[0] = section[0][1:]  # no comma before the first key
+            section[0] = nl(2) + section[0][len(sep) :]  # no comma before the first key
+            section.append(nl(1))
+    item = "," + nl(1)
     return "".join(
         [
-            '{"edge_matrices":{', *edges, f'}},"l":{_ENCODE(code.l)},"p":{_ENCODE(code.field.p)}',
-            f',"r":{_ENCODE(code.r)},"terminal_matrices":{{', *terminals,
-            f'}},"version":{_ENCODE(CODE_FORMAT_VERSION)}}}\n',
+            "{", nl(1), f'"edge_matrices"{colon}{{', *edges, "}", item,
+            f'"l"{colon}{_ENCODE(code.l)}', item, f'"p"{colon}{_ENCODE(code.field.p)}', item,
+            f'"r"{colon}{_ENCODE(code.r)}', item, f'"terminal_matrices"{colon}{{', *terminals,
+            "}", item, f'"version"{colon}{_ENCODE(CODE_FORMAT_VERSION)}', nl(0), "}", end,
         ]
     )
 
@@ -856,7 +1211,8 @@ def _resolve(x, arrays: list[list[int]]):
 
 
 class _MatTable:
-    """One read-only Mat per distinct entry list of a code file.
+    """The table of a code being read: one read-only Mat per distinct
+    (rows, cols, entry list) of the file, returned by index.
 
     A reference is looked up once per (array, rows, cols), and a list of
     references once per (rows, cols, references).  Equal tuples
@@ -870,21 +1226,22 @@ class _MatTable:
     def __init__(self, field: PrimeField, arrays: list[list[int]]):
         self.field = field
         self.arrays = arrays
-        self.refs: dict[tuple[int, int, int], Mat] = {}
-        self.rows: dict[tuple, tuple[Mat, ...]] = {}
-        self.mats: dict[tuple, Mat] = {}
+        self.mats: list[Mat] = []
+        self.refs: dict[tuple[int, int, int], int] = {}
+        self.rows: dict[tuple, tuple[int, ...]] = {}
+        self.index: dict[tuple, int] = {}
 
-    def get(self, flat, rows: int, cols: int, what: str, j: Optional[int] = None) -> Mat:
+    def get(self, flat, rows: int, cols: int, what: str, j: Optional[int] = None) -> int:
         """The matrix for skeleton value `flat`; `what`, or `what[j]`, names it in errors."""
         if _is_ref(flat):
             key = (flat[0], rows, cols)
-            mat = self.refs.get(key)
-            if mat is None:
-                mat = self.refs[key] = self._get(self.arrays[flat[0]], rows, cols, what, j)
-            return mat
+            i = self.refs.get(key)
+            if i is None:
+                i = self.refs[key] = self._get(self.arrays[flat[0]], rows, cols, what, j)
+            return i
         return self._get(_resolve(flat, self.arrays), rows, cols, what, j)
 
-    def row(self, entry, degree: int, rows: int, cols: int, what: str) -> tuple[Mat, ...]:
+    def row(self, entry, degree: int, rows: int, cols: int, what: str) -> tuple[int, ...]:
         """The matrices of an in-edge or decoder list, one per in-edge; a
         list made only of references is looked up once per (rows, cols,
         references)."""
@@ -893,30 +1250,35 @@ class _MatTable:
         if not isinstance(entry, list) or len(entry) != degree:
             raise CodeFormatError(f"{what}: expected {degree} matrices")
         ids = _ref_ids(entry)
-        mats = None if ids is None else self.rows.get((rows, cols, ids))
-        if mats is None:
-            mats = tuple(self.get(flat, rows, cols, what, j) for j, flat in enumerate(entry))
+        out = None if ids is None else self.rows.get((rows, cols, ids))
+        if out is None:
+            out = tuple(self.get(flat, rows, cols, what, j) for j, flat in enumerate(entry))
             if ids is not None:
-                self.rows[rows, cols, ids] = mats
-        return mats
+                self.rows[rows, cols, ids] = out
+        return out
 
-    def _get(self, flat, rows: int, cols: int, what: str, j: Optional[int]) -> Mat:
+    def _get(self, flat, rows: int, cols: int, what: str, j: Optional[int]) -> int:
         if j is not None:
             what = f"{what}[{j}]"
         try:
             key = (rows, cols, tuple(flat))
-            mat = self.mats.get(key)
+            i = self.index.get(key)
         except TypeError:  # not a list, or a list holding lists or objects
-            return _as_mat(self.field, flat, rows, cols, what)
-        if mat is None:
-            mat = self.mats[key] = _as_mat(self.field, flat, rows, cols, what)
+            return self._add(_as_mat(self.field, flat, rows, cols, what))
+        if i is None:
+            i = self.index[key] = self._add(_as_mat(self.field, flat, rows, cols, what))
         elif isinstance(sum(flat), float):
             raise CodeFormatError(f"{what}: entries must be integers")
-        return mat
+        return i
+
+    def _add(self, mat: Mat) -> int:
+        self.mats.append(mat)
+        return len(self.mats) - 1
 
 
 def code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
-    """Load a v1 code file; equal entry lists share one read-only Mat."""
+    """Load a v1 code file into a table: equal entry lists of one shape
+    are one read-only Mat."""
     try:
         return _code_from_json(net, data)
     except RecursionError:  # from parsing, or from resolving what was parsed
@@ -951,28 +1313,29 @@ def _code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
     for key in ("edge_matrices", "terminal_matrices"):
         if not isinstance(doc[key], dict):
             raise CodeFormatError(f"field {key!r} must be an object")
-    code = FracLinCode(net, r, l, field)
     table = _MatTable(field, arrays)
     missing = object()
     edge_matrices = doc["edge_matrices"]
     from_source = net.role_mask(SOURCE)[net.tail].tolist()
     degrees = np.diff(net.in_ptr)[net.tail].tolist()
-    get, src_mats, in_mats = edge_matrices.get, code.src_mats, code.in_mats
-    for i, (label, src) in enumerate(zip(net.edge_labels(), from_source)):
+    get, refs = edge_matrices.get, table.refs
+    src: list[int] = []
+    ins: list[int] = []
+    for i, (label, is_src) in enumerate(zip(net.edge_labels(), from_source)):
         entry = get(label, missing)
         if entry is missing:
             raise CodeFormatError(f"edge_matrices missing edge {label}")
-        if not src:
-            in_mats[i] = table.row(entry, degrees[i], l, l, f"edge {label}")
+        if not is_src:
+            ins += table.row(entry, degrees[i], l, l, f"edge {label}")
         elif type(entry) is list and len(entry) == 1 and type(entry[0]) is int:  # _is_ref
-            mat = table.refs.get((entry[0], l, r))
-            src_mats[i] = mat if mat is not None else table.get(entry, l, r, f"edge {label}")
+            k = refs.get((entry[0], l, r))
+            src.append(k if k is not None else table.get(entry, l, r, f"edge {label}"))
         else:
-            src_mats[i] = table.get(entry, l, r, f"edge {label}")
+            src.append(table.get(entry, l, r, f"edge {label}"))
     terminal_matrices = doc["terminal_matrices"]
-    for t in net.terminals:
+    decs: list[int] = []
+    for t, degree in zip(net.terminals, np.diff(net.layout().term_ptr).tolist()):
         if t not in terminal_matrices:
             raise CodeFormatError(f"terminal_matrices missing terminal {t}")
-        degree = len(net.in_edges(t))
-        code.dec_mats[t] = table.row(terminal_matrices[t], degree, r, l, f"terminal {t}")
-    return code
+        decs += table.row(terminal_matrices[t], degree, r, l, f"terminal {t}")
+    return FracLinCode._of_table(net, r, l, field, table.mats, src, ins, decs)

@@ -34,10 +34,6 @@ class Mat:
         self.a.flags.writeable = False
 
     @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "Mat":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
     def identity(cls, field: PrimeField, n: int) -> "Mat":
         return cls(field, np.eye(n, dtype=np.int64))
 

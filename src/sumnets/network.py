@@ -284,37 +284,73 @@ def _csr_rows(ptr: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> tuple[np.nd
 class EdgeLayout:
     """A network's edge structure as int arrays.
 
-    src_pos[e]: the position in `source_order` of edge e's tail, or -1
-    when the tail is not a source.  source_edges and relayed_edges: the
-    edges with and without a source tail, ascending.
+    source_edges and relayed_edges: the edges with and without a source
+    tail, ascending; edge_row[e]: e's position in the one that holds it.
+    The in-edge slots of the relayed edges in CSR form:
+    relayed edge relayed_edges[j] owns slots in_slot_ptr[j] ..
+    in_slot_ptr[j+1]-1, slot s reading in-edge in_slot_edges[s], in the
+    tail's in-edge order.
 
     The terminals' in-edges in CSR form: terminal i, in `terminals`
     order, owns slots term_ptr[i] .. term_ptr[i+1]-1, slot s holding
     in-edge term_edges[s] of terminal slot_term[s], in the terminal's
-    in-edge order.  direct_slots and relayed_slots: the slots whose edge
-    leaves a source, and the others.  Raises NetworkFormatError when
-    `source_order` omits a source that has an out-edge.
+    in-edge order.  term_rows: each terminal label's terminal positions.
+
+    src_pos[e]: the position in `source_order` of edge e's tail, or -1
+    when the tail is not a source.  direct_slots and relayed_slots: the
+    terminal slots whose edge leaves a source, and the others.  These
+    three raise NetworkFormatError on every read when `source_order` omits
+    a source that has an out-edge; the rest needs only the roles and the
+    in-edge order, so a code can be laid out over such a network.
     """
 
     def __init__(self, net: SumNetwork):
+        from_source = net.role_mask(SOURCE)[net.tail]
+        self.source_edges = np.flatnonzero(from_source)
+        self.relayed_edges = np.flatnonzero(~from_source)
+        self.edge_row = np.empty(len(net.tail), dtype=np.intp)
+        for edges in (self.source_edges, self.relayed_edges):
+            self.edge_row[edges] = np.arange(len(edges))
+        self.in_slot_ptr, self.in_slot_edges = _csr_rows(
+            net.in_ptr, net.in_idx, net.tail[self.relayed_edges]
+        )
+        self.term_ptr, self.term_edges = _csr_rows(net.in_ptr, net.in_idx, net.entries(TERMINAL))
+        degrees = np.diff(self.term_ptr)
+        self.slot_term = np.repeat(np.arange(len(degrees)), degrees)
+        self.term_rows: dict[str, list[int]] = {}
+        for i, t in enumerate(net.terminals):
+            self.term_rows.setdefault(t, []).append(i)
+
         pos = np.full(len(net.label_table), -1, dtype=np.intp)
         for i, s in enumerate(net.source_order):
             if net.has_node(s):
                 pos[net._index[s]] = i
-        from_source = net.role_mask(SOURCE)[net.tail]
-        unplaced = np.flatnonzero(from_source & (pos[net.tail] < 0))
+        unplaced = self.source_edges[pos[net.tail[self.source_edges]] < 0]
+        self._unplaced = None
         if unplaced.size:
-            label = net.label_table[net.tail[unplaced[0]]]
-            raise NetworkFormatError(f"source_order does not list source {label!r}")
-        self.src_pos = np.where(from_source, pos[net.tail], -1)
-        self.source_edges = np.flatnonzero(from_source)
-        self.relayed_edges = np.flatnonzero(~from_source)
-        self.term_ptr, self.term_edges = _csr_rows(net.in_ptr, net.in_idx, net.entries(TERMINAL))
-        degrees = np.diff(self.term_ptr)
-        self.slot_term = np.repeat(np.arange(len(degrees)), degrees)
-        direct = self.src_pos[self.term_edges] >= 0
-        self.direct_slots = np.flatnonzero(direct)
-        self.relayed_slots = np.flatnonzero(~direct)
+            self._unplaced = net.label_table[net.tail[unplaced[0]]]
+        self._src_pos = np.where(from_source, pos[net.tail], -1)
+        direct = self._src_pos[self.term_edges] >= 0
+        self._split = np.flatnonzero(direct), np.flatnonzero(~direct)
+
+    def _placed(self) -> None:
+        if self._unplaced is not None:
+            raise NetworkFormatError(f"source_order does not list source {self._unplaced!r}")
+
+    @property
+    def src_pos(self) -> np.ndarray:
+        self._placed()
+        return self._src_pos
+
+    @property
+    def direct_slots(self) -> np.ndarray:
+        self._placed()
+        return self._split[0]
+
+    @property
+    def relayed_slots(self) -> np.ndarray:
+        self._placed()
+        return self._split[1]
 
 
 # --- validation ---------------------------------------------------------

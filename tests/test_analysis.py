@@ -443,7 +443,7 @@ def test_family_two_redundancy_certificate():
 
 def test_bound_check_requires_verifying_code():
     code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
-    code.src_mats[0] = Mat.zeros(code.field, code.l, code.r)
+    code.src_mats[0] = Mat(code.field, np.zeros((code.l, code.r), dtype=np.int64))
     with pytest.raises(UnverifiedCodeError):
         bound_check(code.net, code, "n1-with-groups", 2, 2)
 
@@ -462,7 +462,7 @@ def test_bound_check_refuses_a_mode_before_any_transfer(monkeypatch, verifying):
 
     code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
     if not verifying:
-        code.src_mats[0] = Mat.zeros(code.field, code.l, code.r)
+        code.src_mats[0] = Mat(code.field, np.zeros((code.l, code.r), dtype=np.int64))
 
     def no_transfer(*args):
         raise AssertionError("transfer ran for a mode that does not apply")

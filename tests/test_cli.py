@@ -153,6 +153,51 @@ def test_search_random_requires_seed(built_n1):
                "--random", "5") == 2
 
 
+def test_search_without_out_encodes_no_code(tmp_path, monkeypatch):
+    net = tmp_path / "n.json"
+    assert run("build", "--family", "n1", "--m", "1", "--q", "2", "--out", str(net)) == 0
+
+    def refuse(code):
+        raise AssertionError("a found code was encoded with no --out to write it to")
+
+    monkeypatch.setattr(cli, "code_to_json", refuse)
+    argv = ["--net", str(net), "--r", "2", "--l", "2", "--p", "2", "--random", "500", "--seed", "1"]
+    assert run("search", *argv) == 0
+
+
+def reference_search_text(result) -> str:
+    """The search document as `_cmd_search` wrote it before: each code
+    encoded, parsed back and encoded again with the document."""
+    doc = {
+        "tried": result.tried,
+        "found": len(result.found),
+        "codes": [json.loads(cli.code_to_json(c).decode("utf-8")) for c in result.found],
+        "rejected_at": result.rejected_at,
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "build,r,l,p,n",
+    [
+        (["--family", "n1", "--m", "1", "--q", "2"], 2, 2, 2, 500),
+        (["--family", "n1", "--m", "1", "--q", "2"], 2, 2, 3, 50),
+        (["--rate", "2/3", "--primes", "2,3", "--mode", "in-set"], 1, 6, 2, 6),
+    ],
+    ids=["n1(1,2)", "n1(1,2)-none-found", "rate-2/3-merge"],
+)
+def test_search_out_writes_the_bytes_of_the_round_trip_it_replaced(tmp_path, build, r, l, p, n):
+    from sumnets.analysis import Random, search
+
+    net_path, out = tmp_path / "n.json", tmp_path / "s.json"
+    assert run("build", *build, "--out", str(net_path)) == 0
+    argv = ["--net", str(net_path), "--r", str(r), "--l", str(l), "--p", str(p),
+            "--random", str(n), "--seed", "1", "--out", str(out)]
+    result = search(deserialize(net_path.read_bytes()), r, l, p, Random(n=n, seed=1))
+    assert run("search", *argv) == (0 if result.found else 1)
+    assert out.read_bytes() == reference_search_text(result).encode("utf-8")
+
+
 def test_bounds_without_code(built_n1, capsys):
     assert run("bounds", "--net", str(built_n1)) == 0
     out = capsys.readouterr().out

@@ -82,7 +82,7 @@ def test_transfer_bottleneck_sums_both_sources():
 def test_verify_fails_and_names_terminal_when_coefficient_dropped():
     net = build_bottleneck2()
     code = scalar_code(net, 2)
-    code.src_mats[0] = Mat.zeros(PrimeField(2), 1, 1)  # drop the s_1 coefficient
+    code.src_mats[0] = Mat(PrimeField(2), np.zeros((1, 1), dtype=np.int64))  # drop s_1's coefficient
     report = verify(net, code)
     assert not report.ok
     assert report.first_failed == "t_1"
@@ -197,7 +197,7 @@ def test_unroll_preserves_rate_and_verifies():
 
 def test_unroll_refuses_non_verifying_input():
     merged = scheme_merged("n1", 3, 2, 2, 2)
-    merged.src_mats[0] = Mat.zeros(merged.field, merged.l, merged.r)
+    merged.src_mats[0] = Mat(merged.field, np.zeros((merged.l, merged.r), dtype=np.int64))
     with pytest.raises(UnverifiedCodeError):
         unroll_merged(merged, 2, build_n1(3, 2))
 
@@ -371,7 +371,8 @@ def test_verify_reports_the_residual_rank_of_each_failing_terminal():
     bad[0, 0] ^= 1
     code.dec_mats[t1] = (Mat(code.field, bad),) + code.dec_mats[t1][1:]
     # No decoder at all: the terminal outputs 0, the residual is -[I | ... | I], rank r.
-    code.dec_mats[t2] = tuple(Mat.zeros(code.field, code.r, code.l) for _ in code.dec_mats[t2])
+    shape = (code.r, code.l)
+    code.dec_mats[t2] = tuple(Mat(code.field, np.zeros(shape, dtype=np.int64)) for _ in code.dec_mats[t2])
     report = verify(net, code)
     assert report.residual_ranks == {t1: 1, t2: code.r}
     assert report.to_json()["residual_ranks"] == {t1: 1, t2: code.r}

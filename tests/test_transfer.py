@@ -14,6 +14,7 @@ from sumnets._core_py import matmul_mod
 from sumnets.analysis import bound_check, composites_from_code, routing_code
 from sumnets.coding import (
     FracLinCode,
+    UnverifiedCodeError,
     code_from_json,
     code_to_json,
     layer_shape,
@@ -528,3 +529,248 @@ def test_a_code_bound_to_another_network_is_refused():
     equal = build_n1(2, 2)
     assert equal is not code.net and verify(equal, code).ok
     assert bound_check(equal, code, "n1-with-groups", 2, 2).consistent
+
+
+# --- the grouped transfer on general DAGs ------------------------------------------------
+
+
+def deep_dag(rng, depth=5, width=3, n_sources=3, n_terminals=3):
+    """A random DAG with `depth` layers of relays: every relay reads 1-3
+    edges (some parallel) from sources and earlier layers, and every
+    terminal reads 2-5 edges from sources and relays of any layer, so the
+    terminals tap messages of mixed widths."""
+    sources = [f"s{i}" for i in range(n_sources)]
+    layers = [[f"a{d}_{i}" for i in range(width)] for d in range(depth)]
+    terminals = [f"t{i}" for i in range(n_terminals)]
+    nodes = [Node(s, SOURCE) for s in sources]
+    nodes += [Node(x, INTERMEDIATE) for layer in layers for x in layer]
+    nodes += [Node(t, TERMINAL) for t in terminals]
+    par = {}
+    edges = []
+
+    def connect(tail, head):
+        key = (tail, head)
+        par[key] = par.get(key, -1) + 1
+        edges.append(Edge(tail, head, par[key]))
+
+    for d, layer in enumerate(layers):
+        earlier = sources + [x for prev in layers[:d] for x in prev]
+        for x in layer:
+            for _ in range(rng.integers(1, 4)):
+                # Mostly the layer just before, so that paths run deep.
+                pool = layers[d - 1] if d and rng.random() < 0.7 else earlier
+                connect(pool[rng.integers(len(pool))], x)
+    readable = sources + [x for layer in layers for x in layer]
+    for t in terminals:
+        for _ in range(rng.integers(2, 6)):
+            connect(readable[rng.integers(len(readable))], t)
+    return SumNetwork(nodes, edges)
+
+
+def mixed_code(net, r, l, p, rng):
+    """In-edge matrices drawn from a zero, an identity, two shared random
+    matrices, equal copies of them and fresh ones; decoders and source
+    matrices likewise with zeros among them."""
+    field = PrimeField(p)
+
+    def drawer(rows, cols):
+        zero = Mat(field, np.zeros((rows, cols), dtype=np.int64))
+        eye = Mat(field, np.eye(rows, cols, dtype=np.int64))
+        shared = [Mat(field, rng.integers(0, p, size=(rows, cols))) for _ in range(2)]
+
+        def draw():
+            pick = rng.integers(6)
+            if pick < 2:
+                return (zero, eye)[pick]
+            if pick < 4:
+                return shared[pick - 2]
+            if pick == 4:
+                return Mat(field, shared[0].a.copy())
+            return Mat(field, rng.integers(0, p, size=(rows, cols)))
+
+        return draw
+
+    src, relay, dec = drawer(l, r), drawer(l, l), drawer(r, l)
+    code = FracLinCode(net, r, l, field)
+    for i, e in enumerate(net.edges):
+        if net.role(e.tail) == SOURCE:
+            code.src_mats[i] = src()
+        else:
+            code.in_mats[i] = tuple(relay() for _ in net.in_edges(e.tail))
+    for t in net.terminals:
+        code.dec_mats[t] = tuple(dec() for _ in net.in_edges(t))
+    return code
+
+
+def assert_matches_the_reference(code):
+    net = code.net
+    ref_edges, ref_terminals = reference_transfer(net, code)
+    tm = transfer(net, code)
+    for ei, ref in enumerate(ref_edges):
+        got = message_blocks(tm, ei)
+        assert set(got) == set(ref), ei
+        assert all(np.array_equal(got[pos], ref[pos]) for pos in ref), ei
+    for i, t in enumerate(net.terminals):
+        dense = np.zeros((len(net.source_order), code.r, code.r), dtype=np.int64)
+        for pos, blk in ref_terminals[t].items():
+            dense[pos] = blk
+        assert np.array_equal(tm.terminal_maps[i], dense), t
+    ok, first, _ = reference_verify(net, code, ref_terminals)
+    report = verify_transfer(tm)
+    assert (report.ok, report.first_failed) == (ok, first)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("seed", range(6))
+def test_grouped_transfer_matches_the_reference_on_deep_dags(seed, p):
+    rng = np.random.default_rng(seed * 7919 + p % 1000)
+    net = deep_dag(rng, depth=4 + seed % 3)
+    assert validate(net) == []
+    for r, l in ((1, 1), (2, 3), (3, 2)):
+        assert_matches_the_reference(mixed_code(net, r, l, p, rng))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_grouped_transfer_matches_the_reference_on_merged_families(p):
+    rng = np.random.default_rng(p % 1000 + 3)
+    for net in (k_copy_merge(build_n1(2, 2), 2), k_copy_merge(build_n2(2, 3), 3)):
+        assert_matches_the_reference(mixed_code(net, 2, 3, p, rng))
+
+
+def test_identity_relays_pass_messages_on_without_a_product(monkeypatch):
+    """The scheme's relays are all identities: composing it makes one
+    product per message a terminal taps and one per distinct direct
+    (decoder, source matrix) pair, none per relayed in-edge slot."""
+    import sumnets.coding as coding
+
+    code = scheme_merged("n1", 2, 2, 2, 3)
+    calls = []
+    real = coding.matmul_mod
+
+    def counted(a, b, p):
+        calls.append((a.shape, b.shape))
+        return real(a, b, p)
+
+    monkeypatch.setattr(coding, "matmul_mod", counted)
+    assert verify(code.net, code).ok
+    # Each middle edge's message is tapped; copy c's direct decoder and
+    # source matrix are one pair per copy.
+    assert len(calls) == len(code.net.middle_edges()) + 3
+    assert all(a[0] % code.r == 0 and a[1] == code.l for a, _ in calls)
+
+
+# --- compose once ---------------------------------------------------------------------------
+
+
+def _verified_merge():
+    """A verified 2-copy n1(2,2) scheme, its base and a source edge whose
+    matrix the bound's rank needs."""
+    code = scheme_merged("n1", 2, 2, 2, 2)
+    assert verify(code.net, code).ok
+    return code, build_n1(2, 2)
+
+
+def _zero_source(code):
+    e = min(code.src_mats)
+    return e, Mat(code.field, np.zeros((code.l, code.r), dtype=np.int64))
+
+
+def _set(code):
+    e, zero = _zero_source(code)
+    code.src_mats[e] = zero
+
+
+def _update(code):
+    e, zero = _zero_source(code)
+    code.src_mats.update({e: zero})
+
+
+def _replace_mapping(code):
+    e, zero = _zero_source(code)
+    code.src_mats = {**code.src_mats, e: zero}
+
+
+def _replace_decoders(code):
+    t = code.net.terminals[0]
+    mats = code.dec_mats[t]
+    code.dec_mats = {**code.dec_mats, t: (mats[0],) * len(mats)}
+
+
+def _set_in_edges(code):
+    e = code.net.middle_edges()[0]
+    zero = Mat(code.field, np.zeros((code.l, code.l), dtype=np.int64))
+    code.in_mats[e] = (zero,) * len(code.in_mats[e])
+
+
+@pytest.mark.parametrize(
+    "write", [_set, _update, _replace_mapping, _replace_decoders, _set_in_edges],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_a_write_after_verify_reaches_bound_check_and_unroll_as_unverified(write):
+    code, base = _verified_merge()
+    write(code)
+    with pytest.raises(UnverifiedCodeError):
+        bound_check(code.net, code, "n1-with-groups", 2, 2)
+    with pytest.raises(UnverifiedCodeError):
+        unroll_merged(code, 2, base)
+    assert not verify(code.net, code).ok
+
+
+@pytest.mark.parametrize("view", ["src_mats", "in_mats", "dec_mats"])
+def test_a_delete_after_verify_reaches_bound_check_and_unroll_as_check_shapes_refuses(view):
+    code, base = _verified_merge()
+    mapping = getattr(code, view)
+    del mapping[next(iter(mapping))]
+    with pytest.raises(ValueError) as want:
+        code.check_shapes()
+    for call in (
+        lambda: bound_check(code.net, code, "n1-with-groups", 2, 2),
+        lambda: unroll_merged(code, 2, base),
+    ):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert (got.type, str(got.value)) == (want.type, str(want.value))
+
+
+def test_bound_check_and_unroll_use_what_verify_left(monkeypatch):
+    import sumnets.coding as coding
+
+    code, base = _verified_merge()
+    fresh = code_from_json(code.net, code_to_json(code))
+    want_bound = bound_check(code.net, fresh, "n1-with-groups", 2, 2)
+    want_unrolled = code_to_json(unroll_merged(fresh, 2, base))
+
+    def refuse(net, code):
+        raise AssertionError("composed again")
+
+    monkeypatch.setattr(coding, "transfer", refuse)
+    assert bound_check(code.net, code, "n1-with-groups", 2, 2) == want_bound
+    assert code_to_json(unroll_merged(code, 2, base)) == want_unrolled
+    with pytest.raises(AssertionError, match="composed again"):
+        bound_check(code.net, fresh, "n1-with-groups", 2, 2)
+    # A write that leaves the values as they were still drops what verify left.
+    e = min(code.src_mats)
+    code.src_mats[e] = code.src_mats[e]
+    for call in (lambda: bound_check(code.net, code, "n1-with-groups", 2, 2),
+                 lambda: unroll_merged(code, 2, base)):
+        with pytest.raises(AssertionError, match="composed again"):
+            call()
+
+
+def test_a_failed_verify_is_kept_until_a_write_mends_the_code(monkeypatch):
+    import sumnets.coding as coding
+
+    code, base = _verified_merge()
+    e = min(code.src_mats)
+    kept = code.src_mats[e]
+    _set(code)
+    assert not verify(code.net, code).ok
+    with monkeypatch.context() as patch:
+        patch.setattr(coding, "transfer", lambda net, code: 1 / 0)
+        with pytest.raises(UnverifiedCodeError):
+            bound_check(code.net, code, "n1-with-groups", 2, 2)
+        with pytest.raises(UnverifiedCodeError):
+            unroll_merged(code, 2, base)
+    code.src_mats[e] = kept
+    assert bound_check(code.net, code, "n1-with-groups", 2, 2).ok
+    assert verify(base, unroll_merged(code, 2, base)).ok
