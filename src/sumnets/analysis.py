@@ -217,7 +217,7 @@ def _decode(systems: _DecoderSystems, field: PrimeField, cells: np.ndarray) -> D
         for k, (pos, _) in enumerate(taps):
             dm = d_arr[:, k * l : (k + 1) * l]
             row[pos] = index(dm)
-            tap_mats.append(mats[row[pos]].a)
+            tap_mats.append(dm)
 
         # Residual correction on directly-supplied blocks.
         contrib = {s: np.zeros((r, r), dtype=np.int64) for s in directs}

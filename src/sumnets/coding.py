@@ -70,7 +70,8 @@ class FracLinCode:
     writable mapping views of the table, and the constructor fills them
     from mappings.  A view write adds a new object to the table once; a
     tuple of another length than the in-degree is held apart, its slots
-    at -1, so that `check_shapes` names it.  `verify` leaves its verdict
+    at -1, so that `check_shapes` names it.  A row of no slots (a node
+    without in-edges) is always present, as ().  `verify` leaves its verdict
     and the relayed edges' messages on the code, for `bound_check` and
     `unroll_merged`; every write through a view drops them.
     """

@@ -458,7 +458,7 @@ def test_bound_check_rejects_inapplicable_mode():
 
 @pytest.mark.parametrize("verifying", [True, False])
 def test_bound_check_refuses_a_mode_before_any_transfer(monkeypatch, verifying):
-    import sumnets.analysis
+    import sumnets.coding
 
     code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
     if not verifying:
@@ -467,7 +467,7 @@ def test_bound_check_refuses_a_mode_before_any_transfer(monkeypatch, verifying):
     def no_transfer(*args):
         raise AssertionError("transfer ran for a mode that does not apply")
 
-    monkeypatch.setattr(sumnets.analysis, "transfer", no_transfer)
+    monkeypatch.setattr(sumnets.coding, "transfer", no_transfer)
     with pytest.raises(ValueError, match="does not apply"):
         bound_check(code.net, code, "n2-middle-only", 2, 2)
 
