@@ -497,9 +497,8 @@ def bound_check(net: SumNetwork, code: FracLinCode, mode: str, m: int, q: int) -
     tightens the count to l*E >= r*(|S| + m).
 
     The middle edges' messages and the verdict are those `verify` left on
-    the code, when it did and no view write has dropped them; otherwise
-    the code is composed here.  Raises UnverifiedCodeError unless it
-    verifies.
+    the code, which cannot change after it; a code not yet verified is
+    verified here.  Raises UnverifiedCodeError unless it verifies.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")

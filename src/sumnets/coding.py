@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import operator
 import re
-from collections.abc import Mapping, MutableMapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cache
 from itertools import count
@@ -58,8 +58,8 @@ class UnsupportedNetworkError(ValueError):
 class FracLinCode:
     """An (r,l) fractional linear code bound to a network, held as a table.
 
-    mats: the table, one Mat per distinct matrix.  Three int arrays index
-    it over the slots of `net.layout()`, -1 marking a missing entry:
+    mats: the table, a tuple of one Mat per distinct matrix.  Three
+    read-only int arrays index it over the slots of `net.layout()`:
       src_idx  per source edge (`source_edges`), its l x r matrix;
       in_idx   per in-edge slot of a relayed edge (`in_slot_ptr`), its
                l x l matrix, in the tail's in-edge order;
@@ -67,13 +67,15 @@ class FracLinCode:
 
     src_mats (edge index -> Mat), in_mats (edge index -> tuple, one per
     in-edge of the tail) and dec_mats (terminal label -> tuple) are
-    writable mapping views of the table, and the constructor fills them
-    from mappings.  A view write adds a new object to the table once; a
-    tuple of another length than the in-degree is held apart, its slots
-    at -1, so that `check_shapes` names it.  A row of no slots (a node
-    without in-edges) is always present, as ().  `verify` leaves its verdict
-    and the relayed edges' messages on the code, for `bound_check` and
-    `unroll_merged`; every write through a view drops them.
+    read-only mapping views of the table.  The constructor takes three
+    such mappings and puts each distinct object in the table once.  It
+    raises KeyError on a key that names no slot, and ValueError at the
+    first edge, then terminal, whose entry is missing, misshaped, or a
+    tuple of another length than the in-degree; `_of_table` checks its
+    arrays in the same order.  A row of no slots (a node without
+    in-edges) is (), and may be left out.  A code cannot change once
+    built, so the verdict and messages that `verify` leaves on it hold
+    for `bound_check` and `unroll_merged`; codes compare by identity.
     """
 
     def __init__(
@@ -82,257 +84,144 @@ class FracLinCode:
         r: int,
         l: int,
         field: PrimeField,
-        src_mats: Optional[Mapping] = None,
-        in_mats: Optional[Mapping] = None,
-        dec_mats: Optional[Mapping] = None,
+        src_mats: Mapping,
+        in_mats: Mapping,
+        dec_mats: Mapping,
     ):
-        self._net, self._r, self._l, self._field = net, r, l, field
         lay = net.layout()
-        self.mats: list[Mat] = []
-        self.src_idx = np.full(len(lay.source_edges), -1, dtype=np.intp)
-        self.in_idx = np.full(len(lay.in_slot_edges), -1, dtype=np.intp)
-        self.dec_idx = np.full(len(lay.term_edges), -1, dtype=np.intp)
-        self._ragged: dict[tuple[str, object], tuple] = {}  # (view, key) -> a misfit row
-        self._at: Optional[dict[int, int]] = None  # id(table entry) -> its index
-        self._composed: Optional[tuple[bool, Optional[dict]]] = None
-        for view, given in zip(self._views(), (src_mats, in_mats, dec_mats)):
-            if given:
-                view.update(given)
+        at: dict[int, int] = {}  # id(entry) -> its table index
+        mats: list[Mat] = []
+        arrays: list[list[int]] = []
+        unfit: list[list[int]] = []  # per mapping, the rows of another length than their slots
+        for given, keys, ptr in (
+            (src_mats, lay.source_edges.tolist(), None),
+            (in_mats, lay.relayed_edges.tolist(), lay.in_slot_ptr),
+            (dec_mats, net.terminals, lay.term_ptr),
+        ):
+            extra = set(given).difference(keys)
+            if extra:
+                raise KeyError(next(iter(extra)))
+            ids, rows = [], []
+            degrees = np.diff(ptr).tolist() if ptr is not None else [1] * len(keys)
+            for j, (key, degree) in enumerate(zip(keys, degrees)):
+                row = (given.get(key),) if ptr is None else given.get(key, ())
+                if len(row) != degree:
+                    rows.append(j)
+                    row = (None,) * degree  # None: index -1
+                for m in row:
+                    i = -1 if m is None else at.setdefault(id(m), len(mats))
+                    if i == len(mats):
+                        mats.append(m)
+                    ids.append(i)
+            arrays.append(ids)
+            unfit.append(rows)
+        self._hold(net, r, l, field, mats, *arrays)
+        self._check(*unfit[1:])
 
     @classmethod
     def _of_table(cls, net, r, l, field, mats, src_idx, in_idx, dec_idx) -> "FracLinCode":
-        code = cls(net, r, l, field)
-        code.mats = mats
-        code.src_idx[:] = src_idx
-        code.in_idx[:] = in_idx
-        code.dec_idx[:] = dec_idx
+        """A code from its table and index arrays, checked as the constructor checks one."""
+        code = cls.__new__(cls)
+        code._hold(net, r, l, field, mats, src_idx, in_idx, dec_idx)
+        code._check()
         return code
+
+    def _check(self, unfit_in: Sequence[int] = (), unfit_dec: Sequence[int] = ()) -> None:
+        """Raise ValueError at the first edge, then terminal, with a slot
+        whose table index is out of range or whose entry is misshaped, or
+        whose row (relayed edge or terminal position) the constructor
+        found of another length than the in-degree.  Each array is read
+        once through a per-entry mask of misshaped entries."""
+        net, lay, r, l = self.net, self.net.layout(), self.r, self.l
+        shapes = [getattr(m, "shape", None) for m in self.mats]
+        first = []  # per array, its first row with a bad slot, if any
+        for idx, shape, ptr in (
+            (self.src_idx, (l, r), np.arange(len(lay.source_edges) + 1)),
+            (self.in_idx, (l, l), lay.in_slot_ptr),
+            (self.dec_idx, (r, l), lay.term_ptr),
+        ):
+            if len(idx) != ptr[-1]:
+                raise ValueError(f"{len(idx)} table indices for {ptr[-1]} slots")
+            misfit = np.array([s != shape for s in shapes] + [True])  # the last for a bad index
+            bad = np.flatnonzero(misfit[np.clip(idx, -1, len(shapes))])
+            first.append((np.searchsorted(ptr, bad[:1], side="right") - 1).tolist())
+        ins = min([*first[1], *unfit_in], default=None)
+        dec = min([*first[2], *unfit_dec], default=None)
+        edges = [(int(lay.source_edges[j]), "missing or misshaped source matrix") for j in first[0]]
+        if ins is not None:
+            what = "in-edge matrix list mismatch" if ins in unfit_in else f"expected {l}x{l} matrices"
+            edges.append((int(lay.relayed_edges[ins]), what))
+        if edges:
+            e, what = min(edges)
+            raise ValueError(f"edge {net.edge_label(e)}: {what}")
+        if dec is not None:
+            what = "decoder list mismatch" if dec in unfit_dec else f"expected {r}x{l} decoders"
+            raise ValueError(f"terminal {net.terminals[dec]}: {what}")
+
+    def _hold(self, net, r, l, field, mats, src_idx, in_idx, dec_idx) -> None:
+        self._net, self._r, self._l, self._field = net, r, l, field
+        self._mats = tuple(mats)
+        arrays = [np.array(idx, dtype=np.intp) for idx in (src_idx, in_idx, dec_idx)]
+        for idx in arrays:
+            idx.flags.writeable = False
+        self._src_idx, self._in_idx, self._dec_idx = arrays
+        self._composed: Optional[tuple[bool, Optional[dict]]] = None  # what verify left
 
     net = property(lambda self: self._net)
     r = property(lambda self: self._r)
     l = property(lambda self: self._l)
     field = property(lambda self: self._field)
-
-    def _views(self):
-        return self.src_mats, self.in_mats, self.dec_mats
-
-    @property
-    def src_mats(self) -> "_SourceView":
-        return _SourceView(self)
-
-    @src_mats.setter
-    def src_mats(self, mapping: Mapping) -> None:
-        _replace(self.src_mats, mapping)
-
-    @property
-    def in_mats(self) -> "_RowView":
-        return _RowView(self, "in")
-
-    @in_mats.setter
-    def in_mats(self, mapping: Mapping) -> None:
-        _replace(self.in_mats, mapping)
-
-    @property
-    def dec_mats(self) -> "_RowView":
-        return _RowView(self, "dec")
-
-    @dec_mats.setter
-    def dec_mats(self, mapping: Mapping) -> None:
-        _replace(self.dec_mats, mapping)
-
-    def _index(self, mat) -> int:
-        """The table index of this object, added on first use."""
-        if self._at is None:
-            self._at = {}
-            for i, m in enumerate(self.mats):
-                self._at.setdefault(id(m), i)
-        i = self._at.get(id(mat))
-        if i is None:
-            i = self._at[id(mat)] = len(self.mats)
-            self.mats.append(mat)
-        return i
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FracLinCode)
-            and (self.net, self.r, self.l, self.field) == (other.net, other.r, other.l, other.field)
-            and all(a == b for a, b in zip(self._views(), other._views()))
-        )
-
-    __hash__ = None
+    mats = property(lambda self: self._mats)
+    src_idx = property(lambda self: self._src_idx)
+    in_idx = property(lambda self: self._in_idx)
+    dec_idx = property(lambda self: self._dec_idx)
+    src_mats = property(lambda self: _View(self, "src"))
+    in_mats = property(lambda self: _View(self, "in"))
+    dec_mats = property(lambda self: _View(self, "dec"))
 
     def __repr__(self):
         size = f"r={self.r}, l={self.l}, {self.field!r}, {len(self.mats)} matrices"
         return f"FracLinCode({self.net!r}, {size})"
 
-    def check_shapes(self) -> None:
-        net = self.net
-        from_source = net.role_mask(SOURCE)[net.tail].tolist()
-        degrees = np.diff(net.in_ptr)[net.tail].tolist()
-        src_mats, in_mats = dict(self.src_mats), dict(self.in_mats)
-        for i, (label, src, degree) in enumerate(zip(net.edge_labels(), from_source, degrees)):
-            if src:
-                m = src_mats.get(i)
-                if m is None or m.shape != (self.l, self.r):
-                    raise ValueError(f"edge {label}: missing or misshaped source matrix")
-            else:
-                mats = in_mats.get(i)
-                if mats is None or len(mats) != degree:
-                    raise ValueError(f"edge {label}: in-edge matrix list mismatch")
-                for m in mats:
-                    if m.shape != (self.l, self.l):
-                        raise ValueError(f"edge {label}: expected {self.l}x{self.l} matrices")
-        dec_mats = self.dec_mats
-        for t in net.terminals:
-            mats = dec_mats.get(t)
-            ins = net.in_edges(t)
-            if mats is None or len(mats) != len(ins):
-                raise ValueError(f"terminal {t}: decoder list mismatch")
-            for m in mats:
-                if m.shape != (self.r, self.l):
-                    raise ValueError(f"terminal {t}: expected {self.r}x{self.l} decoders")
 
-
-def _edge_row(lay, edges: np.ndarray, key) -> int:
-    """The row of edge `key` in `edges`, which is lay.source_edges or
-    lay.relayed_edges; KeyError unless it is there."""
-    try:
-        e = operator.index(key)
-    except TypeError:
-        raise KeyError(key) from None
-    if not 0 <= e < len(lay.edge_row):
-        raise KeyError(key)
-    j = int(lay.edge_row[e])
-    if j >= len(edges) or edges[j] != e:
-        raise KeyError(key)
-    return j
-
-
-class _SourceView(MutableMapping):
-    """Edge index -> source matrix, over `src_idx`."""
-
-    def __init__(self, code: FracLinCode):
-        self._code = code
-        self._lay = code.net.layout()
-        self._edges = self._lay.source_edges
-
-    def _row(self, key) -> int:
-        return _edge_row(self._lay, self._edges, key)
-
-    def __getitem__(self, key):
-        i = self._code.src_idx[self._row(key)]
-        if i < 0:
-            raise KeyError(key)
-        return self._code.mats[i]
-
-    def __setitem__(self, key, mat) -> None:
-        code = self._code
-        code.src_idx[self._row(key)] = code._index(mat)
-        code._composed = None
-
-    def __delitem__(self, key) -> None:
-        j = self._row(key)
-        if self._code.src_idx[j] < 0:
-            raise KeyError(key)
-        self._code.src_idx[j] = -1
-        self._code._composed = None
-
-    def clear(self) -> None:
-        self._code.src_idx[:] = -1
-        self._code._composed = None
-
-    def __iter__(self):
-        return iter(self._edges[self._code.src_idx >= 0].tolist())
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._code.src_idx >= 0))
-
-
-class _RowView(MutableMapping):
-    """Edge index -> in-edge matrices (`in_idx`), or terminal label ->
-    decoders (`dec_idx`), one tuple per key.  A key's row is present when
-    none of its slots is -1, or when it is held apart as misfit."""
+class _View(Mapping):
+    """A view of one index array: edge index -> source matrix (`src_idx`),
+    edge index -> in-edge matrices (`in_idx`) or terminal label ->
+    decoders (`dec_idx`), the last two a tuple per key."""
 
     def __init__(self, code: FracLinCode, kind: str):
         self._code, self._kind = code, kind
         self._lay = lay = code.net.layout()
-        if kind == "in":
-            self._keys, self._ptr = lay.relayed_edges, lay.in_slot_ptr
+        if kind == "src":
+            self._keys, self._ptr, self._idx = lay.source_edges, None, code.src_idx
+        elif kind == "in":
+            self._keys, self._ptr, self._idx = lay.relayed_edges, lay.in_slot_ptr, code.in_idx
         else:
-            self._keys, self._ptr = code.net.terminals, lay.term_ptr
-            self._rows_of = lay.term_rows
+            self._keys, self._ptr, self._idx = code.net.terminals, lay.term_ptr, code.dec_idx
 
-    @property
-    def _idx(self) -> np.ndarray:
-        return self._code.in_idx if self._kind == "in" else self._code.dec_idx
-
-    def _rows(self, key) -> list[int]:
-        if self._kind == "in":
-            return [_edge_row(self._lay, self._keys, key)]
-        rows = self._rows_of.get(key) if isinstance(key, str) else None
-        if rows is None:
+    def __getitem__(self, key):
+        lay, keys = self._lay, self._keys
+        if self._kind == "dec":
+            j = lay.term_rows[key][0] if isinstance(key, str) and key in lay.term_rows else -1
+        else:
+            try:
+                e = operator.index(key)
+            except TypeError:
+                raise KeyError(key) from None
+            j = int(lay.edge_row[e]) if 0 <= e < len(lay.edge_row) else -1
+            j = j if 0 <= j < len(keys) and keys[j] == e else -1
+        if j < 0:
             raise KeyError(key)
-        return rows
-
-    def __getitem__(self, key) -> tuple:
-        j = self._rows(key)[0]
-        odd = self._code._ragged.get((self._kind, key))
-        if odd is not None:
-            return odd
-        ids = self._idx[self._ptr[j] : self._ptr[j + 1]]
-        if (ids < 0).any():
-            raise KeyError(key)
-        return tuple(map(self._code.mats.__getitem__, ids.tolist()))
-
-    def __setitem__(self, key, mats) -> None:
-        code, idx = self._code, self._idx
-        mats = tuple(mats)
-        for j in self._rows(key):
-            lo, hi = self._ptr[j], self._ptr[j + 1]
-            if len(mats) == hi - lo:
-                idx[lo:hi] = [code._index(m) for m in mats]
-                code._ragged.pop((self._kind, key), None)
-            else:
-                idx[lo:hi] = -1
-                code._ragged[self._kind, key] = mats
-        code._composed = None
-
-    def __delitem__(self, key) -> None:
-        self[key]  # raises KeyError when absent
-        for j in self._rows(key):
-            self._idx[self._ptr[j] : self._ptr[j + 1]] = -1
-        self._code._ragged.pop((self._kind, key), None)
-        self._code._composed = None
-
-    def clear(self) -> None:
-        self._idx[:] = -1
-        for key in [key for key in self._code._ragged if key[0] == self._kind]:
-            del self._code._ragged[key]
-        self._code._composed = None
-
-    def _present(self) -> np.ndarray:
-        rows = len(self._ptr) - 1
-        missing = np.repeat(np.arange(rows), np.diff(self._ptr))[self._idx < 0]
-        present = np.bincount(missing, minlength=rows) == 0
-        for kind, key in self._code._ragged:
-            if kind == self._kind:
-                present[self._rows(key)] = True
-        return present
+        if self._ptr is None:
+            return self._code.mats[self._idx[j]]
+        ids = self._idx[self._ptr[j] : self._ptr[j + 1]].tolist()
+        return tuple(map(self._code.mats.__getitem__, ids))
 
     def __iter__(self):
-        present = self._present().tolist()
-        keys = self._keys if self._kind == "dec" else self._keys.tolist()
-        return iter(dict.fromkeys(k for k, ok in zip(keys, present) if ok))
+        return iter(self._keys if self._kind == "dec" else self._keys.tolist())
 
     def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-
-def _replace(view: MutableMapping, mapping: Mapping) -> None:
-    """Assigning a whole mapping to a view: every entry replaced."""
-    mapping = dict(mapping)
-    view.clear()
-    view.update(mapping)
+        return len(self._keys)
 
 
 # --- transfer matrices ------------------------------------------------------
@@ -375,20 +264,6 @@ class TransferMap:
         out = np.zeros((self.l, self.n_sources, self.r), dtype=np.int64)
         out[:, pos] = msg.reshape(self.l, -1, self.r)
         return Mat(self.field, out.reshape(self.l, -1))
-
-
-def _table_ok(code: FracLinCode) -> bool:
-    """Every slot holds a table entry of its shape; each distinct entry is looked at once."""
-    r, l = code.r, code.l
-    if code._ragged:
-        return False
-    for idx, shape in ((code.src_idx, (l, r)), (code.in_idx, (l, l)), (code.dec_idx, (r, l))):
-        if idx.size and idx.min() < 0:
-            return False
-        for i in np.unique(idx).tolist():
-            if getattr(code.mats[i], "shape", None) != shape:
-                return False
-    return True
 
 
 def _scatter_sum(parts: list[tuple[np.ndarray, np.ndarray]], rows: int, r: int, p: int):
@@ -529,14 +404,12 @@ def transfer(net: SumNetwork, code: FracLinCode) -> TransferMap:
     decoders of every terminal that reads it stacked, and one product
     per distinct (decoder, source matrix) pair of the direct slots,
     scaled by how often each terminal and source use it.  Raises
-    ValueError unless `net` is the code's own network or equal to it,
-    and as `check_shapes` does on a missing or misshaped entry.
+    ValueError unless `net` is the code's own network or equal to it;
+    the code's shapes were checked when it was built.
     """
     if not (net is code.net or net == code.net):
         raise ValueError("net: the code is bound to another network")
     code.net.layout().src_pos  # raises when source_order omits a source
-    if not _table_ok(code):
-        code.check_shapes()  # it checks the same conditions entry by entry, so it raises
     messages = _relay(code)
     return TransferMap(code, messages, _terminal_maps(code, messages))
 
@@ -571,17 +444,12 @@ class VerifyReport:
 def verify(net: SumNetwork, code: FracLinCode) -> VerifyReport:
     """Pass iff every terminal transfer equals [I_r | ... | I_r].  The
     verdict, and for a passing code the relayed edges' messages, stay on
-    the code until a view write, so that `bound_check` and
+    the code, which cannot change, so that `bound_check` and
     `unroll_merged` do not compose it again."""
     tm = transfer(net, code)
     report = verify_transfer(tm)
     code._composed = (report.ok, tm.messages if report.ok else None)
     return report
-
-
-def _failing(tm: TransferMap) -> np.ndarray:
-    """Per terminal, whether its map differs from [I_r | ... | I_r]."""
-    return (tm.terminal_maps != np.eye(tm.r, dtype=np.int64) % tm.field.p).any(axis=(1, 2, 3))
 
 
 def verify_transfer(tm: TransferMap) -> VerifyReport:
@@ -592,7 +460,8 @@ def verify_transfer(tm: TransferMap) -> VerifyReport:
     terminals = tm.net.terminals
     residuals: dict[str, Mat] = {}
     ranks: dict[str, int] = {}
-    for i in np.flatnonzero(_failing(tm)):
+    failing = (tm.terminal_maps != eye % tm.field.p).any(axis=(1, 2, 3))
+    for i in np.flatnonzero(failing):
         # Block (pos) of the residual occupies columns pos*r .. pos*r + r - 1.
         diff = (tm.terminal_maps[i] - eye) % tm.field.p
         res = Mat(tm.field, diff.transpose(1, 0, 2).reshape(tm.r, -1))
@@ -603,16 +472,15 @@ def verify_transfer(tm: TransferMap) -> VerifyReport:
 
 
 def _verified(net: SumNetwork, code: FracLinCode, refusal: str) -> TransferMap:
-    """The code's composition without terminal maps, as `verify` left it
-    or composed now; raises UnverifiedCodeError(refusal) unless the code
-    verifies, and ValueError unless `net` is the code's own or equal."""
+    """The code's composition without terminal maps, as `verify` left it,
+    verified now if it has not been; raises UnverifiedCodeError(refusal)
+    unless the code verifies, and ValueError unless `net` is the code's
+    own or equal."""
     if not (net is code.net or net == code.net):
         raise ValueError("net: the code is bound to another network")
-    kept = code._composed
-    if kept is None:
-        tm = transfer(net, code)
-        kept = (not _failing(tm).any(), tm.messages)
-    ok, messages = kept
+    if code._composed is None:
+        verify(net, code)
+    ok, messages = code._composed
     if not ok:
         raise UnverifiedCodeError(refusal)
     return TransferMap(code, messages)
@@ -875,7 +743,8 @@ def unroll_merged(merged_code: FracLinCode, k: int, base: Optional[SumNetwork] =
     (`edge_origins`).  Raises ValueError unless every base edge has
     exactly one image in each copy 1..k; a merge of a base with parallel
     direct edges reads as copies beyond k, so it is refused.  The verdict
-    that `verify` left on the input is used when it is there.
+    that `verify` left on the input is used; an input not yet verified is
+    verified here.
 
     Every base slot reads k merged table entries, one per copy; each
     distinct row of k entries is stacked (sources), put on the diagonal
@@ -1006,24 +875,10 @@ def code_to_json(code: FracLinCode) -> bytes:
     return _code_text(code, end="\n").encode("utf-8")
 
 
-def _code_rows(code: FracLinCode, kind: str) -> list:
-    """Per row of the in-edge (kind "in") or decoder ("dec") slots, the
-    tuple of its table indices, or its misfit tuple of matrices.  Raises
-    KeyError naming the first edge or terminal whose row is missing."""
-    lay = code.net.layout()
-    if kind == "in":
-        keys, ptr, idx = lay.relayed_edges.tolist(), lay.in_slot_ptr.tolist(), code.in_idx.tolist()
-    else:
-        keys, ptr, idx = code.net.terminals, lay.term_ptr.tolist(), code.dec_idx.tolist()
-    rows = []
-    for j, key in enumerate(keys):
-        row = code._ragged.get((kind, key))
-        if row is None:
-            row = tuple(idx[ptr[j] : ptr[j + 1]])
-            if row and min(row) < 0:
-                raise KeyError(key)
-        rows.append(row)
-    return rows
+def _code_rows(idx: np.ndarray, ptr: np.ndarray) -> list[tuple[int, ...]]:
+    """Per CSR row of slots, the tuple of its table indices."""
+    idx, ptr = idx.tolist(), ptr.tolist()
+    return [tuple(idx[lo:hi]) for lo, hi in zip(ptr, ptr[1:])]
 
 
 def _code_text(
@@ -1053,29 +908,23 @@ def _code_text(
         """The entry list at `level` of each table entry in slots, "" for the others."""
         out = [""] * len(code.mats)
         for i in np.unique(np.concatenate(slots)).tolist():
-            if i >= 0:
-                out[i] = listing(list(map(str, code.mats[i].flat())), level)
+            out[i] = listing(list(map(str, code.mats[i].flat())), level)
         return out
 
     at_source, in_row = texts(2, code.src_idx), texts(3, code.in_idx, code.dec_idx)
     row_texts: dict[tuple, str] = {}  # row of table indices -> its list of entry lists
 
     def row_text(row: tuple) -> str:
-        if row and not isinstance(row[0], int):  # a misfit row of matrices
-            return listing([listing(list(map(str, m.flat())), 3) for m in row], 2)
         out = row_texts.get(row)
         if out is None:
             out = row_texts[row] = listing(list(map(in_row.__getitem__, row)), 2)
         return out
 
-    src = code.src_idx
-    if src.size and src.min() < 0:
-        raise KeyError(int(lay.source_edges[np.argmax(src < 0)]))
     # Per edge, its value's place in at_source, or past it in the rows' texts.
     value = np.empty(len(net.tail), dtype=np.intp)
-    value[lay.source_edges] = src
+    value[lay.source_edges] = code.src_idx
     value[lay.relayed_edges] = len(at_source) + np.arange(len(lay.relayed_edges))
-    at_source += map(row_text, _code_rows(code, "in"))
+    at_source += map(row_text, _code_rows(code.in_idx, lay.in_slot_ptr))
     names = [_ENCODE(label)[1:-1] for label in net.label_table]
     by_label = dict(zip(net.edge_labels(), count()))  # a repeated label keeps its last edge
     order = list(map(by_label.__getitem__, sorted(by_label)))
@@ -1085,7 +934,7 @@ def _code_text(
     edges = [""] * (2 * len(order))
     edges[0::2] = [f'{sep}"({names[t]},{names[h]},{p})"{colon}' for t, h, p in ends]
     edges[1::2] = map(at_source.__getitem__, value[order].tolist())
-    decoders = dict(zip(net.terminals, map(row_text, _code_rows(code, "dec"))))
+    decoders = dict(zip(net.terminals, map(row_text, _code_rows(code.dec_idx, lay.term_ptr))))
     terminals = []
     for t in sorted(decoders):
         terminals += (f"{sep}{_ENCODE(t)}{colon}", decoders[t])

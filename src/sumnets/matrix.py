@@ -19,11 +19,16 @@ from .galois import FieldMismatchError, PrimeField
 class Mat:
     """A rows x cols matrix with canonical entries in GF(p).
 
-    Immutable after construction: its array is read-only, so one Mat may
-    serve many slots of a code.
+    Immutable after construction: its array is read-only and its
+    attributes are set once, so one Mat may serve many slots of a code.
     """
 
     __slots__ = ("field", "a")
+
+    def __setattr__(self, name: str, value) -> None:
+        if hasattr(self, name):
+            raise AttributeError(f"Mat.{name} is read-only")
+        object.__setattr__(self, name, value)
 
     def __init__(self, field: PrimeField, array: np.ndarray):
         a = np.ascontiguousarray(array, dtype=np.int64)

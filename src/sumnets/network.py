@@ -230,9 +230,6 @@ class SumNetwork:
         """The in-edges of entry x, in order."""
         return self.in_idx[self.in_ptr[x] : self.in_ptr[x + 1]]
 
-    def out_edges(self, label: str) -> list[int]:
-        return np.flatnonzero(self.tail == self._index[label]).tolist()
-
     def edge_label(self, i: int) -> str:
         t = self.label_table
         return f"({t[self.tail[i]]},{t[self.head[i]]},{self.par[i]})"

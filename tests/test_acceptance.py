@@ -25,6 +25,7 @@ from sumnets.analysis import (
 )
 from sumnets.coding import (
     CharacteristicError,
+    UnverifiedCodeError,
     _family_scheme,
     scheme,
     scheme_merged,
@@ -42,7 +43,9 @@ from sumnets.constructions import (
     n2_counts,
 )
 from sumnets.galois import PrimeField
+from sumnets.matrix import Mat
 from sumnets.network import deserialize, serialize
+from rebuild import rebuilt
 
 GRID = list(itertools.product([1, 2, 3], [2, 3, 6]))
 PRIMES = [2, 3, 5]
@@ -117,9 +120,21 @@ def test_rate_three_fifths_target():
         scheme_merged("n1", 9, 2, 3, 3)
     result = search(code.net, 6, 10, 3, Random(n=1000, seed=7))
     ok &= result.tried == 1000 and len(result.found) == 0
+    # One entry of t_1's first decoder flipped, in a code rebuilt from the mappings.
+    t1 = code.net.terminals[0]
+    bad = code.dec_mats[t1][0].a.copy()
+    bad[0, 0] ^= 1
+    flipped = rebuilt(code, dec_mats={t1: (Mat(code.field, bad), *code.dec_mats[t1][1:])})
+    report = verify(flipped.net, flipped)
+    ok &= not report.ok and report.first_failed == t1 == "t_1"
+    with pytest.raises(UnverifiedCodeError):
+        bound_check(flipped.net, flipped, "n1-with-groups", 9, 2)
+    with pytest.raises(UnverifiedCodeError):
+        unroll_merged(flipped, 3, build_n1(9, 2))
     check(
-        "rate 3/5 target: merged (6,10) code verifies over GF(2); over GF(3) the scheme "
-        "is refused and 1000 random composites yield nothing",
+        "rate 3/5 target: merged (6,10) code verifies over GF(2), and fails at t_1 with one "
+        "decoder entry flipped; over GF(3) the scheme is refused and 1000 random composites "
+        "yield nothing",
         ok,
         time.monotonic() - started,
         budget=60,

@@ -36,6 +36,7 @@ from sumnets.network import INTERMEDIATE, SOURCE, TERMINAL, Edge, Node, SumNetwo
 
 from test_coding import code_mats
 from test_constructions import _shuffled
+from rebuild import rebuilt
 
 
 def bottleneck_composite(p, a, b):
@@ -443,7 +444,8 @@ def test_family_two_redundancy_certificate():
 
 def test_bound_check_requires_verifying_code():
     code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
-    code.src_mats[0] = Mat(code.field, np.zeros((code.l, code.r), dtype=np.int64))
+    zero = Mat(code.field, np.zeros((code.l, code.r), dtype=np.int64))
+    code = rebuilt(code, src_mats={0: zero})
     with pytest.raises(UnverifiedCodeError):
         bound_check(code.net, code, "n1-with-groups", 2, 2)
 
@@ -462,7 +464,8 @@ def test_bound_check_refuses_a_mode_before_any_transfer(monkeypatch, verifying):
 
     code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
     if not verifying:
-        code.src_mats[0] = Mat(code.field, np.zeros((code.l, code.r), dtype=np.int64))
+        zero = Mat(code.field, np.zeros((code.l, code.r), dtype=np.int64))
+        code = rebuilt(code, src_mats={0: zero})
 
     def no_transfer(*args):
         raise AssertionError("transfer ran for a mode that does not apply")
@@ -546,7 +549,7 @@ def reference_layer_shape(net: SumNetwork) -> ReferenceShape:
     for label in net.intermediates:
         if label in u_nodes:
             me = u_nodes[label]
-            if net.out_edges(label) != [me]:
+            if np.flatnonzero(net.tail == net.entries_of([label])[0]).tolist() != [me]:
                 raise UnsupportedNetworkError(f"node {label} must feed only its middle edge")
             tails = []
             for ei in net.in_edges(label):
@@ -558,7 +561,8 @@ def reference_layer_shape(net: SumNetwork) -> ReferenceShape:
                 tails.append(tail)
             src_order[me] = tails
         elif label in v_nodes:
-            if any(edges[i].head not in terminal_set for i in net.out_edges(label)):
+            out = np.flatnonzero(net.tail == net.entries_of([label])[0]).tolist()
+            if any(edges[i].head not in terminal_set for i in out):
                 raise UnsupportedNetworkError(f"node {label} must feed terminals only")
             if len(net.in_edges(label)) != 1:
                 raise UnsupportedNetworkError(f"node {label} must have a single in-edge")

@@ -128,21 +128,21 @@ def reference_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
     for key in ("edge_matrices", "terminal_matrices"):
         if not isinstance(doc[key], dict):
             raise CodeFormatError(f"field {key!r} must be an object")
-    code = FracLinCode(net, r, l, field)
     table = _ReferenceMatTable(field)
     edge_matrices = doc["edge_matrices"]
+    src_mats, in_mats, dec_mats = {}, {}, {}
     for i, e in enumerate(net.edges):
         label = e.label
         if label not in edge_matrices:
             raise CodeFormatError(f"edge_matrices missing edge {label}")
         entry = edge_matrices[label]
         if net.role(e.tail) == SOURCE:
-            code.src_mats[i] = table.get(entry, l, r, f"edge {label}")
+            src_mats[i] = table.get(entry, l, r, f"edge {label}")
         else:
             ins = net.in_edges(e.tail)
             if not isinstance(entry, list) or len(entry) != len(ins):
                 raise CodeFormatError(f"edge {label}: expected {len(ins)} matrices")
-            code.in_mats[i] = tuple(
+            in_mats[i] = tuple(
                 table.get(flat, l, l, f"edge {label}[{j}]") for j, flat in enumerate(entry)
             )
     for t in net.terminals:
@@ -152,10 +152,10 @@ def reference_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
         ins = net.in_edges(t)
         if not isinstance(entry, list) or len(entry) != len(ins):
             raise CodeFormatError(f"terminal {t}: expected {len(ins)} matrices")
-        code.dec_mats[t] = tuple(
+        dec_mats[t] = tuple(
             table.get(flat, r, l, f"terminal {t}[{j}]") for j, flat in enumerate(entry)
         )
-    return code
+    return FracLinCode(net, r, l, field, src_mats, in_mats, dec_mats)
 
 
 # A JSON string, kept as it is (to the end of the text if unterminated,
@@ -524,10 +524,7 @@ def test_labels_with_brackets_quotes_and_non_ascii_round_trip():
     edges = [Edge(s, v) for s in names[:-2]] + [Edge(v, t)]
     net = SumNetwork(nodes, edges)
     one = Mat(field, np.ones((1, 1), dtype=np.int64))
-    code = FracLinCode(net, 1, 1, field)
-    code.src_mats = {i: one for i in range(5)}
-    code.in_mats = {5: (one,) * 5}
-    code.dec_mats = {t: (one,)}
+    code = FracLinCode(net, 1, 1, field, dict.fromkeys(range(5), one), {5: (one,) * 5}, {t: (one,)})
     assert verify(net, code).ok
     data = _check_code(code)
     assert b"[1,2]" in data and b"\\u00fc" in data

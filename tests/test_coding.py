@@ -38,6 +38,7 @@ from sumnets.network import (
     deserialize,
     serialize,
 )
+from rebuild import rebuilt
 
 GRID = list(itertools.product([1, 2, 3], [2, 3, 6]))
 PRIMES = [2, 3, 5]
@@ -49,17 +50,16 @@ def single_edge_net():
 
 def scalar_code(net, p, src=1, dec=1):
     f = PrimeField(p)
-    code = FracLinCode(net, 1, 1, f)
+    src_mats, in_mats = {}, {}
     for i, e in enumerate(net.edges):
         if net.role(e.tail) == SOURCE:
-            code.src_mats[i] = Mat(f, np.array([[src]]))
+            src_mats[i] = Mat(f, np.array([[src]]))
         else:
-            code.in_mats[i] = tuple(
+            in_mats[i] = tuple(
                 Mat(f, np.array([[1]])) for _ in net.in_edges(e.tail)
             )
-    for t in net.terminals:
-        code.dec_mats[t] = tuple(Mat(f, np.array([[dec]])) for _ in net.in_edges(t))
-    return code
+    dec_mats = {t: tuple(Mat(f, np.array([[dec]])) for _ in net.in_edges(t)) for t in net.terminals}
+    return FracLinCode(net, 1, 1, f, src_mats, in_mats, dec_mats)
 
 
 def test_transfer_single_edge_identity():
@@ -82,7 +82,8 @@ def test_transfer_bottleneck_sums_both_sources():
 def test_verify_fails_and_names_terminal_when_coefficient_dropped():
     net = build_bottleneck2()
     code = scalar_code(net, 2)
-    code.src_mats[0] = Mat(PrimeField(2), np.zeros((1, 1), dtype=np.int64))  # drop s_1's coefficient
+    zero = Mat(PrimeField(2), np.zeros((1, 1), dtype=np.int64))
+    code = rebuilt(code, src_mats={0: zero})  # drop s_1's coefficient
     report = verify(net, code)
     assert not report.ok
     assert report.first_failed == "t_1"
@@ -197,7 +198,8 @@ def test_unroll_preserves_rate_and_verifies():
 
 def test_unroll_refuses_non_verifying_input():
     merged = scheme_merged("n1", 3, 2, 2, 2)
-    merged.src_mats[0] = Mat(merged.field, np.zeros((merged.l, merged.r), dtype=np.int64))
+    zero = Mat(merged.field, np.zeros((merged.l, merged.r), dtype=np.int64))
+    merged = rebuilt(merged, src_mats={0: zero})
     with pytest.raises(UnverifiedCodeError):
         unroll_merged(merged, 2, build_n1(3, 2))
 
@@ -316,7 +318,6 @@ def test_code_json_shares_one_read_only_matrix_per_distinct_entry_list():
     doc["edge_matrices"][first_source] = doc["terminal_matrices"][first_terminal][0]
     data = json.dumps(doc).encode()
     loaded = code_from_json(code.net, data)
-    loaded.check_shapes()
     assert loaded.src_mats[min(code.src_mats)].shape == (3, 4)
     assert loaded.dec_mats[first_terminal][0].shape == (4, 3)
     mats = code_mats(loaded)
@@ -369,10 +370,12 @@ def test_verify_reports_the_residual_rank_of_each_failing_terminal():
     # One changed row of one decoder: the residual is that row alone, rank 1.
     bad = code.dec_mats[t1][0].a.copy()
     bad[0, 0] ^= 1
-    code.dec_mats[t1] = (Mat(code.field, bad),) + code.dec_mats[t1][1:]
     # No decoder at all: the terminal outputs 0, the residual is -[I | ... | I], rank r.
-    shape = (code.r, code.l)
-    code.dec_mats[t2] = tuple(Mat(code.field, np.zeros(shape, dtype=np.int64)) for _ in code.dec_mats[t2])
+    zero = Mat(code.field, np.zeros((code.r, code.l), dtype=np.int64))
+    code = rebuilt(code, dec_mats={
+        t1: (Mat(code.field, bad),) + code.dec_mats[t1][1:],
+        t2: (zero,) * len(code.dec_mats[t2]),
+    })
     report = verify(net, code)
     assert report.residual_ranks == {t1: 1, t2: code.r}
     assert report.to_json()["residual_ranks"] == {t1: 1, t2: code.r}
@@ -391,9 +394,18 @@ def test_code_json_refuses_a_huge_modulus_at_once():
 
 def test_shape_check_names_offender():
     net = single_edge_net()
-    code = FracLinCode(net, 1, 1, PrimeField(2))
     with pytest.raises(ValueError, match=r"\(s,t,0\)"):
-        code.check_shapes()
+        FracLinCode(net, 1, 1, PrimeField(2), {}, {}, {})
+
+
+def test_a_row_of_no_slots_may_be_left_out():
+    nodes = [Node("s", SOURCE), Node("t", TERMINAL), Node("idle", TERMINAL)]
+    net = SumNetwork(nodes, [Edge("s", "t")])
+    one = Mat(PrimeField(2), np.ones((1, 1), dtype=np.int64))
+    code = FracLinCode(net, 1, 1, PrimeField(2), {0: one}, {}, {"t": (one,)})
+    assert code.dec_mats["idle"] == () and dict(code.dec_mats) == {"t": (one,), "idle": ()}
+    with pytest.raises(ValueError, match=r"^terminal idle: decoder list mismatch$"):
+        FracLinCode(net, 1, 1, PrimeField(2), {0: one}, {}, {"t": (one,), "idle": (one,)})
 
 
 

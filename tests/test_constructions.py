@@ -47,6 +47,7 @@ from sumnets.network import (
     serialize,
     validate,
 )
+from rebuild import rebuilt
 
 GRID = list(itertools.product([1, 2, 3], [2, 3, 6]))
 
@@ -117,7 +118,8 @@ def test_family_one_direct_edge_complements():
 
 def test_family_two_pair_source_skips_own_index():
     net = build_n2(2, 2)
-    heads = {net.edges[ei].head for ei in net.out_edges("s_1_1") if net.edges[ei].head.startswith("u_")}
+    out = np.flatnonzero(net.tail == net.entries_of(["s_1_1"])[0]).tolist()
+    heads = {net.edges[ei].head for ei in out if net.edges[ei].head.startswith("u_")}
     assert heads == {"u_1_2", "u_1_3"}
 
 
@@ -253,13 +255,10 @@ def _reversed_in_order(code, node):
     in_order = dict(net.in_order)
     in_order[node] = net.in_order[node][::-1]
     moved = SumNetwork(net.nodes, net.edges, in_order, list(net.source_order))
-    out = FracLinCode(moved, code.r, code.l, code.field, dict(code.src_mats),
-                      dict(code.in_mats), dict(code.dec_mats))
-    if net.role(node) == TERMINAL:
-        out.dec_mats[node] = code.dec_mats[node][::-1]
-    for ei in net.out_edges(node):
-        out.in_mats[ei] = code.in_mats[ei][::-1]
-    return out
+    dec_mats = {node: code.dec_mats[node][::-1]} if net.role(node) == TERMINAL else {}
+    out = np.flatnonzero(net.tail == net.entries_of([node])[0]).tolist()
+    in_mats = {ei: code.in_mats[ei][::-1] for ei in out}
+    return rebuilt(code, moved, in_mats=in_mats, dec_mats=dec_mats)
 
 
 def test_unroll_places_decoders_by_in_edge_position():
@@ -277,27 +276,21 @@ def test_unroll_places_in_edge_matrices_by_in_edge_position():
     code = scheme_merged("n1", 2, 2, 2, 2)
     assert code.net == k_copy_merge(base, 2)
     node = copy_label(u_lab(1, 1), 1)
-    (me,) = code.net.out_edges(node)
+    (me,) = np.flatnonzero(code.net.tail == code.net.entries_of([node])[0]).tolist()
     # D_j = I + E_{j,j+1}: invertible, its own inverse over GF(2), and
     # distinct per slot, so a matrix read from the wrong slot shows.
-    ds = []
+    ds, src_mats = [], {}
     for j, ei in enumerate(code.net.in_edges(node)):
         a = np.eye(code.l, dtype=np.int64)
         a[j, (j + 1) % code.l] = 1
         d = Mat(code.field, a)
         assert matmul_mod(d.a, d.a, 2).tolist() == np.eye(code.l, dtype=np.int64).tolist()
         ds.append(d)
-        code.src_mats[ei] = Mat(code.field, matmul_mod(d.a, code.src_mats[ei].a, 2))
-    code.in_mats[me] = tuple(ds)
+        src_mats[ei] = Mat(code.field, matmul_mod(d.a, code.src_mats[ei].a, 2))
+    code = rebuilt(code, src_mats=src_mats, in_mats={me: tuple(ds)})
     moved = _reversed_in_order(code, node)
     assert verify(moved.net, moved).ok
     assert verify(base, unroll_merged(moved, 2, base)).ok
-
-
-def _on(code, net):
-    """code's matrices on net, which has the same edge and in-edge structure."""
-    return FracLinCode(net, code.r, code.l, code.field, dict(code.src_mats),
-                       dict(code.in_mats), dict(code.dec_mats))
 
 
 def _renamed(net, old, new):
@@ -327,7 +320,7 @@ def test_merge_map_rejects_a_network_that_is_not_a_merge_of_the_base():
     twice = _renamed(merged, "u_1_1_c2", "u_1_1")
     for net, message in [(broken, "copies no edge"), (beyond, "copy 3 > k = 2"),
                          (twice, "second image in copy 1")]:
-        moved = _on(code, net)
+        moved = rebuilt(code, net)  # the same edge and in-edge structure
         assert verify(net, moved).ok
         with pytest.raises(ValueError, match=message):
             unroll_merged(moved, 2, base)
@@ -342,15 +335,16 @@ def test_unroll_refuses_a_merge_of_a_base_with_parallel_direct_edges():
     # Over GF(2) at rate 1: copy 1 carries the sum; every other edge carries 0.
     field = PrimeField(2)
     one, zero = Mat(field, np.ones((1, 1))), Mat(field, np.zeros((1, 1)))
-    code = FracLinCode(merged, 1, 1, field)
+    src_mats, in_mats, dec_mats = {}, {}, {}
     for i, e in enumerate(merged.edges):
         if merged.role(e.tail) == SOURCE:
-            code.src_mats[i] = one if e.head == "u_1_1_c1" else zero
+            src_mats[i] = one if e.head == "u_1_1_c1" else zero
         else:
-            code.in_mats[i] = (one,) * len(merged.in_edges(e.tail))
+            in_mats[i] = (one,) * len(merged.in_edges(e.tail))
     for t in merged.terminals:
         ins = merged.in_edges(t)
-        code.dec_mats[t] = tuple(one if merged.edges[i].tail == "v_1_1_c1" else zero for i in ins)
+        dec_mats[t] = tuple(one if merged.edges[i].tail == "v_1_1_c1" else zero for i in ins)
+    code = FracLinCode(merged, 1, 1, field, src_mats, in_mats, dec_mats)
     assert verify(merged, code).ok
     with pytest.raises(ValueError, match="> k = 2"):
         unroll_merged(code, 2, base)

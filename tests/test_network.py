@@ -13,6 +13,7 @@ same message, and report the same violations in the same order.
 import heapq
 import json
 
+import numpy as np
 import pytest
 
 from sumnets.constructions import build_bottleneck2, build_n1, build_n2, k_copy_merge
@@ -102,7 +103,7 @@ def reference_topo_order(net: SumNetwork) -> list[int]:
         if head in pending:
             pending[head] -= 1
             if pending[head] == 0:
-                for j in net.out_edges(head):
+                for j in np.flatnonzero(net.tail == net.entries_of([head])[0]).tolist():
                     heapq.heappush(ready, j)
     if len(out) != len(net.edges):
         raise CycleError("cycle detected")

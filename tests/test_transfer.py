@@ -7,6 +7,8 @@ composition, one product per slot, and verification walks the blocks of
 each terminal.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,7 @@ from sumnets.network import (
     topo_order,
     validate,
 )
+from rebuild import rebuilt
 
 PRIMES = [2, 3, 5, 2**31 - 1]
 BASES = {"bottleneck2": build_bottleneck2, "n1(2,2)": lambda: build_n1(2, 2),
@@ -62,7 +65,6 @@ def reference_compose(mats, in_edges, edge_blocks, p):
 
 def reference_transfer(net, code):
     """(edge blocks, terminal blocks), each {source position -> block}."""
-    code.check_shapes()
     p = code.field.p
     src_pos = {s: i for i, s in enumerate(net.source_order)}
     edge_blocks = [dict() for _ in net.edges]
@@ -140,15 +142,14 @@ def random_code(net, r, l, p, rng, density=1.0, palette=0):
         a[rng.random((rows, cols)) >= density] = 0
         return Mat(field, a)
 
-    code = FracLinCode(net, r, l, field)
+    src_mats, in_mats = {}, {}
     for i, e in enumerate(net.edges):
         if net.role(e.tail) == SOURCE:
-            code.src_mats[i] = draw(l, r)
+            src_mats[i] = draw(l, r)
         else:
-            code.in_mats[i] = tuple(draw(l, l) for _ in net.in_edges(e.tail))
-    for t in net.terminals:
-        code.dec_mats[t] = tuple(draw(r, l) for _ in net.in_edges(t))
-    return code
+            in_mats[i] = tuple(draw(l, l) for _ in net.in_edges(e.tail))
+    dec_mats = {t: tuple(draw(r, l) for _ in net.in_edges(t)) for t in net.terminals}
+    return FracLinCode(net, r, l, field, src_mats, in_mats, dec_mats)
 
 
 def corrupted(code, rng):
@@ -160,10 +161,7 @@ def corrupted(code, rng):
     i, c = rng.integers(bad.shape[0]), rng.integers(bad.shape[1])
     bad[i, c] = (bad[i, c] + 1) % code.field.p
     mats[j] = Mat(code.field, bad)
-    out = FracLinCode(code.net, code.r, code.l, code.field,
-                      dict(code.src_mats), dict(code.in_mats), dict(code.dec_mats))
-    out.dec_mats[t] = tuple(mats)
-    return out
+    return rebuilt(code, dec_mats={t: tuple(mats)})
 
 
 def passing_codes(name, k, p):
@@ -254,10 +252,9 @@ def test_terminal_maps_do_not_overflow_at_the_modulus_ceiling():
     net = SumNetwork([Node("s", SOURCE), Node("t", TERMINAL)],
                      [Edge("s", "t", par) for par in range(300)])
     field = PrimeField(p)
-    code = FracLinCode(net, 1, 1, field)
-    for i in range(300):
-        code.src_mats[i] = Mat(field, np.array([[1]]))
-    code.dec_mats["t"] = (Mat(field, np.array([[p - 1]])),) * 300
+    one = Mat(field, np.array([[1]]))
+    code = FracLinCode(net, 1, 1, field, dict.fromkeys(range(300), one), {},
+                       {"t": (Mat(field, np.array([[p - 1]])),) * 300})
     tm = transfer(net, code)
     assert tm.terminal_maps[0, 0, 0, 0] == (300 * (p - 1)) % p
     ref = reference_transfer(net, code)[1]["t"][0]
@@ -309,59 +306,82 @@ def test_sums_over_several_paths_match_the_reference(p):
 
 
 # --- malformed codes -----------------------------------------------------------------------
+#
+# Each case changes a code's mappings (copied to dicts) and returns the
+# message that building a code from them must raise.
 
 
 def _first_relayed_edge(net):
     return next(i for i, e in enumerate(net.edges) if net.role(e.tail) != SOURCE)
 
 
-def _drop_source(code):
-    del code.src_mats[min(code.src_mats)]
+def _drop_source(code, src, ins, dec):
+    e = min(src)
+    del src[e]
+    return f"edge {code.net.edge_label(e)}: missing or misshaped source matrix"
 
 
-def _misshape_source(code):
-    ei = max(code.src_mats)
-    code.src_mats[ei] = Mat(code.field, np.zeros((code.l + 1, code.r), dtype=np.int64))
+def _misshape_source(code, src, ins, dec):
+    e = max(src)
+    src[e] = Mat(code.field, np.zeros((code.l + 1, code.r), dtype=np.int64))
+    return f"edge {code.net.edge_label(e)}: missing or misshaped source matrix"
 
 
-def _misshape_in_edge(code):
-    ei = _first_relayed_edge(code.net)
+def _misshape_in_edge(code, src, ins, dec):
+    e = _first_relayed_edge(code.net)
     bad = Mat(code.field, np.zeros((code.l, code.l + 1), dtype=np.int64))
-    code.in_mats[ei] = code.in_mats[ei][:-1] + (bad,)
+    ins[e] = ins[e][:-1] + (bad,)
+    return f"edge {code.net.edge_label(e)}: expected {code.l}x{code.l} matrices"
 
 
-def _misshape_decoder(code):
+def _misshape_decoder(code, src, ins, dec):
     t = code.net.terminals[-1]
     bad = Mat(code.field, np.zeros((code.r + 1, code.l), dtype=np.int64))
-    code.dec_mats[t] = (bad,) + code.dec_mats[t][1:]
+    dec[t] = (bad,) + dec[t][1:]
+    return f"terminal {t}: expected {code.r}x{code.l} decoders"
 
 
-def _shorten_in_edges(code):
-    ei = _first_relayed_edge(code.net)
-    code.in_mats[ei] = code.in_mats[ei][:-1]
+def _shorten_in_edges(code, src, ins, dec):
+    e = _first_relayed_edge(code.net)
+    ins[e] = ins[e][:-1]
+    return f"edge {code.net.edge_label(e)}: in-edge matrix list mismatch"
 
 
-def _shorten_decoders(code):
+def _shorten_decoders(code, src, ins, dec):
     t = code.net.terminals[0]
-    code.dec_mats[t] = code.dec_mats[t][:-1]
+    dec[t] = dec[t][:-1]
+    return f"terminal {t}: decoder list mismatch"
 
 
-def _drop_in_edges(code):
-    del code.in_mats[_first_relayed_edge(code.net)]
+def _drop_in_edges(code, src, ins, dec):
+    e = _first_relayed_edge(code.net)
+    del ins[e]
+    return f"edge {code.net.edge_label(e)}: in-edge matrix list mismatch"
 
 
-def _drop_decoders(code):
-    del code.dec_mats[code.net.terminals[-1]]
+def _drop_decoders(code, src, ins, dec):
+    t = code.net.terminals[-1]
+    del dec[t]
+    return f"terminal {t}: decoder list mismatch"
 
 
-def _one_object_as_source_and_decoder(code):
+def _one_object_as_source_and_decoder(code, src, ins, dec):
     """Every source matrix is one l x r object, which also sits in one
     decoder slot, where r x l is required (r != l)."""
     shared = Mat(code.field, np.ones((code.l, code.r), dtype=np.int64))
-    for ei in code.src_mats:
-        code.src_mats[ei] = shared
+    src.update(dict.fromkeys(src, shared))
     t = code.net.terminals[-1]
-    code.dec_mats[t] = code.dec_mats[t][:-1] + (shared,)
+    dec[t] = dec[t][:-1] + (shared,)
+    return f"terminal {t}: expected {code.r}x{code.l} decoders"
+
+
+def _three_faults(code, src, ins, dec):
+    """A misshaped decoder, the last source misshaped and the first
+    relayed edge's list shortened: the lower of the two edges is named."""
+    _misshape_decoder(code, src, ins, dec)
+    at_source = _misshape_source(code, src, ins, dec)
+    at_relay = _shorten_in_edges(code, src, ins, dec)
+    return at_source if max(src) < _first_relayed_edge(code.net) else at_relay
 
 
 MALFORMED = [
@@ -374,22 +394,65 @@ MALFORMED = [
     _drop_in_edges,
     _drop_decoders,
     _one_object_as_source_and_decoder,
+    _three_faults,
 ]
+# The cases whose every row keeps its length, so that they can be laid out as a table.
+AS_TABLE = [_drop_source, _misshape_source, _misshape_in_edge, _misshape_decoder,
+            _one_object_as_source_and_decoder]
+
+
+def _spoiled(spoil, palette):
+    """(the spoiled mappings, the message building a code from them raises)."""
+    net = build_n1(2, 2)
+    code = random_code(net, 2, 3, 5, np.random.default_rng(3), palette=palette)
+    src, ins, dec = dict(code.src_mats), dict(code.in_mats), dict(code.dec_mats)
+    want = spoil(code, src, ins, dec)
+    return code, (src, ins, dec), f"^{re.escape(want)}$"
 
 
 @pytest.mark.parametrize("spoil", MALFORMED, ids=lambda f: f.__name__.strip("_"))
 @pytest.mark.parametrize("palette", [0, 2], ids=["distinct", "shared"])
-def test_a_malformed_code_is_refused_as_check_shapes_refuses_it(spoil, palette):
-    net = build_n1(2, 2)
-    code = random_code(net, 2, 3, 5, np.random.default_rng(3), palette=palette)
-    transfer(net, code)
-    spoil(code)
-    with pytest.raises(Exception) as want:
-        code.check_shapes()
-    with pytest.raises(Exception) as got:
-        transfer(net, code)
-    assert got.type is want.type
-    assert str(got.value) == str(want.value)
+def test_a_malformed_code_is_refused_when_built(spoil, palette):
+    code, mappings, want = _spoiled(spoil, palette)
+    with pytest.raises(ValueError, match=want):
+        FracLinCode(code.net, code.r, code.l, code.field, *mappings)
+
+
+@pytest.mark.parametrize("spoil", AS_TABLE, ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("palette", [0, 2], ids=["distinct", "shared"])
+def test_a_malformed_table_is_refused_as_its_mappings_are(spoil, palette):
+    """The same code as a table of its distinct objects, a missing entry as -1."""
+    code, (src, ins, dec), want = _spoiled(spoil, palette)
+    lay = code.net.layout()
+    parts = (
+        [[src.get(e)] for e in lay.source_edges.tolist()],
+        [ins[e] for e in lay.relayed_edges.tolist()],
+        [dec[t] for t in code.net.terminals],
+    )
+    table = list({id(m): m for part in parts for row in part for m in row if m is not None}.values())
+    at = {id(m): i for i, m in enumerate(table)}
+    arrays = [[at.get(id(m), -1) for row in part for m in row] for part in parts]
+    with pytest.raises(ValueError, match=want):
+        FracLinCode._of_table(code.net, code.r, code.l, code.field, table, *arrays)
+
+
+def test_a_table_index_past_the_table_is_refused():
+    code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
+    label = code.net.edge_label(int(code.net.layout().source_edges[0]))
+    src = code.src_idx.copy()
+    src[0] = len(code.mats)
+    with pytest.raises(ValueError, match=rf"^edge {re.escape(label)}: missing or misshaped"):
+        FracLinCode._of_table(code.net, code.r, code.l, code.field, code.mats, src,
+                              code.in_idx, code.dec_idx)
+
+
+def test_a_key_that_names_no_slot_is_refused():
+    code = scheme(build_n1(2, 2), "n1", 2, 2, 2)
+    relayed = _first_relayed_edge(code.net)
+    for changes in ({"src_mats": {relayed: code.mats[0]}}, {"in_mats": {min(code.src_mats): ()}},
+                    {"dec_mats": {"s_1_1": ()}}):
+        with pytest.raises(KeyError):
+            rebuilt(code, **changes)
 
 
 # --- topological order ------------------------------------------------------------------------
@@ -432,12 +495,11 @@ def permuted_in_edges(code, rng):
         perms[node] = perm
         in_order[node] = [order[i] for i in perm]
     new_net = SumNetwork(net.nodes, net.edges, in_order, list(net.source_order))
-    out = FracLinCode(new_net, code.r, code.l, code.field, dict(code.src_mats))
-    for ei, mats in code.in_mats.items():
-        out.in_mats[ei] = tuple(mats[i] for i in perms[net.edges[ei].tail])
-    for t, mats in code.dec_mats.items():
-        out.dec_mats[t] = tuple(mats[i] for i in perms[t])
-    return out
+    in_mats = {
+        ei: tuple(mats[i] for i in perms[net.edges[ei].tail]) for ei, mats in code.in_mats.items()
+    }
+    dec_mats = {t: tuple(mats[i] for i in perms[t]) for t, mats in code.dec_mats.items()}
+    return rebuilt(code, new_net, in_mats=in_mats, dec_mats=dec_mats)
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c[2] in (2, 5)], ids=_case_id)
@@ -474,12 +536,6 @@ def test_merge_unroll_verify_round_trip(family, m, q, p, k):
     assert verify(base, again).ok
 
 
-def _with_in_mats(code, in_mats):
-    """The code with the in-edge matrices of some edges replaced."""
-    mats = {**code.in_mats, **in_mats}
-    return FracLinCode(code.net, code.r, code.l, code.field, code.src_mats, mats, code.dec_mats)
-
-
 @pytest.mark.parametrize(
     "family,p,mode", [("n1", 2, "n1-with-groups"), ("n2", 3, "n2-middle-only")]
 )
@@ -498,13 +554,13 @@ def test_a_basis_change_on_a_middle_edge_leaves_verify_and_the_bound_unchanged(f
 
     me = net.middle_edges()[0]
     changed = {me: tuple(Mat(field, matmul_mod(g.a, m.a, p)) for m in code.in_mats[me])}
-    alone = _with_in_mats(code, changed)
-    for e in net.out_edges(net.label_table[net.head[me]]):
+    alone = rebuilt(code, in_mats=changed)
+    for e in np.flatnonzero(net.tail == net.head[me]).tolist():
         at = net.in_edges_of(net.tail[e]).tolist().index(me)
         mats = list(code.in_mats[e])
         mats[at] = Mat(field, matmul_mod(mats[at].a, g_inv.a, p))
         changed[e] = tuple(mats)
-    changed_code = _with_in_mats(code, changed)
+    changed_code = rebuilt(code, in_mats=changed)
 
     before, after = verify(net, code), verify(net, changed_code)
     assert before.ok and after.to_json() == before.to_json()
@@ -591,15 +647,14 @@ def mixed_code(net, r, l, p, rng):
         return draw
 
     src, relay, dec = drawer(l, r), drawer(l, l), drawer(r, l)
-    code = FracLinCode(net, r, l, field)
+    src_mats, in_mats = {}, {}
     for i, e in enumerate(net.edges):
         if net.role(e.tail) == SOURCE:
-            code.src_mats[i] = src()
+            src_mats[i] = src()
         else:
-            code.in_mats[i] = tuple(relay() for _ in net.in_edges(e.tail))
-    for t in net.terminals:
-        code.dec_mats[t] = tuple(dec() for _ in net.in_edges(t))
-    return code
+            in_mats[i] = tuple(relay() for _ in net.in_edges(e.tail))
+    dec_mats = {t: tuple(dec() for _ in net.in_edges(t)) for t in net.terminals}
+    return FracLinCode(net, r, l, field, src_mats, in_mats, dec_mats)
 
 
 def assert_matches_the_reference(code):
@@ -672,64 +727,61 @@ def _verified_merge():
 
 def _zero_source(code):
     e = min(code.src_mats)
-    return e, Mat(code.field, np.zeros((code.l, code.r), dtype=np.int64))
+    return rebuilt(code, src_mats={e: Mat(code.field, np.zeros((code.l, code.r), dtype=np.int64))})
 
 
-def _set(code):
-    e, zero = _zero_source(code)
-    code.src_mats[e] = zero
-
-
-def _update(code):
-    e, zero = _zero_source(code)
-    code.src_mats.update({e: zero})
-
-
-def _replace_mapping(code):
-    e, zero = _zero_source(code)
-    code.src_mats = {**code.src_mats, e: zero}
-
-
-def _replace_decoders(code):
+def _one_decoder(code):
     t = code.net.terminals[0]
     mats = code.dec_mats[t]
-    code.dec_mats = {**code.dec_mats, t: (mats[0],) * len(mats)}
+    return rebuilt(code, dec_mats={t: (mats[0],) * len(mats)})
 
 
-def _set_in_edges(code):
+def _zero_in_edges(code):
     e = code.net.middle_edges()[0]
     zero = Mat(code.field, np.zeros((code.l, code.l), dtype=np.int64))
-    code.in_mats[e] = (zero,) * len(code.in_mats[e])
+    return rebuilt(code, in_mats={e: (zero,) * len(code.in_mats[e])})
 
 
-@pytest.mark.parametrize(
-    "write", [_set, _update, _replace_mapping, _replace_decoders, _set_in_edges],
-    ids=lambda f: f.__name__.strip("_"),
-)
-def test_a_write_after_verify_reaches_bound_check_and_unroll_as_unverified(write):
-    code, base = _verified_merge()
-    write(code)
+def test_a_verified_code_cannot_change_under_its_verdict():
+    """Writing a zero matrix into a verified code's table and pointing its
+    source slots at it used to leave the verdict in place, so that
+    `bound_check` passed and `unroll_merged` unrolled a failing code."""
+    net = build_n1(2, 2)
+    code = scheme(net, "n1", 2, 2, 2)
+    assert verify(net, code).ok
+    zero = Mat(code.field, np.zeros((code.l, code.r), dtype=np.int64))
+    with pytest.raises(AttributeError):
+        code.mats.append(zero)
+    with pytest.raises(AttributeError):
+        code.mats[0].a = zero.a
+    for name in ("src_idx", "in_idx", "dec_idx"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(code, name)[:] = 0
+    for name in ("mats", "src_idx", "in_idx", "dec_idx", "src_mats", "in_mats", "dec_mats"):
+        with pytest.raises(AttributeError):
+            setattr(code, name, getattr(code, name))
+    with pytest.raises(TypeError):
+        code.src_mats[min(code.src_mats)] = zero
+    assert verify_transfer(transfer(net, code)).ok
+
+    changed = rebuilt(code, src_mats=dict.fromkeys(code.src_mats, zero))
+    assert not verify_transfer(transfer(net, changed)).ok
     with pytest.raises(UnverifiedCodeError):
-        bound_check(code.net, code, "n1-with-groups", 2, 2)
+        bound_check(net, changed, "n1-with-groups", 2, 2)
     with pytest.raises(UnverifiedCodeError):
-        unroll_merged(code, 2, base)
-    assert not verify(code.net, code).ok
+        unroll_merged(changed, 1, net)
 
 
-@pytest.mark.parametrize("view", ["src_mats", "in_mats", "dec_mats"])
-def test_a_delete_after_verify_reaches_bound_check_and_unroll_as_check_shapes_refuses(view):
+@pytest.mark.parametrize("change", [_zero_source, _one_decoder, _zero_in_edges],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_a_code_rebuilt_with_one_change_is_unverified_to_bound_check_and_unroll(change):
     code, base = _verified_merge()
-    mapping = getattr(code, view)
-    del mapping[next(iter(mapping))]
-    with pytest.raises(ValueError) as want:
-        code.check_shapes()
-    for call in (
-        lambda: bound_check(code.net, code, "n1-with-groups", 2, 2),
-        lambda: unroll_merged(code, 2, base),
-    ):
-        with pytest.raises(ValueError) as got:
-            call()
-        assert (got.type, str(got.value)) == (want.type, str(want.value))
+    changed = change(code)
+    with pytest.raises(UnverifiedCodeError):
+        bound_check(changed.net, changed, "n1-with-groups", 2, 2)
+    with pytest.raises(UnverifiedCodeError):
+        unroll_merged(changed, 2, base)
+    assert not verify(changed.net, changed).ok
 
 
 def test_bound_check_and_unroll_use_what_verify_left(monkeypatch):
@@ -746,31 +798,29 @@ def test_bound_check_and_unroll_use_what_verify_left(monkeypatch):
     monkeypatch.setattr(coding, "transfer", refuse)
     assert bound_check(code.net, code, "n1-with-groups", 2, 2) == want_bound
     assert code_to_json(unroll_merged(code, 2, base)) == want_unrolled
-    with pytest.raises(AssertionError, match="composed again"):
-        bound_check(code.net, fresh, "n1-with-groups", 2, 2)
-    # A write that leaves the values as they were still drops what verify left.
-    e = min(code.src_mats)
-    code.src_mats[e] = code.src_mats[e]
-    for call in (lambda: bound_check(code.net, code, "n1-with-groups", 2, 2),
-                 lambda: unroll_merged(code, 2, base)):
+    # bound_check verified `fresh` itself, and kept that verdict too.
+    assert bound_check(code.net, fresh, "n1-with-groups", 2, 2) == want_bound
+    # A code rebuilt with the same values is a new code, with no verdict.
+    again = rebuilt(code)
+    for call in (lambda: bound_check(again.net, again, "n1-with-groups", 2, 2),
+                 lambda: unroll_merged(again, 2, base)):
         with pytest.raises(AssertionError, match="composed again"):
             call()
 
 
-def test_a_failed_verify_is_kept_until_a_write_mends_the_code(monkeypatch):
+def test_a_failed_verify_is_kept_and_a_mended_rebuild_verifies(monkeypatch):
     import sumnets.coding as coding
 
     code, base = _verified_merge()
-    e = min(code.src_mats)
-    kept = code.src_mats[e]
-    _set(code)
-    assert not verify(code.net, code).ok
+    failing = _zero_source(code)
+    assert not verify(failing.net, failing).ok
     with monkeypatch.context() as patch:
         patch.setattr(coding, "transfer", lambda net, code: 1 / 0)
         with pytest.raises(UnverifiedCodeError):
-            bound_check(code.net, code, "n1-with-groups", 2, 2)
+            bound_check(failing.net, failing, "n1-with-groups", 2, 2)
         with pytest.raises(UnverifiedCodeError):
-            unroll_merged(code, 2, base)
-    code.src_mats[e] = kept
-    assert bound_check(code.net, code, "n1-with-groups", 2, 2).ok
-    assert verify(base, unroll_merged(code, 2, base)).ok
+            unroll_merged(failing, 2, base)
+    e = min(code.src_mats)
+    mended = rebuilt(failing, src_mats={e: code.src_mats[e]})
+    assert bound_check(mended.net, mended, "n1-with-groups", 2, 2).ok
+    assert verify(base, unroll_merged(mended, 2, base)).ok
