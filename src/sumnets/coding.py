@@ -25,7 +25,7 @@ import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cache
-from itertools import count
+from itertools import chain, compress, count, repeat
 from typing import Optional
 
 import numpy as np
@@ -34,7 +34,8 @@ from ._core_py import matmul_mod
 from .constructions import build_merged, edge_origins, parse_label
 from .galois import PrimeField
 from .matrix import Mat, rank
-from .network import INTERMEDIATE, SOURCE, TERMINAL, SumNetwork, _csr_rows, topo_order
+from .network import INTERMEDIATE, SOURCE, TERMINAL, SumNetwork, _csr_rows, _level_order
+from .network import topo_order  # noqa: F401  (a module attribute that tracers wrap)
 
 CODE_FORMAT_VERSION = 1
 
@@ -294,14 +295,16 @@ def _kinds(code: FracLinCode, ids: np.ndarray) -> np.ndarray:
 
 
 def _relay(code: FracLinCode) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The message of every relayed edge, in topological order.  A zero
-    in-edge matrix is skipped and an identity one passes its in-edge's
-    message on, so an edge with one such in-edge shares its message
-    object; any other takes one product with the whole message."""
+    """The message of every relayed edge, level by level (`_level_order`,
+    which raises CycleError on a cyclic network), so that each comes
+    after the in-edges of its tail.  A zero in-edge matrix is skipped and
+    an identity one passes its in-edge's message on, so an edge with one
+    such in-edge shares its message object; any other takes one product
+    with the whole message."""
     net, lay = code.net, code.net.layout()
     r, l, p = code.r, code.l, code.field.p
     src_pos = lay.src_pos
-    order = np.array(topo_order(net), dtype=np.intp)
+    order = _level_order(net)
     relayed = order[src_pos[order] < 0]
     rows = lay.edge_row[relayed].tolist()
     ptr = lay.in_slot_ptr.tolist()
@@ -602,9 +605,11 @@ def _family_scheme(
         key = (id(mat), copy, axis)
         out = widened.get(key)
         if out is None:
-            width = [(0, 0), (0, 0)]
-            width[axis] = (2 * copy - 2, r - 2 * copy)
-            out = widened[key] = Mat(field, np.pad(mat.a, width))
+            shape, at = list(mat.shape), [slice(None), slice(None)]
+            shape[axis], at[axis] = r, slice(2 * copy - 2, 2 * copy)
+            a = np.zeros(shape, dtype=np.int64)
+            a[tuple(at)] = mat.a
+            out = widened[key] = Mat(field, a)
         return out
 
     @cache
@@ -887,16 +892,20 @@ def _code_text(
     """The code file's text, then `end`, joined once from one list of
     fragments: compact, or as `json.dumps(doc, sort_keys=True,
     indent=indent)` lays the doc out `depth` levels deep.  Each node label,
-    table entry and distinct row of table indices is encoded once; an edge
-    key is put together from its ends' encoded labels, as JSON escapes a
-    string character by character.  Keys come in `sort_keys` order, by
-    label.  The fragments are freed on return, before the text is
-    encoded."""
+    table entry and distinct row of table indices is encoded once, and
+    the glue around a value (quote, colon, separator) is joined to each
+    distinct value text once, so an object section is its keys
+    interleaved with glued values.  Keys come in `sort_keys` order, by
+    label.  An edge key is its label, unless a node label needs escaping:
+    then it is put together from its ends' encoded labels, as JSON
+    escapes a string character by character.  The fragments are freed on
+    return, before the text is encoded."""
     net, lay = code.net, code.net.layout()
     colon = ":" if indent is None else ": "
-
     def nl(level: int) -> str:
         return "" if indent is None else "\n" + " " * (indent * (depth + level))
+
+    sep = "," + nl(2)
 
     def listing(items: list[str], level: int) -> str:
         """A JSON list at `level` of encoded items."""
@@ -912,36 +921,48 @@ def _code_text(
         return out
 
     at_source, in_row = texts(2, code.src_idx), texts(3, code.in_idx, code.dec_idx)
-    row_texts: dict[tuple, str] = {}  # row of table indices -> its list of entry lists
 
-    def row_text(row: tuple) -> str:
-        out = row_texts.get(row)
-        if out is None:
-            out = row_texts[row] = listing(list(map(in_row.__getitem__, row)), 2)
+    def distinct(rows: list[tuple]) -> tuple[list[str], list[int]]:
+        """(the list of entry lists of each distinct row of table indices,
+        per row its distinct row's number)."""
+        number = {row: k for k, row in enumerate(dict.fromkeys(rows))}
+        texts = [listing(list(map(in_row.__getitem__, row)), 2) for row in number]
+        return texts, list(map(number.__getitem__, rows))
+
+    def members(keys: list[str], values: list[str], at) -> list[str]:
+        """The members of an object at level 1, each at level 2: key k (a
+        JSON string's body) holds values[at[k]]."""
+        if not keys:
+            return []
+        glued = [f'"{colon}{text}{sep}"' for text in values]
+        out = [nl(2) + '"'] * (2 * len(keys) + 1)
+        out[1::2] = keys
+        out[2::2] = map(glued.__getitem__, at)
+        out[-1] = f'"{colon}{values[at[-1]]}'  # no separator after the last member
+        out.append(nl(1))
         return out
 
     # Per edge, its value's place in at_source, or past it in the rows' texts.
+    rows, row_of = distinct(_code_rows(code.in_idx, lay.in_slot_ptr))
     value = np.empty(len(net.tail), dtype=np.intp)
     value[lay.source_edges] = code.src_idx
-    value[lay.relayed_edges] = len(at_source) + np.arange(len(lay.relayed_edges))
-    at_source += map(row_text, _code_rows(code.in_idx, lay.in_slot_ptr))
-    names = [_ENCODE(label)[1:-1] for label in net.label_table]
+    value[lay.relayed_edges] = len(at_source) + np.array(row_of, dtype=np.intp)
     by_label = dict(zip(net.edge_labels(), count()))  # a repeated label keeps its last edge
-    order = list(map(by_label.__getitem__, sorted(by_label)))
-    del by_label  # the labels are not needed for the join
-    sep = "," + nl(2)
-    ends = zip(net.tail[order].tolist(), net.head[order].tolist(), net.par[order].tolist())
-    edges = [""] * (2 * len(order))
-    edges[0::2] = [f'{sep}"({names[t]},{names[h]},{p})"{colon}' for t, h, p in ends]
-    edges[1::2] = map(at_source.__getitem__, value[order].tolist())
-    decoders = dict(zip(net.terminals, map(row_text, _code_rows(code.dec_idx, lay.term_ptr))))
-    terminals = []
-    for t in sorted(decoders):
-        terminals += (f"{sep}{_ENCODE(t)}{colon}", decoders[t])
-    for section in (edges, terminals):
-        if section:
-            section[0] = nl(2) + section[0][len(sep) :]  # no comma before the first key
-            section.append(nl(1))
+    keys = sorted(by_label)
+    order = np.fromiter(map(by_label.__getitem__, keys), dtype=np.intp, count=len(keys))
+    del by_label
+    names = [_ENCODE(label)[1:-1] for label in net.label_table]
+    if names != net.label_table:
+        ends = zip(net.tail[order].tolist(), net.head[order].tolist(), net.par[order].tolist())
+        keys = [f"({names[t]},{names[h]},{p})" for t, h, p in ends]
+    edges = members(keys, at_source + rows, value[order].tolist())
+    del keys
+    decoders, dec_of = distinct(_code_rows(code.dec_idx, lay.term_ptr))
+    by_terminal = dict(zip(net.terminals, dec_of))  # a repeated label keeps its last terminal
+    terminals = sorted(by_terminal)
+    terminals = members(
+        [_ENCODE(t)[1:-1] for t in terminals], decoders, [by_terminal[t] for t in terminals]
+    )
     item = "," + nl(1)
     return "".join(
         [
@@ -969,8 +990,13 @@ def _as_mat(field: PrimeField, flat, rows: int, cols: int, what: str) -> Mat:
     return Mat(field, a.reshape(rows, cols))
 
 
-# An array literal of integers only, however spaced.
-_ARRAY = re.compile(rb"\[[ \t\n\r0-9,-]*\]")
+# An all-integer array literal, however spaced, where a JSON value may
+# stand: after whitespace, a comma, a colon, an opening bracket or the
+# start of a piece between quotes, and before whitespace, a comma, a
+# closing bracket or the end of the piece.  A bare number in its place
+# parses exactly where the array does, and cannot run into a neighbour.
+_ARRAY = re.compile(rb"((?<![^ \t\n\r,:\[])\[[ \t\n\r0-9,-]*\](?![^ \t\n\r,\]}]))")
+_DIGITS = re.compile(rb"[0-9]+")
 
 
 def _split_strings(data: bytes) -> list[bytes]:
@@ -998,61 +1024,51 @@ def _split_strings(data: bytes) -> list[bytes]:
     return out + pieces[start:]
 
 
-def _parse_code_file(data: bytes) -> tuple[object, list[list[int]]]:
-    """json.loads of the UTF-8 text with every all-integer array replaced
-    by a reference [k], and the value of the k-th distinct array text.
+def _parse_code_file(data: bytes) -> tuple[object, dict[int, list]]:
+    """json.loads of the UTF-8 text with every all-integer array that
+    stands as a value replaced by a bare integer reference, and the
+    array of each reference.
 
-    The bytes are split at their quotes (a quote byte is never part of a
-    multi-byte character); the references are substituted once per
-    distinct piece outside strings (71 in the rate-3/5 code file, for
-    112,212 matrices), and each distinct array text is decoded once.  A
-    skeleton list that holds exactly one int is a reference, because every
-    all-integer array was replaced.  Either part fails to decode only
-    when the text does, so the text's own error is raised."""
+    References count up from 10^d, d the longest run of digits outside
+    strings and those arrays, so every integer the skeleton keeps is a
+    literal below the first reference: on the rate-3/5 code file they are
+    100-202, small ints that CPython caches, for 112,212 matrices.  The
+    bytes are split at their quotes (a quote byte is never part of a
+    multi-byte character); each distinct piece outside strings (71 in
+    that file) is split at its arrays once, and each distinct array text
+    is decoded once.  Either part fails to decode only when the text
+    does, so the text's own error is raised; where the text decodes but
+    a reference has more digits than Python reads as an int, the text is
+    read whole, with no references."""
     data.decode("utf-8")  # raises where the text is not UTF-8
     pieces = _split_strings(data)
-    refs: dict[bytes, bytes] = {}
-
-    def ref(m: re.Match) -> bytes:
-        out = refs.get(m.group())
-        if out is None:
-            out = refs[m.group()] = b"[%d]" % len(refs)
-        return out
-
     outside = pieces[0::2]
-    subs = dict.fromkeys(outside)
-    for piece in subs:
-        subs[piece] = _ARRAY.sub(ref, piece)
-    pieces[0::2] = map(subs.__getitem__, outside)
+    parts = dict.fromkeys(outside)  # piece -> [between, array, between, ..., between]
+    for piece in parts:
+        parts[piece] = _ARRAY.split(piece)
+    texts = dict.fromkeys(chain.from_iterable(split[1::2] for split in parts.values()))
+    between = b" ".join(chain.from_iterable(split[0::2] for split in parts.values()))
+    d = max(map(len, _DIGITS.findall(between)), default=1)
+    base = 10**d
+    for k, text in enumerate(texts):  # base + k, written without converting base
+        texts[text] = b"%d%0*d" % (1 + k // base, d, k % base)
+    for piece, split in parts.items():
+        split[1::2] = map(texts.__getitem__, split[1::2])
+        parts[piece] = b"".join(split)
+    pieces[0::2] = map(parts.__getitem__, outside)
     skeleton = b'"'.join(pieces).decode("utf-8")
-    del pieces, outside, subs  # before the skeleton is parsed
+    del pieces, outside, parts  # before the skeleton is parsed
     try:
-        return json.loads(skeleton), [json.loads(array.decode()) for array in refs]
-    except json.JSONDecodeError:
-        json.loads(data.decode("utf-8"))
-        raise
+        return json.loads(skeleton), {base + k: json.loads(text) for k, text in enumerate(texts)}
+    except ValueError:  # a JSONDecodeError, or an int of too many digits
+        return json.loads(data.decode("utf-8")), {}
 
 
-def _is_ref(x) -> bool:
-    return type(x) is list and len(x) == 1 and type(x[0]) is int
-
-
-def _ref_ids(entry: list) -> Optional[tuple[int, ...]]:
-    """The references of a skeleton list made only of references, else None."""
-    try:
-        ids = tuple([k for (k,) in entry])
-    except (TypeError, ValueError):  # an item that is not a one-item sequence
-        return None
-    if set(map(type, entry)) <= {list} and set(map(type, ids)) <= {int}:
-        return ids
-    return None
-
-
-def _resolve(x, arrays: list[list[int]]):
+def _resolve(x, arrays: dict[int, list]):
     """A skeleton value with every reference replaced by its array: the
     value json.loads gives for the original text."""
-    if _is_ref(x):
-        return arrays[x[0]]
+    if type(x) is int:
+        return arrays.get(x, x)
     if type(x) is list:
         return [_resolve(y, arrays) for y in x]
     if type(x) is dict:
@@ -1060,56 +1076,96 @@ def _resolve(x, arrays: list[list[int]]):
     return x
 
 
+def _ints(value) -> bool:
+    """Whether a skeleton value is a list of ints (references or not)."""
+    return type(value) is list and set(map(type, value)) <= {int}
+
+
+def _tried(read, value):
+    """read(value), or None where it raises CodeFormatError or RecursionError."""
+    try:
+        return read(value)
+    except (CodeFormatError, RecursionError):
+        return None
+
+
+def _per_key(keys: list, values: list, read) -> tuple[list, np.ndarray]:
+    """(`_tried(read, value)` for one value of each distinct key, in order
+    of first appearance; per value, the number of its key).  Equal keys
+    must stand for equal values."""
+    first = dict(zip(keys, values))
+    number = {key: k for k, key in enumerate(first)}
+    out = [_tried(read, value) for value in first.values()]
+    return out, np.fromiter(map(number.__getitem__, keys), dtype=np.intp, count=len(keys))
+
+
 class _MatTable:
     """The table of a code being read: one read-only Mat per distinct
     (rows, cols, entry list) of the file, returned by index.
 
-    A reference is looked up once per (array, rows, cols), and a list of
-    references once per (rows, cols, references).  Equal tuples
-    of JSON values are equal matrices, with one exception: a float equal
-    to an integer (1.0 == 1, with the same hash).  A list that matches a
-    stored one holds only integers, booleans and such floats, and its sum
-    is a float exactly when it holds a float, so that sum rejects it as
-    `_as_mat` would.
+    `column` and `rows` read the entries of many slots at once, once per
+    distinct skeleton value: a value of ints (a reference, or a list of
+    references) is known by its ints, any other value by its object, so
+    a value that differs from another only in type is read apart from
+    it.  Equal tuples of JSON values are equal matrices, with one
+    exception: a float equal to an integer (1.0 == 1, with the same
+    hash).  A list that matches a stored one holds only integers,
+    booleans and such floats, and its sum is a float exactly when it
+    holds a float, so that sum rejects it as `_as_mat` would.
     """
 
-    def __init__(self, field: PrimeField, arrays: list[list[int]]):
+    def __init__(self, field: PrimeField, arrays: dict[int, list]):
         self.field = field
         self.arrays = arrays
         self.mats: list[Mat] = []
-        self.refs: dict[tuple[int, int, int], int] = {}
-        self.rows: dict[tuple, tuple[int, ...]] = {}
         self.index: dict[tuple, int] = {}
 
-    def get(self, flat, rows: int, cols: int, what: str, j: Optional[int] = None) -> int:
-        """The matrix for skeleton value `flat`; `what`, or `what[j]`, names it in errors."""
-        if _is_ref(flat):
-            key = (flat[0], rows, cols)
-            i = self.refs.get(key)
-            if i is None:
-                i = self.refs[key] = self._get(self.arrays[flat[0]], rows, cols, what, j)
-            return i
-        return self._get(_resolve(flat, self.arrays), rows, cols, what, j)
+    def column(self, values: list, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+        """(per skeleton value, the table index of its rows x cols matrix,
+        -1 where it gives none; the mask of those)."""
+        if set(map(type, values)) <= {int}:
+            keys = values
+        else:
+            keys = [v if type(v) is int else (id(v),) for v in values]
+        got, which = _per_key(keys, values, lambda v: self.matrix(v, rows, cols, ""))
+        idx = np.array([-1 if i is None else i for i in got], dtype=np.intp)[which]
+        return idx, idx < 0
 
-    def row(self, entry, degree: int, rows: int, cols: int, what: str) -> tuple[int, ...]:
-        """The matrices of an in-edge or decoder list, one per in-edge; a
-        list made only of references is looked up once per (rows, cols,
-        references)."""
-        if _is_ref(entry):
-            entry = self.arrays[entry[0]]
+    def rows(self, values: list, degrees: list[int], rows: int, cols: int) -> tuple[list, np.ndarray]:
+        """(per skeleton value, the tuple of its list's rows x cols
+        matrices, one per in-edge, or of -1s where it gives none; the mask
+        of those).  Each distinct int in the lists of ints is read once."""
+        items: dict[int, Optional[int]] = {}  # an int in a list of ints -> its matrix
+
+        def read(entry: tuple[list, int]) -> Optional[tuple[int, ...]]:
+            value, degree = entry
+            if not _ints(value):
+                return self.row(value, degree, rows, cols, "")
+            for x in set(value).difference(items):
+                items[x] = _tried(lambda v: self.matrix(v, rows, cols, ""), x)
+            out = tuple(map(items.__getitem__, value))
+            return None if len(out) != degree or None in out else out
+
+        entries = list(zip(values, degrees))
+        keys = [(tuple(v), d) if _ints(v) else ((id(v), None), d) for v, d in entries]
+        got, which = _per_key(keys, entries, read)
+        out = [(-1,) * d if row is None else row for row, d in zip(map(got.__getitem__, which), degrees)]
+        return out, np.array([row is None for row in got], dtype=bool)[which]
+
+    def matrix(self, value, rows: int, cols: int, what: str) -> int:
+        """The table index of the matrix a skeleton value gives; `what` names it in errors."""
+        return self._get(_resolve(value, self.arrays), rows, cols, what)
+
+    def row(self, value, degree: int, rows: int, cols: int, what: str) -> tuple[int, ...]:
+        """The matrices of the in-edge or decoder list a skeleton value
+        gives, one per in-edge; `what`, or `what[j]`, names it in errors."""
+        entry = _resolve(value, self.arrays)
         if not isinstance(entry, list) or len(entry) != degree:
             raise CodeFormatError(f"{what}: expected {degree} matrices")
-        ids = _ref_ids(entry)
-        out = None if ids is None else self.rows.get((rows, cols, ids))
-        if out is None:
-            out = tuple(self.get(flat, rows, cols, what, j) for j, flat in enumerate(entry))
-            if ids is not None:
-                self.rows[rows, cols, ids] = out
-        return out
+        return tuple(self._get(flat, rows, cols, f"{what}[{j}]") for j, flat in enumerate(entry))
 
-    def _get(self, flat, rows: int, cols: int, what: str, j: Optional[int]) -> int:
-        if j is not None:
-            what = f"{what}[{j}]"
+    def _get(self, flat, rows: int, cols: int, what: str) -> int:
+        """The table index of a JSON value's matrix."""
         try:
             key = (rows, cols, tuple(flat))
             i = self.index.get(key)
@@ -1126,6 +1182,9 @@ class _MatTable:
         return len(self.mats) - 1
 
 
+_MISSING = object()  # the entry of a key that a section lacks
+
+
 def code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
     """Load a v1 code file into a table: equal entry lists of one shape
     are one read-only Mat."""
@@ -1138,6 +1197,10 @@ def code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
 
 
 def _code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
+    """Every edge's entry is looked up by its label at once, and read once
+    per distinct value (`_MatTable.column`, `_MatTable.rows`); only the
+    first edge, then terminal, in order whose entry is missing or gives
+    no matrix is read again, by itself, to raise its error."""
     try:
         doc, arrays = _parse_code_file(data)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -1164,28 +1227,33 @@ def _code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
         if not isinstance(doc[key], dict):
             raise CodeFormatError(f"field {key!r} must be an object")
     table = _MatTable(field, arrays)
-    missing = object()
-    edge_matrices = doc["edge_matrices"]
-    from_source = net.role_mask(SOURCE)[net.tail].tolist()
-    degrees = np.diff(net.in_ptr)[net.tail].tolist()
-    get, refs = edge_matrices.get, table.refs
-    src: list[int] = []
-    ins: list[int] = []
-    for i, (label, is_src) in enumerate(zip(net.edge_labels(), from_source)):
-        entry = get(label, missing)
-        if entry is missing:
-            raise CodeFormatError(f"edge_matrices missing edge {label}")
-        if not is_src:
-            ins += table.row(entry, degrees[i], l, l, f"edge {label}")
-        elif type(entry) is list and len(entry) == 1 and type(entry[0]) is int:  # _is_ref
-            k = refs.get((entry[0], l, r))
-            src.append(k if k is not None else table.get(entry, l, r, f"edge {label}"))
+    lay = net.layout()
+    labels = net.edge_labels()
+    entries = list(map(doc["edge_matrices"].get, labels, repeat(_MISSING)))
+    from_source = net.role_mask(SOURCE)[net.tail]
+    degrees = np.diff(net.in_ptr)[net.tail]
+    src, bad_src = table.column(list(compress(entries, from_source.tolist())), l, r)
+    ins, bad_in = table.rows(
+        list(compress(entries, (~from_source).tolist())), degrees[lay.relayed_edges].tolist(), l, l
+    )
+    bad = np.zeros(len(labels), dtype=bool)
+    bad[lay.source_edges], bad[lay.relayed_edges] = bad_src, bad_in
+    if bad.any():
+        e = int(np.argmax(bad))
+        entry, what = entries[e], f"edge {labels[e]}"
+        if entry is _MISSING:
+            raise CodeFormatError(f"edge_matrices missing {what}")
+        if from_source[e]:
+            table.matrix(entry, l, r, what)
         else:
-            src.append(table.get(entry, l, r, f"edge {label}"))
-    terminal_matrices = doc["terminal_matrices"]
-    decs: list[int] = []
-    for t, degree in zip(net.terminals, np.diff(net.layout().term_ptr).tolist()):
-        if t not in terminal_matrices:
-            raise CodeFormatError(f"terminal_matrices missing terminal {t}")
-        decs += table.row(terminal_matrices[t], degree, r, l, f"terminal {t}")
+            table.row(entry, int(degrees[e]), l, l, what)
+    terminals = list(map(doc["terminal_matrices"].get, net.terminals, repeat(_MISSING)))
+    degrees = np.diff(lay.term_ptr).tolist()
+    decs, bad = table.rows(terminals, degrees, r, l)
+    if bad.any():
+        j = int(np.argmax(bad))
+        if terminals[j] is _MISSING:
+            raise CodeFormatError(f"terminal_matrices missing terminal {net.terminals[j]}")
+        table.row(terminals[j], degrees[j], r, l, f"terminal {net.terminals[j]}")
+    ins, decs = (np.fromiter(chain.from_iterable(x), dtype=np.intp) for x in (ins, decs))
     return FracLinCode._of_table(net, r, l, field, table.mats, src, ins, decs)

@@ -354,7 +354,10 @@ class EdgeLayout:
 
 
 def validate(net: SumNetwork) -> list[str]:
-    """All structural invariants; returns a list of violations (empty = ok)."""
+    """All structural invariants; returns a list of violations (empty = ok).
+    A cycle is found by peeling the network level by level
+    (`_level_order`), which leaves edges over exactly when `topo_order`
+    would raise."""
     violations: list[str] = []
     labels = net.label_table
     seen_labels: set[str] = set()
@@ -398,7 +401,7 @@ def validate(net: SumNetwork) -> list[str]:
         violations.append("source_order is not a permutation of the sources")
 
     try:
-        topo_order(net)
+        _level_order(net)
     except CycleError:
         violations.append("cycle detected")
     return violations
@@ -442,6 +445,34 @@ def _topo_order(net: SumNetwork) -> list[int]:
     if len(out) != len(tail):
         raise CycleError("cycle detected")
     return out
+
+
+def _level_order(net: SumNetwork) -> np.ndarray:
+    """Every edge, level by level (Kahn's algorithm by levels), with
+    `_topo_order`'s rule: a node is released once, when as many edges
+    into it have gone as its in-edge order lists.  Level 0 leaves the
+    nodes that list no in-edges, level k+1 the nodes that level k
+    released; within a level the edges go by tail, then by index.  An
+    edge whose tail lists its in-edges truly so comes after all of them.
+    Raises `CycleError` when edges are left over, exactly when
+    `topo_order` raises.  Each level is a few array operations."""
+    tail, n = net.tail, len(net.label_table)
+    by_tail = np.argsort(tail, kind="stable")
+    out_ptr = np.searchsorted(tail[by_tail], np.arange(n + 1))
+    pending = np.diff(net.in_ptr)
+    nodes = np.flatnonzero(pending == 0)
+    levels = []
+    while nodes.size:
+        edges = _csr_rows(out_ptr, by_tail, nodes)[1]
+        levels.append(edges)
+        heads, gone = np.unique(net.head[edges], return_counts=True)
+        before = pending[heads]
+        pending[heads] = before - gone
+        nodes = heads[(before > 0) & (before <= gone)]
+    order = np.concatenate(levels) if levels else np.zeros(0, dtype=np.intp)
+    if len(order) != len(tail):
+        raise CycleError("cycle detected")
+    return order
 
 
 # --- serialization --------------------------------------------------------

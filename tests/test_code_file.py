@@ -11,8 +11,11 @@ same exception type and message.  The one intended difference: a
 
 `reference_parse_code_file` is the regex tokenizer that
 `coding._parse_code_file` replaced, kept verbatim: it scans the whole text
-with one callback per string or all-integer array.  The quote-split
-tokenizer must give the same skeleton and arrays, or the same error.
+with one callback per string or all-integer array, and stands each array
+in for a one-item list `[k]`, which `reference_resolve` (the previous
+`coding._resolve`) resolves.  `_parse_code_file` stands each array in for
+a bare integer instead; once resolved, both documents must be the one
+json.loads gives, or both parsers must raise the same error.
 """
 
 import json
@@ -30,6 +33,7 @@ from sumnets.coding import (
     FracLinCode,
     _as_mat,
     _parse_code_file,
+    _resolve,
     code_from_json,
     code_to_json,
     scheme_merged,
@@ -184,14 +188,30 @@ def reference_parse_code_file(text: str) -> tuple[object, list[list[int]]]:
         raise
 
 
+def _is_ref(x) -> bool:
+    return type(x) is list and len(x) == 1 and type(x[0]) is int
+
+
+def reference_resolve(x, arrays: list[list[int]]):
+    """A skeleton value with every reference replaced by its array: the
+    value json.loads gives for the original text."""
+    if _is_ref(x):
+        return arrays[x[0]]
+    if type(x) is list:
+        return [reference_resolve(y, arrays) for y in x]
+    if type(x) is dict:
+        return {k: reference_resolve(v, arrays) for k, v in x.items()}
+    return x
+
+
 # --- comparing the two ----------------------------------------------------------------
 
 
-def _parsed(parse, data: bytes):
-    """What tokenizing and parsing gives: the skeleton and arrays (by repr,
+def _parsed(parse, resolve, data: bytes):
+    """What tokenizing, parsing and resolving gives: the document (by repr,
     so that a NaN equals itself), or the exception."""
     try:
-        return ("parsed", repr(parse(data)))
+        return ("parsed", repr(resolve(*parse(data))))
     except RecursionError:  # how deep it gets depends on the caller's stack
         return ("refused", RecursionError)
     except Exception as exc:  # compared by type and message
@@ -199,8 +219,12 @@ def _parsed(parse, data: bytes):
 
 
 def assert_parses_as_reference(data: bytes):
-    want = _parsed(lambda data: reference_parse_code_file(data.decode("utf-8")), data)
-    assert _parsed(_parse_code_file, data) == want
+    want = _parsed(
+        lambda data: reference_parse_code_file(data.decode("utf-8")), reference_resolve, data
+    )
+    assert _parsed(_parse_code_file, _resolve, data) == want
+    if want[0] == "parsed":
+        assert want[1] == repr(json.loads(data.decode("utf-8")))
 
 
 def _slots(code: FracLinCode) -> list[Mat]:
@@ -317,6 +341,11 @@ ENTRY_TEXTS = [
     "[9223372036854775807,0,0,1]", "[9223372036854775808,0,0,1]",
     "[-9223372036854775808,0,0,1]", "[-9223372036854775809,0,0,1]",
     "[1,0,0,100000000000000000000]", '"[1,0,0,1]"', "null", "{}", "5",
+    # A literal at or past the first reference, a float equal to one (the
+    # references of this file start at 10), and an array holding one.
+    "1000000", "1e1", "[10,10]", "[1000000]", "[1e1,0,0,1]",
+    # Past Python's limit on the digits of an int, as a value and in an array.
+    "9" * 5000, "[1,0,0," + "9" * 5000 + "]",
 ]
 
 
@@ -441,6 +470,15 @@ FILES = {
         LAST_KEY, b'"version":1,"note":"[1,2] \\\\'
     ),
     "CRLF": json.dumps(CODE_DOC, indent=1).replace("\n", "\r\n").encode(),
+    "r as a list": COMPACT.replace(b'"r":2', b'"r":[6]'),
+    "r past the first reference": COMPACT.replace(b'"r":2', b'"r":100'),
+    # Each would be a number if the array were put in as a bare one.
+    "digit before an array": COMPACT.replace(b":[1,0,0,1]", b":5[1,0,0,1]", 1),
+    "minus before an array": COMPACT.replace(b":[1,0,0,1]", b":-[1,0,0,1]", 1),
+    "digit after an array": COMPACT.replace(b"[1,0,0,1]", b"[1,0,0,1]5", 1),
+    "fraction after an array": COMPACT.replace(b"[1,0,0,1]", b"[1,0,0,1].5", 1),
+    "exponent after an array": COMPACT.replace(b"[1,0,0,1]", b"[1,0,0,1]e5", 1),
+    "two arrays": COMPACT.replace(b"[1,0,0,1]", b"[1,0,0,1] [1]", 1),
 }
 # A run of n backslashes before a quote escapes it when n is odd: the
 # string goes on, over an array.  Each layout is JSON for one parity only.

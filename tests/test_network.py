@@ -29,6 +29,7 @@ from sumnets.network import (
     Node,
     SumNetwork,
     _expect,
+    _level_order,
     deserialize,
     serialize,
     to_dot,
@@ -217,14 +218,64 @@ def test_validate_rejects_edge_into_source():
     assert any("terminal has out-edge" in v for v in problems)
 
 
-def test_validate_detects_cycle():
-    net = SumNetwork(
-        [Node("a", INTERMEDIATE), Node("b", INTERMEDIATE)],
-        [Edge("a", "b"), Edge("b", "a")],
-    )
-    assert any("cycle" in v for v in validate(net))
-    with pytest.raises(CycleError):
-        topo_order(net)
+def random_network(seed: int, kind: str) -> SumNetwork:
+    """A random network with parallel edges: a DAG with every in-edge
+    order shuffled ("dag"), the same with back edges ("cyclic"), or a DAG
+    where the in-edge order of one node with in-edges drops one, repeats
+    one or adds a foreign edge ("unlisted")."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    roles = [SOURCE] + [ROLES[i] for i in rng.integers(0, 3, size=n - 1)]
+    nodes = [Node(f"x{i}", role) for i, role in enumerate(roles)]
+    pairs = [tuple(sorted(rng.choice(n, size=2, replace=False))) for _ in range(rng.integers(1, 3 * n))]
+    if kind == "cyclic":
+        pairs += [(b, a) for a, b in pairs[: rng.integers(1, 3)]]
+    edges = [Edge(f"x{a}", f"x{b}", k) for k, (a, b) in enumerate(pairs)]
+    orders = [rng.permutation([k for k, (_, b) in enumerate(pairs) if b == i]).tolist() for i in range(n)]
+    if kind == "unlisted":
+        order = orders[pairs[rng.integers(len(pairs))][1]]
+        change = rng.integers(3)
+        if change == 0:
+            order.pop()
+        elif change == 1:
+            order.append(order[0])
+        else:
+            order.append(int(rng.integers(len(edges))))
+    return SumNetwork(nodes, edges, {f"x{i}": order for i, order in enumerate(orders)})
+
+
+CYCLE_CASES = {
+    "two nodes": SumNetwork(
+        [Node("a", INTERMEDIATE), Node("b", INTERMEDIATE)], [Edge("a", "b"), Edge("b", "a")]
+    ),
+    **{f"{kind} {seed}": random_network(seed, kind)
+       for kind in ("dag", "cyclic", "unlisted") for seed in range(12)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLE_CASES))
+def test_validate_detects_cycle(name):
+    """validate's verdict and the level order (`_level_order`) follow the
+    heap (`reference_topo_order`): both release a node when as many edges
+    into it have gone as its in-edge order lists."""
+    net = CYCLE_CASES[name]
+    want = _topo_or_cycle(reference_topo_order, net)
+    cyclic = want == "cycle detected"
+    assert ("cycle detected" in validate(net)) == cyclic
+    if not name.startswith("unlisted"):
+        assert cyclic == name.startswith(("two", "cyclic"))
+    if cyclic:
+        for order in (topo_order, _level_order):
+            with pytest.raises(CycleError):
+                order(net)
+        return
+    order = _level_order(net).tolist()
+    assert sorted(order) == sorted(want)
+    listed = np.diff(net.in_ptr)
+    gone = np.zeros(len(net.label_table), dtype=int)  # edges gone into each node
+    for e in order:
+        assert gone[net.tail[e]] >= listed[net.tail[e]], e
+        gone[net.head[e]] += 1
 
 
 def test_validate_duplicate_edges_and_labels():
@@ -526,7 +577,9 @@ def test_the_rate_three_fifths_pipeline_makes_no_edge_objects(monkeypatch):
     code = scheme_merged(meta["family"], meta["m"], meta["q"], 2, meta["k"])
     net2 = deserialize(serialize(net))
     assert validate(net2) == []
-    code2 = code_from_json(net2, code_to_json(code))
+    data = code_to_json(code)
+    code2 = code_from_json(net2, data)
+    assert code_to_json(code2) == data  # the 56,187-edge file reads back byte for byte
     assert verify(net2, code2).ok
     assert bound_check(net2, code2, "n1-with-groups", meta["m"], meta["q"]).ok
     base = build_n1(meta["m"], meta["q"])

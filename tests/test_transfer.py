@@ -17,6 +17,7 @@ from sumnets.analysis import bound_check, composites_from_code, routing_code
 from sumnets.coding import (
     FracLinCode,
     UnverifiedCodeError,
+    _relay,
     code_from_json,
     code_to_json,
     layer_shape,
@@ -42,6 +43,7 @@ from sumnets.network import (
     validate,
 )
 from rebuild import rebuilt
+from test_network import CYCLE_CASES, _topo_or_cycle, reference_topo_order
 
 PRIMES = [2, 3, 5, 2**31 - 1]
 BASES = {"bottleneck2": build_bottleneck2, "n1(2,2)": lambda: build_n1(2, 2),
@@ -467,11 +469,19 @@ def test_topo_order_returns_an_independent_list():
     assert topo_order(net) == want
 
 
-def test_a_cyclic_network_raises_on_every_call():
-    net = SumNetwork(
+CYCLIC = {
+    "s-a-b-a-t": SumNetwork(
         [Node("s", SOURCE), Node("a", INTERMEDIATE), Node("b", INTERMEDIATE), Node("t", TERMINAL)],
         [Edge("s", "a"), Edge("a", "b"), Edge("b", "a"), Edge("b", "t")],
-    )
+    ),
+    **{name: net for name, net in CYCLE_CASES.items()
+       if _topo_or_cycle(reference_topo_order, net) == "cycle detected"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLIC))
+def test_a_cyclic_network_raises_on_every_call(name):
+    net = CYCLIC[name]
     for _ in range(3):
         with pytest.raises(CycleError):
             topo_order(net)
@@ -657,8 +667,21 @@ def mixed_code(net, r, l, p, rng):
     return FracLinCode(net, r, l, field, src_mats, in_mats, dec_mats)
 
 
+def assert_relays_in_order(code):
+    """`_relay` gives the relayed edges of `reference_topo_order`, each
+    after the relayed in-edges of its tail."""
+    net = code.net
+    order = list(_relay(code))
+    from_source = net.role_mask(SOURCE)[net.tail]
+    assert sorted(order) == sorted(e for e in reference_topo_order(net) if not from_source[e])
+    at = {e: k for k, e in enumerate(order)}
+    for e in order:
+        assert all(at[i] < at[e] for i in net.in_edges_of(net.tail[e]).tolist() if i in at), e
+
+
 def assert_matches_the_reference(code):
     net = code.net
+    assert_relays_in_order(code)
     ref_edges, ref_terminals = reference_transfer(net, code)
     tm = transfer(net, code)
     for ei, ref in enumerate(ref_edges):
@@ -683,6 +706,14 @@ def test_grouped_transfer_matches_the_reference_on_deep_dags(seed, p):
     assert validate(net) == []
     for r, l in ((1, 1), (2, 3), (3, 2)):
         assert_matches_the_reference(mixed_code(net, r, l, p, rng))
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(CYCLE_CASES) if name.startswith("dag")])
+def test_grouped_transfer_matches_the_reference_on_random_dags(name):
+    """Random roles, parallel edges and shuffled in-edge orders."""
+    net = CYCLE_CASES[name]
+    rng = np.random.default_rng(len(net.tail))
+    assert_matches_the_reference(mixed_code(net, 2, 3, 5, rng))
 
 
 @pytest.mark.parametrize("p", PRIMES)
