@@ -61,7 +61,7 @@ def _read_manifest(net_path: Path) -> dict:
         raise FileNotFoundError(f"no manifest next to {net_path} (expected {path.name})")
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int past Python's digit limit
         raise ValueError(f"manifest {path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise ValueError(

@@ -874,6 +874,48 @@ def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
+def _edge_keys(net: SumNetwork, end: str = "") -> tuple[np.ndarray, np.ndarray, list[list[str]]]:
+    """(per key of the edge_matrices section, in sorted order, its edge;
+    per edge, its key's position; the keys as three columns, per key
+    "(tail,", "head," and "par)" + end with the node labels JSON-escaped,
+    so that a key is the concatenation of its row).  Edges that repeat a
+    label share one key, which holds the last of them.
+
+    Keys sort as their labels (tail,head,par).  When no node label holds
+    a ",", that is np.lexsort over ranks: of the node labels with ","
+    appended (equal labels rank equal) for tail and head, and of the
+    distinct par texts with ")" appended.  Otherwise the label strings
+    themselves are ranked."""
+    n_edges, labels = len(net.tail), net.label_table
+    pars, par_at = np.unique(net.par, return_inverse=True)
+    par_at = par_at.ravel()
+    par_texts = [f"{p})" for p in pars.tolist()]
+    if any("," in label for label in labels):
+        strings = net.edge_labels()
+        ranks = {s: k for k, s in enumerate(sorted(set(strings)))}
+        columns = [np.fromiter(map(ranks.__getitem__, strings), dtype=np.intp, count=n_edges)]
+    else:
+        ranks = {s: k for k, s in enumerate(sorted(set(labels), key=lambda s: s + ","))}
+        node_rank = np.fromiter(map(ranks.__getitem__, labels), dtype=np.intp, count=len(labels))
+        par_rank = np.empty(len(pars), dtype=np.intp)
+        par_rank[sorted(range(len(pars)), key=par_texts.__getitem__)] = np.arange(len(pars))
+        columns = [par_rank[par_at], node_rank[net.head], node_rank[net.tail]]
+    by_key = np.lexsort(columns)  # stable, so the edges of a key stay in edge order
+    opens = np.zeros(n_edges, dtype=bool)  # in key order, whether an edge opens a key
+    opens[:1] = True
+    for column in columns:
+        opens[1:] |= np.diff(column[by_key]) != 0
+    closes = np.ones(n_edges, dtype=bool)
+    closes[:-1] = opens[1:]
+    where = np.empty(n_edges, dtype=np.intp)
+    where[by_key] = np.cumsum(opens) - 1
+    order = by_key[closes]
+    names = [_ENCODE(label)[1:-1] for label in labels]
+    texts = ([f"({name}," for name in names], [f"{name}," for name in names], [t + end for t in par_texts])
+    rows = (net.tail[order], net.head[order], par_at[order])
+    return order, where, [np.array(text, dtype=object)[row].tolist() for text, row in zip(texts, rows)]
+
+
 def code_to_json(code: FracLinCode) -> bytes:
     """The v1 code file: `json.dumps(doc, sort_keys=True, separators=(",", ":"))`
     plus a newline, byte for byte."""
@@ -929,15 +971,18 @@ def _code_text(
         texts = [listing(list(map(in_row.__getitem__, row)), 2) for row in number]
         return texts, list(map(number.__getitem__, rows))
 
-    def members(keys: list[str], values: list[str], at) -> list[str]:
-        """The members of an object at level 1, each at level 2: key k (a
-        JSON string's body) holds values[at[k]]."""
-        if not keys:
+    def members(keys: list[list[str]], values: list[str], at) -> list[str]:
+        """The members of an object at level 1, each at level 2: member k
+        holds values[at[k]], and its key (a JSON string's body) is the
+        concatenation of column k of keys."""
+        if not at:
             return []
         glued = [f'"{colon}{text}{sep}"' for text in values]
-        out = [nl(2) + '"'] * (2 * len(keys) + 1)
-        out[1::2] = keys
-        out[2::2] = map(glued.__getitem__, at)
+        step = len(keys) + 1
+        out = [nl(2) + '"'] * (step * len(at) + 1)
+        for j, column in enumerate(keys):
+            out[j + 1 :: step] = column
+        out[step::step] = map(glued.__getitem__, at)
         out[-1] = f'"{colon}{values[at[-1]]}'  # no separator after the last member
         out.append(nl(1))
         return out
@@ -947,21 +992,14 @@ def _code_text(
     value = np.empty(len(net.tail), dtype=np.intp)
     value[lay.source_edges] = code.src_idx
     value[lay.relayed_edges] = len(at_source) + np.array(row_of, dtype=np.intp)
-    by_label = dict(zip(net.edge_labels(), count()))  # a repeated label keeps its last edge
-    keys = sorted(by_label)
-    order = np.fromiter(map(by_label.__getitem__, keys), dtype=np.intp, count=len(keys))
-    del by_label
-    names = [_ENCODE(label)[1:-1] for label in net.label_table]
-    if names != net.label_table:
-        ends = zip(net.tail[order].tolist(), net.head[order].tolist(), net.par[order].tolist())
-        keys = [f"({names[t]},{names[h]},{p})" for t, h, p in ends]
+    order, _, keys = _edge_keys(net)
     edges = members(keys, at_source + rows, value[order].tolist())
     del keys
     decoders, dec_of = distinct(_code_rows(code.dec_idx, lay.term_ptr))
     by_terminal = dict(zip(net.terminals, dec_of))  # a repeated label keeps its last terminal
     terminals = sorted(by_terminal)
     terminals = members(
-        [_ENCODE(t)[1:-1] for t in terminals], decoders, [by_terminal[t] for t in terminals]
+        [[_ENCODE(t)[1:-1] for t in terminals]], decoders, [by_terminal[t] for t in terminals]
     )
     item = "," + nl(1)
     return "".join(
@@ -1024,24 +1062,94 @@ def _split_strings(data: bytes) -> list[bytes]:
     return out + pieces[start:]
 
 
-def _parse_code_file(data: bytes) -> tuple[object, dict[int, list]]:
-    """json.loads of the UTF-8 text with every all-integer array that
-    stands as a value replaced by a bare integer reference, and the
-    array of each reference.
+def _parse_code_file(
+    data: bytes, keys: Optional[list[list[str]]] = None
+) -> tuple[object, dict[int, list], Optional[tuple[list, np.ndarray]]]:
+    """(the document, the arrays of its references, the edge section or
+    None): json.loads of the UTF-8 text with every all-integer array that
+    stands as a value replaced by a bare integer reference (`_skeleton`).
+
+    Given the keys that the writer writes for a network, as the columns
+    `_edge_keys(net, '"')` gives, a file that opens with that
+    edge_matrices section, keys in that order and nothing else between
+    them, is read by position (`_cut_section`): the document's section
+    is left empty, and the section is (the skeleton value of each
+    distinct value text, per key the number of its text).  Any other
+    file, or one whose cut text does not parse, is read whole.  The
+    bytes are split at their quotes (a quote byte is never part of a
+    multi-byte character) once for both.  Every byte outside the arrays
+    is decoded as UTF-8 on the way.  A text that does not decode raises
+    its own error, from reading it whole; where it decodes but a
+    reference has more digits than Python reads as an int, it is read
+    with no references."""
+    pieces = _split_strings(data)
+    cut = _cut_section(pieces, keys) if keys and keys[0] else None
+    if cut is not None:
+        skeleton, at = cut
+        try:
+            top, arrays = _skeleton(skeleton)
+        except (ValueError, RecursionError):
+            top = None
+        if type(top) is list and len(top) == 2:
+            return top[0], arrays, (top[1], at)
+    try:
+        return (*_skeleton(pieces), None)
+    except ValueError:  # not UTF-8, a JSONDecodeError, or an int of too many digits
+        return json.loads(data.decode("utf-8")), {}, None
+
+
+def _cut_section(pieces: list[bytes], keys: list[list[str]]) -> Optional[tuple[list[bytes], np.ndarray]]:
+    """Where the pieces open with the edge_matrices section that the
+    writer writes with these keys: (the pieces of the text
+    `[{"edge_matrices":{}, ...the rest of the file...}, [each distinct
+    value text, once]]`; per key, the number of its value text), else
+    None.  The section's keys are compared joined, as one string; each
+    distinct value text must parse alone, as one JSON value, and the rest
+    must hold no second edge_matrices key.  The file is then JSON exactly
+    when that text parses as a list of two."""
+    n = len(keys[0])
+    if len(pieces) < 2 * n + 5 or not len(pieces) % 2 or pieces[:3] != [b"{", b"edge_matrices", b":{"]:
+        return None
+    joined = [""] * (3 * n)
+    joined[0::3], joined[1::3], joined[2::3] = keys
+    if b'"'.join(pieces[3 : 2 * n + 3 : 2]) + b'"' != "".join(joined).encode("utf-8"):
+        return None
+    del joined
+    values = pieces[4 : 2 * n + 4 : 2]  # ':' value ',', the last with '}' before its ','
+    if not values[-1].endswith(b"},"):
+        return None
+    values[-1] = values[-1][:-2] + b","
+    rest = pieces[2 * n + 3 :]
+    if b"edge_matrices" in rest[0::2]:
+        return None
+    number = dict.fromkeys(values)
+    for k, text in enumerate(number):
+        if text[:1] != b":" or text[-1:] != b",":
+            return None
+        try:
+            json.loads(text[1:-1].decode("utf-8"))
+        except (ValueError, RecursionError):
+            return None
+        number[text] = k
+    at = np.fromiter(map(number.__getitem__, values), dtype=np.intp, count=n)
+    rest[-1] += b",[" + b",".join(text[1:-1] for text in number) + b"]]"
+    return [b"[{", b"edge_matrices", b":{},", *rest], at
+
+
+def _skeleton(pieces: list[bytes]) -> tuple[object, dict[int, list]]:
+    """json.loads of the pieces joined at quotes, with every all-integer
+    array that stands as a value replaced by a bare integer reference,
+    and the array of each reference; raises ValueError where either part
+    does not decode.  Empties pieces before parsing.
 
     References count up from 10^d, d the longest run of digits outside
     strings and those arrays, so every integer the skeleton keeps is a
     literal below the first reference: on the rate-3/5 code file they are
-    100-202, small ints that CPython caches, for 112,212 matrices.  The
-    bytes are split at their quotes (a quote byte is never part of a
-    multi-byte character); each distinct piece outside strings (71 in
-    that file) is split at its arrays once, and each distinct array text
-    is decoded once.  Either part fails to decode only when the text
-    does, so the text's own error is raised; where the text decodes but
-    a reference has more digits than Python reads as an int, the text is
-    read whole, with no references."""
-    data.decode("utf-8")  # raises where the text is not UTF-8
-    pieces = _split_strings(data)
+    100-202, small ints that CPython caches.  Each distinct piece outside
+    strings is split at its arrays once, and each distinct array text is
+    decoded once.  Either part fails to decode only when the whole text
+    does, or where a reference has more digits than Python reads as an
+    int."""
     outside = pieces[0::2]
     parts = dict.fromkeys(outside)  # piece -> [between, array, between, ..., between]
     for piece in parts:
@@ -1057,11 +1165,9 @@ def _parse_code_file(data: bytes) -> tuple[object, dict[int, list]]:
         parts[piece] = b"".join(split)
     pieces[0::2] = map(parts.__getitem__, outside)
     skeleton = b'"'.join(pieces).decode("utf-8")
-    del pieces, outside, parts  # before the skeleton is parsed
-    try:
-        return json.loads(skeleton), {base + k: json.loads(text) for k, text in enumerate(texts)}
-    except ValueError:  # a JSONDecodeError, or an int of too many digits
-        return json.loads(data.decode("utf-8")), {}
+    del outside, parts
+    pieces.clear()  # before the skeleton is parsed
+    return json.loads(skeleton), {base + k: json.loads(text) for k, text in enumerate(texts)}
 
 
 def _resolve(x, arrays: dict[int, list]):
@@ -1089,14 +1195,37 @@ def _tried(read, value):
         return None
 
 
-def _per_key(keys: list, values: list, read) -> tuple[list, np.ndarray]:
-    """(`_tried(read, value)` for one value of each distinct key, in order
-    of first appearance; per value, the number of its key).  Equal keys
-    must stand for equal values."""
+def _numbered(keys: list, values: list) -> tuple[list, np.ndarray]:
+    """(one value of each distinct key, in order of first appearance; per
+    value, the number of its key).  Equal keys must stand for equal
+    values."""
     first = dict(zip(keys, values))
     number = {key: k for k, key in enumerate(first)}
-    out = [_tried(read, value) for value in first.values()]
-    return out, np.fromiter(map(number.__getitem__, keys), dtype=np.intp, count=len(keys))
+    return list(first.values()), np.fromiter(map(number.__getitem__, keys), dtype=np.intp, count=len(keys))
+
+
+def _numbered_ints(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the first position of each distinct int key, in order of first
+    appearance; per key, its number)."""
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(len(order), dtype=np.intp)
+    number[order] = np.arange(len(order))
+    return first[order], number[which.ravel()]
+
+
+def _column_keys(values: list) -> list:
+    """Per skeleton value of a matrix, its key for `_numbered`: an int (a
+    reference or not) by itself, any other value by its object."""
+    if set(map(type, values)) <= {int}:
+        return values
+    return [v if type(v) is int else (id(v),) for v in values]
+
+
+def _row_keys(entries: list[tuple[object, int]]) -> list:
+    """Per (skeleton value of a matrix list, in-degree), its key for
+    `_numbered`: a list of ints by its ints, any other value by its object."""
+    return [(tuple(v), d) if _ints(v) else ((id(v), None), d) for v, d in entries]
 
 
 class _MatTable:
@@ -1104,14 +1233,15 @@ class _MatTable:
     (rows, cols, entry list) of the file, returned by index.
 
     `column` and `rows` read the entries of many slots at once, once per
-    distinct skeleton value: a value of ints (a reference, or a list of
-    references) is known by its ints, any other value by its object, so
-    a value that differs from another only in type is read apart from
-    it.  Equal tuples of JSON values are equal matrices, with one
-    exception: a float equal to an integer (1.0 == 1, with the same
-    hash).  A list that matches a stored one holds only integers,
-    booleans and such floats, and its sum is a float exactly when it
-    holds a float, so that sum rejects it as `_as_mat` would.
+    distinct skeleton value (`_numbered`, `_column_keys`, `_row_keys`): a
+    value of ints (a reference, or a list of references) is known by its
+    ints, any other value by its object, so a value that differs from
+    another only in type is read apart from it.  Equal tuples of JSON
+    values are equal matrices, with one exception: a float equal to an
+    integer (1.0 == 1, with the same hash).  A list that matches a stored
+    one holds only integers, booleans and such floats, and its sum is a
+    float exactly when it holds a float, so that sum rejects it as
+    `_as_mat` would.
     """
 
     def __init__(self, field: PrimeField, arrays: dict[int, list]):
@@ -1120,21 +1250,19 @@ class _MatTable:
         self.mats: list[Mat] = []
         self.index: dict[tuple, int] = {}
 
-    def column(self, values: list, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-        """(per skeleton value, the table index of its rows x cols matrix,
-        -1 where it gives none; the mask of those)."""
-        if set(map(type, values)) <= {int}:
-            keys = values
-        else:
-            keys = [v if type(v) is int else (id(v),) for v in values]
-        got, which = _per_key(keys, values, lambda v: self.matrix(v, rows, cols, ""))
+    def column(self, values: list, which: np.ndarray, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+        """(per slot, the table index of the rows x cols matrix that its
+        skeleton value values[which[slot]] gives, -1 where it gives none;
+        the mask of those)."""
+        got = [_tried(lambda v: self.matrix(v, rows, cols, ""), v) for v in values]
         idx = np.array([-1 if i is None else i for i in got], dtype=np.intp)[which]
         return idx, idx < 0
 
-    def rows(self, values: list, degrees: list[int], rows: int, cols: int) -> tuple[list, np.ndarray]:
-        """(per skeleton value, the tuple of its list's rows x cols
-        matrices, one per in-edge, or of -1s where it gives none; the mask
-        of those).  Each distinct int in the lists of ints is read once."""
+    def rows(self, entries: list, which: np.ndarray, rows: int, cols: int) -> tuple[list, np.ndarray]:
+        """(per slot, the tuple of rows x cols matrices, one per in-edge,
+        that the list of its entries[which[slot]] = (skeleton value,
+        in-degree) gives, or of -1s where it gives none; the mask of
+        those).  Each distinct int in the lists of ints is read once."""
         items: dict[int, Optional[int]] = {}  # an int in a list of ints -> its matrix
 
         def read(entry: tuple[list, int]) -> Optional[tuple[int, ...]]:
@@ -1146,11 +1274,10 @@ class _MatTable:
             out = tuple(map(items.__getitem__, value))
             return None if len(out) != degree or None in out else out
 
-        entries = list(zip(values, degrees))
-        keys = [(tuple(v), d) if _ints(v) else ((id(v), None), d) for v, d in entries]
-        got, which = _per_key(keys, entries, read)
-        out = [(-1,) * d if row is None else row for row, d in zip(map(got.__getitem__, which), degrees)]
-        return out, np.array([row is None for row in got], dtype=bool)[which]
+        got = [_tried(read, entry) for entry in entries]
+        filled = [(-1,) * d if row is None else row for row, (_, d) in zip(got, entries)]
+        bad = np.array([row is None for row in got], dtype=bool)
+        return list(map(filled.__getitem__, which.tolist())), bad[which]
 
     def matrix(self, value, rows: int, cols: int, what: str) -> int:
         """The table index of the matrix a skeleton value gives; `what` names it in errors."""
@@ -1197,13 +1324,15 @@ def code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
 
 
 def _code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
-    """Every edge's entry is looked up by its label at once, and read once
-    per distinct value (`_MatTable.column`, `_MatTable.rows`); only the
-    first edge, then terminal, in order whose entry is missing or gives
-    no matrix is read again, by itself, to raise its error."""
+    """Every edge's entry is taken at once, and read once per distinct
+    value (`_MatTable.column`, `_MatTable.rows`): from the section that
+    `_parse_code_file` cut by position, or else looked up by label.  Only
+    the first edge, then terminal, in order whose entry is missing or
+    gives no matrix is read again, by itself, to raise its error."""
+    keys = _edge_keys(net, '"') if data.startswith(b'{"edge_matrices":{"') else None
     try:
-        doc, arrays = _parse_code_file(data)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        doc, arrays, section = _parse_code_file(data, keys[2] if keys else None)
+    except ValueError as exc:  # not UTF-8, not JSON, or an int past Python's digit limit
         raise CodeFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CodeFormatError("top level must be an object")
@@ -1228,32 +1357,47 @@ def _code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
             raise CodeFormatError(f"field {key!r} must be an object")
     table = _MatTable(field, arrays)
     lay = net.layout()
-    labels = net.edge_labels()
-    entries = list(map(doc["edge_matrices"].get, labels, repeat(_MISSING)))
     from_source = net.role_mask(SOURCE)[net.tail]
     degrees = np.diff(net.in_ptr)[net.tail]
-    src, bad_src = table.column(list(compress(entries, from_source.tolist())), l, r)
-    ins, bad_in = table.rows(
-        list(compress(entries, (~from_source).tolist())), degrees[lay.relayed_edges].tolist(), l, l
-    )
-    bad = np.zeros(len(labels), dtype=bool)
+    relayed_degrees = degrees[lay.relayed_edges].tolist()
+    if section is None:
+        entries = list(map(doc["edge_matrices"].get, net.edge_labels(), repeat(_MISSING)))
+        entry = entries.__getitem__
+        sources = list(compress(entries, from_source.tolist()))
+        sources = _numbered(_column_keys(sources), sources)
+        relayed = list(zip(compress(entries, (~from_source).tolist()), relayed_degrees))
+        relayed = _numbered(_row_keys(relayed), relayed)
+    else:  # one slot per distinct value text, and per in-degree for the relayed edges
+        values, at = section
+        number = at[keys[1]]
+        entry = lambda e: values[number[e]]  # noqa: E731
+        first, which = _numbered_ints(number[lay.source_edges])
+        sources = [values[i] for i in number[lay.source_edges[first]].tolist()], which
+        kinds = number[lay.relayed_edges] * (int(degrees.max(initial=0)) + 1) + relayed_degrees
+        first, which = _numbered_ints(kinds)
+        ends = lay.relayed_edges[first]
+        relayed = list(zip(map(values.__getitem__, number[ends].tolist()), degrees[ends].tolist())), which
+    src, bad_src = table.column(*sources, l, r)
+    ins, bad_in = table.rows(*relayed, l, l)
+    bad = np.zeros(len(net.tail), dtype=bool)
     bad[lay.source_edges], bad[lay.relayed_edges] = bad_src, bad_in
     if bad.any():
         e = int(np.argmax(bad))
-        entry, what = entries[e], f"edge {labels[e]}"
-        if entry is _MISSING:
+        what = f"edge {net.edge_label(e)}"
+        if entry(e) is _MISSING:
             raise CodeFormatError(f"edge_matrices missing {what}")
         if from_source[e]:
-            table.matrix(entry, l, r, what)
+            table.matrix(entry(e), l, r, what)
         else:
-            table.row(entry, int(degrees[e]), l, l, what)
-    terminals = list(map(doc["terminal_matrices"].get, net.terminals, repeat(_MISSING)))
-    degrees = np.diff(lay.term_ptr).tolist()
-    decs, bad = table.rows(terminals, degrees, r, l)
+            table.row(entry(e), int(degrees[e]), l, l, what)
+    terminals = net.terminals
+    entries = list(zip(map(doc["terminal_matrices"].get, terminals, repeat(_MISSING)), np.diff(lay.term_ptr).tolist()))
+    decs, bad = table.rows(*_numbered(_row_keys(entries), entries), r, l)
     if bad.any():
         j = int(np.argmax(bad))
-        if terminals[j] is _MISSING:
-            raise CodeFormatError(f"terminal_matrices missing terminal {net.terminals[j]}")
-        table.row(terminals[j], degrees[j], r, l, f"terminal {net.terminals[j]}")
+        value, degree = entries[j]
+        if value is _MISSING:
+            raise CodeFormatError(f"terminal_matrices missing terminal {terminals[j]}")
+        table.row(value, degree, r, l, f"terminal {terminals[j]}")
     ins, decs = (np.fromiter(chain.from_iterable(x), dtype=np.intp) for x in (ins, decs))
     return FracLinCode._of_table(net, r, l, field, table.mats, src, ins, decs)

@@ -543,15 +543,41 @@ def _edge_arrays(items: list, index: dict[str, int]):
     return tail, head, pars
 
 
+def _listed_edges(doc: dict, index: dict[str, int]):
+    """(tail, head, par) of the "edges" list of a parsed file; raises
+    NetworkFormatError at its first faulty edge."""
+    items = _expect(doc, "edges", list)
+    edges = _edge_arrays(items, index)
+    if edges is None:
+        for i, item in enumerate(items):
+            fault = _edge_fault(i, item, index)
+            if fault:
+                raise NetworkFormatError(fault)
+    return edges
+
+
 def deserialize(data: bytes) -> SumNetwork:
+    """The network of a v1 file.  A file whose edge section is laid out
+    byte for byte as `serialize` lays it out is read by position
+    (`_read_by_position`); any other goes through `json.loads`, which
+    alone gives the refusals."""
+    net = _read_by_position(data)
+    if net is not None:
+        return net
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int past Python's digit limit
         raise NetworkFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError:
         raise NetworkFormatError(
             "not valid JSON: the network file nests deeper than the recursion limit"
         ) from None
+    return _network(doc, lambda index: _listed_edges(doc, index))
+
+
+def _network(doc, edges) -> SumNetwork:
+    """The network of a parsed file, checked field by field in file-format
+    order; edges(index) gives (tail, head, par) once the nodes are read."""
     if not isinstance(doc, dict):
         raise NetworkFormatError("top level must be an object")
     version = _expect(doc, "version", int)
@@ -570,14 +596,8 @@ def deserialize(data: bytes) -> SumNetwork:
         labels.append(label)
         codes.append(ROLES.index(role))
     index = {label: x for x, label in enumerate(labels)}
-    items = _expect(doc, "edges", list)
-    edges = _edge_arrays(items, index)
-    if edges is None:
-        for i, item in enumerate(items):
-            fault = _edge_fault(i, item, index)
-            if fault:
-                raise NetworkFormatError(fault)
-    n_edges = len(items)
+    tail, head, par = edges(index)
+    n_edges = len(tail)
     in_order_raw = _expect(doc, "in_order", dict)
     orders: list = [()] * len(labels)
     for label, order in in_order_raw.items():
@@ -592,7 +612,126 @@ def deserialize(data: bytes) -> SumNetwork:
     source_order = _expect(doc, "source_order", list)
     if not all(isinstance(s, str) for s in source_order):
         raise NetworkFormatError("source_order must list node labels")
-    return SumNetwork.from_arrays(labels, codes, *edges, source_order, orders)
+    return SumNetwork.from_arrays(labels, codes, tail, head, par, source_order, orders)
+
+
+# --- reading by position ----------------------------------------------------------------
+
+# The glue of an edge object as `serialize` writes it, one native-order
+# 8-byte word each: before the head, between head and par, before the tail.
+_HEAD, _PAR, _TAIL = np.frombuffer(b'{"head":' b'","par":' b',"tail":', dtype=np.uint64)
+# _MASKS[j] keeps the first j bytes of a word.
+_MASKS = np.frombuffer(b"".join(b"\xff" * j + bytes(8 - j) for j in range(9)), dtype=np.uint64)
+
+
+def _words(buf: np.ndarray) -> np.ndarray:
+    """The 8-byte word at every byte offset of buf, read unaligned in place."""
+    return np.ndarray((len(buf) - 7,), dtype=np.uint64, buffer=buf, strides=(1,))
+
+
+def _read_by_position(data: bytes) -> Optional[SumNetwork]:
+    """The network of a file whose edge section `serialize` wrote, or None.
+
+    The edge section is read from the positions of its quotes, found with
+    numpy: edge k holds quotes 2+10k .. 11+10k, the glue between them is
+    checked one 8-byte word at a time, each head and tail is matched
+    byte for byte against the JSON-encoded node labels, and each par is
+    read from its digits.  An encoded label holds no unescaped quote and
+    never ends in an odd run of backslashes, so a matched span is one
+    whole JSON string that decodes to its label.  Only the rest of the
+    file (nodes, in_order, source_order and version) goes through
+    `json.loads`, and every check of the JSON path runs on it.  None, and
+    so the JSON path, wherever the layout, a label or a check differs:
+    other spacing or key order, a label with a quote, a par that is not a
+    plain integer of at most nine digits, a second "edges" key, or any
+    fault."""
+    if not data.startswith(b'{"edges":[{"'):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    quotes = np.flatnonzero(buf == ord('"'))
+    q = quotes[2 : 2 + (len(quotes) - 2) // 10 * 10].reshape(-1, 10)
+    last = buf[np.minimum(q[:, 9] + 2, len(buf) - 1)] != ord(",")  # no edge follows
+    if not last.any():
+        return None
+    q = q[: np.argmax(last) + 1]
+    end = int(q[-1, 9]) + 2  # the "]" that closes the list
+    if end + 1 >= len(buf) or buf[end] != ord("]") or buf[end + 1] != ord(","):
+        return None
+    words = _words(buf)
+    ok = (words[q[:, 0] - 1] == _HEAD) & (words[q[:, 3]] == _PAR) & (words[q[:, 6] - 1] == _TAIL)
+    ok &= (q[:, 2] == q[:, 0] + 7) & (q[:, 8] == q[:, 6] + 7) & (buf[q[:, 9] + 1] == ord("}"))
+    ok[1:] &= q[1:, 0] == q[:-1, 9] + 4  # "}," then the next edge's "{"
+    par = _plain_ints(buf, q[:, 3] + 8, q[:, 6] - 1)
+    if not ok.all() or par is None:
+        return None
+    try:
+        rest = json.loads("{" + data[end + 2 :].decode("utf-8"))
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(rest, dict) or "edges" in rest:
+        return None
+    ends = np.concatenate([q[:, 8], q[:, 2]]) + 1, np.concatenate([q[:, 9], q[:, 3]])
+    try:
+        return _network(rest, lambda index: (*_label_entries(buf, index, *ends).reshape(2, -1), par))
+    except NetworkFormatError:
+        return None
+
+
+def _plain_ints(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> Optional[np.ndarray]:
+    """The integers buf[start:stop], or None unless each is written as
+    `str` writes an int of at most nine digits: "0", or an optional minus
+    and a digit run without a leading zero."""
+    neg = buf[start] == ord("-")
+    start = start + neg
+    size = stop - start
+    if not size.size or size.min() < 1 or size.max() > 9:
+        return None
+    if ((buf[start] == ord("0")) & (neg | (size > 1))).any():
+        return None
+    value = np.zeros(len(start), dtype=np.int64)
+    for j in range(int(size.max())):
+        live = j < size
+        digit = buf[start + j].astype(np.int64) - ord("0")
+        if (live & ((digit < 0) | (digit > 9))).any():
+            return None
+        value = np.where(live, value * 10 + digit, value)
+    return np.where(neg, -value, value)
+
+
+def _label_entries(buf: np.ndarray, index: dict[str, int], start, stop) -> np.ndarray:
+    """The entry of the node label that each span buf[start:stop] writes,
+    compared byte for byte with the labels as `serialize` encodes them.
+    Spans and labels are looked up by a key made of their 8-byte words
+    and then compared whole; raises NetworkFormatError where a span is no
+    encoded label, or meets another label of the same key."""
+    names = {_ENCODE(label)[1:-1].encode(): x for label, x in index.items()}
+    if not names:
+        raise NetworkFormatError("no nodes")
+    width = 8 * max(1, -(-max(map(len, names)) // 8))
+    table = np.frombuffer(b"".join(name.ljust(width, b"\0") for name in names), dtype=np.uint64)
+    table = table.reshape(len(names), -1)
+    size = stop - start
+    padded = np.zeros(len(buf) + width, dtype=np.uint8)
+    padded[: len(buf)] = buf
+    words = _words(padded)
+    spans = np.stack(
+        [words[start + i] & _MASKS[np.clip(size - i, 0, 8)] for i in range(0, width, 8)], axis=1
+    )
+    keys = _word_key(table)
+    by_key = np.argsort(keys)
+    at = by_key[np.minimum(np.searchsorted(keys[by_key], _word_key(spans)), len(by_key) - 1)]
+    sizes = np.fromiter(map(len, names), dtype=np.intp, count=len(names))
+    if not ((sizes[at] == size) & (table[at] == spans).all(axis=1)).all():
+        raise NetworkFormatError("an edge end is no encoded node label")
+    return np.fromiter(names.values(), dtype=np.intp, count=len(names))[at]
+
+
+def _word_key(words: np.ndarray) -> np.ndarray:
+    """One uint64 per row of words, the row itself when it is one word."""
+    key = words[:, 0].copy()
+    for col in words.T[1:]:
+        key = key * np.uint64(0x9E3779B97F4A7C15) + col
+    return key
 
 
 # --- DOT export ------------------------------------------------------------

@@ -322,6 +322,10 @@ def test_manifest_non_integer_is_usage_error(built_n1, tmp_path, capsys, command
         (b"\xff", "is not valid JSON"),
         (b"[1]", "must be a JSON object"),
         pytest.param(b"[" * 100_000, "is not valid JSON", id="nested-past-the-recursion-limit"),
+        pytest.param(
+            b'{"x":' + b"9" * 5000 + b"}", "is not valid JSON: Exceeds the limit",
+            id="int-past-the-digit-limit",
+        ),
     ],
 )
 def test_malformed_manifest_names_itself(tmp_path, capsys, command, content, message):
@@ -396,6 +400,18 @@ def test_verify_json_nested_past_the_recursion_limit_is_usage_error(tmp_path, ca
     capsys.readouterr()
     assert run("verify", "--net", str(paths["net"]), "--code", str(paths["code"])) == 2
     _one_line_error(capsys, name)
+
+
+@pytest.mark.parametrize("file", ["code", "net"])
+def test_verify_an_int_past_the_digit_limit_is_usage_error(tmp_path, capsys, file):
+    paths = {"net": tmp_path / "n1.json", "code": tmp_path / "code.json"}
+    assert run("build", "--family", "n1", "--m", "1", "--q", "2", "--out", str(paths["net"])) == 0
+    assert run("scheme", "--net", str(paths["net"]), "--p", "2", "--out", str(paths["code"])) == 0
+    data = paths[file].read_bytes()
+    paths[file].write_bytes(data.replace(b'"version":1', b'"x":' + b"9" * 5000 + b',"version":1'))
+    capsys.readouterr()
+    assert run("verify", "--net", str(paths["net"]), "--code", str(paths["code"])) == 2
+    _one_line_error(capsys, "error: not valid JSON: Exceeds the limit (4300 digits)")
 
 
 ENTRY = ("edge_matrices", "(s_1,u_1_1,0)", 0)

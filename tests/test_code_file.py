@@ -6,8 +6,11 @@ are the previous bodies of `coding.code_to_json`, `coding.code_from_json`
 and `coding._MatTable`, kept verbatim.  The codec in `coding` encodes and
 parses each distinct entry list once; it must write the same bytes, and
 load the same entries (sharing matrices the same way) or refuse with the
-same exception type and message.  The one intended difference: a
-`version` of `true` or `1.0`, which the reference accepts, is refused.
+same exception type and message.  Two intended differences: a `version`
+of `true` or `1.0`, which the reference accepts, is refused; and an
+integer literal past Python's limit on the digits of an int, where the
+reference lets json's bare ValueError out, is refused as not valid JSON
+with that error's message.
 
 `reference_parse_code_file` is the regex tokenizer that
 `coding._parse_code_file` replaced, kept verbatim: it scans the whole text
@@ -32,6 +35,7 @@ from sumnets.coding import (
     CodeFormatError,
     FracLinCode,
     _as_mat,
+    _edge_keys,
     _parse_code_file,
     _resolve,
     code_from_json,
@@ -45,6 +49,7 @@ from sumnets.matrix import Mat
 from sumnets.network import SOURCE, Edge, Node, SumNetwork
 
 from test_fuzz import CODE, CODE_DOC, FUZZ, NET, _mutants
+from test_network import EDIT_BYTES
 from test_golden import BUILDERS, CODES, MERGED_ROUTING, ROUTING_CODES, SCHEMES
 
 # --- the reference codec ------------------------------------------------------------
@@ -222,7 +227,7 @@ def assert_parses_as_reference(data: bytes):
     want = _parsed(
         lambda data: reference_parse_code_file(data.decode("utf-8")), reference_resolve, data
     )
-    assert _parsed(_parse_code_file, _resolve, data) == want
+    assert _parsed(lambda data: _parse_code_file(data)[:2], _resolve, data) == want
     if want[0] == "parsed":
         assert want[1] == repr(json.loads(data.decode("utf-8")))
 
@@ -262,14 +267,25 @@ def assert_reads_as_reference(net: SumNetwork, data: bytes):
     if want[0] == "loaded" and _version_is_loose(data):
         assert got[:2] == ("refused", CodeFormatError)
         assert got[2].startswith("unsupported version ")
+    elif want[:2] == ("refused", ValueError) and want[2].startswith("Exceeds the limit"):
+        assert got == ("refused", CodeFormatError, f"not valid JSON: {want[2]}")
     else:
         assert got == want
     return got
 
 
+def _read_by_position(net: SumNetwork, data: bytes) -> bool:
+    """Whether the reader cuts the file's edge section by position."""
+    try:
+        return _parse_code_file(data, _edge_keys(net, '"')[2])[2] is not None
+    except (ValueError, RecursionError):  # the text's own error, from reading it whole
+        return False
+
+
 def _check_code(code: FracLinCode) -> bytes:
     data = code_to_json(code)
     assert data == reference_to_json(code)
+    assert _read_by_position(code.net, data)
     loaded = assert_reads_as_reference(code.net, data)
     assert loaded[0] == "loaded"
     spaced = json.dumps(json.loads(data), indent=1).encode()
@@ -288,6 +304,10 @@ def test_scheme_files_match_the_reference(key):
 
 def test_merged_scheme_file_matches_the_reference():
     _check_code(scheme_merged("n1", 2, 2, 2, 2))
+
+
+def test_rate_three_fifths_scheme_file_matches_the_reference():
+    _check_code(scheme_merged("n1", 9, 2, 2, 3))
 
 
 @pytest.mark.parametrize("key", sorted(ROUTING_CODES))
@@ -571,3 +591,163 @@ def test_labels_with_brackets_quotes_and_non_ascii_round_trip():
     loaded = code_from_json(net, data)
     assert verify(net, loaded).ok
     assert all(m is loaded.src_mats[0] for m in [*loaded.src_mats.values(), *loaded.in_mats[5]])
+
+
+# --- the edge section read by position ----------------------------------------------------
+
+
+def _edited(data: bytes, seed: int, count: int) -> dict[str, bytes]:
+    """data with one byte at a seeded position of its edge section flipped,
+    inserted or deleted, for each of count positions."""
+    rng = np.random.default_rng(seed)
+    end = data.index(b'},"l":') + 2
+    out = {}
+    for at in sorted(rng.choice(end, size=min(count, end), replace=False).tolist()):
+        byte = EDIT_BYTES[int(rng.integers(len(EDIT_BYTES)))]
+        out[f"flip {at} to {byte!r}"] = data[:at] + byte + data[at + 1 :]
+        out[f"insert {byte!r} at {at}"] = data[:at] + byte + data[at:]
+        out[f"delete {at}"] = data[:at] + data[at + 1 :]
+    return out
+
+
+def _escaped_code() -> FracLinCode:
+    """A code on a network whose labels JSON escapes, and with pars past
+    one digit: its keys are read by position too."""
+    field = PrimeField(3)
+    labels = ['s"1', "s\\2", "s\x013", "s_ü", "s_1", "s_10"]
+    nodes = [Node(x, "source") for x in labels] + [Node("v", "intermediate"), Node("t", "terminal")]
+    edges = [Edge(x, "v", p) for x in labels for p in (10, -1)] + [Edge("v", "t", 9)]
+    net = SumNetwork(nodes, edges)
+    one = Mat(field, np.ones((1, 1), dtype=np.int64))
+    two = Mat(field, np.full((1, 1), 2, dtype=np.int64))
+    n = len(edges) - 1
+    src = {e: (one, two)[e % 2] for e in range(n)}
+    return FracLinCode(net, 1, 1, field, src, {n: (one, two) * (n // 2)}, {"t": (one,)})
+
+
+ESCAPED = _escaped_code()
+MERGED = scheme_merged("n1", 2, 2, 2, 2)
+EDITED = {
+    f"{name}: {edit}": (net, data)
+    for seed, (name, net, data) in enumerate(
+        [
+            ("n1(1,2)", NET, COMPACT),
+            ("n1(2,2) x 2", MERGED.net, code_to_json(MERGED)),
+            ("escaped labels", ESCAPED.net, code_to_json(ESCAPED)),
+        ]
+    )
+    for edit, data in _edited(data, seed, 40).items()
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDITED))
+def test_edited_edge_sections_read_as_the_reference_reads_them(name):
+    assert_reads_as_reference(*EDITED[name])
+
+
+def test_escaped_labels_and_long_pars_are_read_by_position():
+    assert b'"(s\\"1,v,-1)"' in _check_code(ESCAPED)
+
+
+def _two_edges():
+    nodes = [Node("s", "source"), Node("v", "intermediate"), Node("t", "terminal")]
+    return SumNetwork(nodes, [Edge("s", "v"), Edge("v", "t")])
+
+
+TWO = _two_edges()
+TWO_DOC = {
+    "version": 1, "r": 1, "l": 1, "p": 2,
+    "edge_matrices": {"(s,v,0)": [1], "(v,t,0)": [[1]]}, "terminal_matrices": {"t": [[1]]},
+}
+TWO_FILE = json.dumps(TWO_DOC, sort_keys=True, separators=(",", ":")).encode()
+SECTION = b'"(s,v,0)":[1],"(v,t,0)":[[1]]},'
+LAYOUTS = {
+    "as written": TWO_FILE,
+    "keys out of order": TWO_FILE.replace(SECTION, b'"(v,t,0)":[[1]],"(s,v,0)":[1]},'),
+    "a key too many": TWO_FILE.replace(SECTION, SECTION[:-2] + b',"(x,y,0)":[1]},'),
+    "a key missing": TWO_FILE.replace(SECTION, b'"(s,v,0)":[1]},'),
+    "a key repeated": TWO_FILE.replace(SECTION, b'"(s,v,0)":[0],' + SECTION),
+    "space before a value": TWO_FILE.replace(b'"(s,v,0)":[1]', b'"(s,v,0)": [1]'),
+    "space before the section closes": TWO_FILE.replace(SECTION, SECTION[:-2] + b" },"),
+    "a number for a matrix": TWO_FILE.replace(b'"(s,v,0)":[1]', b'"(s,v,0)":1'),
+    "two values in one": TWO_FILE.replace(b'"(s,v,0)":[1]', b'"(s,v,0)":[1],[1]'),
+    # Each value alone is no JSON value, but the cut text would parse:
+    # the first closes what the rest leaves open, the second opens what
+    # follows, and there are as many values as keys.
+    "values that close the rest": (
+        b'{"edge_matrices":{"(s,v,0)":1]]},"(v,t,0)":[5,6},"l":[10'
+    ),
+    "a later equal section": TWO_FILE.replace(
+        b'"version":1}', b'"version":1,"edge_matrices":' + json.dumps(TWO_DOC["edge_matrices"]).encode() + b"}"
+    ),
+    "a later empty section": TWO_FILE.replace(b'"version":1}', b'"version":1,"edge_matrices":{}}'),
+    "a string naming the section": TWO_FILE.replace(b'"version":1}', b'"version":1,"x":"edge_matrices"}'),
+    "an int past the digit limit": TWO_FILE.replace(b'"version":1}', b'"version":1,"x":' + b"9" * 5000 + b"}"),
+    "deep after the section": TWO_FILE.replace(b'"version":1}', b'"version":1,"x":' + b"[" * 100_000),
+    "only the section": TWO_FILE[: TWO_FILE.index(SECTION) + len(SECTION) - 1] + b"}",
+    "trailing data": TWO_FILE + b"[1]",
+}
+
+
+# Cut by position: each value text alone is one JSON value.
+BY_POSITION = {"as written", "a number for a matrix", "space before a value", "space before the section closes"}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_files_in_another_layout_read_as_the_reference_reads_them(name):
+    data = LAYOUTS[name]
+    assert _read_by_position(TWO, data) == (name in BY_POSITION)
+    if name == "deep after the section":
+        with pytest.raises(CodeFormatError, match="^not valid JSON: the code file nests deeper"):
+            code_from_json(TWO, data)
+    else:
+        assert_reads_as_reference(TWO, data)
+
+
+def test_an_int_past_the_digit_limit_is_refused_as_not_valid_json():
+    data = COMPACT.replace(LAST_KEY, b'"x":' + b"9" * 5000 + b"," + LAST_KEY)
+    with pytest.raises(CodeFormatError, match=r"^not valid JSON: Exceeds the limit \(4300 digits\)"):
+        code_from_json(NET, data)
+
+
+# --- the key order -----------------------------------------------------------------------------
+
+
+def _net(labels: list[str], pars=(0,), repeat: int = 1) -> SumNetwork:
+    """Every ordered pair of labels joined by one edge per par, each edge
+    `repeat` times, over nodes that carry these labels (a label given
+    twice is two nodes)."""
+    nodes = [Node(x, "intermediate") for x in labels]
+    ends = sorted(set(labels))
+    edges = [Edge(a, b, p) for a in ends for b in ends if a != b for p in pars] * repeat
+    return SumNetwork(nodes, edges)
+
+
+KEY_ORDER = {
+    "plus, comma, space, empty": _net(["a", "a+", "a,b", "a b", ""]),
+    "comma-free": _net(["a", "a+", "a b", "", "a-", "a!"]),
+    "prefixes": _net(["s_1", "s_10", "s_1_0", "s_", "s"]),
+    "pars 9, 10, -1": _net(["a", "b"], (9, 10, -1, 0, 1, -10)),
+    "pars past int32": _net(["a", "b"], (2**40, -(2**40), 3, 2**31, -(2**31) - 1)),
+    "repeated edges": _net(["a", "b", "c"], (0, 1), repeat=3),
+    "repeated node labels": _net(["a", "b", "a", "c", "b"]),
+    "repeated labels with commas": SumNetwork(
+        [Node(x, "intermediate") for x in ["a,b", "c", "a", "b,c", "d"]],
+        [Edge("a,b", "c"), Edge("a", "b,c"), Edge("a", "d"), Edge("a,b", "c"), Edge("d", "a")],
+    ),
+    "escaped": _net(['s"', "s\\", "s\x01", "sü", "s"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_ORDER))
+def test_the_key_order_is_the_sorted_edge_labels(name):
+    net = KEY_ORDER[name]
+    order, where, columns = _edge_keys(net)
+    keys = [json.loads(f'"{"".join(row)}"') for row in zip(*columns)]
+    labels = net.edge_labels()
+    last = dict(zip(labels, range(len(labels))))  # a repeated label keeps its last edge
+    assert keys == sorted(last)
+    assert order.tolist() == [last[k] for k in keys]
+    assert [keys[k] for k in where.tolist()] == labels
+    if name == "pars past int32":
+        assert net.par.dtype == object

@@ -16,7 +16,15 @@ import json
 import numpy as np
 import pytest
 
-from sumnets.constructions import build_bottleneck2, build_n1, build_n2, k_copy_merge
+from sumnets.constructions import (
+    IN_SET,
+    RateTarget,
+    build_bottleneck2,
+    build_for_rate,
+    build_n1,
+    build_n2,
+    k_copy_merge,
+)
 from sumnets.network import (
     FORMAT_VERSION,
     INTERMEDIATE,
@@ -30,6 +38,7 @@ from sumnets.network import (
     SumNetwork,
     _expect,
     _level_order,
+    _read_by_position,
     deserialize,
     serialize,
     to_dot,
@@ -564,7 +573,7 @@ def test_views_round_trip_through_the_object_constructor():
 def test_the_rate_three_fifths_pipeline_makes_no_edge_objects(monkeypatch):
     """build -> scheme -> write -> read -> validate -> code read -> verify
     -> bound_check -> base build -> unroll -> verify, as the pipeline
-    benchmark runs it, on arrays alone."""
+    benchmark runs it, on arrays alone, with both files read by position."""
     from sumnets import network
     from sumnets.analysis import bound_check
     from sumnets.coding import code_from_json, code_to_json, scheme_merged, unroll_merged, verify
@@ -573,6 +582,9 @@ def test_the_rate_three_fifths_pipeline_makes_no_edge_objects(monkeypatch):
     made = []
     init = network.Edge.__init__
     monkeypatch.setattr(network.Edge, "__init__", lambda self, *a, **k: made.append(a) or init(self, *a, **k))
+    parsed = []  # the length of every text json.loads is given
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, *a, **k: parsed.append(len(text)) or loads(text, *a, **k))
     net, meta = build_for_rate(RateTarget(3, 5, (2,), IN_SET))
     code = scheme_merged(meta["family"], meta["m"], meta["q"], 2, meta["k"])
     net2 = deserialize(serialize(net))
@@ -585,5 +597,144 @@ def test_the_rate_three_fifths_pipeline_makes_no_edge_objects(monkeypatch):
     base = build_n1(meta["m"], meta["q"])
     assert verify(base, unroll_merged(code2, meta["k"], base)).ok
     assert made == []
+    # Both files are read by position: no text near the 2.75 MB network
+    # file or the 15 MB code file is parsed whole.
+    assert parsed and max(parsed) < 2**20
     Edge("s", "t")
     assert len(made) == 1  # the count sees an Edge when one is made
+
+
+# --- the read by position against the reference -------------------------------------------
+
+from test_golden import BUILDERS, NETWORKS  # noqa: E402
+
+RATE_THREE_FIFTHS = build_for_rate(RateTarget(3, 5, (2,), IN_SET))[0]
+
+
+def _labelled(labels: list[str], pars=(0,)) -> SumNetwork:
+    """A source per label, each wired into v by one edge per par, and v into t."""
+    nodes = [Node(s, SOURCE) for s in labels] + [Node("v", INTERMEDIATE), Node("t", TERMINAL)]
+    return SumNetwork(nodes, [Edge(s, "v", p) for s in labels for p in pars] + [Edge("v", "t")])
+
+
+# Labels of 8, 9, 16 and 17 bytes and longer, some sharing their first 16
+# bytes, and the empty label: one 8-byte word per label is not enough.
+LONG_LABELS = ["s" * 8, "s" * 9, "s" * 16, "s" * 17, "abcdefghijklmnopA", "abcdefghijklmnopB",
+               "a_source_with_a_label_of_forty_one_bytes", "", "s_1", "s_10"]
+# Labels that JSON escapes.  Their encoded text is matched as any other
+# label is, except that a quote puts a quote into the edge section, which
+# then is read as JSON.
+ESCAPED_LABELS = ["s\\2", "s\x013", "s\x7f4", "s_ü", "s\U0001f600", "s\\"]
+
+WRITTEN = {
+    **{f"{family}({m},{q})": BUILDERS[family](m, q) for family, m, q in NETWORKS},
+    "n1(2,2) x 3": k_copy_merge(build_n1(2, 2), 3),
+    "bottleneck2": build_bottleneck2(),
+    "rate 3/5": RATE_THREE_FIFTHS,
+    "long labels": _labelled(LONG_LABELS),
+    "escaped labels": _labelled(ESCAPED_LABELS),
+    "pars 9, 10, -1 and nine digits": _labelled(["a", "b"], (9, 10, -1, 999_999_999, -999_999_999)),
+    "duplicate labels": HAND_BUILT["duplicate labels"],
+    "duplicate edges": HAND_BUILT["duplicate edges"],
+    **{name: net for name, net in CYCLE_CASES.items() if name.endswith((" 0", " 1"))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITTEN))
+def test_written_networks_are_read_by_position_as_the_reference_reads_them(name):
+    data = serialize(WRITTEN[name])
+    assert _read_by_position(data) == WRITTEN[name]
+    assert_reads_as_reference(data)
+
+
+# One byte of the edge section changed, put in or taken out.
+EDIT_BYTES = [b'"', b"\\", b",", b":", b"{", b"}", b"[", b"]", b"0", b"1", b"9", b"-", b".",
+              b"e", b" ", b"s", b"_", b"\x00", b"\xff"]
+
+
+def _edited(data: bytes, seed: int, count: int) -> dict[str, bytes]:
+    """data with one byte at a seeded position of its edge section flipped,
+    inserted or deleted, for each of count positions."""
+    rng = np.random.default_rng(seed)
+    end = data.index(b'],"in_order":') + 2
+    out = {}
+    for at in sorted(rng.choice(end, size=min(count, end), replace=False).tolist()):
+        byte = EDIT_BYTES[int(rng.integers(len(EDIT_BYTES)))]
+        out[f"flip {at} to {byte!r}"] = data[:at] + byte + data[at + 1 :]
+        out[f"insert {byte!r} at {at}"] = data[:at] + byte + data[at:]
+        out[f"delete {at}"] = data[:at] + data[at + 1 :]
+    return out
+
+
+EDITED = {
+    f"{name}: {edit}": data
+    for seed, name in enumerate(
+        ["n1(1,2)", "n2(2,3)", "long labels", "escaped labels", "pars 9, 10, -1 and nine digits"]
+    )
+    for edit, data in _edited(serialize(WRITTEN[name]), seed, 40).items()
+}
+EDITED.update(
+    (f"rate 3/5: {edit}", data) for edit, data in _edited(serialize(RATE_THREE_FIFTHS), 7, 1).items()
+)
+
+
+@pytest.mark.parametrize("name", sorted(EDITED))
+def test_edited_edge_sections_read_as_the_reference_reads_them(name):
+    assert_reads_as_reference(EDITED[name])
+
+
+def _laid_out():
+    """Files that differ from the writer's layout in one way each."""
+    path = serialize(tiny_path())
+    doc = json.loads(path)
+    edge = b'"par":0,"tail":"u"'
+    cases = {
+        **{f"par {text.decode()}": path.replace(edge, b'"par":' + text + b',"tail":"u"')
+           for text in [b"01", b"-0", b"-1", b"1.0", b"1e0", b"true", b"null", b'"0"', b"", b"-",
+                        b"123456789", b"-123456789", b"1234567890", b"-1234567890",
+                        b"99999999999999999999"]},
+        "a label with a quote": serialize(_labelled(['s"1', *ESCAPED_LABELS])),
+        "no comma after the edges": path.replace(b'}],"in_order"', b'}] "in_order"'),
+        "a letter after the edges": path.replace(b'}],"in_order"', b'}]x"in_order"'),
+        "indent": json.dumps(doc, sort_keys=True, indent=1).encode(),
+        "spaced separators": json.dumps(doc, sort_keys=True).encode(),
+        "space after the list opens": path.replace(b'"edges":[', b'"edges":[ '),
+        "newline between edges": path.replace(b'"s"},{', b'"s"},\n{'),
+        "space before the list closes": path.replace(b'"u"}],', b'"u"} ],'),
+        "edge keys out of order": path.replace(b'{"head":"u","par":0,"tail":"s"}',
+                                               b'{"tail":"s","head":"u","par":0}'),
+        "fields out of order": json.dumps(dict(reversed(list(doc.items()))), separators=(",", ":")).encode(),
+        "a fourth edge key": path.replace(b'"tail":"s"}', b'"tail":"s","x":1}'),
+        "a later empty edges": path.replace(b'"version":1}', b'"version":1,"edges":[]}'),
+        "a later equal edges": path.replace(
+            b'"version":1}', b'"version":1,"edges":' + json.dumps(doc["edges"]).encode() + b"}"
+        ),
+        "a later reversed edges": path.replace(
+            b'"version":1}', b'"version":1,"edges":' + json.dumps(doc["edges"][::-1]).encode() + b"}"
+        ),
+        "only edges": path[: path.index(b',"in_order"')] + b"}",
+        "nothing after the edges": path[: path.index(b',"in_order"')],
+        "no edges": serialize(SumNetwork([Node("s", SOURCE)], [])),
+        "unknown tail": path.replace(b'"tail":"u"', b'"tail":"w"'),
+        "tail a prefix of a label": serialize(_labelled(["s_10"])).replace(b'"tail":"s_10"', b'"tail":"s_1"'),
+        "tail with a NUL after a label": path.replace(b'"tail":"u"', b'"tail":"u\x00"'),
+    }
+    return cases
+
+
+LAID_OUT = _laid_out()
+# Each is an integer of at most nine digits as the writer writes it.
+BY_POSITION = {"par -1", "par 123456789", "par -123456789"}
+
+
+@pytest.mark.parametrize("name", sorted(LAID_OUT))
+def test_files_in_another_layout_read_as_the_reference_reads_them(name):
+    data = LAID_OUT[name]
+    assert (_read_by_position(data) is not None) == (name in BY_POSITION)
+    assert_reads_as_reference(data)
+
+
+def test_an_int_past_the_digit_limit_is_refused_as_not_valid_json():
+    data = serialize(build_n1(1, 2)).replace(b'"version":1', b'"x":' + b"9" * 5000 + b',"version":1')
+    with pytest.raises(NetworkFormatError, match=r"^not valid JSON: Exceeds the limit \(4300 digits\)"):
+        deserialize(data)
