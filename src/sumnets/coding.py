@@ -25,7 +25,7 @@ import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cache
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, repeat
 from typing import Optional
 
 import numpy as np
@@ -911,9 +911,12 @@ def _edge_keys(net: SumNetwork, end: str = "") -> tuple[np.ndarray, np.ndarray, 
     where[by_key] = np.cumsum(opens) - 1
     order = by_key[closes]
     names = [_ENCODE(label)[1:-1] for label in labels]
-    texts = ([f"({name}," for name in names], [f"{name}," for name in names], [t + end for t in par_texts])
-    rows = (net.tail[order], net.head[order], par_at[order])
-    return order, where, [np.array(text, dtype=object)[row].tolist() for text, row in zip(texts, rows)]
+    columns = [
+        np.array([f"({name}," for name in names], dtype=object)[net.tail[order]],
+        np.array([f"{name}," for name in names], dtype=object)[net.head[order]],
+        np.array([t + end for t in par_texts], dtype=object)[par_at[order]],
+    ]
+    return order, where, [column.tolist() for column in columns]
 
 
 def code_to_json(code: FracLinCode) -> bytes:
@@ -1098,7 +1101,9 @@ def _parse_code_file(
         return json.loads(data.decode("utf-8")), {}, None
 
 
-def _cut_section(pieces: list[bytes], keys: list[list[str]]) -> Optional[tuple[list[bytes], np.ndarray]]:
+def _cut_section(
+    pieces: list[bytes], keys: list[list[str]]
+) -> Optional[tuple[list[bytes], np.ndarray]]:
     """Where the pieces open with the edge_matrices section that the
     writer writes with these keys: (the pieces of the text
     `[{"edge_matrices":{}, ...the rest of the file...}, [each distinct
@@ -1108,7 +1113,9 @@ def _cut_section(pieces: list[bytes], keys: list[list[str]]) -> Optional[tuple[l
     must hold no second edge_matrices key.  The file is then JSON exactly
     when that text parses as a list of two."""
     n = len(keys[0])
-    if len(pieces) < 2 * n + 5 or not len(pieces) % 2 or pieces[:3] != [b"{", b"edge_matrices", b":{"]:
+    if len(pieces) < 2 * n + 5 or not len(pieces) % 2:
+        return None
+    if pieces[:3] != [b"{", b"edge_matrices", b":{"]:
         return None
     joined = [""] * (3 * n)
     joined[0::3], joined[1::3], joined[2::3] = keys
@@ -1201,7 +1208,8 @@ def _numbered(keys: list, values: list) -> tuple[list, np.ndarray]:
     values."""
     first = dict(zip(keys, values))
     number = {key: k for k, key in enumerate(first)}
-    return list(first.values()), np.fromiter(map(number.__getitem__, keys), dtype=np.intp, count=len(keys))
+    which = np.fromiter(map(number.__getitem__, keys), dtype=np.intp, count=len(keys))
+    return list(first.values()), which
 
 
 def _numbered_ints(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1250,7 +1258,9 @@ class _MatTable:
         self.mats: list[Mat] = []
         self.index: dict[tuple, int] = {}
 
-    def column(self, values: list, which: np.ndarray, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    def column(
+        self, values: list, which: np.ndarray, rows: int, cols: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(per slot, the table index of the rows x cols matrix that its
         skeleton value values[which[slot]] gives, -1 where it gives none;
         the mask of those)."""
@@ -1258,7 +1268,9 @@ class _MatTable:
         idx = np.array([-1 if i is None else i for i in got], dtype=np.intp)[which]
         return idx, idx < 0
 
-    def rows(self, entries: list, which: np.ndarray, rows: int, cols: int) -> tuple[list, np.ndarray]:
+    def rows(
+        self, entries: list, which: np.ndarray, rows: int, cols: int
+    ) -> tuple[list, np.ndarray]:
         """(per slot, the tuple of rows x cols matrices, one per in-edge,
         that the list of its entries[which[slot]] = (skeleton value,
         in-degree) gives, or of -1s where it gives none; the mask of
@@ -1376,7 +1388,7 @@ def _code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
         kinds = number[lay.relayed_edges] * (int(degrees.max(initial=0)) + 1) + relayed_degrees
         first, which = _numbered_ints(kinds)
         ends = lay.relayed_edges[first]
-        relayed = list(zip(map(values.__getitem__, number[ends].tolist()), degrees[ends].tolist())), which
+        relayed = [(values[i], d) for i, d in zip(number[ends].tolist(), degrees[ends].tolist())], which
     src, bad_src = table.column(*sources, l, r)
     ins, bad_in = table.rows(*relayed, l, l)
     bad = np.zeros(len(net.tail), dtype=bool)
@@ -1391,7 +1403,8 @@ def _code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
         else:
             table.row(entry(e), int(degrees[e]), l, l, what)
     terminals = net.terminals
-    entries = list(zip(map(doc["terminal_matrices"].get, terminals, repeat(_MISSING)), np.diff(lay.term_ptr).tolist()))
+    found = map(doc["terminal_matrices"].get, terminals, repeat(_MISSING))
+    entries = list(zip(found, np.diff(lay.term_ptr).tolist()))
     decs, bad = table.rows(*_numbered(_row_keys(entries), entries), r, l)
     if bad.any():
         j = int(np.argmax(bad))

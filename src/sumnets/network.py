@@ -670,9 +670,15 @@ def _read_by_position(data: bytes) -> Optional[SumNetwork]:
         return None
     if not isinstance(rest, dict) or "edges" in rest:
         return None
-    ends = np.concatenate([q[:, 8], q[:, 2]]) + 1, np.concatenate([q[:, 9], q[:, 3]])
+    start = np.concatenate([q[:, 8], q[:, 2]]) + 1  # every tail, then every head
+    stop = np.concatenate([q[:, 9], q[:, 3]])
+
+    def edges(index: dict[str, int]):
+        tail, head = _label_entries(buf, index, start, stop).reshape(2, -1)
+        return tail, head, par
+
     try:
-        return _network(rest, lambda index: (*_label_entries(buf, index, *ends).reshape(2, -1), par))
+        return _network(rest, edges)
     except NetworkFormatError:
         return None
 
