@@ -671,9 +671,9 @@ LAYOUTS = {
     "space before the section closes": TWO_FILE.replace(SECTION, SECTION[:-2] + b" },"),
     "a number for a matrix": TWO_FILE.replace(b'"(s,v,0)":[1]', b'"(s,v,0)":1'),
     "two values in one": TWO_FILE.replace(b'"(s,v,0)":[1]', b'"(s,v,0)":[1],[1]'),
-    # Each value alone is no JSON value, but the cut text would parse:
-    # the first closes what the rest leaves open, the second opens what
-    # follows, and there are as many values as keys.
+    # Neither value alone is a JSON value, yet the cut text parses as a
+    # list of two: the first closes what the rest leaves open, and the
+    # second opens what follows.
     "values that close the rest": (
         b'{"edge_matrices":{"(s,v,0)":1]]},"(v,t,0)":[5,6},"l":[10'
     ),
@@ -690,7 +690,9 @@ LAYOUTS = {
 
 
 # Cut by position: each value text alone is one JSON value.
-BY_POSITION = {"as written", "a number for a matrix", "space before a value", "space before the section closes"}
+BY_POSITION = {
+    "as written", "a number for a matrix", "space before a value", "space before the section closes"
+}
 
 
 @pytest.mark.parametrize("name", sorted(LAYOUTS))
