@@ -1109,9 +1109,10 @@ def _cut_section(
     `[{"edge_matrices":{}, ...the rest of the file...}, [each distinct
     value text, once]]`; per key, the number of its value text), else
     None.  The section's keys are compared joined, as one string; each
-    distinct value text must parse alone, as one JSON value, and the rest
-    must hold no second edge_matrices key.  The file is then JSON exactly
-    when that text parses as a list of two."""
+    distinct value text must parse alone, as one JSON value; and no
+    string in the rest may read edge_matrices, so that no later key
+    replaces the section.  The file is then JSON exactly when that text
+    parses as a list of two."""
     n = len(keys[0])
     if len(pieces) < 2 * n + 5 or not len(pieces) % 2:
         return None

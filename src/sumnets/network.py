@@ -661,8 +661,10 @@ def _read_by_position(data: bytes) -> Optional[SumNetwork]:
     ok = (words[q[:, 0] - 1] == _HEAD) & (words[q[:, 3]] == _PAR) & (words[q[:, 6] - 1] == _TAIL)
     ok &= (q[:, 2] == q[:, 0] + 7) & (q[:, 8] == q[:, 6] + 7) & (buf[q[:, 9] + 1] == ord("}"))
     ok[1:] &= q[1:, 0] == q[:-1, 9] + 4  # "}," then the next edge's "{"
-    par = _plain_ints(buf, q[:, 3] + 8, q[:, 6] - 1)
-    if not ok.all() or par is None:
+    if not ok.all():
+        return None
+    par = _plain_ints(buf, q[:, 3] + 8, q[:, 6] - 1)  # between glue checked above
+    if par is None:
         return None
     try:
         rest = json.loads("{" + data[end + 2 :].decode("utf-8"))

@@ -47,6 +47,7 @@ from sumnets.network import (
 )
 
 from test_constructions import _shuffled
+from test_golden import BUILDERS, NETWORKS
 
 # --- the reference reader -----------------------------------------------------------
 
@@ -605,9 +606,6 @@ def test_the_rate_three_fifths_pipeline_makes_no_edge_objects(monkeypatch):
 
 
 # --- the read by position against the reference -------------------------------------------
-
-from test_golden import BUILDERS, NETWORKS  # noqa: E402
-
 RATE_THREE_FIFTHS = build_for_rate(RateTarget(3, 5, (2,), IN_SET))[0]
 
 
