@@ -1342,9 +1342,11 @@ def _code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
     `_parse_code_file` cut by position, or else looked up by label.  Only
     the first edge, then terminal, in order whose entry is missing or
     gives no matrix is read again, by itself, to raise its error."""
-    keys = _edge_keys(net, '"') if data.startswith(b'{"edge_matrices":{"') else None
+    where = keys = None  # per edge its key's position, and the keys, for a cut by position
+    if data.startswith(b'{"edge_matrices":{"'):
+        _, where, keys = _edge_keys(net, '"')
     try:
-        doc, arrays, section = _parse_code_file(data, keys[2] if keys else None)
+        doc, arrays, section = _parse_code_file(data, keys)
     except ValueError as exc:  # not UTF-8, not JSON, or an int past Python's digit limit
         raise CodeFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -1382,7 +1384,7 @@ def _code_from_json(net: SumNetwork, data: bytes) -> FracLinCode:
         relayed = _numbered(_row_keys(relayed), relayed)
     else:  # one slot per distinct value text, and per in-degree for the relayed edges
         values, at = section
-        number = at[keys[1]]
+        number = at[where]
         entry = lambda e: values[number[e]]  # noqa: E731
         first, which = _numbered_ints(number[lay.source_edges])
         sources = [values[i] for i in number[lay.source_edges[first]].tolist()], which
