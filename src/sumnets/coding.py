@@ -1093,7 +1093,8 @@ def _parse_code_file(
             top, arrays = _skeleton(skeleton)
         except (ValueError, RecursionError):
             top = None
-        if type(top) is list and len(top) == 2:
+        # The distinct values, each a bare integer, are one array reference.
+        if type(top) is list and len(top) == 2 and type(top[1]) is list:
             return top[0], arrays, (top[1], at)
     try:
         return (*_skeleton(pieces), None)
@@ -1110,8 +1111,8 @@ def _cut_section(
     value text, once]]`; per key, the number of its value text), else
     None.  The section's keys are compared joined, as one string; each
     distinct value text must parse alone, as one JSON value; and no
-    string in the rest may read edge_matrices, so that no later key
-    replaces the section.  The file is then JSON exactly when that text
+    string in the rest may read edge_matrices, escaped or not, so that no
+    later key replaces the section.  The file is then JSON exactly when that text
     parses as a list of two."""
     n = len(keys[0])
     if len(pieces) < 2 * n + 5 or not len(pieces) % 2:
@@ -1128,7 +1129,7 @@ def _cut_section(
         return None
     values[-1] = values[-1][:-2] + b","
     rest = pieces[2 * n + 3 :]
-    if b"edge_matrices" in rest[0::2]:
+    if any(_names_section(text) for text in rest[0::2]):
         return None
     number = dict.fromkeys(values)
     for k, text in enumerate(number):
@@ -1142,6 +1143,17 @@ def _cut_section(
     at = np.fromiter(map(number.__getitem__, values), dtype=np.intp, count=n)
     rest[-1] += b",[" + b",".join(text[1:-1] for text in number) + b"]]"
     return [b"[{", b"edge_matrices", b":{},", *rest], at
+
+
+def _names_section(text: bytes) -> bool:
+    """Whether a string body may read edge_matrices: it does, or it holds
+    an escape that decodes to it or does not decode."""
+    if b"\\" not in text:
+        return text == b"edge_matrices"
+    try:
+        return json.loads(b'"' + text + b'"') == "edge_matrices"
+    except ValueError:
+        return True
 
 
 def _skeleton(pieces: list[bytes]) -> tuple[object, dict[int, list]]:

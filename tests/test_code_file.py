@@ -670,6 +670,9 @@ LAYOUTS = {
     "space before a value": TWO_FILE.replace(b'"(s,v,0)":[1]', b'"(s,v,0)": [1]'),
     "space before the section closes": TWO_FILE.replace(SECTION, SECTION[:-2] + b" },"),
     "a number for a matrix": TWO_FILE.replace(b'"(s,v,0)":[1]', b'"(s,v,0)":1'),
+    # Every distinct value a bare integer: the list of them, appended to
+    # the cut text, is itself an all-integer array.
+    "a number for every matrix": TWO_FILE.replace(SECTION, b'"(s,v,0)":0,"(v,t,0)":5},'),
     "two values in one": TWO_FILE.replace(b'"(s,v,0)":[1]', b'"(s,v,0)":[1],[1]'),
     # Neither value alone is a JSON value, yet the cut text parses as a
     # list of two: the first closes what the rest leaves open, and the
@@ -681,6 +684,10 @@ LAYOUTS = {
         b'"version":1}', b'"version":1,"edge_matrices":' + json.dumps(TWO_DOC["edge_matrices"]).encode() + b"}"
     ),
     "a later empty section": TWO_FILE.replace(b'"version":1}', b'"version":1,"edge_matrices":{}}'),
+    "a later escaped section": TWO_FILE.replace(
+        b'"version":1}', b'"version":1,"edge\\u005fmatrices":{}}'
+    ),
+    "a later string with an escape": TWO_FILE.replace(b'"version":1}', b'"version":1,"x\\u005f":0}'),
     "a string naming the section": TWO_FILE.replace(b'"version":1}', b'"version":1,"x":"edge_matrices"}'),
     "an int past the digit limit": TWO_FILE.replace(b'"version":1}', b'"version":1,"x":' + b"9" * 5000 + b"}"),
     "deep after the section": TWO_FILE.replace(b'"version":1}', b'"version":1,"x":' + b"[" * 100_000),
@@ -691,7 +698,8 @@ LAYOUTS = {
 
 # Cut by position: each value text alone is one JSON value.
 BY_POSITION = {
-    "as written", "a number for a matrix", "space before a value", "space before the section closes"
+    "as written", "a number for a matrix", "space before a value", "space before the section closes",
+    "a later string with an escape",
 }
 
 
