@@ -14,6 +14,7 @@ dimension counting forces r/l below a closed-form bound.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,7 +121,8 @@ class _DecoderSystems:
 
     def of(self, i: int) -> tuple:
         """Terminal i's stacked composites as a gather index into the
-        cells, the right-hand side, its taps and its direct slots.
+        cells, the right-hand side, its taps, its direct slots and its
+        block.
 
         The sources to recover, nd, are those without a direct edge into
         the terminal, in source order.  The stack has l rows per tap, in
@@ -130,7 +132,9 @@ class _DecoderSystems:
         reads the zero cell at starts[-1].  The right-hand side is I_r
         under every source of nd.  Taps are (slot, middle edge) pairs, a
         slot being a position in the terminal's in-edge order; direct
-        slots map each direct source to its slots, by first slot.
+        slots map each direct source to its slots, by first slot.  The
+        block is None or the (rows, columns) of the stack that `_block`
+        picks.
         """
         if i not in self._built:
             r, l, shape, lay = self.r, self.l, self.shape, self.net.layout()
@@ -152,8 +156,51 @@ class _DecoderSystems:
                 rows = gather[k * l : (k + 1) * l].reshape(l, len(nd), r)
                 rows[:, cols[cols >= 0]] = block[:, cols >= 0]
             rhs = np.tile(np.eye(r, dtype=np.int64), (1, len(nd)))
-            self._built[i] = gather, rhs, taps, slots
+            reads = (gather.reshape(len(taps), l, len(nd), r) != self.starts[-1]).any(axis=(1, 3))
+            self._built[i] = gather, rhs, taps, slots, _block(reads, r, l)
         return self._built[i]
+
+
+def _block(reads: np.ndarray, r: int, l: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The rows and columns of a terminal's block, a sub-system of its
+    stack that every solvable candidate also solves, or None.
+
+    reads[k, j]: whether tap k's composite carries source j.  For a set T
+    of taps, its sources are those that no tap outside T carries; on
+    their columns every row outside T is zero, so D A = B restricted to
+    them is D_T A[T, them] = B[:, them], with no unknown from outside T.
+    The block takes the smallest T other than all taps (then the one
+    with the most sources, then the lowest bitmask) whose sources have
+    more columns, r each, than T has rows, l each: with no more columns
+    than rows, a generic A[T, them] has full column rank and solves any
+    right-hand side.  Only unions of the sources' own tap sets can be
+    smallest, so only those are tried, in order of size.
+    """
+    n_taps = len(reads)
+    counts: dict[int, int] = {}
+    for col in reads.T.tolist():
+        mask = sum(1 << k for k, hit in enumerate(col) if hit)
+        counts[mask] = counts.get(mask, 0) + 1
+    best: Optional[tuple[int, int]] = None  # (sources, T) of the pick so far
+    heap, seen = [(0, 0)], {0}
+    while heap:
+        size, t = heapq.heappop(heap)
+        if size == n_taps or best is not None and size > best[1].bit_count():
+            break
+        n = sum(c for mask, c in counts.items() if not mask & ~t)
+        if r * n > l * size and (best is None or n > best[0]):
+            best = (n, t)
+        for mask in counts:
+            u = t | mask
+            if u not in seen:
+                seen.add(u)
+                heapq.heappush(heap, (u.bit_count(), u))
+    if best is None:
+        return None
+    inside = np.array([best[1] >> k & 1 for k in range(n_taps)], dtype=bool)
+    rows = np.flatnonzero(np.repeat(inside, l))
+    cols = np.flatnonzero(np.repeat(~reads[~inside].any(axis=0), r))
+    return rows, cols
 
 
 def feasible_decoders(net: SumNetwork, composites: CompositeEncoding) -> DecodeResult:
@@ -200,7 +247,7 @@ def _decode(systems: _DecoderSystems, field: PrimeField, cells: np.ndarray) -> D
     zero = index(np.zeros((r, l), dtype=np.int64))
     for i, t in enumerate(net.terminals):
         lo, hi = lay.term_ptr[i], lay.term_ptr[i + 1]
-        gather, rhs, taps, directs = systems.of(i)
+        gather, rhs, taps, directs, _ = systems.of(i)
         if gather.size:
             d = solve_right(Mat(field, cells[gather]), Mat(field, rhs))
             if d is None:
@@ -300,7 +347,9 @@ class SearchResult:
 # GF(3) it gives chunks of 5.  Larger chunks eliminate faster per
 # candidate but raise the resident peak, the search workload's tightest
 # metric: chunks of 11 and 17 ran passes 15% and 23% faster and raised
-# `peak_rss_mb` by 0.8 and 1.9 MB (numpy 2.4.6, 2-vCPU x86-64).
+# `peak_rss_mb` by 0.8 and 1.9 MB (numpy 2.4.6, 2-vCPU x86-64).  Those
+# passes screened every candidate on the full 96 x 168 system; with the
+# 36 x 54 block screened first, larger chunks were not timed again.
 _SCREEN_BYTES = 1 << 20
 
 # The most one candidate's cells and largest system, or a found code's
@@ -319,9 +368,14 @@ def search(
     Candidates are screened in chunks, one terminal at a time in terminal
     order: `solvable_mod` decides every survivor's decoder system at once,
     read from the chunk's cells through the terminal's gather index.
-    Only candidates that pass every terminal have their decoders solved,
-    in stream order, as `feasible_decoders` does and on the same
-    per-terminal systems, to build their codes.
+    Where the terminal has a block (`_block`), it decides the block first
+    and the full system only for the block's survivors.  The block's
+    columns are zero in every row it leaves out, so decoders for the full
+    system solve it too: it rejects only candidates that the full system
+    rejects, and its rejections count at its terminal.  Only candidates
+    that pass every terminal have their decoders solved, in stream order,
+    as `feasible_decoders` does and on the same per-terminal systems, to
+    build their codes.
     """
     for name, value in (("r", r), ("l", l)):
         if value < 1:
@@ -369,21 +423,31 @@ def search(
     chunk = np.zeros((size, total_cells + 1), dtype=dtype)
     rejected = dict.fromkeys(terminals, 0)
 
+    def solvable(cells: np.ndarray, members: np.ndarray, gather: np.ndarray, rhs: np.ndarray):
+        """Whether each member, a row of cells, solves D A = rhs with A
+        read through gather."""
+        m, n = gather.shape
+        x = np.empty((members.size, m + r, n), dtype=dtype)
+        x[:, :m] = cells[members[:, None, None], gather]
+        x[:, m:] = rhs
+        return solvable_mod(x, m, p)
+
     def screen(cells: np.ndarray) -> np.ndarray:
         """Indices of the rows of cells that pass every terminal."""
         alive = np.arange(len(cells))
         for i, t in enumerate(terminals):
             if not alive.size:
                 break
-            gather, rhs, _, directs = systems.of(i)
-            m, n = gather.shape
+            gather, rhs, _, directs, block = systems.of(i)
             if gather.size:
-                x = np.empty((alive.size, m + r, n), dtype=dtype)
-                x[:, :m] = cells[alive[:, None, None], gather]
-                x[:, m:] = rhs
-                ok = solvable_mod(x, m, p)
+                ok = np.ones(alive.size, dtype=bool)
+                if block is not None:
+                    rows, cols = block
+                    ok = solvable(cells, alive, gather[np.ix_(rows, cols)], rhs[:, cols])
+                if ok.any():
+                    ok[ok] = solvable(cells, alive[ok], gather, rhs)
             else:  # nothing to recover, or nothing to read it from
-                ok = np.full(alive.size, not n)
+                ok = np.full(alive.size, not gather.shape[1])
             rejected[t] += int(alive.size - np.count_nonzero(ok))
             if ok.any():
                 # feasible_decoders refuses these direct edges for any

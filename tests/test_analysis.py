@@ -20,16 +20,26 @@ from sumnets.analysis import (
     search,
     wrong_char_bound,
 )
+from sumnets._core_py import solvable_mod
 from sumnets.coding import (
     UnsupportedNetworkError,
     UnverifiedCodeError,
     code_to_json,
     layer_shape,
     scheme,
+    scheme_merged,
     transfer,
     verify,
 )
-from sumnets.constructions import build_bottleneck2, build_n1, build_n2, k_copy_merge
+from sumnets.constructions import (
+    IN_SET,
+    RateTarget,
+    build_bottleneck2,
+    build_for_rate,
+    build_n1,
+    build_n2,
+    k_copy_merge,
+)
 from sumnets.galois import PrimeField
 from sumnets.matrix import Mat
 from sumnets.network import INTERMEDIATE, SOURCE, TERMINAL, Edge, Node, SumNetwork
@@ -277,6 +287,12 @@ def reference_search(net, r, l, p, strategy):
     return found, tried, {t: rejected[t] for t in net.terminals if t in rejected}
 
 
+def nodes_reversed(net):
+    """The same network with its node list, and so its terminal order,
+    reversed."""
+    return SumNetwork(list(reversed(net.nodes)), net.edges, net.in_order, list(net.source_order))
+
+
 SCREEN_CASES = [
     ("n1(1,2)", lambda: build_n1(1, 2), 2, 2, 2, Random(n=500, seed=1)),
     ("n1(1,2)", lambda: build_n1(1, 2), 1, 2, 3, Random(n=1, seed=4)),
@@ -296,6 +312,18 @@ SCREEN_CASES = [
     ("t_3-all-direct", lambda: four_source_direct_net(FOUR_SOURCES), 2, 8, 5, Random(n=20, seed=3)),
     # t_3 has s_1 only, and no tap to read the rest from: it rejects everything.
     ("t_3-s_1-only", lambda: four_source_direct_net(["s_1"]), 2, 8, 5, Random(n=20, seed=3)),
+    # Networks with blocks.  The n1 ones screen theirs at t_1, where some
+    # candidates pass the block and are rejected by the full system.
+    ("n1(2,2)", lambda: build_n1(2, 2), 1, 1, 2, Random(n=400, seed=1)),
+    ("n2(2,3)", lambda: build_n2(2, 3), 1, 2, 3, Random(n=300, seed=2)),
+    ("n1(3,2)x2", lambda: k_copy_merge(build_n1(3, 2), 2), 2, 2, 2, Random(n=200, seed=0)),
+    ("n2(3,2)", lambda: build_n2(3, 2), 1, 2, 2, Random(n=300, seed=0)),
+    # The n2 terminals with a block come last, and the two cases above
+    # reject every candidate before them; in reverse node order they are
+    # screened first.
+    ("n2(2,3)-reversed", lambda: nodes_reversed(build_n2(2, 3)), 1, 2, 3, Random(n=300, seed=0)),
+    ("n2(3,2)-reversed", lambda: nodes_reversed(build_n2(3, 2)), 1, 3, 2, Random(n=300, seed=0)),
+    ("n2(3,2)-reversed", lambda: nodes_reversed(build_n2(3, 2)), 2, 3, 2, Random(n=300, seed=0)),
 ]
 
 
@@ -322,6 +350,45 @@ def test_search_matches_the_per_candidate_loop(
     assert [code_to_json(c) for c in result.found] == [code_to_json(c) for c in want_found]
     assert result.rejected_at == want_rejected
     assert sum(result.rejected_at.values()) == result.tried - len(result.found)
+
+
+RATE_3_5 = RateTarget(3, 5, (2,), IN_SET)
+
+
+@pytest.mark.parametrize(
+    "make, blocks",
+    [
+        (lambda: scheme(build_n1(2, 2), "n1", 2, 2, 2), 5),
+        (lambda: scheme_merged("n1", 3, 2, 2, 2), 12),
+        (lambda: scheme(build_n2(2, 3), "n2", 2, 3, 2), 4),
+        (lambda: scheme_merged("n2", 3, 2, 3, 2), 9),
+        (lambda: scheme(build_for_rate(RATE_3_5)[0], "n1", 9, 2, 2), 117),
+    ],
+    ids=["n1(2,2)", "n1(3,2)x2", "n2(2,3)", "n2(3,2)x2", "rate-3/5"],
+)
+def test_verified_codes_pass_every_block_and_no_other_tap_reads_its_columns(make, blocks):
+    # A block is exact only if the taps left out of it are zero on its
+    # columns; then every code with decoders, as a verified code's
+    # composites have, solves it.
+    code = make()
+    net, r, l, p = code.net, code.r, code.l, code.field.p
+    shape = layer_shape(net)
+    comps = composites_from_code(net, code)
+    cells = np.concatenate([comps.mats[me].a.ravel() for me in shape.middle.tolist()] + [[0]])
+    systems = sumnets.analysis._DecoderSystems(net, shape, r, l)
+    seen = 0
+    for i in range(len(net.terminals)):
+        gather, rhs, _, _, block = systems.of(i)
+        if block is None:
+            continue
+        seen += 1
+        rows, cols = block
+        assert len(cols) > len(rows) and len(rows) < len(gather)
+        outside = np.setdiff1d(np.arange(len(gather)), rows)
+        assert (gather[np.ix_(outside, cols)] == systems.starts[-1]).all()
+        x = np.vstack([cells[gather[np.ix_(rows, cols)]], rhs[:, cols]])[None]
+        assert solvable_mod(x, len(rows), p).tolist() == [True]
+    assert seen == blocks
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

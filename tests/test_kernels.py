@@ -18,6 +18,7 @@ import pytest
 
 import sumnets
 from sumnets import _core_py, analysis, constructions
+from sumnets.coding import layer_shape
 from sumnets.galois import PrimeField
 from sumnets.matrix import Mat, solve_right
 
@@ -313,8 +314,9 @@ def test_solvable_mod_without_coefficient_rows_asks_for_a_zero_right_side():
 
 
 def test_solvable_mod_on_the_search_system_of_the_rate_three_fifths_network(monkeypatch):
-    # The stack search screens for one GF(3) candidate on the rate-3/5
-    # merge, a 96 x 168 member rejected at the first terminal.
+    # The stacks search screens for one GF(3) candidate on the rate-3/5
+    # merge: the first terminal's 36 x 54 block, which rejects it, and
+    # the 96 x 168 system the block is cut from.
     target = constructions.RateTarget(3, 5, (2,), constructions.IN_SET)
     net, _ = constructions.build_for_rate(target)
     seen = []
@@ -327,5 +329,14 @@ def test_solvable_mod_on_the_search_system_of_the_rate_three_fifths_network(monk
     result = analysis.search(net, 6, 10, 3, analysis.Random(n=1, seed=0))
     assert (result.found, result.rejected_at) == ([], {net.terminals[0]: 1})
     [(x, m, p)] = seen
-    assert x.shape == (1, m + 6, 168)
+    assert x.shape == (1, m + 6, 54) and m == 30
+    systems = analysis._DecoderSystems(net, layer_shape(net), 6, 10)
+    gather, rhs, _, _, (rows, cols) = systems.of(0)
+    cells = np.random.default_rng(0).integers(0, 3, size=systems.starts[-1], dtype=np.int64)
+    cells = np.append(cells, 0)  # the zero cell that gathers read
+    full = np.vstack([cells[gather], rhs])[None]
+    stacked = np.concatenate([rows, len(gather) + np.arange(6)])  # the block's rows, then B's
+    assert np.array_equal(x[0], full[0][np.ix_(stacked, cols)])
+    assert full.shape == (1, 96, 168)
     assert_solvable_matches(x, m, p)
+    assert_solvable_matches(full, len(gather), p)
