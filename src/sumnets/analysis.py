@@ -114,6 +114,7 @@ class _DecoderSystems:
         self.net, self.shape, self.r, self.l = net, shape, r, l
         self.starts = [l * r * x for x in shape.feed_ptr.tolist()]
         self._built: dict[int, tuple] = {}
+        self._blocks: dict[int, Optional[tuple[np.ndarray, np.ndarray]]] = {}
 
     def composite(self, cells: np.ndarray, i: int) -> np.ndarray:
         """Middle edge i's composite, a view of the cells."""
@@ -121,8 +122,7 @@ class _DecoderSystems:
 
     def of(self, i: int) -> tuple:
         """Terminal i's stacked composites as a gather index into the
-        cells, the right-hand side, its taps, its direct slots and its
-        block.
+        cells, the right-hand side, its taps and its direct slots.
 
         The sources to recover, nd, are those without a direct edge into
         the terminal, in source order.  The stack has l rows per tap, in
@@ -132,9 +132,7 @@ class _DecoderSystems:
         reads the zero cell at starts[-1].  The right-hand side is I_r
         under every source of nd.  Taps are (slot, middle edge) pairs, a
         slot being a position in the terminal's in-edge order; direct
-        slots map each direct source to its slots, by first slot.  The
-        block is None or the (rows, columns) of the stack that `_block`
-        picks.
+        slots map each direct source to its slots, by first slot.
         """
         if i not in self._built:
             r, l, shape, lay = self.r, self.l, self.shape, self.net.layout()
@@ -156,9 +154,19 @@ class _DecoderSystems:
                 rows = gather[k * l : (k + 1) * l].reshape(l, len(nd), r)
                 rows[:, cols[cols >= 0]] = block[:, cols >= 0]
             rhs = np.tile(np.eye(r, dtype=np.int64), (1, len(nd)))
-            reads = (gather.reshape(len(taps), l, len(nd), r) != self.starts[-1]).any(axis=(1, 3))
-            self._built[i] = gather, rhs, taps, slots, _block(reads, r, l)
+            self._built[i] = gather, rhs, taps, slots
         return self._built[i]
+
+    def block(self, i: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Terminal i's block, the (rows, columns) of its stack that
+        `_block` picks, or None; built on first use, which only the search
+        screen makes."""
+        if i not in self._blocks:
+            gather, _, taps, _ = self.of(i)
+            shape = (len(taps), self.l, gather.shape[1] // self.r, self.r)
+            reads = (gather.reshape(shape) != self.starts[-1]).any(axis=(1, 3))
+            self._blocks[i] = _block(reads, self.r, self.l)
+        return self._blocks[i]
 
 
 def _block(reads: np.ndarray, r: int, l: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -247,7 +255,7 @@ def _decode(systems: _DecoderSystems, field: PrimeField, cells: np.ndarray) -> D
     zero = index(np.zeros((r, l), dtype=np.int64))
     for i, t in enumerate(net.terminals):
         lo, hi = lay.term_ptr[i], lay.term_ptr[i + 1]
-        gather, rhs, taps, directs, _ = systems.of(i)
+        gather, rhs, taps, directs = systems.of(i)
         if gather.size:
             d = solve_right(Mat(field, cells[gather]), Mat(field, rhs))
             if d is None:
@@ -438,8 +446,9 @@ def search(
         for i, t in enumerate(terminals):
             if not alive.size:
                 break
-            gather, rhs, _, directs, block = systems.of(i)
+            gather, rhs, _, directs = systems.of(i)
             if gather.size:
+                block = systems.block(i)
                 ok = np.ones(alive.size, dtype=bool)
                 if block is not None:
                     rows, cols = block

@@ -378,7 +378,8 @@ def test_verified_codes_pass_every_block_and_no_other_tap_reads_its_columns(make
     systems = sumnets.analysis._DecoderSystems(net, shape, r, l)
     seen = 0
     for i in range(len(net.terminals)):
-        gather, rhs, _, _, block = systems.of(i)
+        gather, rhs, _, _ = systems.of(i)
+        block = systems.block(i)
         if block is None:
             continue
         seen += 1

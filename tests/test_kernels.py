@@ -331,7 +331,8 @@ def test_solvable_mod_on_the_search_system_of_the_rate_three_fifths_network(monk
     [(x, m, p)] = seen
     assert x.shape == (1, m + 6, 54) and m == 30
     systems = analysis._DecoderSystems(net, layer_shape(net), 6, 10)
-    gather, rhs, _, _, (rows, cols) = systems.of(0)
+    gather, rhs, _, _ = systems.of(0)
+    rows, cols = systems.block(0)
     cells = np.random.default_rng(0).integers(0, 3, size=systems.starts[-1], dtype=np.int64)
     cells = np.append(cells, 0)  # the zero cell that gathers read
     full = np.vstack([cells[gather], rhs])[None]
