@@ -314,7 +314,7 @@ def test_solvable_mod_without_coefficient_rows_asks_for_a_zero_right_side():
 
 
 def test_solvable_mod_on_the_search_system_of_the_rate_three_fifths_network(monkeypatch):
-    # The stacks search screens for one GF(3) candidate on the rate-3/5
+    # The stacks that search screens for one GF(3) candidate on the rate-3/5
     # merge: the first terminal's 36 x 54 block, which rejects it, and
     # the 96 x 168 system the block is cut from.
     target = constructions.RateTarget(3, 5, (2,), constructions.IN_SET)
@@ -333,6 +333,7 @@ def test_solvable_mod_on_the_search_system_of_the_rate_three_fifths_network(monk
     systems = analysis._DecoderSystems(net, layer_shape(net), 6, 10)
     gather, rhs, _, _ = systems.of(0)
     rows, cols = systems.block(0)
+    # The same draws as the candidate of Random(n=1, seed=0).
     cells = np.random.default_rng(0).integers(0, 3, size=systems.starts[-1], dtype=np.int64)
     cells = np.append(cells, 0)  # the zero cell that gathers read
     full = np.vstack([cells[gather], rhs])[None]
