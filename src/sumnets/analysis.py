@@ -14,7 +14,6 @@ dimension counting forces r/l below a closed-form bound.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -177,37 +176,24 @@ def _block(reads: np.ndarray, r: int, l: int) -> Optional[tuple[np.ndarray, np.n
     of taps, its sources are those that no tap outside T carries; on
     their columns every row outside T is zero, so D A = B restricted to
     them is D_T A[T, them] = B[:, them], with no unknown from outside T.
-    The block takes the smallest T other than all taps (then the one
-    with the most sources, then the lowest bitmask) whose sources have
-    more columns, r each, than T has rows, l each: with no more columns
-    than rows, a generic A[T, them] has full column rank and solves any
-    right-hand side.  Only unions of the sources' own tap sets can be
-    smallest, so only those are tried, in order of size.
+    With no more columns, r per source, than rows, l per tap, a generic
+    A[T, them] has full column rank and solves any right-hand side, so a
+    block needs more columns than rows.  T is tried only as one source's
+    own tap set, other than all taps: one (sources x taps) by (taps x
+    sources) product counts the sources of every such T.  A union of
+    several tap sets could qualify where none alone does; it is not
+    looked for.  The block takes the smallest qualifying T, then the one
+    with the most sources, then the lowest bitmask (tap k as bit k).
     """
-    n_taps = len(reads)
-    counts: dict[int, int] = {}
-    for col in reads.T.tolist():
-        mask = sum(1 << k for k, hit in enumerate(col) if hit)
-        counts[mask] = counts.get(mask, 0) + 1
-    best: Optional[tuple[int, int]] = None  # (sources, T) of the pick so far
-    heap, seen = [(0, 0)], {0}
-    while heap:
-        size, t = heapq.heappop(heap)
-        if size == n_taps or best is not None and size > best[1].bit_count():
-            break
-        n = sum(c for mask, c in counts.items() if not mask & ~t)
-        if r * n > l * size and (best is None or n > best[0]):
-            best = (n, t)
-        for mask in counts:
-            u = t | mask
-            if u not in seen:
-                seen.add(u)
-                heapq.heappush(heap, (u.bit_count(), u))
-    if best is None:
+    size = reads.sum(axis=0)
+    # n[j]: the sources whose taps all lie in source j's tap set.
+    n = ((~reads).T.astype(np.int64) @ reads.astype(np.int64) == 0).sum(axis=1)
+    ok = np.flatnonzero((r * n > l * size) & (size < len(reads)))
+    if not ok.size:
         return None
-    inside = np.array([best[1] >> k & 1 for k in range(n_taps)], dtype=bool)
-    rows = np.flatnonzero(np.repeat(inside, l))
-    cols = np.flatnonzero(np.repeat(~reads[~inside].any(axis=0), r))
+    t = reads[:, ok[np.lexsort(np.vstack([reads[:, ok], -n[ok], size[ok]]))[0]]]
+    rows = np.flatnonzero(np.repeat(t, l))
+    cols = np.flatnonzero(np.repeat(~reads[~t].any(axis=0), r))
     return rows, cols
 
 

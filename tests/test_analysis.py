@@ -324,6 +324,11 @@ SCREEN_CASES = [
     ("n2(2,3)-reversed", lambda: nodes_reversed(build_n2(2, 3)), 1, 2, 3, Random(n=300, seed=0)),
     ("n2(3,2)-reversed", lambda: nodes_reversed(build_n2(3, 2)), 1, 3, 2, Random(n=300, seed=0)),
     ("n2(3,2)-reversed", lambda: nodes_reversed(build_n2(3, 2)), 2, 3, 2, Random(n=300, seed=0)),
+    # t_1 taps 31 edges and has no block: s_1 is read by every tap and two
+    # sources by each tap alone, so every smaller tap set has as many
+    # columns as rows.  A pick that tried every union of tap sets ran
+    # through ~2^31 of them here before it gave up.
+    ("n1(2,30)", lambda: build_n1(2, 30), 1, 2, 2, Random(n=20, seed=0)),
 ]
 
 
